@@ -8,16 +8,16 @@ Layers, bottom up: :mod:`rifs.symbolic` (alphabets, measures, level sets),
 """
 
 from .errors import BudgetError, InputError, InvariantError
-from .symbolic import (Alphabet, BernoulliMeasure, LevelSet, LevelSetArrays, MarkovMeasure,
+from .symbolic import (Alphabet, BernoulliMeasure, LevelSet, MarkovMeasure,
                        SymbolicMeasure, TailSequence, cylinder_measure, entropy,
-                       entropy_estimate, is_prefix_free, level_set, level_set_arrays,
-                       restricted_level_set, slow_decay_constant,
-                       word_from_string, word_to_string, write_levelset_csv)
+                       entropy_estimate, is_prefix_free, level_set, restricted_level_set,
+                       slow_decay_constant, word_from_string, word_to_string,
+                       write_levelset_csv)
 from .random_model import (AffineSpec, MatrixFamily, MomentReport, Realization,
                            SimilaritySpec, cramer_moment, lyapunov_exponent,
                            lyapunov_prime, mc_cramer_moment, mc_lyapunov_prime,
                            moment_report)
-from .attractor import (CompositionResult, ProjectedPoint, apply_map,
+from .attractor import (CompositionResult, PointCloud, ProjectedPoint, apply_map,
                         bounding_ball, compose, iterate_maps, points_to_arrays,
                         project, project_level, project_tail, write_points_csv,
                         write_svg_scatter)
@@ -25,10 +25,10 @@ from .analysis import (AttractorMeasureReport, CoverageGrid, CoverageReport,
                        DensityReport, DetWindowReport, GDivergenceVerdict,
                        PairCountResult, PairReport, PsiEquivalence,
                        TransversalityFit, attractor_measure_estimate,
-                       close_pair_count, coverage_estimate, density_report,
-                       density_sweep, det_window_report, g_divergence_heuristic,
-                       pair_report, psi_equivalence_check, psi_from_mg,
-                       separated_subset, transversality_scaling)
+                       close_pair_count, coverage_estimate, density_sweep,
+                       det_window_report, g_divergence_heuristic, pair_report,
+                       psi_equivalence_check, psi_from_mg, separated_subset,
+                       transversality_scaling)
 from .experiments import ExperimentConfig, Gauge, preset, run
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ levels, divergence heuristics, and grid-based Lebesgue estimates."""
 from .detwindow import DetWindowReport, det_window_report
 from .pairs import (PairCountResult, PairReport, TransversalityFit, DensityReport,
                     close_pair_count, pair_report, separated_subset,
-                    transversality_scaling, fit_log_log, density_report, density_sweep)
+                    transversality_scaling, density_sweep)
 from .coverage import (CoverageGrid, CoverageReport, AttractorMeasureReport,
                        coverage_estimate, attractor_measure_estimate)
 from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuristic,
@@ -15,7 +15,7 @@ __all__ = [
     "DetWindowReport", "det_window_report",
     "PairCountResult", "PairReport", "TransversalityFit", "DensityReport",
     "close_pair_count", "pair_report", "separated_subset", "transversality_scaling",
-    "fit_log_log", "density_report", "density_sweep",
+    "density_sweep",
     "CoverageGrid", "CoverageReport", "AttractorMeasureReport",
     "coverage_estimate", "attractor_measure_estimate",
     "GDivergenceVerdict", "PsiEquivalence", "g_divergence_heuristic",

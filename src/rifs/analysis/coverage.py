@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..attractor import (MAP_BUDGET_DEFAULT, bounding_ball, points_to_arrays,
-                         project_level)
+from ..attractor import MAP_BUDGET_DEFAULT, project_level
 from ..errors import BudgetError, InputError, InvariantError
 from ..random_model import Realization
 from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
@@ -55,8 +54,10 @@ class CoverageGrid:
             raise InputError("grid box corners must be vectors of equal length")
         if np.any(hi <= lo):
             raise InputError("grid box must have positive extent in every dimension")
-        if self.h <= 0.0:
-            raise InputError("grid resolution h must be positive")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise InputError("grid box corners must be finite")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise InputError(f"grid resolution h must be finite and positive, got {self.h!r}")
         shape = tuple(int(math.ceil((b - a) / self.h)) for a, b in zip(lo, hi))
         if math.prod(shape) > _GRID_CELL_BUDGET:
             raise BudgetError(
@@ -136,13 +137,6 @@ class CoverageGrid:
         return clipped
 
 
-def default_grid(family, h: float) -> CoverageGrid:
-    """Conservative grid: the box around the a-priori bounding ball."""
-    R = bounding_ball(family)
-    d = family.dimension
-    return CoverageGrid(lo=np.full(d, -R), hi=np.full(d, R), h=h)
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Per-level union measures and the tail-union limsup proxy."""
@@ -152,10 +146,6 @@ class CoverageReport:
     per_level_outer: dict                # n -> outer estimate
     per_level_inner: dict                # n -> inner estimate
     running_intersection_measure: dict   # N -> tail union measure over n >= N
-
-    @property
-    def per_level_measure(self) -> dict:
-        return self.per_level_outer
 
 
 def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
@@ -195,15 +185,14 @@ def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
         if gn > 0.0:
             eps = float(radii[radii > 0.0].min()) / 8.0
             pts = project_level(r, L, b, eps, map_budget)
-            coords, trunc = points_to_arrays(pts)
-            clipped = grid.mark_balls(mask, coords, radii + trunc)
-            inner_radii = radii - trunc - grid.h * sqrt_d / 2.0
+            clipped = grid.mark_balls(mask, pts.coords, radii + pts.radii)
+            inner_radii = radii - pts.radii - grid.h * sqrt_d / 2.0
             if np.all(inner_radii <= 0.0) and not warned_coarse:
                 warnings.warn(
                     f"grid resolution h={grid.h} is coarse relative to the level-{n} "
                     "ball radii; inner estimate is 0", stacklevel=2)
                 warned_coarse = True
-            grid.mark_balls(inner_mask, coords, inner_radii)
+            grid.mark_balls(inner_mask, pts.coords, inner_radii)
             if clipped and not warned_clip:
                 warnings.warn(
                     "some balls extend beyond the grid box and were clipped; "
@@ -265,9 +254,8 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
         L = level_set(m, n, word_budget)
         delta = diam_scale * c ** (n / d)
         pts = project_level(r, L, b, delta / 8.0, map_budget)
-        coords, trunc = points_to_arrays(pts)
         mask = grid.new_mask()
-        grid.mark_balls(mask, coords, np.full(len(L), delta) + trunc)
+        grid.mark_balls(mask, pts.coords, np.full(len(L), delta) + pts.radii)
         per_level[n] = grid.measure(mask)
 
     vals = [per_level[n] for n in n_values[-3:]]

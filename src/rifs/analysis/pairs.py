@@ -214,11 +214,6 @@ class TransversalityFit:
     below_resolution: bool
 
 
-def fit_log_log(s_values, means) -> tuple:
-    return fit_line(np.log(np.asarray(s_values, dtype=float)),
-                    np.log(np.asarray(means, dtype=float)))
-
-
 def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                            n: int, s_list, n_seeds: int, master_seed: int = 0,
                            word_budget: int = WORD_BUDGET_DEFAULT,
@@ -248,8 +243,7 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     for j in range(n_seeds):
         r = Realization(keyed.derive_seed(master_seed, j), family)
         pts = project_level(r, L, b, eps, map_budget)
-        coords, _ = points_to_arrays(pts)
-        dists = pair_distances_within(coords, float(thresholds.max()))
+        dists = pair_distances_within(pts.coords, float(thresholds.max()))
         for k, t in enumerate(thresholds):
             counts[j, k] = 2.0 * int((dists <= t).sum())
     means = counts.mean(axis=0) / size
@@ -259,7 +253,7 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
         return TransversalityFit(slope=None, stderr=None, n_points=int(usable.sum()),
                                  s_values=tuple(s_arr), mean_normalized=tuple(means),
                                  below_resolution=True)
-    slope, stderr = fit_log_log(s_arr[usable], means[usable])
+    slope, stderr = fit_line(np.log(s_arr[usable]), np.log(means[usable]))
     return TransversalityFit(slope=slope, stderr=stderr, n_points=int(usable.sum()),
                              s_values=tuple(s_arr), mean_normalized=tuple(means),
                              below_resolution=False)
@@ -290,26 +284,16 @@ def upper_density(members) -> float:
     return float(max(vals[i:].mean() for i in range(vals.size)))
 
 
-def density_report(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
-                   c: float, s: float, n_range, seed: int,
-                   word_budget: int = WORD_BUDGET_DEFAULT,
-                   map_budget: int = MAP_BUDGET_DEFAULT) -> DensityReport:
-    """Membership indicators for one (c, s) across levels, plus upper density.
-
-    The greedy separated count stands in for the packing number (a certified
-    lower bound, evaluated at the scale inflated by the point enclosures), so
-    membership claims are conservative.
-    """
-    reports, _ = density_sweep(family, m, b, [c], [s], n_range, seed,
-                               word_budget, map_budget)
-    return reports[0]
-
-
 def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                   c_list, s_list, n_range, seed: int,
                   word_budget: int = WORD_BUDGET_DEFAULT,
                   map_budget: int = MAP_BUDGET_DEFAULT) -> tuple:
-    """Densities for a grid of (c, s); returns (reports, best report)."""
+    """Membership indicators per (c, s) across levels, with upper densities.
+
+    Returns (reports, best report).  The greedy separated count stands in for
+    the packing number (a certified lower bound, evaluated at the scale
+    inflated by the point enclosures), so membership claims are conservative.
+    """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
     n_values = [int(n) for n in n_range]
@@ -326,10 +310,9 @@ def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
         size = len(L)
         radii = np.asarray(s_vals) / size ** (1.0 / d)
         pts = project_level(r, L, b, float(radii.min()) / 8.0, map_budget)
-        coords, trunc = points_to_arrays(pts)
-        slack = 2.0 * float(trunc.max())
+        slack = 2.0 * float(pts.radii.max())
         for k, rad in enumerate(radii):
-            kept = separated_subset(coords, float(rad) + slack)
+            kept = separated_subset(pts.coords, float(rad) + slack)
             ratios[i, k] = kept.size / size
 
     reports = []

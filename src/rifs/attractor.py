@@ -15,12 +15,15 @@ the tail does.  Downstream geometry inflates/deflates by these radii.
 
 Batch evaluation over a level set is vectorized across words (per-step
 matrix stacks); its output is identical to evaluating words one at a time
-because all randomness is keyed per word.
+because all randomness is keyed per word.  The result is a
+:class:`PointCloud` of coordinate and radius arrays; per-point
+:class:`ProjectedPoint` objects are built only when a caller indexes it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,8 @@ import numpy as np
 from . import keyed
 from .errors import BudgetError, InputError
 from .random_model import MatrixFamily, Realization
-from .symbolic import LevelSet, TailSequence, validate_word, word_to_string
+from .symbolic import (LevelSet, TailSequence, _write_atomic, validate_word,
+                       word_to_string)
 
 MAP_BUDGET_DEFAULT = 200_000_000
 
@@ -50,6 +54,31 @@ class ProjectedPoint:
     word: tuple
     tail: TailSequence
     truncation_radius: float
+
+
+@dataclass(frozen=True)
+class PointCloud:
+    """Enclosed projections of a level set, one row per word in its order.
+
+    ``coords`` has shape (N, d) and ``radii`` shape (N,).  Integer indexing
+    and iteration yield :class:`ProjectedPoint` views built on demand.
+    """
+
+    coords: np.ndarray
+    radii: np.ndarray
+    level_set: LevelSet
+    tail: TailSequence
+
+    def __len__(self) -> int:
+        return self.radii.size
+
+    def __getitem__(self, i: int) -> ProjectedPoint:
+        i = operator.index(i)
+        return ProjectedPoint(coordinates=self.coords[i], word=self.level_set.words[i],
+                              tail=self.tail, truncation_radius=float(self.radii[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def bounding_ball(family: MatrixFamily) -> float:
@@ -118,20 +147,21 @@ class _AffineBatch:
         states = keyed.absorb(self.states[idx], symbols)
         syms = np.broadcast_to(np.asarray(symbols, dtype=np.int64), states.shape)
         if self.scalar:
-            a = self.r.scalars_from_chains(states, syms)
+            a = self.r.scalars_from_chains(states, symbols)
             t = self.r.family.translations[syms - 1, 0]
             self.v[idx] += self.M[idx] * t
             self.M[idx] *= a
         else:
-            mats = self.r.matrices_from_chains(states, syms)
+            mats = self.r.matrices_from_chains(states, symbols)
             t = self.r.family.translations[syms - 1]
             M = self.M[idx]
             self.v[idx] += (M @ t[:, :, None])[:, :, 0]
             self.M[idx] = M @ mats
         self.states[idx] = states
 
-    def point(self, i: int) -> np.ndarray:
-        coords = np.array([self.v[i]]) if self.scalar else self.v[i].copy()
+    def coords(self) -> np.ndarray:
+        """Read-only (N, d) values of the composed maps at 0."""
+        coords = self.v[:, None] if self.scalar else self.v
         coords.setflags(write=False)
         return coords
 
@@ -160,7 +190,7 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
     for k in range(1, depth + 1):
         batch.step(b.symbol(k))
     radius = r.family.rho_max ** (len(w) + depth) * bounding_ball(r.family)
-    return ProjectedPoint(coordinates=batch.point(0), word=w, tail=b,
+    return ProjectedPoint(coordinates=batch.coords()[0], word=w, tail=b,
                           truncation_radius=radius)
 
 
@@ -185,73 +215,64 @@ def project_tail(r: Realization, a, b: TailSequence, depth: int) -> np.ndarray:
 
 
 def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: float,
-                  map_budget: int = MAP_BUDGET_DEFAULT) -> list:
+                  map_budget: int = MAP_BUDGET_DEFAULT) -> PointCloud:
     """One enclosed point per level-set word, all radii <= ``target_radius``.
 
-    Depth is chosen per word (level sets mix lengths); evaluation is
+    Depth is chosen per word length (level sets mix lengths); evaluation is
     vectorized across words but keyed per word, so the result matches the
     sequential per-word run and the ordering of ``L``.
     """
     b.validate(r.family.alphabet)
-    n_words = len(L)
-    if n_words == 0:
-        return []
+    if len(L) == 0:
+        return PointCloud(np.zeros((0, r.family.dimension)), np.zeros(0), L, b)
     rho = r.family.rho_max
     R = bounding_ball(r.family)
     lengths = L.lengths
-    max_len = int(lengths.max())
-    depths = np.array([_required_depth(target_radius, int(la), rho, R) for la in lengths])
+    distinct, inverse = np.unique(lengths, return_inverse=True)
+    depths = np.array([_required_depth(target_radius, int(la), rho, R)
+                       for la in distinct])[inverse]
     applications = int(lengths.sum() + depths.sum())
     if applications > map_budget:
         raise BudgetError(
             f"projection map budget ({map_budget}) exceeded: "
             f"{applications} applications requested")
 
-    word_mat = np.zeros((n_words, max_len), dtype=np.int64)
-    for i, w in enumerate(L.words):
-        word_mat[i, : len(w)] = w
-
-    batch = _AffineBatch(r, n_words)
-    for j in range(max_len):
+    batch = _AffineBatch(r, len(L))
+    for j in range(L.word_matrix.shape[1]):
         rows = np.flatnonzero(lengths > j)
-        batch.step(word_mat[rows, j], rows)
+        batch.step(L.word_matrix[rows, j], rows)
     for k in range(1, int(depths.max()) + 1):
         rows = np.flatnonzero(depths >= k)
         batch.step(b.symbol(k), rows)
 
     radii = rho ** (lengths + depths) * R
-    return [ProjectedPoint(coordinates=batch.point(i), word=w, tail=b,
-                           truncation_radius=float(radii[i]))
-            for i, w in enumerate(L.words)]
+    radii.setflags(write=False)
+    return PointCloud(batch.coords(), radii, L, b)
 
 
 def points_to_arrays(points) -> tuple:
-    """(coords (N,d), trunc_radii (N,)) from ProjectedPoints or raw coordinates."""
-    if len(points) and isinstance(points[0], ProjectedPoint):
-        coords = np.stack([p.coordinates for p in points])
-        radii = np.array([p.truncation_radius for p in points])
-    else:
-        coords = np.asarray(points, dtype=np.float64)
-        if coords.ndim == 1:
-            coords = coords[:, None]
-        radii = np.zeros(coords.shape[0])
-    return coords, radii
+    """(coords (N,d), trunc_radii (N,)) of a PointCloud; raw coordinates get zero radii."""
+    if isinstance(points, PointCloud):
+        return points.coords, points.radii
+    coords = np.asarray(points, dtype=np.float64)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    return coords, np.zeros(coords.shape[0])
 
 
 def write_points_csv(points, path, header_comment: str | None = None) -> None:
-    """CSV columns ``word,x_1..x_d,trunc_radius``."""
+    """CSV columns ``word,x_1..x_d,trunc_radius``; raw coordinates get empty words."""
     coords, radii = points_to_arrays(points)
+    words = points.level_set.words if isinstance(points, PointCloud) else [()] * len(radii)
     d = coords.shape[1]
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("word," + ",".join(f"x_{i + 1}" for i in range(d)) + ",trunc_radius")
-    for p, xy, rad in zip(points, coords, radii):
-        word = word_to_string(p.word) if isinstance(p, ProjectedPoint) else ""
+    for w, xy, rad in zip(words, coords, radii):
         xs = ",".join(repr(float(c)) for c in xy)
-        lines.append(f"{word},{xs},{float(rad)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(f"{word_to_string(w)},{xs},{float(rad)!r}")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
@@ -272,5 +293,4 @@ def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
     for x, y in pix:
         parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="1" fill="black"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_atomic(path, "\n".join(parts) + "\n")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,8 @@ from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, moment_report)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
-                       TailSequence, WORD_BUDGET_DEFAULT, entropy, level_set,
-                       slow_decay_constant, write_levelset_csv)
+                       TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
+                       level_set, slow_decay_constant, write_levelset_csv)
 
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
@@ -392,10 +391,7 @@ def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -
     lines = [f"# config_digest={config.digest()}", f"# config={canon}",
              ",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _map_seeds(fn, n_seeds: int, threads: int) -> list:
@@ -426,9 +422,7 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:
 def _run_levelset(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     ls = level_set(cfg.measure, cfg.n, cfg.word_budget)
     path = out / "levelset.csv"
-    tmp = path.with_suffix(".csv.tmp")
-    write_levelset_csv(ls, tmp, header_comment=_self_description(cfg))
-    os.replace(tmp, path)
+    write_levelset_csv(ls, path, header_comment=_self_description(cfg))
     return [path]
 
 
@@ -538,9 +532,7 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     delta = cfg.diam_scale * slow_decay_constant(cfg.measure) ** (cfg.n_max / cfg.family.dimension)
     pts = project_level(r, L, cfg.tail, delta / 8.0, cfg.map_budget)
     p2 = out / "attractor_points.csv"
-    tmp = p2.with_suffix(".csv.tmp")
-    write_points_csv(pts, tmp, header_comment=_self_description(cfg))
-    os.replace(tmp, p2)
+    write_points_csv(pts, p2, header_comment=_self_description(cfg))
     paths.append(p2)
     if cfg.family.dimension == 2:
         p3 = out / "attractor_points.svg"

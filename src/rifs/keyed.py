@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 # splitmix64 round constants (Steele, Lea & Flood) and the golden-gamma
 # increment; SALT separates realization roots from other derived streams.
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -61,7 +63,7 @@ def mix64(x: np.ndarray) -> np.ndarray:
 def root_state(seed: int) -> np.ndarray:
     """Chain state of the empty word for a 64-bit realization seed."""
     if not (0 <= int(seed) <= _U64_MAX):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return mix64(np.array([seed], dtype=np.uint64) ^ _SALT_ROOT)
 
 

@@ -65,6 +65,8 @@ class AffineSpec:
         bases = np.asarray(base_matrices, dtype=np.float64)
         if bases.ndim != 3 or bases.shape[1] != bases.shape[2]:
             raise InputError("base_matrices must be a stack of square matrices")
+        if not np.all(np.isfinite(bases)):
+            raise InputError("base matrices must be finite")
         svals = np.linalg.svd(bases, compute_uv=False)
         if np.any(svals[:, 0] > 1.0 + 1e-12):
             raise InputError("base matrices must have operator norm <= 1")
@@ -73,8 +75,8 @@ class AffineSpec:
         if weights is None:
             weights = np.full(bases.shape[0], 1.0 / bases.shape[0])
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (bases.shape[0],) or np.any(w <= 0.0):
-            raise InputError("weights must be positive, one per base matrix")
+        if w.shape != (bases.shape[0],) or not np.all(np.isfinite(w) & (w > 0.0)):
+            raise InputError("weights must be finite and positive, one per base matrix")
         w = w / w.sum()
         self.r_minus = float(r_minus)
         self.r_plus = float(r_plus)
@@ -113,6 +115,8 @@ class MatrixFamily:
         if t.shape != (len(symbols), dimension):
             raise InputError(
                 f"translations must have shape ({len(symbols)}, {dimension}), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise InputError("translations must be finite")
         diffs = np.linalg.norm(t[:, None, :] - t[None, :, :], axis=-1)
         np.fill_diagonal(diffs, np.inf)
         r_star = float(diffs.min())
@@ -194,44 +198,50 @@ class Realization:
         states = self.chain_for_word(w)
         return float(self.log_dets_from_chains(states, np.array([w[-1]]))[0])
 
-    def matrices_from_chains(self, states: np.ndarray, last_symbols: np.ndarray) -> np.ndarray:
+    def matrices_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
         """Batch sample, shape (N, d, d); rows grouped internally by symbol."""
         d = self.family.dimension
-        n = states.size
-        out = np.empty((n, d, d))
-        for sym in np.unique(last_symbols):
-            mask = last_symbols == sym
-            out[mask] = self._sample_symbol(states[mask], self.family.symbols[int(sym) - 1])
-        return out
+        return self._per_symbol(self._sample_symbol, states, last_symbols, (d, d))
 
-    def log_dets_from_chains(self, states: np.ndarray, last_symbols: np.ndarray) -> np.ndarray:
+    def log_dets_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
         """log|det| per row without materializing the matrices."""
         d = self.family.dimension
-        out = np.empty(states.size)
-        for sym in np.unique(last_symbols):
-            mask = last_symbols == sym
-            spec = self.family.symbols[int(sym) - 1]
-            lam = _scalar_factor(states[mask], spec)
-            val = d * np.log(lam)
-            if isinstance(spec, AffineSpec):
-                idx = _base_index(states[mask], spec)
-                val = val + spec.base_log_abs_det[idx]
-            out[mask] = val
-        return out
 
-    def scalars_from_chains(self, states: np.ndarray, last_symbols: np.ndarray) -> np.ndarray:
+        def log_det(st, spec):
+            val = d * np.log(_scalar_factor(st, spec))
+            if isinstance(spec, AffineSpec):
+                val = val + spec.base_log_abs_det[_base_index(st, spec)]
+            return val
+
+        return self._per_symbol(log_det, states, last_symbols)
+
+    def scalars_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
         """1x1 samples as a flat vector (fast path for dimension-1 families)."""
         if self.family.dimension != 1:
             raise InputError("scalar sampling requires a 1-dimensional family")
-        out = np.empty(states.size)
+
+        def scalar(st, spec):
+            lam = _scalar_factor(st, spec)
+            if isinstance(spec, AffineSpec):
+                lam = lam * spec.base_matrices[_base_index(st, spec), 0, 0]
+            return lam
+
+        return self._per_symbol(scalar, states, last_symbols)
+
+    def _per_symbol(self, sample, states: np.ndarray, last_symbols,
+                    row_shape: tuple = ()) -> np.ndarray:
+        """Rows of ``sample(states, spec)`` grouped by last symbol.
+
+        ``last_symbols`` is one symbol per row, or a single symbol shared by
+        every row, which then forms one group without masking.
+        """
+        specs = self.family.symbols
+        if np.ndim(last_symbols) == 0:
+            return sample(states, specs[int(last_symbols) - 1])
+        out = np.empty((states.size,) + row_shape)
         for sym in np.unique(last_symbols):
             mask = last_symbols == sym
-            spec = self.family.symbols[int(sym) - 1]
-            lam = _scalar_factor(states[mask], spec)
-            if isinstance(spec, AffineSpec):
-                idx = _base_index(states[mask], spec)
-                lam = lam * spec.base_matrices[idx, 0, 0]
-            out[mask] = lam
+            out[mask] = sample(states[mask], specs[int(sym) - 1])
         return out
 
     def _sample_symbol(self, states: np.ndarray, spec) -> np.ndarray:

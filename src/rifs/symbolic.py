@@ -1,11 +1,12 @@
 """Symbolic dynamics: alphabets, words, cylinder measures, and level sets.
 
 Words are plain tuples of integer symbols ``1..#A`` (the empty tuple is the
-empty word and the identity for concatenation).  A shift-invariant measure
-assigns each finite word its cylinder mass; the two implemented families are
-Bernoulli products and stationary Markov chains with strictly positive
-entries, both of which decay slowly: one-step cylinder ratios are bounded
-below by a constant ``c > 0``.
+empty word and the identity for concatenation); a level set stores its words
+as a zero-padded ``uint8`` matrix and offers the tuples as a view.  A
+shift-invariant measure assigns each finite word its cylinder mass; the two
+implemented families are Bernoulli products and stationary Markov chains
+with strictly positive entries, both of which decay slowly: one-step
+cylinder ratios are bounded below by a constant ``c > 0``.
 
 The level set of order ``n`` is the prefix-free family of words whose
 cylinder measure first drops to ``c**n`` or below.  It partitions the shift
@@ -21,7 +22,9 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -134,8 +137,8 @@ class BernoulliMeasure(SymbolicMeasure):
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise InputError("Bernoulli measure needs a probability vector of length >= 2")
-        if np.any(p <= 0.0):
-            raise InputError("Bernoulli probabilities must be strictly positive")
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            raise InputError("Bernoulli probabilities must be finite and strictly positive")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise InputError(f"Bernoulli probabilities sum to {p.sum()!r}, not 1")
         self.alphabet = Alphabet(p.size)
@@ -167,8 +170,8 @@ class MarkovMeasure(SymbolicMeasure):
             raise InputError("transition matrix must be square with size >= 2")
         if pi.shape != (P.shape[0],):
             raise InputError("stationary vector length must match transition matrix")
-        if np.any(pi <= 0.0) or np.any(P <= 0.0):
-            raise InputError("Markov measure requires strictly positive entries")
+        if not (np.all(np.isfinite(pi) & (pi > 0.0)) and np.all(np.isfinite(P) & (P > 0.0))):
+            raise InputError("Markov measure requires finite, strictly positive entries")
         if abs(float(pi.sum()) - 1.0) > 1e-12:
             raise InputError(f"stationary vector sums to {pi.sum()!r}, not 1")
         rowsums = P.sum(axis=1)
@@ -186,6 +189,8 @@ class MarkovMeasure(SymbolicMeasure):
     def from_transition(cls, P: Sequence[Sequence[float]]) -> "MarkovMeasure":
         """Build the stationary measure of ``P`` via its left Perron vector."""
         P = np.asarray(P, dtype=np.float64)
+        if not np.all(np.isfinite(P)):
+            raise InputError("transition matrix entries must be finite")
         vals, vecs = np.linalg.eig(P.T)
         k = int(np.argmin(np.abs(vals - 1.0)))
         pi = np.real(vecs[:, k])
@@ -328,16 +333,29 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
 class LevelSet:
     """Prefix-free word family whose cylinder measure first drops to c**n.
 
-    ``words`` are in the canonical breadth-first order (shorter first, then
-    lexicographic); ``measures`` aligns with them.
+    Rows are in the canonical breadth-first order (shorter first, then
+    lexicographic).  ``word_matrix`` holds the words zero-padded to the
+    longest one, ``lengths`` their lengths, and ``parent_measures`` the
+    masses of the words minus their last symbol, so the defining sandwich is
+    checkable vectorized; a full set of words passing it is automatically
+    prefix-free (prefix measures only grow, so a proper prefix of a member
+    would sit strictly above the threshold).  ``words`` is the tuple view
+    for API edges, built on first access.
     """
 
     n: int
-    words: tuple
-    measures: np.ndarray = field(repr=False)
+    word_matrix: np.ndarray = field(repr=False)      # (N, max_len) uint8
+    lengths: np.ndarray = field(repr=False)          # (N,)
+    measures: np.ndarray = field(repr=False)         # (N,)
+    parent_measures: np.ndarray = field(repr=False)  # (N,)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.lengths.size
+
+    @cached_property
+    def words(self) -> tuple:
+        rows = self.word_matrix.tolist()
+        return tuple(tuple(row[:ln]) for row, ln in zip(rows, self.lengths.tolist()))
 
     @property
     def mass(self) -> float:
@@ -347,38 +365,9 @@ class LevelSet:
     def measure_bounds(self) -> tuple:
         return (float(self.measures.min()), float(self.measures.max()))
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.fromiter((len(w) for w in self.words), dtype=np.int64, count=len(self.words))
-
-
-@dataclass(frozen=True)
-class LevelSetArrays:
-    """Array form of a level set: zero-padded word matrix plus measures.
-
-    ``parent_measures`` are the masses of the words minus their last symbol,
-    so the defining sandwich is checkable vectorized; a full set of words
-    passing it is automatically prefix-free (prefix measures only grow, so a
-    proper prefix of a member would sit strictly above the threshold).
-    """
-
-    n: int
-    words: np.ndarray      # (N, max_len) uint8, rows zero-padded
-    lengths: np.ndarray    # (N,)
-    measures: np.ndarray   # (N,)
-    parent_measures: np.ndarray  # (N,)
-
-    def __len__(self) -> int:
-        return self.words.shape[0]
-
-    def to_level_set(self) -> LevelSet:
-        rows = self.words.tolist()
-        words = tuple(tuple(row[: ln]) for row, ln in zip(rows, self.lengths.tolist()))
-        return LevelSet(n=self.n, words=words, measures=self.measures)
-
 
 def _expand_arrays(m: SymbolicMeasure, n: int, word_budget: int,
-                   keep_filter=None) -> LevelSetArrays:
+                   keep_filter=None) -> LevelSet:
     """Shared materialization for level_set / restricted_level_set."""
     A = m.alphabet.size
     chunks: list = []       # (word block, measures, parent measures) per depth
@@ -412,14 +401,8 @@ def _expand_arrays(m: SymbolicMeasure, n: int, word_budget: int,
     parents = np.concatenate([c[2] for c in chunks]) if chunks else np.zeros(0)
     for a in (words, lengths, meas, parents):
         a.setflags(write=False)
-    return LevelSetArrays(n=n, words=words, lengths=lengths, measures=meas,
-                          parent_measures=parents)
-
-
-def level_set_arrays(m: SymbolicMeasure, n: int,
-                     word_budget: int = WORD_BUDGET_DEFAULT) -> LevelSetArrays:
-    """Array form of L_{m,n}; cheaper than tuple materialization at scale."""
-    return _expand_arrays(m, n, word_budget)
+    return LevelSet(n=n, word_matrix=words, lengths=lengths, measures=meas,
+                    parent_measures=parents)
 
 
 def level_set(m: SymbolicMeasure, n: int,
@@ -430,7 +413,7 @@ def level_set(m: SymbolicMeasure, n: int,
     below; its parent's measure is still above the threshold, so the defining
     sandwich holds and the members are pairwise prefix-incomparable.
     """
-    return _expand_arrays(m, n, word_budget).to_level_set()
+    return _expand_arrays(m, n, word_budget)
 
 
 def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
@@ -457,7 +440,7 @@ def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
             good &= good_so_far[fr.parent_idx]
         return good, good[fr.active_idx]
 
-    return _expand_arrays(m, n, word_budget, keep_filter).to_level_set()
+    return _expand_arrays(m, n, word_budget, keep_filter)
 
 
 def is_prefix_free(words) -> bool:
@@ -474,5 +457,12 @@ def write_levelset_csv(ls: LevelSet, path, header_comment: str | None = None) ->
     lines.append("word,length,measure")
     for w, mu in zip(ls.words, ls.measures):
         lines.append(f"{word_to_string(w)},{len(w)},{float(mu)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a sibling temporary file, then rename it onto ``path``."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

@@ -24,7 +24,7 @@ from rifs.experiments import EXPERIMENT_KINDS, Gauge, preset, run
 from rifs.random_model import (Realization, cramer_moment, lyapunov_prime,
                                mc_lyapunov_prime)
 from rifs.symbolic import (BernoulliMeasure, TailSequence, is_prefix_free,
-                           level_set, level_set_arrays, slow_decay_constant)
+                           level_set, slow_decay_constant)
 
 from test_analysis import brute_ordered_pairs, exact_packing_number
 
@@ -55,15 +55,15 @@ def test_criterion_02_level_set_partition():
     c = slow_decay_constant(m)
     ok = True
     for n in range(1, 9):
-        la = level_set_arrays(m, n)
+        ls = level_set(m, n)
         thr = c ** n
         # sandwich per word; since prefix measures only grow along a word,
         # a full sandwich certifies pairwise prefix-freeness
-        ok &= bool(np.all(la.measures <= thr) and np.all(la.parent_measures > thr))
-        ok &= abs(float(la.measures.sum()) - 1.0) <= 1e-9
-        ok &= float(la.measures.max() / la.measures.min()) <= 1.0 / c + 1e-9
+        ok &= bool(np.all(ls.measures <= thr) and np.all(ls.parent_measures > thr))
+        ok &= abs(float(ls.measures.sum()) - 1.0) <= 1e-9
+        ok &= float(ls.measures.max() / ls.measures.min()) <= 1.0 / c + 1e-9
         if n <= 5:  # literal pairwise check at sizes where it is affordable
-            ok &= is_prefix_free(la.to_level_set().words)
+            ok &= is_prefix_free(ls.words)
     nine = {(2,), (1, 2), (1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 1, 2),
             (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1, 2),
             (1, 1, 1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1, 1, 1)}

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from rifs.analysis import (close_pair_count, coverage_estimate, density_report,
+from rifs.analysis import (close_pair_count, coverage_estimate,
                            density_sweep, det_window_report,
                            g_divergence_heuristic, pair_report,
                            psi_equivalence_check, psi_from_mg, separated_subset,
                            transversality_scaling)
 from rifs.analysis.coverage import CoverageGrid, attractor_measure_estimate
 from rifs.analysis.detwindow import fit_line
-from rifs.analysis.pairs import fit_log_log
 from rifs.attractor import project_level
 from rifs.errors import InputError
 from rifs.experiments import Gauge, preset
@@ -178,7 +177,7 @@ def test_poisson_self_test_slope_matches_dimension():
             pts = rng.uniform(0, 1, size=(n, d))
             for k, s in enumerate(s_vals):
                 means[k] += brute_ordered_pairs(pts, s / n ** (1 / d)) / n
-        slope, _ = fit_log_log(s_vals, means / 60)
+        slope, _ = fit_line(np.log(s_vals), np.log(means / 60))
         assert abs(slope - d) < 0.3
 
 
@@ -322,9 +321,11 @@ def test_fit_line_basics():
 def test_density_trivial_thresholds(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     b = TailSequence.constant(1)
-    rep0 = density_report(line_family, m, b, c=0.0, s=0.25, n_range=range(3, 7), seed=1)
+    (rep0,), _ = density_sweep(line_family, m, b, c_list=[0.0], s_list=[0.25],
+                               n_range=range(3, 7), seed=1)
     assert rep0.upper_density == 1.0
-    rep1 = density_report(line_family, m, b, c=1.0, s=0.25, n_range=range(3, 7), seed=1)
+    (rep1,), _ = density_sweep(line_family, m, b, c_list=[1.0], s_list=[0.25],
+                               n_range=range(3, 7), seed=1)
     assert rep1.upper_density == 0.0
 
 
@@ -341,8 +342,8 @@ def test_density_preset_scale(line_family):
     # supercritical line family keeps most levels separated at small scales
     m = BernoulliMeasure([0.5, 0.5])
     b = TailSequence.constant(1)
-    dens = [density_report(line_family, m, b, c=0.5, s=0.25,
-                           n_range=range(6, 13), seed=seed).upper_density
+    dens = [density_sweep(line_family, m, b, c_list=[0.5], s_list=[0.25],
+                          n_range=range(6, 13), seed=seed)[1].upper_density
             for seed in range(10)]
     assert sorted(dens)[len(dens) // 2] >= 0.8  # median of 10 seeds
 

@@ -125,6 +125,10 @@ def test_project_level_matches_single_calls(line_family, plane_family, affine_fa
         L = level_set(m, 4)
         pts = project_level(r, L, b, 1e-4)
         assert len(pts) == len(L)
+        # the arrays are the stacked per-point views, in level-set order
+        assert np.array_equal(pts.coords, np.stack([p.coordinates for p in pts]))
+        assert np.array_equal(pts.radii, [p.truncation_radius for p in pts])
+        assert all(pts[i].word == L.words[i] for i in range(len(L)))
         rho = fam.rho_max
         R = bounding_ball(fam)
         for p in pts:

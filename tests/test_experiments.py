@@ -5,10 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rifs import attractor, keyed, symbolic
+from rifs.analysis import CoverageGrid
 from rifs.cli import main
 from rifs.errors import InputError
 from rifs.experiments import (EXPERIMENT_KINDS, ExperimentConfig, Gauge, preset,
                               run)
+from rifs.random_model import AffineSpec, MatrixFamily, SimilaritySpec
+from rifs.symbolic import BernoulliMeasure, MarkovMeasure
 
 
 def read_all(paths):
@@ -188,6 +192,17 @@ def test_pairs_fit_csv_columns(tmp_path):
     assert 0.0 < float(slope) < 3.0 and int(n_points) >= 2
 
 
+def test_statistics_build_no_per_point_objects(tmp_path, monkeypatch):
+    # pairs, coverage and density read the point-cloud arrays only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-word object built on a statistics path")
+
+    monkeypatch.setattr(attractor.ProjectedPoint, "__init__", forbidden)
+    monkeypatch.setattr(symbolic.LevelSet, "words", property(forbidden))
+    for kind in ("pairs", "coverage", "density"):
+        assert run(_small_config(kind), tmp_path / kind)
+
+
 def test_attractor_emits_svg_for_2d(tmp_path):
     cfg = replace(preset("example1_2d"), kind="attractor", n_min=3, n_max=5,
                   grid_h=2.0 ** -6)
@@ -239,6 +254,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text(json.dumps(raw))
     assert main(["levelset", "--config", str(bad),
                  "--out", str(tmp_path / "o3")]) == 3
+    # 2: a NaN probability is rejected up front instead of exhausting the budget
+    raw = json.loads((tmp_path / "subcritical_contrast.json").read_text())
+    raw["measure"]["p"] = [math.nan, 0.5]
+    nan_cfg = tmp_path / "nan_measure.json"
+    nan_cfg.write_text(json.dumps(raw))
+    assert main(["levelset", "--config", str(nan_cfg),
+                 "--out", str(tmp_path / "o2")]) == 2
     # 4: internal inconsistency
     import rifs.cli as cli_mod
     from rifs.errors import InvariantError
@@ -248,3 +270,28 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run", boom)
     assert main(["levelset", "--config", cfg, "--out", str(tmp_path / "o4")]) == 4
+
+
+_TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2
+_BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BernoulliMeasure([math.nan, 0.5]),
+    lambda: BernoulliMeasure([math.inf, 0.5]),
+    lambda: MarkovMeasure([0.5, 0.5], [[0.5, math.nan], [0.5, 0.5]]),
+    lambda: MarkovMeasure.from_transition([[0.5, math.nan], [0.5, 0.5]]),
+    lambda: MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [math.inf]]),
+    lambda: MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [math.nan]]),
+    lambda: AffineSpec(0.45, 0.49, _BASES, [math.nan, 1.0]),
+    lambda: AffineSpec(0.45, 0.49, [[[math.inf, 0.0], [0.0, 0.5]]]),
+    lambda: AffineSpec(0.45, 0.49, [[[math.nan, 0.0], [0.0, 0.5]]]),
+    lambda: CoverageGrid(np.zeros(1), np.ones(1), math.nan),
+    lambda: CoverageGrid(np.array([math.nan]), np.ones(1), 0.1),
+    lambda: keyed.root_state(-1),
+], ids=["bernoulli-nan", "bernoulli-inf", "markov-nan", "markov-transition-nan",
+        "translation-inf", "translation-nan", "affine-weight-nan", "affine-base-inf",
+        "affine-base-nan", "grid-h-nan", "grid-lo-nan", "root-seed-negative"])
+def test_non_finite_or_out_of_range_input_raises_input_error(build):
+    with pytest.raises(InputError):
+        build()

@@ -179,6 +179,15 @@ def test_level_set_invariants(skew2, markov2):
         assert c ** -n <= len(ls) <= c ** -n / c
 
 
+def test_level_set_words_view_matches_word_matrix(skew2, markov2):
+    for ls in (level_set(skew2, 3), level_set(markov2, 4),
+               restricted_level_set(skew2, 4, eps1=0.2, C2=1.5)):
+        assert len(ls.words) == len(ls) > 0
+        for i, w in enumerate(ls.words):
+            assert w == tuple(ls.word_matrix[i, :ls.lengths[i]])
+            assert not ls.word_matrix[i, ls.lengths[i]:].any()
+
+
 def test_level_set_rejects_n0(uniform2):
     with pytest.raises(InputError):
         level_set(uniform2, 0)
