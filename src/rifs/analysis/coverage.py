@@ -6,7 +6,10 @@ when its center lies within ``radius + truncation_radius`` of the point, the
 inner estimate uses ``radius - truncation_radius - h sqrt(d)/2`` (cells then
 certainly lie inside the true ball), so `inner <= truth' <= ~outer` and both
 tighten as the mesh shrinks.  Degenerate radius-0 balls are single points of
-measure zero and contribute nothing.
+measure zero and contribute nothing.  Rasterizing works on grid rows: every
+ball covers one interval of the last axis on each row of its index box, the
+interval ends are found exactly, and the union of all intervals is merged and
+marked without a per-ball loop or any grid-sized integer array.
 
 The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``.  The limsup target set has no finite surrogate;
@@ -34,6 +37,7 @@ from ..errors import BudgetError, InputError, InvariantError
 from ..random_model import Realization
 from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
                         level_set, slow_decay_constant)
+from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
 
@@ -86,55 +90,114 @@ class CoverageGrid:
                    radii: np.ndarray) -> bool:
         """OR cells whose center is within radius of each point.
 
+        Each ball is cut into the grid rows of its index box (one row per
+        index tuple of the leading axes); on a row the marked cells form one
+        interval of the last axis, so only interval ends are searched and the
+        cells between are set directly.  In d >= 2 a cell is marked when its
+        squared center offset, summed axis by axis, is at most ``rad * rad``;
+        in d = 1 the index box itself is the interval.
+
         Returns True when some ball was clipped by the box.
         """
+        if mask.shape != self.shape or not mask.flags.c_contiguous:
+            raise InputError("mask must be a C-contiguous array of the grid's shape")
         centers = np.atleast_2d(centers)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (centers.shape[0],))
+        pos = radii > 0.0
+        if not pos.all():
+            centers, radii = centers[pos], radii[pos]
+        if radii.size == 0:
+            return False
+        lower = centers - radii[:, None]
+        upper = centers + radii[:, None]
+        clipped = bool(np.any(lower < self.lo) or np.any(upper > self.hi))
+        shape = np.asarray(self.shape)
+        first = np.maximum(np.ceil((lower - self.lo) / self.h - 0.5).astype(np.int64), 0)
+        last = np.minimum(np.floor((upper - self.lo) / self.h - 0.5).astype(np.int64), shape - 1)
         if self.dimension == 1:
-            return self._mark_balls_1d(mask, centers[:, 0], radii)
-        clipped = False
-        h = self.h
-        for x, rad in zip(centers, radii):
-            if rad <= 0.0:
-                continue
-            if np.any(x - rad < self.lo) or np.any(x + rad > self.hi):
-                clipped = True
-            lo_idx = np.ceil((x - rad - self.lo) / h - 0.5).astype(np.int64)
-            hi_idx = np.floor((x + rad - self.lo) / h - 0.5).astype(np.int64)
-            lo_idx = np.maximum(lo_idx, 0)
-            hi_idx = np.minimum(hi_idx, np.asarray(self.shape) - 1)
-            if np.any(hi_idx < lo_idx):
-                continue
-            axes = [self.lo[i] + (np.arange(lo_idx[i], hi_idx[i] + 1) + 0.5) * h - x[i]
-                    for i in range(self.dimension)]
-            d2 = np.zeros([a.size for a in axes])
-            for i, a in enumerate(axes):
-                sh = [1] * self.dimension
-                sh[i] = a.size
-                d2 = d2 + (a ** 2).reshape(sh)
-            window = tuple(slice(int(l), int(u) + 1) for l, u in zip(lo_idx, hi_idx))
-            mask[window] |= d2 <= rad * rad
+            # a ball wholly past the upper end marks the last cell, as it always has
+            first = np.minimum(first, shape - 1)
+        inside = np.all(last >= first, axis=1)
+        if not inside.all():
+            centers, radii, first, last = centers[inside], radii[inside], first[inside], last[inside]
+        flat = mask.reshape(-1)
+        for a, b in blocks(np.prod(last - first + 1, axis=1)):
+            self._mark_rows(flat, centers[a:b], radii[a:b], first[a:b], last[a:b])
         return clipped
 
-    def _mark_balls_1d(self, mask, xs, radii) -> bool:
-        """Interval marking via a difference array: O(points + cells)."""
-        pos = radii > 0.0
-        xs = xs[pos]
-        radii = radii[pos]
-        if xs.size == 0:
-            return False
-        clipped = bool(np.any(xs - radii < self.lo[0]) or np.any(xs + radii > self.hi[0]))
-        n_cells = self.shape[0]
-        lo_idx = np.ceil((xs - radii - self.lo[0]) / self.h - 0.5).astype(np.int64)
-        hi_idx = np.floor((xs + radii - self.lo[0]) / self.h - 0.5).astype(np.int64)
-        np.clip(lo_idx, 0, n_cells - 1, out=lo_idx)
-        np.clip(hi_idx, -1, n_cells - 1, out=hi_idx)
-        keep = hi_idx >= lo_idx
-        delta = np.zeros(n_cells + 1, dtype=np.int64)
-        np.add.at(delta, lo_idx[keep], 1)
-        np.add.at(delta, hi_idx[keep] + 1, -1)
-        mask |= np.cumsum(delta[:-1]) > 0
-        return clipped
+    def _mark_rows(self, flat, centers, radii, first, last) -> None:
+        """Mark the cells of every row of every ball in the flat mask view."""
+        h = self.h
+        ball = np.arange(radii.size)
+        row = np.zeros(radii.size, dtype=np.int64)    # flat index of the row / last-axis size
+        lead2 = np.zeros(radii.size)                  # squared offset over the leading axes
+        for ax in range(self.dimension - 1):
+            count = last[ball, ax] - first[ball, ax] + 1
+            j = ranges(first[ball, ax], count)
+            owner = np.repeat(np.arange(ball.size), count)
+            ball = ball[owner]
+            a = self.lo[ax] + (j + 0.5) * h - centers[ball, ax]
+            lead2 = lead2[owner] + a ** 2
+            row = row[owner] * self.shape[ax] + j
+        lo_cell = first[ball, -1]
+        hi_cell = last[ball, -1]
+        if self.dimension > 1:
+            lo_cell, hi_cell = self._row_interval(centers[ball, -1], radii[ball] * radii[ball],
+                                                  lead2, lo_cell, hi_cell)
+        _mark_union(flat, row * self.shape[-1] + lo_cell, row * self.shape[-1] + hi_cell)
+
+    def _row_interval(self, x, rad2, lead2, lo_cell, hi_cell) -> tuple:
+        """Exact [first, last] marked cells of each row within [lo_cell, hi_cell].
+
+        With the offset ``a(j) = lo + (j + 1/2) h - x`` nondecreasing in j and
+        ``lead2 + a*a`` nondecreasing in |a|, the cells at or past the left end
+        are those with ``a > 0`` or a marked center, and the cells at or before
+        the right end those with ``a < 0`` or a marked center: both tests are
+        monotone in j.  The ends are estimated with ``sqrt`` and then stepped
+        until each test flips exactly at them.
+        """
+        lo = self.lo[-1]
+        h = self.h
+
+        def marked(j, side):
+            a = lo + (j + 0.5) * h - x
+            return (side * a > 0.0) | (lead2 + a ** 2 <= rad2)
+
+        half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
+        left = np.ceil((x - half - lo) / h - 0.5).astype(np.int64)
+        right = np.floor((x + half - lo) / h - 0.5).astype(np.int64)
+        left = np.clip(left, lo_cell, hi_cell + 1)
+        right = np.clip(right, lo_cell - 1, hi_cell)
+        while True:
+            down = (left > lo_cell) & marked(left - 1, 1.0)
+            up = ~down & (left <= hi_cell) & ~marked(left, 1.0)
+            if not (down.any() or up.any()):
+                break
+            left += up.astype(np.int64) - down
+        while True:
+            up = (right < hi_cell) & marked(right + 1, -1.0)
+            down = ~up & (right >= lo_cell) & ~marked(right, -1.0)
+            if not (down.any() or up.any()):
+                break
+            right += up.astype(np.int64) - down
+        return left, right
+
+
+def _mark_union(flat: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:
+    """Set ``flat[first[k]:last[k] + 1]`` for every k, touching each cell once:
+    the ranges are sorted and merged before they are expanded."""
+    nonempty = last >= first
+    if not nonempty.any():
+        return
+    first = first[nonempty]
+    order = np.argsort(first)
+    first = first[order]
+    last = np.maximum.accumulate(last[nonempty][order])
+    opens = np.ones(first.size, dtype=bool)
+    opens[1:] = first[1:] > last[:-1] + 1
+    heads = np.flatnonzero(opens)
+    ends = last[np.append(heads[1:] - 1, first.size - 1)]
+    flat[ranges(first[heads], ends - first[heads] + 1)] = True
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Close-pair counts, separated subsets, and their scaling statistics.
 
 Pair counting follows the ordered-pair convention (each unordered pair at
-distance <= threshold contributes twice), implemented on a uniform spatial
-bucket grid whose cell edge matches the search radius, so all candidates sit
-in the 3^d cell neighborhood.  All comparisons are on squared distances.
+distance <= threshold contributes twice).  Candidates come from the cell
+method for fixed-radius near neighbours (Bentley, Stanat & Williams 1977):
+points are keyed to grid cells whose edge matches the search radius, so every
+close pair sits in a 3^d cell neighbourhood, and the keys are linearised and
+sorted so that each neighbourhood is a few contiguous ranges of the sorted
+order, found with ``searchsorted`` and expanded in bounded blocks.
 
 Because projected points carry truncation enclosures, counts are bracketed:
 a pair is certainly close when dist + r_i + r_j <= t and possibly close when
@@ -14,13 +17,17 @@ the enclosure slack so no candidate escapes the neighborhood).
 
 The greedy separated subset keeps a point iff it lies strictly farther than
 the radius from everything kept before it (input order).  The result is a
-maximal separated set: a certified lower bound for the packing number at the
-same radius and an upper bound for it at twice the radius.
+maximal separated set (a greedy net, Har-Peled & Mendel 2006): a certified
+lower bound for the packing number at the same radius and an upper bound for
+it at twice the radius.  The cell keys are computed in one vectorized pass;
+the inherently sequential scan then runs on plain Python floats and ints,
+comparing ``sum((y_k - x_k)**2)`` summed left to right against ``radius**2``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,47 +40,67 @@ from ..random_model import MatrixFamily, Realization
 from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set)
 from ..attractor import MAP_BUDGET_DEFAULT
 from .detwindow import fit_line
+from .runs import blocks, ranges
 
 
 # ---------------------------------------------------------------------------
-# bucket-grid pair machinery
+# sorted-cell-key candidate join
 # ---------------------------------------------------------------------------
 
-def _bucket(coords: np.ndarray, cell: float) -> dict:
-    keys = np.floor(coords / cell).astype(np.int64)
-    cells: dict = {}
-    for i, key in enumerate(map(tuple, keys.tolist())):
-        cells.setdefault(key, []).append(i)
-    return cells
+def _compact(k: np.ndarray) -> np.ndarray:
+    """Renumber one axis of cell keys so gaps of two or more cells become two:
+    adjacency and order are kept, the span shrinks to at most 2n."""
+    values, inverse = np.unique(k, return_inverse=True)
+    steps = np.minimum(np.diff(values), 2)
+    return np.concatenate(([0], np.cumsum(steps)))[inverse]
 
 
-def _positive_offsets(d: int):
-    """Half of the 3^d neighborhood so each cell pair is visited once."""
-    return [off for off in itertools.product((-1, 0, 1), repeat=d)
-            if off > (0,) * d]
+def _cell_index(keys: np.ndarray) -> tuple:
+    """Row-major linear cell keys (n,) and their strides (d,).
+
+    Every axis keeps a spare cell on both sides, so a +-1 step along the last
+    axis never wraps into the next row, and a +-1 step along any axis is a
+    fixed linear offset.
+    """
+    if math.prod((keys.max(axis=0) - keys.min(axis=0) + 3).tolist()) >= 2 ** 62:
+        keys = np.stack([_compact(k) for k in keys.T], axis=1)
+    shifted = keys - keys.min(axis=0) + 1
+    dims = (shifted.max(axis=0) + 2).tolist()
+    strides = np.cumprod([1] + dims[:0:-1])[::-1]
+    return np.ravel_multi_index(tuple(shifted.T), dims), strides
 
 
-def _iter_candidate_blocks(coords: np.ndarray, cell: float):
-    """Yield (i_idx, j_idx, dist) for all pairs i < j within one cell-pair block."""
-    cells = _bucket(coords, cell)
-    offsets = _positive_offsets(coords.shape[1])
-    for key in sorted(cells):
-        idx = np.asarray(cells[key], dtype=np.int64)
-        if idx.size > 1:
-            diff = coords[idx[:, None]] - coords[idx[None, :]]
-            dist = np.sqrt((diff ** 2).sum(axis=-1))
-            iu, ju = np.triu_indices(idx.size, k=1)
-            yield idx[iu], idx[ju], dist[iu, ju]
-        for off in offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            other = cells.get(nb)
-            if not other:
-                continue
-            jdx = np.asarray(other, dtype=np.int64)
-            diff = coords[idx[:, None]] - coords[jdx[None, :]]
-            dist = np.sqrt((diff ** 2).sum(axis=-1))
-            ii, jj = np.nonzero(np.ones((idx.size, jdx.size), dtype=bool))
-            yield idx[ii], jdx[jj], dist[ii, jj]
+def _candidate_pairs(coords: np.ndarray, cell: float):
+    """Yield (i, j, dist) blocks over every unordered pair of points whose
+    cell keys differ by at most one on every axis, each pair once.
+
+    Points are sorted by linear cell key.  A point's partners in its own cell
+    after it and in the next cell along the last axis form one contiguous run
+    of the sorted order; each positive offset of the leading axes adds the run
+    of the three cells at that offset.  The distance expression is
+    ``sqrt(((x_i - x_j) ** 2).sum())``.
+    """
+    n, d = coords.shape
+    if n < 2:
+        return
+    lin, strides = _cell_index(np.floor(coords / cell).astype(np.int64))
+    order = np.argsort(lin)
+    keys = lin[order]
+    starts = [np.arange(1, n + 1)]
+    stops = [np.searchsorted(keys, keys + 1, side="right")]
+    for lead in itertools.product((-1, 0, 1), repeat=d - 1):
+        if lead > (0,) * (d - 1):
+            base = keys + int(np.dot(lead, strides[:-1]))
+            starts.append(np.searchsorted(keys, base - 1, side="left"))
+            stops.append(np.searchsorted(keys, base + 1, side="right"))
+    starts = np.concatenate(starts)
+    counts = np.concatenate(stops) - starts
+    owners = np.tile(order, len(stops))
+    for a, b in blocks(counts):
+        i = np.repeat(owners[a:b], counts[a:b])
+        j = order[ranges(starts[a:b], counts[a:b])]
+        dist = np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=-1))
+        yield i, j, dist
 
 
 @dataclass(frozen=True)
@@ -89,7 +116,7 @@ class PairCountResult:
 
 
 def close_pair_count(points, threshold: float) -> PairCountResult:
-    """Count ordered pairs at distance <= threshold via spatial bucketing."""
+    """Count ordered pairs at distance <= threshold via the sorted cell-key join."""
     if threshold <= 0.0:
         raise InputError("threshold must be positive")
     coords, radii = points_to_arrays(points)
@@ -104,35 +131,34 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
     if n < 2:
         return PairCountResult(0, 0, 0, (), threshold, robust)
 
-    cell = threshold + 2.0 * max_tr
     nominal = 0
     lower = 0
     upper = 0
-    pairs: list = []
-    for i_idx, j_idx, dist in _iter_candidate_blocks(coords, cell):
-        rs = radii[i_idx] + radii[j_idx]
+    firsts: list = []
+    seconds: list = []
+    for i, j, dist in _candidate_pairs(coords, threshold + 2.0 * max_tr):
+        rs = radii[i] + radii[j]
         close = dist <= threshold
         nominal += int(close.sum())
         lower += int((dist + rs <= threshold).sum())
         upper += int((dist - rs <= threshold).sum())
-        for i, j in zip(i_idx[close].tolist(), j_idx[close].tolist()):
-            pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
+        firsts.append(np.minimum(i[close], j[close]))
+        seconds.append(np.maximum(i[close], j[close]))
+    first = np.concatenate(firsts)
+    second = np.concatenate(seconds)
+    order = np.lexsort((second, first))
+    pairs = tuple(zip(first[order].tolist(), second[order].tolist()))
     if not lower <= nominal <= upper:
         raise InvariantError(
             f"pair-count bracket out of order: {lower} <= {nominal} <= {upper} failed")
     return PairCountResult(ordered_count=2 * nominal, ordered_lower=2 * lower,
-                           ordered_upper=2 * upper, pairs=tuple(pairs),
+                           ordered_upper=2 * upper, pairs=pairs,
                            threshold=threshold, truncation_robust=robust)
 
 
 def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of all unordered pairs at distance <= cutoff (for sweeps)."""
-    out = []
-    for _, _, dist in _iter_candidate_blocks(coords, cutoff):
-        close = dist[dist <= cutoff]
-        if close.size:
-            out.append(close)
+    out = [dist[dist <= cutoff] for _, _, dist in _candidate_pairs(coords, cutoff)]
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -150,30 +176,31 @@ def separated_subset(points, radius: float) -> np.ndarray:
         raise InputError("radius must be positive")
     coords, _ = points_to_arrays(points)
     n, d = coords.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
     r2 = radius * radius
-    inv = 1.0 / radius
-    neighborhood = list(itertools.product((-1, 0, 1), repeat=d))
+    keys, strides = _cell_index(np.floor(coords * (1.0 / radius)).astype(np.int64))
+    steps = [int(np.dot(off, strides)) for off in itertools.product((-1, 0, 1), repeat=d)]
     kept: list = []
-    kept_cells: dict = {}
-    for i in range(n):
-        x = coords[i]
-        key = tuple(np.floor(x * inv).astype(np.int64).tolist())
-        ok = True
-        for off in neighborhood:
-            bucket = kept_cells.get(tuple(k + o for k, o in zip(key, off)))
-            if not bucket:
-                continue
-            for j in bucket:
-                diff = coords[j] - x
-                if float(diff @ diff) <= r2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            kept_cells.setdefault(key, []).append(i)
+    kept_cells: dict = {}      # cell key -> coordinates of the points kept there
+    for i, (key, x) in enumerate(zip(keys.tolist(), coords.tolist())):
+        if _near_kept(kept_cells, key, x, steps, r2):
+            continue
+        kept.append(i)
+        kept_cells.setdefault(key, []).append(x)
     return np.asarray(kept, dtype=np.int64)
+
+
+def _near_kept(kept_cells: dict, key: int, x: list, steps: list, r2: float) -> bool:
+    """True when some kept point in the 3^d cell neighbourhood is within sqrt(r2)."""
+    for step in steps:
+        for y in kept_cells.get(key + step, ()):
+            d2 = 0.0
+            for a, b in zip(y, x):
+                d2 += (a - b) * (a - b)
+            if d2 <= r2:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -217,13 +244,15 @@ class TransversalityFit:
 def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                            n: int, s_list, n_seeds: int, master_seed: int = 0,
                            word_budget: int = WORD_BUDGET_DEFAULT,
-                           map_budget: int = MAP_BUDGET_DEFAULT) -> TransversalityFit:
+                           map_budget: int = MAP_BUDGET_DEFAULT,
+                           threads: int = 1) -> TransversalityFit:
     """Estimate E[#close pairs / #L] per scale and fit the log-log slope.
 
     The expected slope is the ambient dimension in the small-s regime.  Mean
     counts of zero (below resolution) are dropped; with fewer than two usable
     scales, or no variation across scales (saturated geometry), the fit is
-    reported as below resolution instead of a slope.
+    reported as below resolution instead of a slope.  Seeds may run on
+    ``threads`` worker threads; the result does not depend on it.
     """
     s_arr = np.asarray(sorted(float(s) for s in s_list))
     if s_arr.size < 2 or s_arr[0] <= 0.0:
@@ -239,13 +268,13 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     thresholds = s_arr / size ** (1.0 / d)
     eps = float(thresholds.min()) / 8.0
 
-    counts = np.zeros((n_seeds, s_arr.size))
-    for j in range(n_seeds):
+    def seed_counts(j: int) -> list:
         r = Realization(keyed.derive_seed(master_seed, j), family)
         pts = project_level(r, L, b, eps, map_budget)
         dists = pair_distances_within(pts.coords, float(thresholds.max()))
-        for k, t in enumerate(thresholds):
-            counts[j, k] = 2.0 * int((dists <= t).sum())
+        return [2.0 * int((dists <= t).sum()) for t in thresholds]
+
+    counts = np.asarray(keyed.map_seeds(seed_counts, n_seeds, threads))
     means = counts.mean(axis=0) / size
 
     usable = means > 0.0

@@ -32,7 +32,7 @@ from . import keyed
 from .errors import BudgetError, InputError
 from .random_model import MatrixFamily, Realization
 from .symbolic import (LevelSet, TailSequence, _write_atomic, validate_word,
-                       word_to_string)
+                       word_strings)
 
 MAP_BUDGET_DEFAULT = 200_000_000
 
@@ -263,15 +263,16 @@ def points_to_arrays(points) -> tuple:
 def write_points_csv(points, path, header_comment: str | None = None) -> None:
     """CSV columns ``word,x_1..x_d,trunc_radius``; raw coordinates get empty words."""
     coords, radii = points_to_arrays(points)
-    words = points.level_set.words if isinstance(points, PointCloud) else [()] * len(radii)
+    words = (word_strings(points.level_set) if isinstance(points, PointCloud)
+             else [""] * len(radii))
     d = coords.shape[1]
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("word," + ",".join(f"x_{i + 1}" for i in range(d)) + ",trunc_radius")
-    for w, xy, rad in zip(words, coords, radii):
-        xs = ",".join(repr(float(c)) for c in xy)
-        lines.append(f"{word_to_string(w)},{xs},{float(rad)!r}")
+    for w, xy, rad in zip(words, coords.tolist(), radii.tolist()):
+        xs = ",".join(repr(c) for c in xy)
+        lines.append(f"{w},{xs},{rad!r}")
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One subcommand per experiment kind plus ``preset`` for emitting the built-in
-configurations as editable JSON.  Exit codes: 0 success, 2 validation error,
-3 resource budget exceeded, 4 internal inconsistency.
+configurations as editable JSON.  Exit codes: 0 success, 2 validation error
+(including an unreadable or malformed config file and an unwritable output
+directory), 3 resource budget exceeded, 4 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def main(argv=None) -> int:
             print(path)
             return 0
 
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        cfg = ExperimentConfig.from_dict(raw)
         cfg = replace(cfg, kind=args.command)
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
@@ -67,7 +72,7 @@ def main(argv=None) -> int:
         for p in paths:
             print(p)
         return 0
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,7 +84,7 @@ class Gauge:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Gauge":
-        return cls(d["kind"], q=d.get("q"), values=d.get("values"),
+        return cls(_field(d, "kind", "g"), q=d.get("q"), values=d.get("values"),
                    regime=d.get("regime"))
 
 
@@ -105,17 +104,30 @@ def _family_to_dict(f: MatrixFamily) -> dict:
             "declared_nonsingular": f.declared_nonsingular}
 
 
+def _field(d, key: str, where: str):
+    """``d[key]`` of the config object at ``where``; InputError naming a missing field."""
+    if not isinstance(d, dict):
+        raise InputError(f"config field {where!r} must be a JSON object")
+    if key not in d:
+        raise InputError(f"config is missing the required field '{where}.{key}'")
+    return d[key]
+
+
 def _family_from_dict(d: dict) -> MatrixFamily:
     specs = []
-    for s in d["symbols"]:
-        if s["kind"] == "similarity":
-            specs.append(SimilaritySpec(s["r_minus"], s["r_plus"]))
-        elif s["kind"] == "affine":
-            specs.append(AffineSpec(s["r_minus"], s["r_plus"],
-                                    s["base_matrices"], s.get("weights")))
+    for k, s in enumerate(_field(d, "symbols", "family")):
+        where = f"family.symbols[{k}]"
+        kind = _field(s, "kind", where)
+        if kind == "similarity":
+            specs.append(SimilaritySpec(_field(s, "r_minus", where),
+                                        _field(s, "r_plus", where)))
+        elif kind == "affine":
+            specs.append(AffineSpec(_field(s, "r_minus", where), _field(s, "r_plus", where),
+                                    _field(s, "base_matrices", where), s.get("weights")))
         else:
-            raise InputError(f"unknown symbol spec kind {s.get('kind')!r}")
-    return MatrixFamily(d["dimension"], specs, d["translations"],
+            raise InputError(f"unknown symbol spec kind {kind!r}")
+    return MatrixFamily(_field(d, "dimension", "family"), specs,
+                        _field(d, "translations", "family"),
                         d.get("declared_nonsingular", "distant"))
 
 
@@ -128,11 +140,39 @@ def _measure_to_dict(m: SymbolicMeasure) -> dict:
 
 
 def _measure_from_dict(d: dict) -> SymbolicMeasure:
-    if d["kind"] == "bernoulli":
-        return BernoulliMeasure(d["p"])
-    if d["kind"] == "markov":
-        return MarkovMeasure(d["pi"], d["P"])
-    raise InputError(f"unknown measure kind {d.get('kind')!r}")
+    kind = _field(d, "kind", "measure")
+    if kind == "bernoulli":
+        return BernoulliMeasure(_field(d, "p", "measure"))
+    if kind == "markov":
+        return MarkovMeasure(_field(d, "pi", "measure"), _field(d, "P", "measure"))
+    raise InputError(f"unknown measure kind {kind!r}")
+
+
+_INT_FIELDS = ("master_seed", "n", "n_min", "n_max", "N1", "seeds", "mc_samples",
+               "word_budget", "map_budget")
+_FLOAT_FIELDS = ("eps1", "C", "grid_h", "diam_scale")
+_LIST_FIELDS = ("s_list", "c_list", "cramer_s", "grid_lo", "grid_hi")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_scalar(key: str, value) -> None:
+    """InputError naming ``key`` when a top-level config field has the wrong type."""
+    if key in _INT_FIELDS:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif key in _FLOAT_FIELDS:
+        ok, want = _is_number(value), "a finite number"
+    elif key in _LIST_FIELDS:
+        ok = isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)
+        want = "a list of finite numbers"
+    elif key == "allow_subcritical":
+        ok, want = isinstance(value, bool), "true or false"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise InputError(f"config field {key!r} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -261,25 +301,31 @@ class ExperimentConfig:
             "n_max", "eps1", "C", "N1", "s_list", "c_list", "seeds", "grid_lo",
             "grid_hi", "grid_h", "diam_scale", "mc_samples", "cramer_s",
             "word_budget", "map_budget", "allow_subcritical"}
+        if not isinstance(d, dict):
+            raise InputError("config must be a JSON object")
         unknown = set(d) - known
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
         for key in ("kind", "family", "measure"):
             if key not in d:
                 raise InputError(f"config is missing the required field {key!r}")
-        kwargs = dict(
-            kind=d["kind"],
-            family=_family_from_dict(d["family"]),
-            measure=_measure_from_dict(d["measure"]),
-            tail=TailSequence(**d.get("tail", {"prefix": [], "period": [1]})),
-            gauge=Gauge.from_dict(d.get("g", {"kind": "one_over_n"})),
-        )
-        for key in known - {"kind", "family", "measure", "tail", "g"}:
+        _check_scalar("kind", d["kind"])
+        try:
+            kwargs = dict(
+                kind=d["kind"],
+                family=_family_from_dict(d["family"]),
+                measure=_measure_from_dict(d["measure"]),
+                tail=TailSequence(**d.get("tail", {"prefix": [], "period": [1]})),
+                gauge=Gauge.from_dict(d.get("g", {"kind": "one_over_n"})),
+            )
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed family, measure, tail or gauge: {exc}") from exc
+        for key in sorted(known - {"kind", "family", "measure", "tail", "g"}):
             if key in d and d[key] is not None:
-                kwargs[key] = d[key]
-        for key in ("s_list", "c_list", "cramer_s", "grid_lo", "grid_hi"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+                _check_scalar(key, d[key])
+                kwargs[key] = tuple(d[key]) if key in _LIST_FIELDS else d[key]
         return cls(**kwargs)
 
     def digest(self) -> str:
@@ -394,14 +440,6 @@ def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _map_seeds(fn, n_seeds: int, threads: int) -> list:
-    """Order-stable per-seed evaluation, optionally thread-parallel."""
-    if threads <= 1 or n_seeds <= 1:
-        return [fn(j) for j in range(n_seeds)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_seeds)))
-
-
 def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:
     """Execute the configured experiment; returns the written file paths."""
     config.validate()
@@ -457,7 +495,7 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
         return det_window_report(r, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
                                  cfg.word_budget)
 
-    reports = _map_seeds(one, cfg.seeds, threads)
+    reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
     hist_rows = []
     for j, rep in enumerate(reports):
@@ -479,7 +517,7 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 def _run_pairs(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     fit = transversality_scaling(cfg.family, cfg.measure, cfg.tail, cfg.n,
                                  cfg.s_list, cfg.seeds, cfg.master_seed,
-                                 cfg.word_budget, cfg.map_budget)
+                                 cfg.word_budget, cfg.map_budget, threads)
     p1 = out / "pairs.csv"
     _write_csv(p1, ["s", "mean_normalized_count"],
                [[s, v] for s, v in zip(fit.s_values, fit.mean_normalized)], cfg)
@@ -502,7 +540,7 @@ def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
         return coverage_estimate(r, cfg.measure, cfg.tail, cfg.gauge, levels,
                                  grid, cfg.word_budget, cfg.map_budget)
 
-    reports = _map_seeds(one, cfg.seeds, threads)
+    reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
     for j, rep in enumerate(reports):
         for n in levels:
@@ -550,7 +588,7 @@ def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
                                    cfg.c_list, cfg.s_list, levels, seed,
                                    cfg.word_budget, cfg.map_budget)
 
-    results = _map_seeds(one, cfg.seeds, threads)
+    results = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
     summary = []
     for j, (seed, (reports, best)) in enumerate(results):

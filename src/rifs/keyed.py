@@ -25,6 +25,8 @@ across libm implementations).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import InputError
@@ -131,3 +133,11 @@ def derive_seed(master_seed: int, index: int) -> int:
     idx = np.array([index], dtype=np.uint64) * GAMMA
     s = mix64((np.array([master_seed], dtype=np.uint64) ^ _SALT_CHILD) + idx)
     return int(s[0])
+
+
+def map_seeds(fn, n_seeds: int, threads: int = 1) -> list:
+    """``[fn(0), ..., fn(n_seeds - 1)]`` in index order, optionally thread-parallel."""
+    if threads <= 1 or n_seeds <= 1:
+        return [fn(j) for j in range(n_seeds)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n_seeds)))

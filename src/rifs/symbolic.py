@@ -449,14 +449,31 @@ def is_prefix_free(words) -> bool:
     return not any(b[: len(a)] == a for a, b in zip(ws, ws[1:]))
 
 
+def word_strings(ls: LevelSet) -> list:
+    """Digit strings of the level set's words, read from its word matrix.
+
+    Each row is shifted to ASCII digits, its zero padding masked back to NUL,
+    and viewed as one fixed-width byte string (trailing NULs drop on decode).
+    """
+    words = ls.word_matrix
+    if words.size and int(words.max()) > 9:
+        raise InputError("digit-string serialization requires alphabet size <= 9")
+    width = words.shape[1]
+    if width == 0:
+        return [""] * len(ls)
+    digits = np.where(np.arange(width) < ls.lengths[:, None], words + ord("0"), 0)
+    rows = np.ascontiguousarray(digits, dtype=np.uint8).view(f"S{width}")[:, 0]
+    return rows.astype(str).tolist()
+
+
 def write_levelset_csv(ls: LevelSet, path, header_comment: str | None = None) -> None:
     """CSV with columns ``word,length,measure``; words as digit strings."""
     lines = []
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("word,length,measure")
-    for w, mu in zip(ls.words, ls.measures):
-        lines.append(f"{word_to_string(w)},{len(w)},{float(mu)!r}")
+    lines.extend(f"{w},{n},{mu!r}" for w, n, mu in
+                 zip(word_strings(ls), ls.lengths.tolist(), ls.measures.tolist()))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -164,6 +164,14 @@ def test_run_threads_match_sequential(tmp_path):
     assert seq == par
 
 
+def test_pairs_threads_match_sequential(tmp_path):
+    cfg = replace(_small_config("pairs"), n=6)
+    seq = read_all(run(cfg, tmp_path / "seq", threads=1))
+    par = read_all(run(cfg, tmp_path / "par", threads=2))
+    assert set(seq) == {"pairs.csv", "pairs_fit.csv"}
+    assert seq == par
+
+
 def test_lyapunov_report_values(tmp_path):
     paths = run(_small_config("lyapunov"), tmp_path)
     rows = dict(line.split(",") for line in
@@ -200,6 +208,16 @@ def test_statistics_build_no_per_point_objects(tmp_path, monkeypatch):
     monkeypatch.setattr(attractor.ProjectedPoint, "__init__", forbidden)
     monkeypatch.setattr(symbolic.LevelSet, "words", property(forbidden))
     for kind in ("pairs", "coverage", "density"):
+        assert run(_small_config(kind), tmp_path / kind)
+
+
+def test_csv_writers_build_no_word_tuples(tmp_path, monkeypatch):
+    # level-set and point CSVs format words straight from the word matrix
+    def forbidden(*args, **kwargs):
+        raise AssertionError("word tuples built on a CSV path")
+
+    monkeypatch.setattr(symbolic.LevelSet, "words", property(forbidden))
+    for kind in ("levelset", "attractor"):
         assert run(_small_config(kind), tmp_path / kind)
 
 
@@ -261,6 +279,36 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     nan_cfg.write_text(json.dumps(raw))
     assert main(["levelset", "--config", str(nan_cfg),
                  "--out", str(tmp_path / "o2")]) == 2
+    # 2: unreadable or malformed config files and mistyped fields
+    assert main(["levelset", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "o5")]) == 2
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": "levelset",')
+    assert main(["levelset", "--config", str(broken), "--out", str(tmp_path / "o6")]) == 2
+    probes = {
+        "no_symbols": lambda c: c["family"].pop("symbols"),
+        "no_symbol_kind": lambda c: c["family"]["symbols"][0].pop("kind"),
+        "no_measure_p": lambda c: c["measure"].pop("p"),
+        "n_string": lambda c: c.update(n="14"),
+        "seeds_float": lambda c: c.update(seeds=2.5),
+        "n_bool": lambda c: c.update(n=True),
+        "grid_h_string": lambda c: c.update(grid_h="0.01"),
+        "s_list_strings": lambda c: c.update(s_list=["a", "b"]),
+        "subcritical_int": lambda c: c.update(allow_subcritical=1),
+        "tail_extra_key": lambda c: c.update(tail={"period": [1], "bogus": 1}),
+        "family_list": lambda c: c.update(family=[1, 2]),
+    }
+    for name, mutate in probes.items():
+        raw = json.loads((tmp_path / "subcritical_contrast.json").read_text())
+        mutate(raw)
+        probe = tmp_path / f"{name}.json"
+        probe.write_text(json.dumps(raw))
+        assert main(["levelset", "--config", str(probe),
+                     "--out", str(tmp_path / f"o_{name}")]) == 2, name
+    top_level_list = tmp_path / "list.json"
+    top_level_list.write_text("[1, 2]")
+    assert main(["levelset", "--config", str(top_level_list),
+                 "--out", str(tmp_path / "o7")]) == 2
     # 4: internal inconsistency
     import rifs.cli as cli_mod
     from rifs.errors import InvariantError

@@ -11,7 +11,7 @@ from rifs import (BernoulliMeasure, MarkovMeasure, cylinder_measure, entropy,
                   restricted_level_set, slow_decay_constant, word_from_string,
                   word_to_string, write_levelset_csv)
 from rifs.errors import BudgetError, InputError
-from rifs.symbolic import Alphabet, TailSequence
+from rifs.symbolic import Alphabet, TailSequence, word_strings
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,16 @@ def test_tail_sequence():
         TailSequence((), ())
     with pytest.raises(InputError):
         TailSequence((3,), (1,)).validate(Alphabet(2))
+
+
+def test_word_strings_match_word_to_string(skew2, markov2):
+    sets = [level_set(skew2, 6), level_set(markov2, 5),
+            restricted_level_set(skew2, 6, 0.4, 5.0),
+            level_set(BernoulliMeasure([0.5, 0.2, 0.1, 0.1, 0.05, 0.05]), 4)]
+    for ls in sets:
+        assert word_strings(ls) == [word_to_string(w) for w in ls.words]
+    with pytest.raises(InputError):
+        word_strings(level_set(BernoulliMeasure([0.1] * 10), 1))
 
 
 def test_levelset_csv(tmp_path, skew2):
