@@ -159,28 +159,24 @@ class CoverageGrid:
         lo = self.lo[-1]
         h = self.h
 
-        def marked(j, side):
-            a = lo + (j + 0.5) * h - x
-            return (side * a > 0.0) | (lead2 + a ** 2 <= rad2)
+        def settle(end, side):
+            # side +1: left end, test "a > 0 or marked"; side -1: right end, "a < 0 or marked"
+            def holds(j):
+                a = lo + (j + 0.5) * h - x
+                return (lo_cell <= j) & (j <= hi_cell) & ((side * a > 0.0) | (lead2 + a ** 2 <= rad2))
+
+            while True:
+                grow = holds(end - side)
+                shrink = ~grow & (lo_cell <= end) & (end <= hi_cell) & ~holds(end)
+                if not (grow.any() or shrink.any()):
+                    return end
+                end = end + side * (shrink.astype(np.int64) - grow)
 
         half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
         left = np.ceil((x - half - lo) / h - 0.5).astype(np.int64)
         right = np.floor((x + half - lo) / h - 0.5).astype(np.int64)
-        left = np.clip(left, lo_cell, hi_cell + 1)
-        right = np.clip(right, lo_cell - 1, hi_cell)
-        while True:
-            down = (left > lo_cell) & marked(left - 1, 1.0)
-            up = ~down & (left <= hi_cell) & ~marked(left, 1.0)
-            if not (down.any() or up.any()):
-                break
-            left += up.astype(np.int64) - down
-        while True:
-            up = (right < hi_cell) & marked(right + 1, -1.0)
-            down = ~up & (right >= lo_cell) & ~marked(right, -1.0)
-            if not (down.any() or up.any()):
-                break
-            right += up.astype(np.int64) - down
-        return left, right
+        return (settle(np.clip(left, lo_cell, hi_cell + 1), 1),
+                settle(np.clip(right, lo_cell - 1, hi_cell), -1))
 
 
 def _mark_union(flat: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:

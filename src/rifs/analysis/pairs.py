@@ -55,13 +55,16 @@ def _compact(k: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps)))[inverse]
 
 
-def _cell_index(keys: np.ndarray) -> tuple:
-    """Row-major linear cell keys (n,) and their strides (d,).
+def _cell_index(scaled: np.ndarray) -> tuple:
+    """Row-major linear keys (n,) of the cells ``floor(scaled)`` and their strides (d,).
 
     Every axis keeps a spare cell on both sides, so a +-1 step along the last
     axis never wraps into the next row, and a +-1 step along any axis is a
     fixed linear offset.
     """
+    if not np.all(np.abs(scaled) < 2.0 ** 62):
+        raise InputError("point coordinates must be finite and within 2**62 search radii of 0")
+    keys = np.floor(scaled).astype(np.int64)
     if math.prod((keys.max(axis=0) - keys.min(axis=0) + 3).tolist()) >= 2 ** 62:
         keys = np.stack([_compact(k) for k in keys.T], axis=1)
     shifted = keys - keys.min(axis=0) + 1
@@ -83,7 +86,7 @@ def _candidate_pairs(coords: np.ndarray, cell: float):
     n, d = coords.shape
     if n < 2:
         return
-    lin, strides = _cell_index(np.floor(coords / cell).astype(np.int64))
+    lin, strides = _cell_index(coords / cell)
     order = np.argsort(lin)
     keys = lin[order]
     starts = [np.arange(1, n + 1)]
@@ -179,7 +182,7 @@ def separated_subset(points, radius: float) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     r2 = radius * radius
-    keys, strides = _cell_index(np.floor(coords * (1.0 / radius)).astype(np.int64))
+    keys, strides = _cell_index(coords * (1.0 / radius))
     steps = [int(np.dot(off, strides)) for off in itertools.product((-1, 0, 1), repeat=d)]
     kept: list = []
     kept_cells: dict = {}      # cell key -> coordinates of the points kept there

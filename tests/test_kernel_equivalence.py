@@ -23,6 +23,7 @@ from rifs.analysis import CoverageGrid, close_pair_count, separated_subset
 from rifs.analysis.pairs import pair_distances_within
 from rifs.analysis.runs import blocks, ranges
 from rifs.attractor import PointCloud
+from rifs.errors import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,15 @@ def test_far_apart_cells_are_compacted():
     assert np.array_equal(np.sort(pair_distances_within(coords, r)),
                           np.sort(ref_pair_distances(coords, r)))
     assert np.array_equal(separated_subset(coords, r), ref_separated(coords, r))
+
+
+@pytest.mark.parametrize("coords", [np.array([[0.0], [1e12]]), np.array([[0.0, np.nan], [0.0, 0.0]]),
+                                    np.array([[np.inf, 0.0], [0.0, 0.0]])])
+def test_cell_keys_out_of_int64_range_raise_input_error(coords):
+    with pytest.raises(InputError):
+        pair_distances_within(coords, 1e-9)
+    with pytest.raises(InputError):
+        separated_subset(coords, 1e-9)
 
 
 def test_ranges_and_blocks():
