@@ -62,6 +62,10 @@ class CoverageGrid:
             raise InputError("grid box corners must be finite")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise InputError(f"grid resolution h must be finite and positive, got {self.h!r}")
+        with np.errstate(over="ignore"):
+            volumes = np.array([np.prod(hi - lo), np.float64(self.h) ** lo.size])
+        if not np.all(np.isfinite(volumes)):
+            raise InputError("grid box and cell volumes must be finite")
         shape = tuple(int(math.ceil((b - a) / self.h)) for a, b in zip(lo, hi))
         if math.prod(shape) > _GRID_CELL_BUDGET:
             raise BudgetError(

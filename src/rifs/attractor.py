@@ -13,6 +13,12 @@ ball containing every projection.  The omitted tail is a point of that ball
 pushed through ``|a| + K`` contractions, so the enclosure is sound whatever
 the tail does.  Downstream geometry inflates/deflates by these radii.
 
+A tail step whose symbol has translation 0 only multiplies ``M`` and adds
+``M @ 0`` to ``v``, which leaves ``v`` bit for bit unchanged.  Each word's
+tail therefore ends after its last translation-bearing step (or at ``K``, if
+sooner): the coordinates equal the full depth-``K`` evaluation exactly, while
+the radius and the ``map_budget`` charge stay those of depth ``K``.
+
 Batch evaluation over a level set is vectorized across words (per-step
 matrix stacks); its output is identical to evaluating words one at a time
 because all randomness is keyed per word.  The result is a
@@ -174,11 +180,28 @@ def _required_depth(target_radius: float, word_len: int, rho: float, R: float) -
     return max(1, int(math.ceil(need - 1e-12)))
 
 
+def _tail_steps(family: MatrixFamily, b: TailSequence, depth):
+    """Tail steps that can move the point: ``min(depth, k*)``, elementwise.
+
+    ``k*`` is the last position of ``b`` whose symbol has a nonzero
+    translation (unbounded when the period holds one, 0 when no symbol
+    does).  A later step only multiplies ``M`` and adds ``M @ 0`` to ``v``,
+    which leaves ``v`` bit for bit unchanged (``v`` starts at +0.0 and a sum
+    is -0.0 only when both terms are), so the cut changes no coordinate.
+    """
+    moving = np.any(family.translations != 0.0, axis=1)
+    if any(moving[s - 1] for s in b.period):
+        return depth
+    return np.minimum(depth, max((k for k, s in enumerate(b.prefix, 1) if moving[s - 1]),
+                                 default=0))
+
+
 def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
     """Depth-``depth`` evaluation of the projection of ``a`` followed by tail ``b``.
 
     Evaluates the composed map of ``a . b_1 .. b_K`` at 0 and encloses the
-    limit within ``rho_max**(|a|+K) * R``.
+    limit within ``rho_max**(|a|+K) * R``; steps past ``_tail_steps`` are
+    skipped, as they cannot change the coordinates.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -187,7 +210,7 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
     batch = _AffineBatch(r, 1)
     for s in w:
         batch.step(s)
-    for k in range(1, depth + 1):
+    for k in range(1, int(_tail_steps(r.family, b, depth)) + 1):
         batch.step(b.symbol(k))
     radius = r.family.rho_max ** (len(w) + depth) * bounding_ball(r.family)
     return ProjectedPoint(coordinates=batch.coords()[0], word=w, tail=b,
@@ -196,7 +219,8 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
 
 def project_tail(r: Realization, a, b: TailSequence, depth: int) -> np.ndarray:
     """Tail projection under the environment of prefix ``a`` (maps of ``a``
-    itself not applied); enclosure radius is ``rho_max**depth * R``."""
+    itself not applied); enclosure radius is ``rho_max**depth * R``.  Steps
+    past ``_tail_steps`` are skipped, as they cannot change the value."""
     if depth < 1:
         raise InputError("depth must be >= 1")
     w = validate_word(a, r.family.alphabet)
@@ -205,7 +229,7 @@ def project_tail(r: Realization, a, b: TailSequence, depth: int) -> np.ndarray:
     chain = r.chain_for_word(w)
     M = np.eye(d)
     v = np.zeros(d)
-    for k in range(1, depth + 1):
+    for k in range(1, int(_tail_steps(r.family, b, depth)) + 1):
         s = b.symbol(k)
         chain = keyed.absorb(chain, s)
         A = r.matrices_from_chains(chain, np.array([s]))[0]
@@ -220,7 +244,10 @@ def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: f
 
     Depth is chosen per word length (level sets mix lengths); evaluation is
     vectorized across words but keyed per word, so the result matches the
-    sequential per-word run and the ordering of ``L``.
+    sequential per-word run and the ordering of ``L``.  Tail steps after the
+    last one with a nonzero translation are skipped (``_tail_steps``): the
+    coordinates are bit-identical to the full-depth ones, and the radii and
+    the up-front ``map_budget`` charge still use the full worst-case depth.
     """
     b.validate(r.family.alphabet)
     if len(L) == 0:
@@ -241,8 +268,9 @@ def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: f
     for j in range(L.word_matrix.shape[1]):
         rows = np.flatnonzero(lengths > j)
         batch.step(L.word_matrix[rows, j], rows)
-    for k in range(1, int(depths.max()) + 1):
-        rows = np.flatnonzero(depths >= k)
+    steps = _tail_steps(r.family, b, depths)
+    for k in range(1, int(steps.max()) + 1):
+        rows = np.flatnonzero(steps >= k)
         batch.step(b.symbol(k), rows)
 
     radii = rho ** (lengths + depths) * R

@@ -35,6 +35,11 @@ from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
 _SUPERCRITICAL_KINDS = ("coverage", "attractor", "density")
+# Upper limits on the replicate counts, so that a mistyped huge value exits 2
+# instead of starting a run that cannot finish (Monte Carlo draws are held in
+# memory, 8 bytes each).
+MAX_SEEDS = 100_000
+MAX_MC_SAMPLES = 10_000_000
 
 
 class Gauge:
@@ -244,8 +249,10 @@ class ExperimentConfig:
             problems.append("level index n must be >= 1")
         if not 1 <= self.n_min <= self.n_max:
             problems.append("need 1 <= n_min <= n_max")
-        if self.seeds < 1:
-            problems.append("seeds must be >= 1")
+        if not 1 <= self.seeds <= MAX_SEEDS:
+            problems.append(f"seeds must be between 1 and {MAX_SEEDS}")
+        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
+            problems.append(f"mc_samples must be between 2 and {MAX_MC_SAMPLES}")
         if not 0 <= self.master_seed <= 0xFFFFFFFFFFFFFFFF:
             problems.append("master_seed must be a 64-bit unsigned integer")
         if self.C <= 0:
@@ -253,6 +260,10 @@ class ExperimentConfig:
         if self.N1 < 1:
             problems.append("prefix threshold N1 must be >= 1")
         if not problems:
+            deepest = max(self.n, self.n_max)
+            if slow_decay_constant(self.measure) ** deepest == 0.0:
+                problems.append(f"level index {deepest} is too deep: the level "
+                                "threshold c**n underflows to 0")
             h = self.entropy()
             lam = self.lyapunov()
             if self.kind in _SUPERCRITICAL_KINDS and not self.allow_subcritical \

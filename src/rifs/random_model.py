@@ -117,7 +117,9 @@ class MatrixFamily:
                 f"translations must have shape ({len(symbols)}, {dimension}), got {t.shape}")
         if not np.all(np.isfinite(t)):
             raise InputError("translations must be finite")
-        diffs = np.linalg.norm(t[:, None, :] - t[None, :, :], axis=-1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(t, axis=1)
+            diffs = np.linalg.norm(t[:, None, :] - t[None, :, :], axis=-1)
         np.fill_diagonal(diffs, np.inf)
         r_star = float(diffs.min())
         if r_star <= 0.0:
@@ -137,6 +139,9 @@ class MatrixFamily:
             for s in symbols)
         if self.rho_max >= 1.0:
             raise InputError("operator norms must be uniformly bounded away from 1")
+        if not np.isfinite(norms.max() / (1.0 - self.rho_max)):
+            raise InputError("translations too large: the bounding ball radius "
+                             "max|t| / (1 - rho_max) overflows")
 
         if declared_nonsingular == "full" and any(
                 isinstance(s, AffineSpec) for s in symbols):

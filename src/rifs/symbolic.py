@@ -22,6 +22,7 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,8 +85,12 @@ class TailSequence:
     period: tuple = (1,)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(s) for s in self.prefix))
-        object.__setattr__(self, "period", tuple(int(s) for s in self.period))
+        for name in ("prefix", "period"):
+            try:
+                object.__setattr__(self, name, tuple(operator.index(s)
+                                                     for s in getattr(self, name)))
+            except TypeError as exc:
+                raise InputError(f"tail {name} must be a list of integer symbols") from exc
         if len(self.period) == 0:
             raise InputError("tail sequence needs a nonempty period")
 

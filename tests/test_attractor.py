@@ -1,13 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rifs.attractor import (apply_map, bounding_ball, compose, iterate_maps,
-                            points_to_arrays, project, project_level,
-                            project_tail, write_points_csv, write_svg_scatter)
+from rifs import keyed
+from rifs.attractor import (_AffineBatch, _required_depth, apply_map, bounding_ball,
+                            compose, iterate_maps, points_to_arrays, project,
+                            project_level, project_tail, write_points_csv,
+                            write_svg_scatter)
+from rifs.cli import main
 from rifs.errors import BudgetError, InputError
-from rifs.random_model import MatrixFamily, Realization, SimilaritySpec
+from rifs.experiments import preset
+from rifs.random_model import AffineSpec, MatrixFamily, Realization, SimilaritySpec
 from rifs.symbolic import BernoulliMeasure, TailSequence, level_set
 
 
@@ -148,6 +153,98 @@ def test_project_level_doubling_epsilon(line_family):
     for pf, pc in zip(fine, coarse):
         gap = np.linalg.norm(pf.coordinates - pc.coordinates)
         assert gap <= pf.truncation_radius + pc.truncation_radius
+
+
+def _full_depth(r, word, b, depth):
+    """Coordinates of ``word . b_1 .. b_depth`` with every tail step taken."""
+    batch = _AffineBatch(r, 1)
+    for s in word + b.first(depth):
+        batch.step(s)
+    return batch.coords()[0]
+
+
+@pytest.fixture
+def absorbed(monkeypatch):
+    """Counts the chain states absorbed, one per map application."""
+    count = [0]
+    real = keyed.absorb
+
+    def counting(states, symbols):
+        count[0] += np.size(states)
+        return real(states, symbols)
+
+    monkeypatch.setattr(keyed, "absorb", counting)
+    return count
+
+
+# (tail, k*): the last tail position whose symbol moves the point (t_2 != 0)
+_CUT_TAILS = [(TailSequence.constant(1), 0),
+              (TailSequence((2, 1, 2, 1), (1,)), 3),
+              (TailSequence((1,), (1, 2)), None)]
+
+
+@pytest.mark.parametrize("tail,cut", _CUT_TAILS, ids=["constant", "prefix", "period"])
+@pytest.mark.parametrize("fam", ["line", "plane", "affine"])
+def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
+                                                 line_family, plane_family):
+    bases = [np.diag([0.9, 0.7]).tolist(), np.diag([0.8, 0.95]).tolist()]
+    family = {"line": line_family, "plane": plane_family,
+              "affine": MatrixFamily(2, [AffineSpec(0.45, 0.49, bases)] * 2,
+                                     [[0.0, 0.0], [1.0, 0.5]])}[fam]
+    r = Realization(13, family)
+    L = level_set(BernoulliMeasure([0.7, 0.3]), 2)
+    rho, R = family.rho_max, bounding_ball(family)
+    depths = [_required_depth(1e-6, len(w), rho, R) for w in L.words]
+    steps = [K if cut is None else min(K, cut) for K in depths]
+    assert min(depths) > 4
+
+    absorbed[0] = 0
+    pts = project_level(r, L, tail, 1e-6)
+    assert absorbed[0] == L.lengths.sum() + sum(steps)
+    for i, (w, K, k) in enumerate(zip(L.words, depths, steps)):
+        full = _full_depth(r, w, tail, K)
+        absorbed[0] = 0
+        single = project(r, w, tail, K)
+        assert absorbed[0] == len(w) + k
+        assert single.coordinates.tobytes() == full.tobytes()
+        assert pts.coords[i].tobytes() == full.tobytes()
+        assert pts.radii[i].tobytes() == np.float64(single.truncation_radius).tobytes()
+        assert single.truncation_radius == rho ** (len(w) + K) * R
+
+    # the tail under the environment of a prefix follows the same rule
+    a, K = L.words[0], depths[0]
+    chain = r.chain_for_word(a)
+    M, v = np.eye(family.dimension), np.zeros(family.dimension)
+    for s in tail.first(K):
+        chain = keyed.absorb(chain, s)
+        v = v + M @ family.translations[s - 1]
+        M = M @ r.matrices_from_chains(chain, np.array([s]))[0]
+    absorbed[0] = 0
+    assert project_tail(r, a, tail, K).tobytes() == v.tobytes()
+    assert absorbed[0] == len(a) + steps[0]
+
+
+def test_project_level_budget_charges_worst_case_depth(line_family, tmp_path, capsys):
+    # constant tail 1 has t_1 = 0: the cut takes no tail step at all, yet the
+    # up-front charge is still the worst-case depth, so exit codes do not move
+    m = BernoulliMeasure([0.5, 0.5])
+    L = level_set(m, 6)
+    r = Realization(0, line_family)
+    b = TailSequence.constant(1)
+    rho, R = line_family.rho_max, bounding_ball(line_family)
+    worst = int(L.lengths.sum()) + sum(_required_depth(1e-6, len(w), rho, R)
+                                       for w in L.words)
+    project_level(r, L, b, 1e-6, map_budget=worst)
+    for budget in (worst - 1, int(L.lengths.sum())):
+        with pytest.raises(BudgetError):
+            project_level(r, L, b, 1e-6, map_budget=budget)
+
+    cfg = preset("baby_theorem").to_dict()
+    cfg.update(n_min=6, n_max=6, map_budget=int(L.lengths.sum()))
+    path = tmp_path / "tight_map_budget.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["attractor", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "projection map budget" in capsys.readouterr().err
 
 
 def test_project_level_budget(line_family):

@@ -1,16 +1,19 @@
+import copy
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rifs import attractor, keyed, symbolic
 from rifs.analysis import CoverageGrid
 from rifs.cli import main
 from rifs.errors import InputError
-from rifs.experiments import (EXPERIMENT_KINDS, ExperimentConfig, Gauge, preset,
-                              run)
+from rifs.experiments import (EXPERIMENT_KINDS, PRESET_NAMES, ExperimentConfig, Gauge,
+                              preset, run)
 from rifs.random_model import AffineSpec, MatrixFamily, SimilaritySpec
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure
 
@@ -297,6 +300,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         "subcritical_int": lambda c: c.update(allow_subcritical=1),
         "tail_extra_key": lambda c: c.update(tail={"period": [1], "bogus": 1}),
         "family_list": lambda c: c.update(family=[1, 2]),
+        "tail_period_inf": lambda c: c["tail"].update(period=[-math.inf]),
+        "tail_period_float": lambda c: c["tail"].update(period=[1.5]),
+        "translation_huge": lambda c: c["family"]["translations"][1].__setitem__(0, 1e308),
+        "seeds_huge": lambda c: c.update(seeds=2 ** 64),
+        "mc_samples_one": lambda c: c.update(mc_samples=1),
+        "mc_samples_huge": lambda c: c.update(mc_samples=2 ** 64),
+        "n_max_huge": lambda c: c.update(n_max=2 ** 64),
     }
     for name, mutate in probes.items():
         raw = json.loads((tmp_path / "subcritical_contrast.json").read_text())
@@ -337,9 +347,63 @@ _BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
     lambda: CoverageGrid(np.zeros(1), np.ones(1), math.nan),
     lambda: CoverageGrid(np.array([math.nan]), np.ones(1), 0.1),
     lambda: keyed.root_state(-1),
+    lambda: MatrixFamily(2, [SimilaritySpec(0.5, 0.9)] * 2, [[0.0, 0.0], [1e300, 0.0]]),
+    lambda: CoverageGrid(np.zeros(2), np.ones(2), 1e300),
+    lambda: CoverageGrid(np.full(2, -1e300), np.full(2, 1e300), 1.0),
+    lambda: symbolic.TailSequence((), (math.inf,)),
+    lambda: symbolic.TailSequence((0.5,), (1,)),
 ], ids=["bernoulli-nan", "bernoulli-inf", "markov-nan", "markov-transition-nan",
         "translation-inf", "translation-nan", "affine-weight-nan", "affine-base-inf",
-        "affine-base-nan", "grid-h-nan", "grid-lo-nan", "root-seed-negative"])
+        "affine-base-nan", "grid-h-nan", "grid-lo-nan", "root-seed-negative",
+        "bounding-ball-overflow", "grid-cell-volume-overflow", "grid-box-volume-overflow",
+        "tail-symbol-inf", "tail-symbol-float"])
 def test_non_finite_or_out_of_range_input_raises_input_error(build):
     with pytest.raises(InputError):
         build()
+
+
+_MUTANT_VALUES = [None, True, "x", [], {}, [0.5], {"kind": "x"}, math.nan, math.inf,
+                  -math.inf, -2, -1, 0, 1, 2, 3, -0.5, 0.0, 0.5, 1.5, 1e300, 1e-300, 2 ** 64]
+
+
+def _json_paths(node, path=()):
+    """Every key/index path into a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_mutated_presets_exit_cleanly(data, tmp_path, capsys):
+    # one mutation of a small preset config: a value replaced by a wrong type,
+    # NaN/inf, a negative or huge number, or a key deleted
+    name = data.draw(st.sampled_from(PRESET_NAMES))
+    kind = data.draw(st.sampled_from(EXPERIMENT_KINDS))
+    cfg = preset(name).to_dict()
+    small = 2 if name == "example2_affine" else 3
+    cfg.update(n=small, n_min=2, n_max=small, seeds=30 if kind == "pairs" else 2,
+               mc_samples=500, word_budget=20_000, map_budget=2_000_000)
+    path = data.draw(st.sampled_from(list(_json_paths(cfg))))
+    value = copy.deepcopy(data.draw(st.sampled_from(_MUTANT_VALUES)))
+    if not path:
+        cfg = value
+    else:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    config = tmp_path / "mutant.json"
+    config.write_text(json.dumps(cfg))
+    threads = data.draw(st.sampled_from(["1", "2"]))
+    capsys.readouterr()
+    code = main([kind, "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--threads", threads])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
