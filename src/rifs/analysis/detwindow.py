@@ -16,12 +16,18 @@ whose probability decays exponentially in k; with the constant C folded in,
 violations at practical parameters are far too rare to chart a decay curve,
 so the histogram deliberately omits C.  ``bad_fraction_log_slope`` fits the
 empirical decay rate.
+
+The cylinder tree itself does not depend on the seed: :func:`window_tree`
+yields the part of it the walk reads, and a run over many seeds builds it
+once and walks it once per seed (see the ``frontiers`` argument of
+:func:`det_window_report`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +68,35 @@ class DetWindowReport:
         return fit_line(k.astype(float), y)
 
 
+@dataclass(frozen=True)
+class WindowDepth:
+    """One depth of the seed-independent cylinder tree, as the window walk reads it.
+
+    Children are parent-major and symbol-minor, as in
+    :class:`~rifs.symbolic.LevelFrontier`.
+    """
+
+    depth: int
+    emit_mask: np.ndarray         # children that are level-set words
+    active_idx: np.ndarray        # children expanded at the next depth
+    emitted_measures: np.ndarray  # cylinder measures of the emitted children
+
+
+def window_tree(m: SymbolicMeasure, n: int,
+                word_budget: int = WORD_BUDGET_DEFAULT) -> Iterator[WindowDepth]:
+    """The depths of the level-set tree of ``(m, n)`` that the window walk reads.
+
+    A generator, so a one-seed walk streams the tree one depth at a time;
+    ``tuple(window_tree(...))`` builds it once for walks over many seeds,
+    which may share it across threads (nothing writes to it).
+    """
+    for fr in iter_level_frontiers(m, n, word_budget):
+        # a depth that emits every child (the deepest, at least) is passed
+        # uncopied, so a streamed walk holds no second copy of its measures
+        emitted = fr.measures if fr.active_idx.size == 0 else fr.measures[fr.emit_mask]
+        yield WindowDepth(fr.depth, fr.emit_mask, fr.active_idx, emitted)
+
+
 def fit_line(x: np.ndarray, y: np.ndarray):
     """Least-squares slope and its standard error."""
     x = np.asarray(x, dtype=float)
@@ -82,12 +117,16 @@ def fit_line(x: np.ndarray, y: np.ndarray):
 
 def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
                       C: float, N1: int,
-                      word_budget: int = WORD_BUDGET_DEFAULT) -> DetWindowReport:
+                      word_budget: int = WORD_BUDGET_DEFAULT,
+                      frontiers: Iterable[WindowDepth] | None = None) -> DetWindowReport:
     """Classify every level-set word by its determinant window behaviour.
 
     Walks the cylinder tree once, carrying per-node chain states and
-    cumulative log-determinants; nothing is materialized beyond one tree
-    level, so level indices like n = 20 over two symbols stay cheap.
+    cumulative log-determinants.  ``frontiers`` is the tree to walk:
+    ``tuple(window_tree(m, n, word_budget))`` built once per run and shared
+    by the walks of every seed.  When omitted the tree is streamed and
+    nothing is materialized beyond one tree level, so level indices like
+    n = 20 over two symbols stay cheap.
     """
     if eps1 <= 0.0:
         raise InputError("eps1 must be positive")
@@ -97,6 +136,8 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
         raise InputError("prefix threshold N1 must be >= 1")
     if m.alphabet.size != r.family.alphabet.size:
         raise InputError("measure and family alphabets disagree")
+    if frontiers is None:
+        frontiers = window_tree(m, n, word_budget)
 
     lam = lyapunov_exponent(r.family, m)
     log_c = math.log(C)
@@ -109,10 +150,14 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
     good_mass = 0.0
 
     A = m.alphabet.size
-    for fr in iter_level_frontiers(m, n, word_budget):
+    # tile(1..A, k) for the largest k so far; its prefixes are each depth's symbols
+    symbols = np.arange(1, A + 1, dtype=np.min_scalar_type(A))
+    for fr in frontiers:
         # children are parent-major/symbol-minor, so gathers are plain repeats
         child_states = keyed.absorb_children(states, A)
-        step_ld = r.log_dets_from_chains(child_states, fr.symbols)
+        if symbols.size < child_states.size:
+            symbols = np.tile(symbols[:A], states.size)
+        step_ld = r.log_dets_from_chains(child_states, symbols[:child_states.size])
         S = np.repeat(cum_ld, A) + step_ld
         k = fr.depth
         dev = np.abs(S + k * lam)
@@ -121,9 +166,9 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
         child_good = np.repeat(good, A)
         if k >= N1:
             child_good = child_good & (dev <= k * eps1 + log_c)
-        emitted_good = fr.emit_mask & child_good
+        emitted_good = child_good[fr.emit_mask]
         if emitted_good.any():
-            good_mass += float(fr.measures[emitted_good].sum())
+            good_mass += float(fr.emitted_measures[emitted_good].sum())
         states = child_states[fr.active_idx]
         cum_ld = S[fr.active_idx]
         good = child_good[fr.active_idx]

@@ -22,7 +22,7 @@ import numpy as np
 from . import keyed
 from .analysis import (CoverageGrid, attractor_measure_estimate,
                        coverage_estimate, density_sweep, det_window_report,
-                       transversality_scaling)
+                       transversality_scaling, window_tree)
 from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, project_level,
                         write_points_csv, write_svg_scatter)
 from .errors import InputError
@@ -500,11 +500,16 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
 def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     eps1 = cfg.resolved_eps1()
+    # the tree is seed-independent: built once and shared by every seed's walk
+    # (a single seed streams it instead)
+    tree = None
+    if cfg.seeds > 1:
+        tree = tuple(window_tree(cfg.measure, cfg.n, cfg.word_budget))
 
     def one(j: int):
         r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
         return det_window_report(r, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
-                                 cfg.word_budget)
+                                 cfg.word_budget, frontiers=tree)
 
     reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []

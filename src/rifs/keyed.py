@@ -25,6 +25,7 @@ across libm implementations).
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,6 +43,10 @@ _SYMBOL_STEP = np.uint64(0xD1342543DE82EF95)
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# map_seeds keeps at most this many seeds in flight per worker thread
+SEED_WINDOW_PER_THREAD = 4
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
@@ -105,8 +110,16 @@ def draw(states: np.ndarray, index: int) -> np.ndarray:
 
 
 def to_u01(raw: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit outputs to floats strictly inside (0, 1)."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    """Map raw 64-bit outputs to floats strictly inside (0, 1).
+
+    The top 53 bits, offset by half a step, give ``(k + 0.5) * 2**-53``.  For
+    ``k = 2**53 - 1`` that rounds to exactly 1.0, so the result is clamped to
+    the largest float below 1; no other value changes.
+    """
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def draw_u01(states: np.ndarray, index: int) -> np.ndarray:
@@ -136,8 +149,27 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def map_seeds(fn, n_seeds: int, threads: int = 1) -> list:
-    """``[fn(0), ..., fn(n_seeds - 1)]`` in index order, optionally thread-parallel."""
+    """``[fn(0), ..., fn(n_seeds - 1)]`` in index order, optionally thread-parallel.
+
+    With ``threads >= 2`` seeds are submitted in a sliding window of
+    ``SEED_WINDOW_PER_THREAD * threads``, so the futures held at any time do
+    not grow with ``n_seeds``.
+    """
     if threads <= 1 or n_seeds <= 1:
         return [fn(j) for j in range(n_seeds)]
+    window = SEED_WINDOW_PER_THREAD * threads
+    results = []
+    pending: deque = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_seeds)))
+        try:
+            for j in range(n_seeds):
+                if len(pending) == window:
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(fn, j))
+            while pending:
+                results.append(pending.popleft().result())
+        except BaseException:
+            for fut in pending:
+                fut.cancel()
+            raise
+    return results

@@ -19,7 +19,8 @@ is materialized lazily: the sample at a word is a pure function of
 finite set of coordinates can be produced reproducibly, in any order, in
 bulk or one at a time.  Per-word draw layout (fixed): draw 0 is the scalar
 ``lam``, draw 1 the base-matrix selector, draws 2 .. 1 + d*d feed the
-Gaussian matrix behind ``O``.
+Gaussian matrix behind ``O``.  A batch is sampled with one call per distinct
+distribution (specs that compare equal are one), which changes no value.
 
 ``lyapunov_prime`` is the expected negative log absolute determinant of one
 step; the family Lyapunov exponent weights it by the one-symbol cylinder
@@ -82,7 +83,10 @@ class AffineSpec:
         self.r_plus = float(r_plus)
         self.base_matrices = bases
         self.weights = w
+        # pinned to exactly 1 so that every uniform below 1 selects a base
+        # (weights such as [0.1] * 10 sum to 0.9999999999999999)
         self.cum_weights = np.cumsum(w)
+        self.cum_weights[-1] = 1.0
         self.base_log_abs_det = np.log(np.abs(np.linalg.det(bases)))
         self.base_max_norm = float(svals[:, 0].max())
         self.lower_singular_bound = float(svals[:, -1].min())
@@ -93,9 +97,26 @@ class AffineSpec:
         return (f"AffineSpec([{self.r_minus}, {self.r_plus}], "
                 f"{self.base_matrices.shape[0]} bases)")
 
+    def _key(self) -> tuple:
+        return (self.r_minus, self.r_plus, self.base_matrices.shape,
+                self.base_matrices.tobytes(), self.weights.tobytes())
+
+    def __eq__(self, other):
+        """Equal when every defining array is bitwise equal, so that equal
+        specs sample bitwise-equal values from equal chain states."""
+        return isinstance(other, AffineSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 class MatrixFamily:
-    """One matrix distribution per symbol plus pairwise-distinct translations."""
+    """One matrix distribution per symbol plus pairwise-distinct translations.
+
+    ``distributions`` lists the distinct symbol distributions (specs that
+    compare equal by value are one distribution) in order of first use, and
+    ``distribution_index[s]`` is the position there of symbol ``s``'s one.
+    """
 
     def __init__(self, dimension: int, symbols: Sequence, translations: Sequence,
                  declared_nonsingular: str = "distant"):
@@ -133,6 +154,12 @@ class MatrixFamily:
         self.translations.setflags(write=False)
         self.declared_nonsingular = declared_nonsingular
         self.alphabet = Alphabet(len(symbols))
+        groups: dict = {}
+        self.distribution_index = np.zeros(len(symbols) + 1, dtype=np.intp)
+        for sym, spec in enumerate(symbols, start=1):
+            self.distribution_index[sym] = groups.setdefault(spec, len(groups))
+        self.distribution_index.setflags(write=False)
+        self.distributions = tuple(groups)
         self.r_star = r_star
         self.rho_max = max(
             s.r_plus * (s.base_max_norm if isinstance(s, AffineSpec) else 1.0)
@@ -235,18 +262,24 @@ class Realization:
 
     def _per_symbol(self, sample, states: np.ndarray, last_symbols,
                     row_shape: tuple = ()) -> np.ndarray:
-        """Rows of ``sample(states, spec)`` grouped by last symbol.
+        """Rows of ``sample(states, spec)``, one call per distribution.
 
         ``last_symbols`` is one symbol per row, or a single symbol shared by
-        every row, which then forms one group without masking.
+        every row.  Rows whose symbols share a distribution are sampled in one
+        call; a family with a single distribution samples the whole batch at
+        once, without masks.
         """
-        specs = self.family.symbols
+        fam = self.family
         if np.ndim(last_symbols) == 0:
-            return sample(states, specs[int(last_symbols) - 1])
+            return sample(states, fam.symbols[int(last_symbols) - 1])
+        if len(fam.distributions) == 1:
+            return sample(states, fam.distributions[0])
         out = np.empty((states.size,) + row_shape)
-        for sym in np.unique(last_symbols):
-            mask = last_symbols == sym
-            out[mask] = sample(states[mask], specs[int(sym) - 1])
+        group = fam.distribution_index[last_symbols]
+        for g, spec in enumerate(fam.distributions):
+            mask = group == g
+            if mask.any():
+                out[mask] = sample(states[mask], spec)
         return out
 
     def _sample_symbol(self, states: np.ndarray, spec) -> np.ndarray:
@@ -273,8 +306,18 @@ def _scalar_factor(states: np.ndarray, spec) -> np.ndarray:
 
 
 def _base_index(states: np.ndarray, spec: AffineSpec) -> np.ndarray:
-    u = keyed.draw_u01(states, 1)
-    return np.searchsorted(spec.cum_weights, u)
+    return _pick_base(keyed.draw_u01(states, 1), spec)
+
+
+def _pick_base(u: np.ndarray, spec: AffineSpec) -> np.ndarray:
+    """Base matrix selected by each uniform: the count of ``cum_weights`` below it.
+
+    Equals ``searchsorted(cum_weights, u)`` for every ``u <= cum_weights[-1] = 1``.
+    """
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in spec.cum_weights[:-1]:
+        idx += u > c
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +359,7 @@ def _mc_log_dets(family: MatrixFamily, symbol: int, n_samples: int, seed: int) -
     out = family.dimension * np.log(lam)
     if isinstance(spec, AffineSpec):
         ub = keyed.stream_u01(seed, n_samples, lane=2 * symbol + 1)
-        out = out + spec.base_log_abs_det[np.searchsorted(spec.cum_weights, ub)]
+        out = out + spec.base_log_abs_det[_pick_base(ub, spec)]
     return out
 
 

@@ -251,30 +251,35 @@ def test_det_window_log_space_matches_direct(line_family):
 
 
 def test_det_window_matches_direct_oracle(skew2, line_family):
-    # tree walk vs per-word direct evaluation on a mixed-length level set
-    r = Realization(17, line_family)
-    n, eps1, C, N1 = 3, 0.08, 1.3, 2
-    rep = det_window_report(r, skew2, n, eps1, C, N1)
-    lam = rep.lyapunov
-    L = level_set(skew2, n)
-    good_mass = 0.0
-    prefixes = {}
-    for w, mu in zip(L.words, L.measures):
-        ok = True
-        S = 0.0
-        for k in range(1, len(w) + 1):
-            S += r.log_abs_det(w[:k])
-            prefixes.setdefault(w[:k], abs(S + k * lam) > k * eps1)
-            if k >= N1 and abs(S + k * lam) > k * eps1 + math.log(C):
-                ok = False
-        if ok:
-            good_mass += float(mu)
-    assert rep.good_mass == pytest.approx(good_mass, abs=1e-12)
-    # histogram totals/failures equal the distinct-prefix counts per depth
-    for k in range(1, rep.per_prefix_totals.size + 1):
-        at_k = [w for w in prefixes if len(w) == k]
-        assert rep.per_prefix_totals[k - 1] == len(at_k)
-        assert rep.per_prefix_failures[k - 1] == sum(prefixes[w] for w in at_k)
+    # tree walk vs per-word direct evaluation on a mixed-length level set,
+    # also for a family whose two symbols differ in distribution (each node's
+    # sample then depends on its own last symbol)
+    two_laws = MatrixFamily(1, [SimilaritySpec(0.5, 0.9), SimilaritySpec(0.3, 0.6)],
+                            [[0.0], [0.5]])
+    for fam in (line_family, two_laws):
+        r = Realization(17, fam)
+        n, eps1, C, N1 = 3, 0.08, 1.3, 2
+        rep = det_window_report(r, skew2, n, eps1, C, N1)
+        lam = rep.lyapunov
+        L = level_set(skew2, n)
+        good_mass = 0.0
+        prefixes = {}
+        for w, mu in zip(L.words, L.measures):
+            ok = True
+            S = 0.0
+            for k in range(1, len(w) + 1):
+                S += r.log_abs_det(w[:k])
+                prefixes.setdefault(w[:k], abs(S + k * lam) > k * eps1)
+                if k >= N1 and abs(S + k * lam) > k * eps1 + math.log(C):
+                    ok = False
+            if ok:
+                good_mass += float(mu)
+        assert rep.good_mass == pytest.approx(good_mass, abs=1e-12)
+        # histogram totals/failures equal the distinct-prefix counts per depth
+        for k in range(1, rep.per_prefix_totals.size + 1):
+            at_k = [w for w in prefixes if len(w) == k]
+            assert rep.per_prefix_totals[k - 1] == len(at_k)
+            assert rep.per_prefix_failures[k - 1] == sum(prefixes[w] for w in at_k)
 
 
 def test_det_window_markov_measure(markov2, line_family):

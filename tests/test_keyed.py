@@ -1,3 +1,6 @@
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,55 @@ def test_u01_range_and_uniformity():
     # crude moment checks; KS-level testing lives in the sampling tests
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
+
+
+def test_to_u01_clamps_only_the_top_raw_values_below_one():
+    # (2**53 - 1 + 0.5) * 2**-53 rounds to exactly 1.0; ndtri(1.0) would be inf
+    raw = np.array([0, 1, 2 ** 11, 2 ** 64 - 2 ** 12, 2 ** 64 - 2 ** 11 - 1,
+                    2 ** 64 - 2 ** 11, 2 ** 64 - 1], dtype=np.uint64)
+    u = keyed.to_u01(raw)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.all(u[-2:] == np.nextafter(1.0, 0.0))
+    unclamped = ((raw[:-2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    assert np.array_equal(u[:-2], unclamped)
+    assert keyed.draw_u01_block(np.zeros(1, dtype=np.uint64), 0, 3).max() < 1.0
+
+
+def test_map_seeds_bounds_outstanding_futures(monkeypatch):
+    submitted = []
+    peak = [0]
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            fut = super().submit(fn, *args, **kwargs)
+            submitted.append(fut)
+            peak[0] = max(peak[0], sum(not f.done() for f in submitted))
+            return fut
+
+    monkeypatch.setattr(keyed, "ThreadPoolExecutor", CountingPool)
+
+    def slow_square(j):
+        time.sleep(0.001)
+        return j * j
+
+    assert keyed.map_seeds(slow_square, 200, threads=2) == [j * j for j in range(200)]
+    assert len(submitted) == 200
+    assert 1 <= peak[0] <= keyed.SEED_WINDOW_PER_THREAD * 2
+
+
+def test_map_seeds_raises_the_first_failure_and_stops_submitting():
+    calls = []
+
+    def fails_at_five(j):
+        calls.append(j)
+        if j == 5:
+            raise ValueError("seed 5")
+        time.sleep(0.001)
+        return j
+
+    with pytest.raises(ValueError, match="seed 5"):
+        keyed.map_seeds(fails_at_five, 10_000, threads=2)
+    assert len(calls) <= 6 + keyed.SEED_WINDOW_PER_THREAD * 2
 
 
 def test_seed_validation():

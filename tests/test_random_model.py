@@ -176,6 +176,27 @@ def test_haar_det_is_unit(plane_family):
 # moments
 # ---------------------------------------------------------------------------
 
+def test_top_raw_draws_give_finite_samples_and_valid_bases(monkeypatch):
+    # ten weights of 0.1 sum to 0.9999999999999999; every raw draw 2**64 - 1
+    # must still give a uniform below 1, a finite Haar factor and the last base
+    bases = [np.diag([0.9, 0.5 + 0.04 * k]) for k in range(10)]
+    spec = AffineSpec(0.3, 0.4, bases, [0.1] * 10)
+    assert spec.cum_weights[-1] == 1.0
+    fam = MatrixFamily(2, [spec, spec], [[0.0, 0.0], [1.0, 0.0]])
+    r = Realization(0, fam)
+    states = keyed.absorb_children(r.root_chain(), 2)
+    monkeypatch.setattr(keyed, "_mix64_inplace", lambda z: np.full_like(z, 2 ** 64 - 1))
+    syms = np.array([1, 2])
+    mats = r.matrices_from_chains(states, syms)
+    lds = r.log_dets_from_chains(states, syms)
+    assert np.all(np.isfinite(mats))
+    lam = 0.3 + np.nextafter(1.0, 0.0) * (0.4 - 0.3)
+    assert np.array_equal(lds, np.full(2, 2 * np.log(lam) + spec.base_log_abs_det[9]))
+    assert np.allclose(np.abs(np.linalg.det(mats)), lam ** 2 * np.linalg.det(bases[9]))
+    mc = mc_lyapunov_prime(fam, 1, n_samples=4, seed=0)[0]
+    assert mc == pytest.approx(-lds[0])
+
+
 def test_lyapunov_prime_closed_form_vs_quadrature(line_family, plane_family):
     assert lyapunov_prime(line_family, 1) == pytest.approx(
         quad_lyapunov_prime(0.5, 0.9, 1), abs=1e-10)

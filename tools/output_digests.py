@@ -1,0 +1,130 @@
+"""sha256 of every report file over a fixed grid of runs, to check byte identity.
+
+    python tools/output_digests.py --out digests.json
+    python tools/output_digests.py --repo ../other-checkout --out other.json
+    python tools/output_digests.py --compare digests.json other.json
+
+The grid runs ``rifs.experiments.run`` in-process, with the package from
+``<repo>/src`` and the benchmark workloads from ``<repo>/perfbench``:
+
+* every experiment kind on the four presets and on a mixed three-symbol
+  family (two symbols share a distribution, the third differs), at small
+  sizes, with ``--threads 1``; the seed-parallel kinds again with
+  ``--threads 2``, and ``detwindow`` with a single seed;
+* the six benchmark kinds of every workload at workload seeds 0 and 3.
+
+Configs pass through JSON first, as the CLI loads them.  The output is one
+JSON object mapping ``<run>/<file>`` to the file's sha256.  ``--compare``
+prints the files whose digests differ or that only one side has, and exits 1
+if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+DEFAULT_REPO = Path(__file__).resolve().parent.parent
+SMALL = {
+    "baby_theorem": dict(n=10, n_min=4, n_max=8, seeds=3),
+    "example1_2d": dict(n=8, n_min=3, n_max=6, seeds=3),
+    "example2_affine": dict(n=3, n_min=2, n_max=3, seeds=3),
+    "subcritical_contrast": dict(n=8, n_min=4, n_max=8, seeds=3,
+                                 allow_subcritical=True),
+    "mixed": dict(n=7, n_min=3, n_max=6, seeds=3),
+}
+THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
+PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
+BENCH_SEEDS = (0, 3)
+
+
+def _mixed_family_config(preset):
+    """baby_theorem with a third symbol: symbols 1 and 2 share a spec, 3 differs."""
+    from rifs import BernoulliMeasure
+    from rifs.random_model import AffineSpec, MatrixFamily, SimilaritySpec
+
+    sim = SimilaritySpec(0.5, 0.9)
+    aff = AffineSpec(0.4, 0.6, [[[0.9]], [[-0.8]]], [0.3, 0.7])
+    family = MatrixFamily(1, [sim, sim, aff], [[0.0], [0.5], [1.0]])
+    return replace(preset("baby_theorem"), family=family,
+                   measure=BernoulliMeasure([0.4, 0.3, 0.3]), master_seed=7,
+                   grid_lo=(-1.0,), grid_hi=(3.5,))
+
+
+def _grid():
+    """[(run name, config, threads)] in a fixed order."""
+    from rifs.experiments import EXPERIMENT_KINDS, ExperimentConfig, preset
+    from workloads import WORKLOADS, build_configs
+
+    runs = []
+    for name, sizes in SMALL.items():
+        base = _mixed_family_config(preset) if name == "mixed" else preset(name)
+        base = ExperimentConfig.from_dict(json.loads(json.dumps(base.to_dict())))
+        for kind in EXPERIMENT_KINDS:
+            cfg = replace(base, kind=kind, mc_samples=20_000, **sizes)
+            if kind == "pairs":
+                cfg = replace(cfg, seeds=PAIRS_SEEDS)
+            runs.append((f"{name}/{kind}/t1", cfg, 1))
+            if kind in THREADED_KINDS:
+                runs.append((f"{name}/{kind}/t2", cfg, 2))
+        runs.append((f"{name}/detwindow/one_seed",
+                     replace(base, kind="detwindow", n=sizes["n"], seeds=1), 1))
+    for workload in WORKLOADS:
+        for seed in BENCH_SEEDS:
+            for kind, cfg in build_configs(workload, seed):
+                runs.append((f"bench/{workload}/seed{seed}/{kind}", cfg, 1))
+    return runs
+
+
+def digests(repo: Path) -> dict:
+    sys.path[:0] = [str(repo / "src"), str(repo / "perfbench")]
+    from rifs.experiments import run
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, cfg, threads) in enumerate(_grid()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                paths = run(cfg, Path(tmp) / str(i), threads=threads)
+            for path in paths:
+                out[f"{name}/{Path(path).name}"] = hashlib.sha256(
+                    Path(path).read_bytes()).hexdigest()
+    return out
+
+
+def compare(a: dict, b: dict) -> list:
+    """Sorted keys whose digests differ or that only one side has."""
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repo", type=Path, default=DEFAULT_REPO,
+                        help="checkout whose src/ and perfbench/ to run")
+    parser.add_argument("--out", type=Path, help="write the digests here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="list the files whose digests differ")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        diff = compare(a, b)
+        for key in diff:
+            print(key)
+        print(f"{len(diff)} of {len(set(a) | set(b))} files differ", file=sys.stderr)
+        return 1 if diff else 0
+    if args.out is None:
+        parser.error("give --out or --compare")
+    table = digests(args.repo.resolve())
+    args.out.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"{len(table)} report files -> {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
