@@ -2,7 +2,7 @@
 
 Layers, bottom up: :mod:`rifs.symbolic` (alphabets, measures, level sets),
 :mod:`rifs.random_model` (keyed matrix distributions and moments),
-:mod:`rifs.attractor` (compositions and enclosed projections),
+:mod:`rifs.attractor` (enclosed projections from one cylinder-tree walk),
 :mod:`rifs.analysis` (window/pair/coverage statistics), and
 :mod:`rifs.experiments` (configs, presets, report files) with a CLI on top.
 """
@@ -10,16 +10,15 @@ Layers, bottom up: :mod:`rifs.symbolic` (alphabets, measures, level sets),
 from .errors import BudgetError, InputError, InvariantError
 from .symbolic import (Alphabet, BernoulliMeasure, LevelSet, MarkovMeasure,
                        SymbolicMeasure, TailSequence, cylinder_measure, entropy,
-                       entropy_estimate, is_prefix_free, level_set, restricted_level_set,
-                       slow_decay_constant, word_from_string, word_to_string,
-                       write_levelset_csv)
+                       entropy_estimate, is_prefix_free, level_set, level_sets,
+                       restricted_level_set, slow_decay_constant, word_from_string,
+                       word_to_string, write_levelset_csv)
 from .random_model import (AffineSpec, MatrixFamily, MomentReport, Realization,
                            SimilaritySpec, cramer_moment, lyapunov_exponent,
                            lyapunov_prime, mc_cramer_moment, mc_lyapunov_prime,
                            moment_report)
-from .attractor import (CompositionResult, PointCloud, ProjectedPoint, apply_map,
-                        bounding_ball, compose, iterate_maps, points_to_arrays,
-                        project, project_level, project_tail, write_points_csv,
+from .attractor import (PointCloud, ProjectedPoint, bounding_ball, points_to_arrays,
+                        project, project_level, project_levels, write_points_csv,
                         write_svg_scatter)
 from .analysis import (AttractorMeasureReport, CoverageGrid, CoverageReport,
                        DensityReport, DetWindowReport, GDivergenceVerdict,

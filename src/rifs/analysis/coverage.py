@@ -12,8 +12,10 @@ interval ends are found exactly, and the union of all intervals is merged and
 marked without a per-ball loop or any grid-sized integer array.
 
 The level-n union fattens each level-set projection by
-``(m([a]) g(n))**(1/d)``.  The limsup target set has no finite surrogate;
-as a proxy, ``running_intersection_measure[N]`` reports the measure of
+``(m([a]) g(n))**(1/d)``; all levels of one estimate are selected from one
+cylinder tree and projected by one walk of it (``project_levels``).  The
+limsup target set has no finite surrogate; as a proxy,
+``running_intersection_measure[N]`` reports the measure of
 cells covered at some level n >= N within the computed range, equivalently
 the measure of cells covered in at least one level of every window starting
 at M <= N, minimized over M.  It is nonincreasing in N: divergent gauges
@@ -32,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..attractor import MAP_BUDGET_DEFAULT, project_level
+from ..attractor import MAP_BUDGET_DEFAULT, PointCloud, project_levels
 from ..errors import BudgetError, InputError, InvariantError
 from ..random_model import Realization
 from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
-                        level_set, slow_decay_constant)
+                        level_sets, slow_decay_constant)
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
@@ -88,7 +90,7 @@ class CoverageGrid:
         return np.zeros(self.shape, dtype=bool)
 
     def measure(self, mask: np.ndarray) -> float:
-        return float(mask.sum()) * self.h ** self.dimension
+        return float(np.count_nonzero(mask)) * self.h ** self.dimension
 
     def mark_balls(self, mask: np.ndarray, centers: np.ndarray,
                    radii: np.ndarray) -> bool:
@@ -215,12 +217,14 @@ def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
                       g, n_values, grid: CoverageGrid,
                       word_budget: int = WORD_BUDGET_DEFAULT,
                       map_budget: int = MAP_BUDGET_DEFAULT,
-                      regime: str | None = None) -> CoverageReport:
+                      regime: str | None = None, levels=None) -> CoverageReport:
     """Rasterize the level-n ball unions with radii (m([a]) g(n))^(1/d).
 
     ``g`` is called with each level index; projections are resolved until
     every enclosure is at most an eighth of the smallest positive ball
     radius at its level, keeping outer and inner estimates honest.
+    ``levels`` are ``level_sets(m, n_values, word_budget)``, built once per
+    run and shared by the estimates of every seed; built here when omitted.
     """
     if grid.dimension != r.family.dimension:
         raise InputError("grid dimension does not match the family")
@@ -231,23 +235,31 @@ def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
     sqrt_d = math.sqrt(d)
     if regime is None:
         regime = getattr(g, "regime", "divergent")
+    if levels is None:
+        levels = level_sets(m, n_values, word_budget)
+
+    gauged = []   # (level position, ball radii) where g(n) > 0
+    for k, (n, L) in enumerate(zip(n_values, levels)):
+        gn = float(g(n))
+        if gn < 0.0:
+            raise InputError(f"gauge function must be nonnegative, g({n}) = {gn}")
+        if gn > 0.0:
+            gauged.append((k, (L.measures * gn) ** (1.0 / d)))
+    clouds = project_levels(r, [levels[k] for k, _ in gauged], b,
+                            [float(rad[rad > 0.0].min()) / 8.0 for _, rad in gauged],
+                            map_budget)
+    balls = {k: (rad, pts) for (k, rad), pts in zip(gauged, clouds)}
 
     outer_masks = {}
     per_outer = {}
     per_inner = {}
     warned_coarse = False
     warned_clip = False
-    for n in n_values:
-        L = level_set(m, n, word_budget)
-        gn = float(g(n))
-        if gn < 0.0:
-            raise InputError(f"gauge function must be nonnegative, g({n}) = {gn}")
-        radii = (L.measures * gn) ** (1.0 / d)
+    for k, n in enumerate(n_values):
         mask = grid.new_mask()
         inner_mask = grid.new_mask()
-        if gn > 0.0:
-            eps = float(radii[radii > 0.0].min()) / 8.0
-            pts = project_level(r, L, b, eps, map_budget)
+        if k in balls:
+            radii, pts = balls[k]
             clipped = grid.mark_balls(mask, pts.coords, radii + pts.radii)
             inner_radii = radii - pts.radii - grid.h * sqrt_d / 2.0
             if np.all(inner_radii <= 0.0) and not warned_coarse:
@@ -287,18 +299,22 @@ class AttractorMeasureReport:
     diam_scale: float
     per_level: dict
     last3_rel_change: float
+    points: PointCloud       # the deepest level's cloud
 
 
 def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
                                grid: CoverageGrid, diam_scale: float = 1.0,
                                b: TailSequence | None = None,
                                word_budget: int = WORD_BUDGET_DEFAULT,
-                               map_budget: int = MAP_BUDGET_DEFAULT) -> AttractorMeasureReport:
+                               map_budget: int = MAP_BUDGET_DEFAULT,
+                               levels=None) -> AttractorMeasureReport:
     """Fatten level-n projections by diam_scale * c_m^(n/d) and measure the union.
 
     The sequence stabilizes toward the attractor's measure when it is
     positive and keeps decaying in the measure-zero regime; the last-3-level
     relative change quantifies which is happening at the computed depth.
+    ``levels`` are the level sets of the sorted ``n_values`` from
+    ``level_sets``; built here when omitted.
     """
     if diam_scale <= 0.0:
         raise InputError("diam_scale must be positive")
@@ -311,14 +327,15 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
         b = TailSequence.constant(1)
     c = slow_decay_constant(m)
     d = r.family.dimension
+    if levels is None:
+        levels = level_sets(m, n_values, word_budget)
 
+    deltas = [diam_scale * c ** (n / d) for n in n_values]
+    clouds = project_levels(r, levels, b, [delta / 8.0 for delta in deltas], map_budget)
     per_level = {}
-    for n in n_values:
-        L = level_set(m, n, word_budget)
-        delta = diam_scale * c ** (n / d)
-        pts = project_level(r, L, b, delta / 8.0, map_budget)
+    for n, delta, pts in zip(n_values, deltas, clouds):
         mask = grid.new_mask()
-        grid.mark_balls(mask, pts.coords, np.full(len(L), delta) + pts.radii)
+        grid.mark_balls(mask, pts.coords, np.full(len(pts), delta) + pts.radii)
         per_level[n] = grid.measure(mask)
 
     vals = [per_level[n] for n in n_values[-3:]]
@@ -329,4 +346,5 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
         elif cur > 0.0:
             rel = math.inf
     return AttractorMeasureReport(grid=grid, diam_scale=diam_scale,
-                                  per_level=per_level, last3_rel_change=rel)
+                                  per_level=per_level, last3_rel_change=rel,
+                                  points=clouds[-1])

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import keyed
-from ..attractor import points_to_arrays, project_level
+from ..attractor import (MAP_BUDGET_DEFAULT, points_to_arrays, project_level,
+                         project_levels)
 from ..errors import InputError, InvariantError
 from ..random_model import MatrixFamily, Realization
-from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set)
-from ..attractor import MAP_BUDGET_DEFAULT
+from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set,
+                        level_sets)
 from .detwindow import fit_line
 from .runs import blocks, ranges
 
@@ -319,12 +320,15 @@ def upper_density(members) -> float:
 def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                   c_list, s_list, n_range, seed: int,
                   word_budget: int = WORD_BUDGET_DEFAULT,
-                  map_budget: int = MAP_BUDGET_DEFAULT) -> tuple:
+                  map_budget: int = MAP_BUDGET_DEFAULT, levels=None) -> tuple:
     """Membership indicators per (c, s) across levels, with upper densities.
 
     Returns (reports, best report).  The greedy separated count stands in for
     the packing number (a certified lower bound, evaluated at the scale
     inflated by the point enclosures), so membership claims are conservative.
+    ``levels`` are ``level_sets(m, n_range, word_budget)``, built once per
+    run and shared by the sweeps of every seed; built here when omitted.
+    All levels are projected by one walk of their cylinder tree.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
@@ -335,13 +339,14 @@ def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
         raise InputError("need c >= 0 and s > 0")
 
     d = family.dimension
-    r = Realization(seed, family)
+    if levels is None:
+        levels = level_sets(m, n_values, word_budget)
+    scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
+    clouds = project_levels(Realization(seed, family), levels, b,
+                            [float(radii.min()) / 8.0 for radii in scales], map_budget)
     ratios = np.zeros((len(n_values), len(s_vals)))
-    for i, n in enumerate(n_values):
-        L = level_set(m, n, word_budget)
-        size = len(L)
-        radii = np.asarray(s_vals) / size ** (1.0 / d)
-        pts = project_level(r, L, b, float(radii.min()) / 8.0, map_budget)
+    for i, (radii, pts) in enumerate(zip(scales, clouds)):
+        size = len(pts)
         slack = 2.0 * float(pts.radii.max())
         for k, rad in enumerate(radii):
             kept = separated_subset(pts.coords, float(rad) + slack)

@@ -1,4 +1,4 @@
-"""Compositions, projections, and attractor point clouds.
+"""Enclosed projections and attractor point clouds.
 
 The map at word ``w`` is ``f_w(x) = A_w x + t_last(w)``; the composition
 along a word applies the maps of its prefixes outermost-first, so the
@@ -19,9 +19,13 @@ tail therefore ends after its last translation-bearing step (or at ``K``, if
 sooner): the coordinates equal the full depth-``K`` evaluation exactly, while
 the radius and the ``map_budget`` charge stay those of depth ``K``.
 
-Batch evaluation over a level set is vectorized across words (per-step
-matrix stacks); its output is identical to evaluating words one at a time
-because all randomness is keyed per word.  The result is a
+Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
+:func:`project_levels` walks that tree once per realization, carrying the
+chain state and the composed ``(M, v)`` per node.  Every prefix is composed
+once and shared by all its descendants; a level's cloud is its members'
+nodes plus their own tail steps.  Each node repeats exactly the operations
+of a word-by-word evaluation (:func:`project`), so the coordinates do not
+depend on which words are evaluated together.  The result is a
 :class:`PointCloud` of coordinate and radius arrays; per-point
 :class:`ProjectedPoint` objects are built only when a caller indexes it.
 """
@@ -41,15 +45,6 @@ from .symbolic import (LevelSet, TailSequence, _write_atomic, validate_word,
                        word_strings)
 
 MAP_BUDGET_DEFAULT = 200_000_000
-
-
-@dataclass(frozen=True)
-class CompositionResult:
-    """Composed linear part along a word, with its log|det| accumulated in log-space."""
-
-    matrix: np.ndarray
-    log_abs_det: float
-    word: tuple
 
 
 @dataclass(frozen=True)
@@ -93,83 +88,36 @@ def bounding_ball(family: MatrixFamily) -> float:
     return max_t / (1.0 - family.rho_max)
 
 
-def compose(r: Realization, word) -> CompositionResult:
-    """Left-to-right product of the matrices at every prefix of ``word``."""
-    w = validate_word(word, r.family.alphabet)
-    if not w:
-        raise InputError("compose needs a nonempty word")
+def _start(r: Realization, n: int) -> tuple:
+    """Chain states, linear parts and translations of ``n`` identity maps.
+
+    Dimension 1 keeps flat scalar arrays instead of 1x1 matrix stacks; the
+    arithmetic per element is identical either way.
+    """
     d = r.family.dimension
-    mat = np.eye(d)
-    log_det = 0.0
-    for k in range(1, len(w) + 1):
-        mat = mat @ r.sample_matrix(w[:k])
-        log_det += r.log_abs_det(w[:k])
-    mat.setflags(write=False)
-    return CompositionResult(matrix=mat, log_abs_det=log_det, word=w)
+    states = np.broadcast_to(r.root_chain(), (n,)).copy()
+    if d == 1:
+        return states, np.ones(n), np.zeros(n)
+    return states, np.broadcast_to(np.eye(d), (n, d, d)).copy(), np.zeros((n, d))
 
 
-def apply_map(r: Realization, word, x: np.ndarray) -> np.ndarray:
-    """One application of f_word."""
-    w = validate_word(word, r.family.alphabet)
-    return r.sample_matrix(w) @ np.asarray(x, dtype=np.float64) + \
-        r.family.translations[w[-1] - 1]
+def _step(r: Realization, states, M, v, symbols) -> tuple:
+    """Extend composed maps by one symbol each (scalar or per row):
+    absorb the symbol, sample its matrix ``A``, then ``v += M t`` and ``M = M A``."""
+    states = keyed.absorb(states, symbols)
+    syms = np.broadcast_to(np.asarray(symbols, dtype=np.int64), states.shape)
+    t = r.family.translations[syms - 1]
+    if M.ndim == 1:
+        return states, M * r.scalars_from_chains(states, symbols), v + M * t[:, 0]
+    mats = r.matrices_from_chains(states, symbols)
+    return states, M @ mats, v + (M @ t[:, :, None])[:, :, 0]
 
 
-def iterate_maps(r: Realization, word, x) -> np.ndarray:
-    """Apply the prefix maps of ``word`` innermost-first to ``x``.
-
-    Reference evaluation of the composed map; the batch path below reproduces
-    it up to floating-point regrouping (tests compare the two routes).
-    """
-    w = validate_word(word, r.family.alphabet)
-    y = np.asarray(x, dtype=np.float64)
-    for k in range(len(w), 0, -1):
-        y = apply_map(r, w[:k], y)
-    return y
-
-
-class _AffineBatch:
-    """Composed affine maps (M, v) for a batch of words, extended stepwise.
-
-    Dimension 1 skips the stacked matmuls and works on flat scalar arrays;
-    the arithmetic per element is identical either way.
-    """
-
-    def __init__(self, r: Realization, n: int):
-        d = r.family.dimension
-        self.r = r
-        self.scalar = d == 1
-        self.states = np.broadcast_to(r.root_chain(), (n,)).copy()
-        if self.scalar:
-            self.M = np.ones(n)
-            self.v = np.zeros(n)
-        else:
-            self.M = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-            self.v = np.zeros((n, d))
-
-    def step(self, symbols, rows=None) -> None:
-        """Extend by one symbol (scalar or per-row); ``rows`` masks the batch."""
-        idx = slice(None) if rows is None else rows
-        states = keyed.absorb(self.states[idx], symbols)
-        syms = np.broadcast_to(np.asarray(symbols, dtype=np.int64), states.shape)
-        if self.scalar:
-            a = self.r.scalars_from_chains(states, symbols)
-            t = self.r.family.translations[syms - 1, 0]
-            self.v[idx] += self.M[idx] * t
-            self.M[idx] *= a
-        else:
-            mats = self.r.matrices_from_chains(states, symbols)
-            t = self.r.family.translations[syms - 1]
-            M = self.M[idx]
-            self.v[idx] += (M @ t[:, :, None])[:, :, 0]
-            self.M[idx] = M @ mats
-        self.states[idx] = states
-
-    def coords(self) -> np.ndarray:
-        """Read-only (N, d) values of the composed maps at 0."""
-        coords = self.v[:, None] if self.scalar else self.v
-        coords.setflags(write=False)
-        return coords
+def _coords(v: np.ndarray) -> np.ndarray:
+    """Read-only (N, d) values of the composed maps at 0."""
+    coords = v[:, None] if v.ndim == 1 else v
+    coords.setflags(write=False)
+    return coords
 
 
 def _required_depth(target_radius: float, word_len: int, rho: float, R: float) -> int:
@@ -207,75 +155,79 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
         raise InputError("depth must be >= 1")
     w = validate_word(a, r.family.alphabet)
     b.validate(r.family.alphabet)
-    batch = _AffineBatch(r, 1)
-    for s in w:
-        batch.step(s)
-    for k in range(1, int(_tail_steps(r.family, b, depth)) + 1):
-        batch.step(b.symbol(k))
+    maps = _start(r, 1)
+    for s in w + b.first(int(_tail_steps(r.family, b, depth))):
+        maps = _step(r, *maps, s)
     radius = r.family.rho_max ** (len(w) + depth) * bounding_ball(r.family)
-    return ProjectedPoint(coordinates=batch.coords()[0], word=w, tail=b,
+    return ProjectedPoint(coordinates=_coords(maps[2])[0], word=w, tail=b,
                           truncation_radius=radius)
-
-
-def project_tail(r: Realization, a, b: TailSequence, depth: int) -> np.ndarray:
-    """Tail projection under the environment of prefix ``a`` (maps of ``a``
-    itself not applied); enclosure radius is ``rho_max**depth * R``.  Steps
-    past ``_tail_steps`` are skipped, as they cannot change the value."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
-    w = validate_word(a, r.family.alphabet)
-    b.validate(r.family.alphabet)
-    d = r.family.dimension
-    chain = r.chain_for_word(w)
-    M = np.eye(d)
-    v = np.zeros(d)
-    for k in range(1, int(_tail_steps(r.family, b, depth)) + 1):
-        s = b.symbol(k)
-        chain = keyed.absorb(chain, s)
-        A = r.matrices_from_chains(chain, np.array([s]))[0]
-        v = v + M @ r.family.translations[s - 1]
-        M = M @ A
-    return v
 
 
 def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: float,
                   map_budget: int = MAP_BUDGET_DEFAULT) -> PointCloud:
     """One enclosed point per level-set word, all radii <= ``target_radius``.
 
-    Depth is chosen per word length (level sets mix lengths); evaluation is
-    vectorized across words but keyed per word, so the result matches the
-    sequential per-word run and the ordering of ``L``.  Tail steps after the
-    last one with a nonzero translation are skipped (``_tail_steps``): the
-    coordinates are bit-identical to the full-depth ones, and the radii and
-    the up-front ``map_budget`` charge still use the full worst-case depth.
+    ``project_levels`` for the single level set ``L``.
+    """
+    return project_levels(r, [L], b, [target_radius], map_budget)[0]
+
+
+def project_levels(r: Realization, levels, b: TailSequence, target_radii,
+                   map_budget: int = MAP_BUDGET_DEFAULT) -> list:
+    """Point clouds of level sets selected from one cylinder tree, from one walk of it.
+
+    The tree is walked down to the deepest member, composing every node's
+    map from its parent's; each level's cloud takes its members' maps and
+    adds their tail steps.  The tail depth is chosen per word length (level
+    sets mix lengths) so that every radius is at most the level's target
+    radius.  Tail steps after the last one with a nonzero translation are
+    skipped (``_tail_steps``): the coordinates are bit-identical to the
+    full-depth ones, and the radii and the up-front ``map_budget`` charge,
+    per level, still use the full worst-case depth and the word lengths.
     """
     b.validate(r.family.alphabet)
-    if len(L) == 0:
-        return PointCloud(np.zeros((0, r.family.dimension)), np.zeros(0), L, b)
+    if not levels:
+        return []
     rho = r.family.rho_max
     R = bounding_ball(r.family)
-    lengths = L.lengths
-    distinct, inverse = np.unique(lengths, return_inverse=True)
-    depths = np.array([_required_depth(target_radius, int(la), rho, R)
-                       for la in distinct])[inverse]
-    applications = int(lengths.sum() + depths.sum())
-    if applications > map_budget:
-        raise BudgetError(
-            f"projection map budget ({map_budget}) exceeded: "
-            f"{applications} applications requested")
+    depths = []
+    for L, target in zip(levels, target_radii):
+        distinct, inverse = np.unique(L.lengths, return_inverse=True)
+        depths.append(np.array([_required_depth(target, int(la), rho, R)
+                                for la in distinct], dtype=np.int64)[inverse])
+        applications = int(L.lengths.sum() + depths[-1].sum())
+        if applications > map_budget:
+            raise BudgetError(
+                f"projection map budget ({map_budget}) exceeded: "
+                f"{applications} applications requested")
+    tree = levels[0].tree
+    if any(L.tree is not tree for L in levels):
+        raise InputError("projected level sets must be selected from one cylinder tree")
 
-    batch = _AffineBatch(r, len(L))
-    for j in range(L.word_matrix.shape[1]):
-        rows = np.flatnonzero(lengths > j)
-        batch.step(L.word_matrix[rows, j], rows)
-    steps = _tail_steps(r.family, b, depths)
-    for k in range(1, int(steps.max()) + 1):
-        rows = np.flatnonzero(steps >= k)
-        batch.step(b.symbol(k), rows)
+    A = tree[0].symbols.size   # the root's children
+    picked = [[] for _ in levels]   # per level: (states, M, v) of its members, per depth
+    maps = _start(r, 1)
+    for fr in tree[:max(int(L.lengths.max(initial=0)) for L in levels)]:
+        maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), fr.symbols)
+        for chunks, L in zip(picked, levels):
+            idx = L.nodes[fr.depth - 1]
+            if idx.size:
+                chunks.append(tuple(a[idx] for a in maps))
+        maps = tuple(a[fr.active_idx] for a in maps)
 
-    radii = rho ** (lengths + depths) * R
-    radii.setflags(write=False)
-    return PointCloud(batch.coords(), radii, L, b)
+    clouds = []
+    for L, chunks, depth in zip(levels, picked, depths):
+        states, M, v = (np.concatenate(parts) for parts in zip(*chunks)) if chunks \
+            else _start(r, 0)
+        steps = _tail_steps(r.family, b, depth)
+        for k in range(1, int(steps.max(initial=0)) + 1):
+            rows = np.flatnonzero(steps >= k)
+            states[rows], M[rows], v[rows] = _step(r, states[rows], M[rows], v[rows],
+                                                   b.symbol(k))
+        radii = rho ** (L.lengths + depth) * R
+        radii.setflags(write=False)
+        clouds.append(PointCloud(_coords(v), radii, L, b))
+    return clouds
 
 
 def points_to_arrays(points) -> tuple:

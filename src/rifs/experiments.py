@@ -4,9 +4,11 @@ A config is a plain JSON document (family, measure, tail, gauge, experiment
 kind, numeric knobs, master seed).  ``run`` validates it, executes the named
 experiment, and writes CSV reports whose first lines carry the config digest
 and the fully resolved config, so every output file is self-describing and
-reruns with the same seed are byte-identical.  Supercriticality (entropy
-above the Lyapunov exponent) is required for the coverage-type experiments
-unless explicitly waived for contrast runs.
+reruns with the same seed are byte-identical.  Seed-independent work (the
+cylinder tree and the level sets selected from it) is done once per run and
+shared, read only, by every seed.  Supercriticality (entropy above the
+Lyapunov exponent) is required for the coverage-type experiments unless
+explicitly waived for contrast runs.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ import numpy as np
 from . import keyed
 from .analysis import (CoverageGrid, attractor_measure_estimate,
                        coverage_estimate, density_sweep, det_window_report,
-                       transversality_scaling, window_tree)
-from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, project_level,
-                        write_points_csv, write_svg_scatter)
+                       transversality_scaling)
+from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, write_points_csv,
+                        write_svg_scatter)
 from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, moment_report)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
                        TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
-                       level_set, slow_decay_constant, write_levelset_csv)
+                       iter_level_frontiers, level_set, level_sets,
+                       slow_decay_constant, write_levelset_csv)
 
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
@@ -501,15 +504,12 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     eps1 = cfg.resolved_eps1()
     # the tree is seed-independent: built once and shared by every seed's walk
-    # (a single seed streams it instead)
-    tree = None
-    if cfg.seeds > 1:
-        tree = tuple(window_tree(cfg.measure, cfg.n, cfg.word_budget))
+    tree = tuple(iter_level_frontiers(cfg.measure, cfg.n, cfg.word_budget))
 
     def one(j: int):
         r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
         return det_window_report(r, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
-                                 cfg.word_budget, frontiers=tree)
+                                 cfg.word_budget, tree=tree)
 
     reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
@@ -550,11 +550,13 @@ def _run_pairs(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     grid = cfg.grid()
     levels = list(range(cfg.n_min, cfg.n_max + 1))
+    # the level sets are seed-independent: selected once from one tree
+    sets = level_sets(cfg.measure, levels, cfg.word_budget)
 
     def one(j: int):
         r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
         return coverage_estimate(r, cfg.measure, cfg.tail, cfg.gauge, levels,
-                                 grid, cfg.word_budget, cfg.map_budget)
+                                 grid, cfg.word_budget, cfg.map_budget, levels=sets)
 
     reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
@@ -582,9 +584,7 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     _write_csv(p1, ["n", "outer_measure"], rows, cfg)
     paths = [p1]
 
-    L = level_set(cfg.measure, cfg.n_max, cfg.word_budget)
-    delta = cfg.diam_scale * slow_decay_constant(cfg.measure) ** (cfg.n_max / cfg.family.dimension)
-    pts = project_level(r, L, cfg.tail, delta / 8.0, cfg.map_budget)
+    pts = rep.points   # level n_max, at the estimate's target radius
     p2 = out / "attractor_points.csv"
     write_points_csv(pts, p2, header_comment=_self_description(cfg))
     paths.append(p2)
@@ -597,12 +597,13 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
 def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     levels = list(range(cfg.n_min, cfg.n_max + 1))
+    sets = level_sets(cfg.measure, levels, cfg.word_budget)
 
     def one(j: int):
         seed = keyed.derive_seed(cfg.master_seed, j)
         return seed, density_sweep(cfg.family, cfg.measure, cfg.tail,
                                    cfg.c_list, cfg.s_list, levels, seed,
-                                   cfg.word_budget, cfg.map_budget)
+                                   cfg.word_budget, cfg.map_budget, levels=sets)
 
     results = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []

@@ -188,15 +188,15 @@ class MatrixFamily:
 class Realization:
     """Deterministic seed-keyed assignment word -> sampled matrix.
 
-    Lookups are memoized; the cache is a pure memo (the value for a word
-    never depends on query order or interleaving), so concurrent use is safe.
+    Nothing is stored per word: the value at a word is recomputed from its
+    chain state, so it never depends on query order or interleaving, and
+    concurrent use is safe.
     """
 
     def __init__(self, seed: int, family: MatrixFamily):
         self.seed = int(seed)
         self.family = family
         self._root = keyed.root_state(self.seed)
-        self._cache: dict = {}
 
     # -- chain-state plumbing -------------------------------------------------
     def root_chain(self) -> np.ndarray:
@@ -214,14 +214,7 @@ class Realization:
         w = validate_word(word, self.family.alphabet)
         if not w:
             raise InputError("the empty word carries no matrix")
-        hit = self._cache.get(w)
-        if hit is not None:
-            return hit
-        states = self.chain_for_word(w)
-        mat = self.matrices_from_chains(states, np.array([w[-1]]))[0]
-        mat.setflags(write=False)
-        self._cache[w] = mat
-        return mat
+        return self.matrices_from_chains(self.chain_for_word(w), np.array([w[-1]]))[0]
 
     def log_abs_det(self, word) -> float:
         w = validate_word(word, self.family.alphabet)

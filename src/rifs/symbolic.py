@@ -11,11 +11,13 @@ cylinder ratios are bounded below by a constant ``c > 0``.
 The level set of order ``n`` is the prefix-free family of words whose
 cylinder measure first drops to ``c**n`` or below.  It partitions the shift
 space up to measure zero, all members have comparable mass (within ``1/c``),
-and its cardinality grows like ``c**-n``.  Expansion is breadth-first with
-symbols in ascending order, which fixes a canonical, reproducible output
-ordering; the expansion itself is vectorized level-by-level and shared (via
-:func:`iter_level_frontiers`) with the statistics that walk the same tree
-carrying extra per-node state.
+and its cardinality grows like ``c**-n``.  Every level is a cut of one
+cylinder tree: :func:`iter_level_frontiers` expands it breadth-first, one
+vectorized depth at a time, with symbols in ascending order (a canonical,
+reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
+holds every level ``n <= n_max`` as a selection of its nodes.  Level sets,
+determinant windows and projections all read that one tree, the latter two
+carrying their own per-node state.
 
 Natural logarithms throughout.
 """
@@ -280,16 +282,16 @@ class LevelFrontier:
     """One breadth-first depth of the cylinder-tree expansion of L_{m,n}.
 
     Arrays describe all children generated at this depth, parent-major and
-    symbol-ascending (the canonical order), i.e. ``parent_idx`` is always
-    ``repeat(arange(n_parents), #A)`` and ``symbols`` is ``tile(1..#A, ...)``;
-    consumers may rely on that layout.  ``parent_idx`` indexes the previous
-    depth's *active* nodes; children with ``emit_mask`` set are level set
-    members, the rest stay active (``active_idx`` selects them).
+    symbol-ascending (the canonical order): the children of the previous
+    depth's ``i``-th *active* node are rows ``i * #A .. i * #A + #A - 1``,
+    so ``symbols`` is ``tile(1..#A, ...)`` (``uint8``) and per-parent state
+    is gathered with ``repeat(state, #A)``; consumers may rely on that
+    layout.  Children with ``emit_mask`` set are level set members, the rest
+    stay active (``active_idx`` selects them).
     """
 
     depth: int
     symbols: np.ndarray
-    parent_idx: np.ndarray
     measures: np.ndarray
     emit_mask: np.ndarray
     active_idx: np.ndarray
@@ -297,17 +299,20 @@ class LevelFrontier:
 
 def iter_level_frontiers(m: SymbolicMeasure, n: int,
                          word_budget: int = WORD_BUDGET_DEFAULT) -> Iterator[LevelFrontier]:
-    """Drive the breadth-first expansion behind :func:`level_set`.
+    """Drive the breadth-first expansion of the cylinder tree of L_{m,n}.
 
-    Consumers carry their own per-active-node state: gather with
-    ``parent_idx``, update with ``symbols``/``measures``, keep ``active_idx``.
+    ``tuple(iter_level_frontiers(m, n_max, word_budget))`` is the tree that
+    level sets, determinant windows and projections read; it holds every
+    level n <= n_max (see :func:`level_set`).  Consumers carry their own
+    per-active-node state: repeat it per child, update with
+    ``symbols``/``measures``, keep ``active_idx``.
     """
     if n < 1:
         raise InputError("level index n must be >= 1")
     threshold = slow_decay_constant(m) ** n
     A = m.alphabet.size
     rows = np.asarray(m.transition_rows())
-    symbols_tile = np.arange(1, A + 1, dtype=np.int64)
+    symbols_tile = np.arange(1, A + 1, dtype=np.uint8)
 
     active_meas = np.array([1.0])
     active_last = None  # None marks the root (empty word)
@@ -315,23 +320,32 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
     emitted = 0
     while active_meas.size:
         depth += 1
-        n_par = active_meas.size
         if active_last is None:
             child_meas = np.asarray(m.first_symbol_probs(), dtype=np.float64).copy()
         else:
             child_meas = (active_meas[:, None] * rows[active_last - 1]).reshape(-1)
-        symbols = np.tile(symbols_tile, n_par)
-        parent_idx = np.repeat(np.arange(n_par, dtype=np.int64), A)
+        symbols = np.tile(symbols_tile, active_meas.size)
         emit = child_meas <= threshold
         active_idx = np.flatnonzero(~emit)
-        emitted += int(emit.sum())
+        emitted += np.count_nonzero(emit)
         if emitted + active_idx.size > word_budget:
             raise BudgetError(
                 f"level-set word budget ({word_budget}) exceeded at depth {depth} "
                 f"(n={n}, emitted so far {emitted})")
-        yield LevelFrontier(depth, symbols, parent_idx, child_meas, emit, active_idx)
+        for a in (symbols, child_meas, emit, active_idx):
+            a.setflags(write=False)   # trees are shared by threads
+        yield LevelFrontier(depth, symbols, child_meas, emit, active_idx)
         active_meas = child_meas[active_idx]
         active_last = symbols[active_idx]
+
+
+def _parent_measures(tree: tuple) -> Iterator[np.ndarray]:
+    """Per depth of ``tree``, the mass of every child's parent."""
+    A = tree[0].symbols.size   # the root's children
+    parents = np.ones(1)
+    for fr in tree:
+        yield np.repeat(parents, A)
+        parents = fr.measures[fr.active_idx]
 
 
 @dataclass(frozen=True)
@@ -346,6 +360,10 @@ class LevelSet:
     prefix-free (prefix measures only grow, so a proper prefix of a member
     would sit strictly above the threshold).  ``words`` is the tuple view
     for API edges, built on first access.
+
+    The members are nodes of the cylinder tree ``tree`` they were selected
+    from: ``nodes[k - 1]`` indexes the members among that tree's children at
+    depth k, in row order.
     """
 
     n: int
@@ -353,6 +371,8 @@ class LevelSet:
     lengths: np.ndarray = field(repr=False)          # (N,)
     measures: np.ndarray = field(repr=False)         # (N,)
     parent_measures: np.ndarray = field(repr=False)  # (N,)
+    tree: tuple = field(repr=False)                  # LevelFrontier per depth
+    nodes: tuple = field(repr=False)                 # member indices per depth
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -371,54 +391,62 @@ class LevelSet:
         return (float(self.measures.min()), float(self.measures.max()))
 
 
-def _expand_arrays(m: SymbolicMeasure, n: int, word_budget: int,
-                   keep_filter=None) -> LevelSet:
-    """Shared materialization for level_set / restricted_level_set."""
-    A = m.alphabet.size
-    chunks: list = []       # (word block, measures, parent measures) per depth
-    active_words = np.zeros((1, 0), dtype=np.uint8)
-    active_meas = np.ones(1)
-    state = None  # per-active auxiliary state from keep_filter
-    for fr in iter_level_frontiers(m, n, word_budget):
-        child_words = np.concatenate(
-            [active_words[fr.parent_idx], fr.symbols[:, None].astype(np.uint8)], axis=1)
-        if keep_filter is None:
-            keep = None
-        else:
-            keep, state = keep_filter(fr, state)
-        emitted = fr.emit_mask if keep is None else (fr.emit_mask & keep)
-        if emitted.any():
-            chunks.append((child_words[emitted], fr.measures[emitted],
-                           np.repeat(active_meas, A)[emitted]))
-        active_words = child_words[fr.active_idx]
-        active_meas = fr.measures[fr.active_idx]
+def _select(tree: tuple, n: int, masks) -> LevelSet:
+    """The level set of the tree nodes picked by one boolean mask per depth.
 
-    total = sum(c[0].shape[0] for c in chunks)
-    max_len = max((c[0].shape[1] for c in chunks), default=0)
-    words = np.zeros((total, max_len), dtype=np.uint8)
-    lengths = np.zeros(total, dtype=np.int64)
+    Each member's word is read back up the tree: its symbol at this depth,
+    then its parent's among the previous depth's active nodes, and so on.
+    """
+    nodes = tuple(np.flatnonzero(mask) for mask in masks)
+    A = tree[0].symbols.size
+    lengths = np.concatenate([np.full(idx.size, fr.depth, dtype=np.int64)
+                              for fr, idx in zip(tree, nodes)])
+    words = np.zeros((lengths.size, int(lengths.max(initial=0))), dtype=np.uint8)
     at = 0
-    for block, _, _ in chunks:
-        words[at: at + block.shape[0], : block.shape[1]] = block
-        lengths[at: at + block.shape[0]] = block.shape[1]
-        at += block.shape[0]
-    meas = np.concatenate([c[1] for c in chunks]) if chunks else np.zeros(0)
-    parents = np.concatenate([c[2] for c in chunks]) if chunks else np.zeros(0)
-    for a in (words, lengths, meas, parents):
+    for k, idx in enumerate(nodes):
+        if not idx.size:
+            continue
+        rows = slice(at, at + idx.size)
+        at += idx.size
+        for j in range(k, -1, -1):
+            words[rows, j] = tree[j].symbols[idx]
+            if j:
+                idx = tree[j - 1].active_idx[idx // A]
+    meas = np.concatenate([fr.measures[idx] for fr, idx in zip(tree, nodes)])
+    parents = np.concatenate([par[idx] for par, idx in zip(_parent_measures(tree), nodes)])
+    for a in (words, lengths, meas, parents) + nodes:
         a.setflags(write=False)
     return LevelSet(n=n, word_matrix=words, lengths=lengths, measures=meas,
-                    parent_measures=parents)
+                    parent_measures=parents, tree=tree, nodes=nodes)
 
 
-def level_set(m: SymbolicMeasure, n: int,
-              word_budget: int = WORD_BUDGET_DEFAULT) -> LevelSet:
-    """Level set L_{m,n}: breadth-first expansion of the cylinder tree.
+def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT,
+              tree: tuple | None = None) -> LevelSet:
+    """Level set L_{m,n}: the words whose measure first drops to ``c**n`` or below.
 
-    A word is emitted exactly when its measure first drops to ``c**n`` or
-    below; its parent's measure is still above the threshold, so the defining
-    sandwich holds and the members are pairwise prefix-incomparable.
+    A word is a member exactly when its measure is at most ``c**n`` and its
+    parent's is above, so the defining sandwich holds and the members are
+    pairwise prefix-incomparable.  They are selected from ``tree``, which is
+    ``tuple(iter_level_frontiers(m, n_max, word_budget))`` for any
+    ``n_max >= n`` (every member's parent is active there); by default the
+    tree of ``(m, n)`` itself is built.
     """
-    return _expand_arrays(m, n, word_budget)
+    if tree is None:
+        tree = tuple(iter_level_frontiers(m, n, word_budget))
+    elif n < 1:
+        raise InputError("level index n must be >= 1")
+    threshold = slow_decay_constant(m) ** n
+    if any(np.any(fr.measures[fr.emit_mask] > threshold) for fr in tree):
+        raise InputError(f"the cylinder tree is too shallow for level {n}")
+    return _select(tree, n, ((fr.measures <= threshold) & (parents > threshold)
+                             for fr, parents in zip(tree, _parent_measures(tree))))
+
+
+def level_sets(m: SymbolicMeasure, n_values, word_budget: int = WORD_BUDGET_DEFAULT) -> list:
+    """``[level_set(m, n) for n in n_values]``, all selected from one tree built
+    for the deepest level, so they can be projected by one walk."""
+    tree = tuple(iter_level_frontiers(m, max(n_values), word_budget))
+    return [level_set(m, n, tree=tree) for n in n_values]
 
 
 def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
@@ -435,17 +463,18 @@ def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
     if C2 <= 0:
         raise InputError("C2 must be positive")
     h = entropy(m)
-
-    def keep_filter(fr: LevelFrontier, good_so_far):
+    tree = tuple(iter_level_frontiers(m, n, word_budget))
+    masks = []
+    good = np.ones(1, dtype=bool)  # every prefix so far obeys the bound, per active node
+    for fr in tree:
         k = fr.depth
         lo = np.exp(-k * (h + eps1)) / C2
         hi = C2 * np.exp(-k * (h - eps1))
-        good = (fr.measures >= lo) & (fr.measures <= hi)
-        if good_so_far is not None:
-            good &= good_so_far[fr.parent_idx]
-        return good, good[fr.active_idx]
-
-    return _expand_arrays(m, n, word_budget, keep_filter)
+        child_good = (np.repeat(good, m.alphabet.size) & (fr.measures >= lo)
+                      & (fr.measures <= hi))
+        masks.append(fr.emit_mask & child_good)
+        good = child_good[fr.active_idx]
+    return _select(tree, n, masks)
 
 
 def is_prefix_free(words) -> bool:

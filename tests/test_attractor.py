@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.attractor import (_AffineBatch, _required_depth, apply_map, bounding_ball,
-                            compose, iterate_maps, points_to_arrays, project,
-                            project_level, project_tail, write_points_csv,
-                            write_svg_scatter)
+from rifs.attractor import (_required_depth, bounding_ball, points_to_arrays, project,
+                            project_level, write_points_csv, write_svg_scatter)
 from rifs.cli import main
 from rifs.errors import BudgetError, InputError
 from rifs.experiments import preset
 from rifs.random_model import AffineSpec, MatrixFamily, Realization, SimilaritySpec
 from rifs.symbolic import BernoulliMeasure, TailSequence, level_set
+from test_projection_equivalence import (AffineBatch, apply_map, compose, iterate_maps,
+                                         project_tail)
 
 
 @pytest.fixture
@@ -157,7 +157,7 @@ def test_project_level_doubling_epsilon(line_family):
 
 def _full_depth(r, word, b, depth):
     """Coordinates of ``word . b_1 .. b_depth`` with every tail step taken."""
-    batch = _AffineBatch(r, 1)
+    batch = AffineBatch(r, 1)
     for s in word + b.first(depth):
         batch.step(s)
     return batch.coords()[0]
@@ -200,7 +200,8 @@ def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
 
     absorbed[0] = 0
     pts = project_level(r, L, tail, 1e-6)
-    assert absorbed[0] == L.lengths.sum() + sum(steps)
+    # one step per node of the cylinder tree (shared prefixes), then the tails
+    assert absorbed[0] == sum(fr.symbols.size for fr in L.tree) + sum(steps)
     for i, (w, K, k) in enumerate(zip(L.words, depths, steps)):
         full = _full_depth(r, w, tail, K)
         absorbed[0] = 0

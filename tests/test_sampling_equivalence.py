@@ -5,9 +5,10 @@ mask per distinct last symbol (``np.unique``), each group sampled through the
 single-symbol path.  Grouping symbols by equal distribution must give
 bitwise-equal matrices, log-determinants and scalars, and the base-matrix
 selector must pick the index ``searchsorted`` picked.  Likewise a
-determinant-window walk over a tree built once (``window_tree``) must equal
-the walk that streams the tree, field by field, for every seed and thread
-count.
+determinant-window walk over a tree built once
+(``tuple(iter_level_frontiers(...))``) and shared by threads must equal the
+walk that streams the tree (``ref_det_window_report``), field by field, for
+every seed and thread count.
 """
 
 import json
@@ -17,11 +18,12 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import det_window_report, window_tree
+from rifs.analysis import det_window_report
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                _pick_base)
-from rifs.symbolic import BernoulliMeasure, MarkovMeasure
+from rifs.symbolic import BernoulliMeasure, MarkovMeasure, iter_level_frontiers
+from test_projection_equivalence import ref_det_window_report
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +140,12 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads):
     pick, m, n = WINDOW_CASES[case]
     fam = pick(_families())
     eps1, C, N1 = 0.05, 1.5, 2
-    tree = tuple(window_tree(m, n))
+    tree = tuple(iter_level_frontiers(m, n))
     if case == "mixed_lengths_affine":
         assert sum(bool(fr.emit_mask.any()) for fr in tree) >= 2   # several word lengths
 
     def shared(j):
-        return det_window_report(Realization(j, fam), m, n, eps1, C, N1, frontiers=tree)
+        return det_window_report(Realization(j, fam), m, n, eps1, C, N1, tree=tree)
 
     # more threads than cores and a short switch interval interleave the walks
     interval = sys.getswitchinterval()
@@ -155,6 +157,6 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads):
     finally:
         sys.setswitchinterval(interval)
     for j, rep in enumerate(reports):
-        streamed = det_window_report(Realization(j, fam), m, n, eps1, C, N1)
+        streamed = ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1)
         assert _report_fields(rep) == _report_fields(streamed)
     assert [_report_fields(a) for a in again] == [_report_fields(b) for b in reports]

@@ -7,9 +7,10 @@
 The grid runs ``rifs.experiments.run`` in-process, with the package from
 ``<repo>/src`` and the benchmark workloads from ``<repo>/perfbench``:
 
-* every experiment kind on the four presets and on a mixed three-symbol
-  family (two symbols share a distribution, the third differs), at small
-  sizes, with ``--threads 1``; the seed-parallel kinds again with
+* every experiment kind on the four presets, on a mixed three-symbol
+  family (two symbols share a distribution, the third differs) and on a
+  planar family under a Markov measure with a two-symbol tail period, at
+  small sizes, with ``--threads 1``; the seed-parallel kinds again with
   ``--threads 2``, and ``detwindow`` with a single seed;
 * the six benchmark kinds of every workload at workload seeds 0 and 3.
 
@@ -38,6 +39,7 @@ SMALL = {
     "subcritical_contrast": dict(n=8, n_min=4, n_max=8, seeds=3,
                                  allow_subcritical=True),
     "mixed": dict(n=7, n_min=3, n_max=6, seeds=3),
+    "markov": dict(n=7, n_min=3, n_max=6, seeds=3),
 }
 THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
@@ -57,6 +59,16 @@ def _mixed_family_config(preset):
                    grid_lo=(-1.0,), grid_hi=(3.5,))
 
 
+def _markov_config(preset):
+    """example1_2d under a two-state Markov measure, with tail period (2, 1):
+    level sets mix word lengths and every word takes translation-bearing tail steps."""
+    from rifs import MarkovMeasure, TailSequence
+
+    return replace(preset("example1_2d"),
+                   measure=MarkovMeasure([4.0 / 7.0, 3.0 / 7.0], [[0.7, 0.3], [0.4, 0.6]]),
+                   tail=TailSequence((), (2, 1)), master_seed=11)
+
+
 def _grid():
     """[(run name, config, threads)] in a fixed order."""
     from rifs.experiments import EXPERIMENT_KINDS, ExperimentConfig, preset
@@ -64,7 +76,12 @@ def _grid():
 
     runs = []
     for name, sizes in SMALL.items():
-        base = _mixed_family_config(preset) if name == "mixed" else preset(name)
+        if name == "mixed":
+            base = _mixed_family_config(preset)
+        elif name == "markov":
+            base = _markov_config(preset)
+        else:
+            base = preset(name)
         base = ExperimentConfig.from_dict(json.loads(json.dumps(base.to_dict())))
         for kind in EXPERIMENT_KINDS:
             cfg = replace(base, kind=kind, mc_samples=20_000, **sizes)
