@@ -237,6 +237,8 @@ def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
         regime = getattr(g, "regime", "divergent")
     if levels is None:
         levels = level_sets(m, n_values, word_budget)
+    elif [L.n for L in levels] != n_values:
+        raise InputError("level sets do not match the level indices")
 
     gauged = []   # (level position, ball radii) where g(n) > 0
     for k, (n, L) in enumerate(zip(n_values, levels)):
@@ -306,15 +308,12 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
                                grid: CoverageGrid, diam_scale: float = 1.0,
                                b: TailSequence | None = None,
                                word_budget: int = WORD_BUDGET_DEFAULT,
-                               map_budget: int = MAP_BUDGET_DEFAULT,
-                               levels=None) -> AttractorMeasureReport:
+                               map_budget: int = MAP_BUDGET_DEFAULT) -> AttractorMeasureReport:
     """Fatten level-n projections by diam_scale * c_m^(n/d) and measure the union.
 
     The sequence stabilizes toward the attractor's measure when it is
     positive and keeps decaying in the measure-zero regime; the last-3-level
     relative change quantifies which is happening at the computed depth.
-    ``levels`` are the level sets of the sorted ``n_values`` from
-    ``level_sets``; built here when omitted.
     """
     if diam_scale <= 0.0:
         raise InputError("diam_scale must be positive")
@@ -327,8 +326,7 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
         b = TailSequence.constant(1)
     c = slow_decay_constant(m)
     d = r.family.dimension
-    if levels is None:
-        levels = level_sets(m, n_values, word_budget)
+    levels = level_sets(m, n_values, word_budget)
 
     deltas = [diam_scale * c ** (n / d) for n in n_values]
     clouds = project_levels(r, levels, b, [delta / 8.0 for delta in deltas], map_budget)

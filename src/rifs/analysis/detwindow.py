@@ -20,7 +20,7 @@ empirical decay rate.
 The cylinder tree itself does not depend on the seed: a run over many seeds
 builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the same
 tree that level sets are selected from, and walks it once per seed (the
-``tree`` argument of :func:`det_window_report`).
+``tree`` argument of :func:`det_window_report`); a lone walk streams it.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
     Walks the cylinder tree of ``(m, n)`` once, carrying per-node chain
     states and cumulative log-determinants.  ``tree`` is
     ``tuple(iter_level_frontiers(m, n, word_budget))``, built once per run
-    and shared (read only) by the walks of every seed; it is built here
-    when omitted.
+    and shared (read only) by the walks of every seed; when omitted, the
+    tree is streamed one depth at a time.
     """
     if eps1 <= 0.0:
         raise InputError("eps1 must be positive")
@@ -106,7 +106,7 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
     if m.alphabet.size != r.family.alphabet.size:
         raise InputError("measure and family alphabets disagree")
     if tree is None:
-        tree = tuple(iter_level_frontiers(m, n, word_budget))
+        tree = iter_level_frontiers(m, n, word_budget)
 
     lam = lyapunov_exponent(r.family, m)
     log_c = math.log(C)

@@ -341,6 +341,8 @@ def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
     d = family.dimension
     if levels is None:
         levels = level_sets(m, n_values, word_budget)
+    elif [L.n for L in levels] != n_values:
+        raise InputError("level sets do not match the level indices")
     scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
     clouds = project_levels(Realization(seed, family), levels, b,
                             [float(radii.min()) / 8.0 for radii in scales], map_budget)

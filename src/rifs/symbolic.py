@@ -396,24 +396,27 @@ def _select(tree: tuple, n: int, masks) -> LevelSet:
 
     Each member's word is read back up the tree: its symbol at this depth,
     then its parent's among the previous depth's active nodes, and so on.
+    A member's parent measure is read one step up.
     """
     nodes = tuple(np.flatnonzero(mask) for mask in masks)
     A = tree[0].symbols.size
     lengths = np.concatenate([np.full(idx.size, fr.depth, dtype=np.int64)
                               for fr, idx in zip(tree, nodes)])
     words = np.zeros((lengths.size, int(lengths.max(initial=0))), dtype=np.uint8)
+    parents = np.ones(lengths.size)   # the root's mass, for depth-1 members
     at = 0
     for k, idx in enumerate(nodes):
         if not idx.size:
             continue
         rows = slice(at, at + idx.size)
         at += idx.size
+        if k:
+            parents[rows] = tree[k - 1].measures[tree[k - 1].active_idx[idx // A]]
         for j in range(k, -1, -1):
             words[rows, j] = tree[j].symbols[idx]
             if j:
                 idx = tree[j - 1].active_idx[idx // A]
     meas = np.concatenate([fr.measures[idx] for fr, idx in zip(tree, nodes)])
-    parents = np.concatenate([par[idx] for par, idx in zip(_parent_measures(tree), nodes)])
     for a in (words, lengths, meas, parents) + nodes:
         a.setflags(write=False)
     return LevelSet(n=n, word_matrix=words, lengths=lengths, measures=meas,

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import CoverageGrid, coverage_estimate
+from rifs.analysis import CoverageGrid, coverage_estimate, density_sweep
 from rifs.analysis.detwindow import DetWindowReport
 from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project_level,
                             project_levels)
@@ -305,6 +305,19 @@ def test_projection_needs_one_tree():
     with pytest.raises(InputError, match="one cylinder tree"):
         project_levels(r, [level_set(m, 3), level_set(m, 4)], TailSequence.constant(1),
                        [1e-3, 1e-3])
+
+
+def test_estimates_reject_level_sets_of_other_levels():
+    m = BernoulliMeasure([0.7, 0.3])
+    tail = TailSequence.constant(1)
+    levels = level_sets(m, [3, 4, 5])
+    grid = CoverageGrid(np.array([-2.0]), np.array([2.0]), 2.0 ** -6)
+    r = Realization(0, _LINE)
+    for n_values in ([3, 4], [3, 5, 4], [4, 5, 6]):
+        with pytest.raises(InputError, match="do not match"):
+            coverage_estimate(r, m, tail, Gauge("one_over_n"), n_values, grid, levels=levels)
+        with pytest.raises(InputError, match="do not match"):
+            density_sweep(_LINE, m, tail, [0.5], [1.0], n_values, 0, levels=levels)
 
 
 class CountingRealization(Realization):

@@ -159,4 +159,7 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads):
     for j, rep in enumerate(reports):
         streamed = ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1)
         assert _report_fields(rep) == _report_fields(streamed)
+    # without a tree, the walk streams its own, one depth at a time
+    lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
+    assert _report_fields(lone) == _report_fields(reports[0])
     assert [_report_fields(a) for a in again] == [_report_fields(b) for b in reports]
