@@ -12,14 +12,15 @@ interval ends are found exactly, and the union of all intervals is merged and
 marked without a per-ball loop or any grid-sized integer array.
 
 The level-n union fattens each level-set projection by
-``(m([a]) g(n))**(1/d)``; all levels of one estimate are selected from one
-cylinder tree and projected by one walk of it (``project_levels``).  The
-limsup target set has no finite surrogate; as a proxy,
-``running_intersection_measure[N]`` reports the measure of
-cells covered at some level n >= N within the computed range, equivalently
-the measure of cells covered in at least one level of every window starting
-at M <= N, minimized over M.  It is nonincreasing in N: divergent gauges
-keep the tail fat, summable gauges let it collapse.
+``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
+input: they are selected once per run from one cylinder tree, and each seed
+projects them by one walk of it (``project_levels``).  The limsup target set
+has no finite surrogate; as a proxy, ``running_intersection_measure[N]``
+reports the measure of cells covered at some level n >= N within the
+computed range, equivalently the measure of cells covered in at least one
+level of every window starting at M <= N, minimized over M.  It is
+nonincreasing in N: divergent gauges keep the tail fat, summable gauges let
+it collapse.
 
 The box defaults to the conservative a-priori bounding ball but may be any
 box; balls that stick out are clipped (estimates then undershoot) with a
@@ -213,51 +214,50 @@ class CoverageReport:
     running_intersection_measure: dict   # N -> tail union measure over n >= N
 
 
-def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
-                      g, n_values, grid: CoverageGrid,
-                      word_budget: int = WORD_BUDGET_DEFAULT,
-                      map_budget: int = MAP_BUDGET_DEFAULT,
-                      regime: str | None = None, levels=None) -> CoverageReport:
+def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: CoverageGrid,
+                      map_budget: int = MAP_BUDGET_DEFAULT) -> CoverageReport:
     """Rasterize the level-n ball unions with radii (m([a]) g(n))^(1/d).
 
-    ``g`` is called with each level index; projections are resolved until
-    every enclosure is at most an eighth of the smallest positive ball
-    radius at its level, keeping outer and inner estimates honest.
-    ``levels`` are ``level_sets(m, n_values, word_budget)``, built once per
-    run and shared by the estimates of every seed; built here when omitted.
+    ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
+    one cylinder tree and shared by the estimates of every seed; each level
+    index is its set's ``n``.  ``g`` is called with each level index and
+    names the regime (``g.regime``, divergent when it has none); projections
+    are resolved until every enclosure is at most an eighth of the smallest
+    positive ball radius at its level, keeping outer and inner estimates
+    honest.
     """
     if grid.dimension != r.family.dimension:
         raise InputError("grid dimension does not match the family")
-    n_values = [int(n) for n in n_values]
-    if not n_values:
-        raise InputError("coverage needs at least one level index")
+    if not levels:
+        raise InputError("coverage needs at least one level set")
     d = r.family.dimension
     sqrt_d = math.sqrt(d)
-    if regime is None:
-        regime = getattr(g, "regime", "divergent")
-    if levels is None:
-        levels = level_sets(m, n_values, word_budget)
-    elif [L.n for L in levels] != n_values:
-        raise InputError("level sets do not match the level indices")
 
     gauged = []   # (level position, ball radii) where g(n) > 0
-    for k, (n, L) in enumerate(zip(n_values, levels)):
-        gn = float(g(n))
+    for k, L in enumerate(levels):
+        gn = float(g(L.n))
         if gn < 0.0:
-            raise InputError(f"gauge function must be nonnegative, g({n}) = {gn}")
+            raise InputError(f"gauge function must be nonnegative, g({L.n}) = {gn}")
         if gn > 0.0:
-            gauged.append((k, (L.measures * gn) ** (1.0 / d)))
+            rad = (L.measures * gn) ** (1.0 / d)
+            if not np.any(rad > 0.0):
+                raise InputError(f"every level-{L.n} ball radius underflows to 0 "
+                                 f"with g({L.n}) = {gn}")
+            gauged.append((k, rad))
     clouds = project_levels(r, [levels[k] for k, _ in gauged], b,
                             [float(rad[rad > 0.0].min()) / 8.0 for _, rad in gauged],
                             map_budget)
     balls = {k: (rad, pts) for (k, rad), pts in zip(gauged, clouds)}
 
-    outer_masks = {}
     per_outer = {}
     per_inner = {}
+    running = {}
+    tail = grid.new_mask()   # the union of the outer masks of the levels done so far
     warned_coarse = False
     warned_clip = False
-    for k, n in enumerate(n_values):
+    # deepest level first, so one running mask holds the tail union over n >= N
+    for k in sorted(range(len(levels)), key=lambda k: levels[k].n, reverse=True):
+        n = levels[k].n
         mask = grid.new_mask()
         inner_mask = grid.new_mask()
         if k in balls:
@@ -275,21 +275,16 @@ def coverage_estimate(r: Realization, m: SymbolicMeasure, b: TailSequence,
                     "some balls extend beyond the grid box and were clipped; "
                     "estimates undershoot the true union", stacklevel=2)
                 warned_clip = True
-        outer_masks[n] = mask
         per_outer[n] = grid.measure(mask)
         per_inner[n] = grid.measure(inner_mask)
         if per_inner[n] > per_outer[n]:
             raise InvariantError(
                 f"inner estimate {per_inner[n]} above outer {per_outer[n]} at level {n}")
-
-    running = {}
-    tail = grid.new_mask()
-    for n in sorted(n_values, reverse=True):
-        tail |= outer_masks[n]
+        tail |= mask
         running[n] = grid.measure(tail)
 
-    return CoverageReport(grid=grid, regime=regime, per_level_outer=per_outer,
-                          per_level_inner=per_inner,
+    return CoverageReport(grid=grid, regime=getattr(g, "regime", "divergent"),
+                          per_level_outer=per_outer, per_level_inner=per_inner,
                           running_intersection_measure=running)
 
 

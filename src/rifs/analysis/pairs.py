@@ -22,6 +22,10 @@ lower bound for the packing number at the same radius and an upper bound for
 it at twice the radius.  The cell keys are computed in one vectorized pass;
 the inherently sequential scan then runs on plain Python floats and ints,
 comparing ``sum((y_k - x_k)**2)`` summed left to right against ``radius**2``.
+
+The density sweep reads one realization and the run's level sets, selected
+once from one cylinder tree; the transversality fit builds its one level
+set itself.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from ..attractor import (MAP_BUDGET_DEFAULT, points_to_arrays, project_level,
                          project_levels)
 from ..errors import InputError, InvariantError
 from ..random_model import MatrixFamily, Realization
-from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set,
-                        level_sets)
+from ..symbolic import SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set
 from .detwindow import fit_line
 from .runs import blocks, ranges
 
@@ -317,36 +320,31 @@ def upper_density(members) -> float:
     return float(max(vals[i:].mean() for i in range(vals.size)))
 
 
-def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
-                  c_list, s_list, n_range, seed: int,
-                  word_budget: int = WORD_BUDGET_DEFAULT,
-                  map_budget: int = MAP_BUDGET_DEFAULT, levels=None) -> tuple:
+def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
+                  map_budget: int = MAP_BUDGET_DEFAULT) -> tuple:
     """Membership indicators per (c, s) across levels, with upper densities.
 
     Returns (reports, best report).  The greedy separated count stands in for
     the packing number (a certified lower bound, evaluated at the scale
     inflated by the point enclosures), so membership claims are conservative.
-    ``levels`` are ``level_sets(m, n_range, word_budget)``, built once per
-    run and shared by the sweeps of every seed; built here when omitted.
-    All levels are projected by one walk of their cylinder tree.
+    ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
+    one cylinder tree and shared by the sweeps of every seed; each level
+    index is its set's ``n``.  All levels are projected by one walk of that
+    tree.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
-    n_values = [int(n) for n in n_range]
-    if not n_values or not c_vals or not s_vals:
+    if not levels or not c_vals or not s_vals:
         raise InputError("density sweep needs nonempty c, s, and level ranges")
     if any(c < 0.0 for c in c_vals) or any(s <= 0.0 for s in s_vals):
         raise InputError("need c >= 0 and s > 0")
 
-    d = family.dimension
-    if levels is None:
-        levels = level_sets(m, n_values, word_budget)
-    elif [L.n for L in levels] != n_values:
-        raise InputError("level sets do not match the level indices")
+    d = r.family.dimension
+    n_values = tuple(L.n for L in levels)
     scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
-    clouds = project_levels(Realization(seed, family), levels, b,
-                            [float(radii.min()) / 8.0 for radii in scales], map_budget)
-    ratios = np.zeros((len(n_values), len(s_vals)))
+    clouds = project_levels(r, levels, b, [float(radii.min()) / 8.0 for radii in scales],
+                            map_budget)
+    ratios = np.zeros((len(levels), len(s_vals)))
     for i, (radii, pts) in enumerate(zip(scales, clouds)):
         size = len(pts)
         slack = 2.0 * float(pts.radii.max())
@@ -359,7 +357,7 @@ def density_sweep(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
         for c in c_vals:
             members = tuple(bool(x) for x in ratios[:, k] > c)
             reports.append(DensityReport(
-                c=c, s=s, seed=int(seed), n_values=tuple(n_values),
+                c=c, s=s, seed=r.seed, n_values=n_values,
                 ratios=tuple(float(x) for x in ratios[:, k]), members=members,
                 upper_density=upper_density(members)))
     best = max(reports, key=lambda rep: rep.upper_density)

@@ -555,8 +555,7 @@ def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
     def one(j: int):
         r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-        return coverage_estimate(r, cfg.measure, cfg.tail, cfg.gauge, levels,
-                                 grid, cfg.word_budget, cfg.map_budget, levels=sets)
+        return coverage_estimate(r, sets, cfg.tail, cfg.gauge, grid, cfg.map_budget)
 
     reports = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
@@ -596,19 +595,16 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
 
 def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
-    levels = list(range(cfg.n_min, cfg.n_max + 1))
-    sets = level_sets(cfg.measure, levels, cfg.word_budget)
+    sets = level_sets(cfg.measure, range(cfg.n_min, cfg.n_max + 1), cfg.word_budget)
 
     def one(j: int):
-        seed = keyed.derive_seed(cfg.master_seed, j)
-        return seed, density_sweep(cfg.family, cfg.measure, cfg.tail,
-                                   cfg.c_list, cfg.s_list, levels, seed,
-                                   cfg.word_budget, cfg.map_budget, levels=sets)
+        r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
+        return density_sweep(r, sets, cfg.tail, cfg.c_list, cfg.s_list, cfg.map_budget)
 
     results = keyed.map_seeds(one, cfg.seeds, threads)
     rows = []
     summary = []
-    for j, (seed, (reports, best)) in enumerate(results):
+    for j, (reports, best) in enumerate(results):
         for rep in reports:
             for n, ratio, member in zip(rep.n_values, rep.ratios, rep.members):
                 rows.append([j, rep.c, rep.s, n, ratio, member])

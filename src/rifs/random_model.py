@@ -323,19 +323,13 @@ def _mean_log_scalar(spec) -> float:
     return ((b * np.log(b) - b) - (a * np.log(a) - a)) / (b - a)
 
 
-def lyapunov_prime(family: MatrixFamily, symbol: int,
-                   method: str = "analytic",
-                   n_samples: int = 100_000, seed: int = 0) -> float:
+def lyapunov_prime(family: MatrixFamily, symbol: int) -> float:
     """Expected -log|det A| for one step with the given last symbol."""
     spec = family.symbols[symbol - 1]
-    if method == "analytic":
-        val = -family.dimension * _mean_log_scalar(spec)
-        if isinstance(spec, AffineSpec):
-            val -= float(np.dot(spec.weights, spec.base_log_abs_det))
-        return float(val)
-    if method == "monte_carlo":
-        return mc_lyapunov_prime(family, symbol, n_samples, seed)[0]
-    raise InputError(f"unknown method {method!r}")
+    val = -family.dimension * _mean_log_scalar(spec)
+    if isinstance(spec, AffineSpec):
+        val -= float(np.dot(spec.weights, spec.base_log_abs_det))
+    return float(val)
 
 
 def mc_lyapunov_prime(family: MatrixFamily, symbol: int,
@@ -356,40 +350,37 @@ def _mc_log_dets(family: MatrixFamily, symbol: int, n_samples: int, seed: int) -
     return out
 
 
-def lyapunov_exponent(family: MatrixFamily, m: SymbolicMeasure,
-                      method: str = "analytic",
-                      n_samples: int = 100_000, seed: int = 0) -> float:
+def lyapunov_exponent(family: MatrixFamily, m: SymbolicMeasure) -> float:
     """One-symbol-mass weighted average of lyapunov_prime over the alphabet."""
     if m.alphabet.size != family.alphabet.size:
         raise InputError(
             f"alphabet mismatch: measure has {m.alphabet.size} symbols, "
             f"family has {family.alphabet.size}")
     probs = np.asarray(m.first_symbol_probs())
-    vals = [lyapunov_prime(family, i, method, n_samples, seed)
-            for i in family.alphabet.symbols]
+    vals = [lyapunov_prime(family, i) for i in family.alphabet.symbols]
     return float(np.dot(probs, vals))
 
 
-def cramer_moment(family: MatrixFamily, symbol: int, s: float,
-                  method: str = "analytic",
-                  n_samples: int = 100_000, seed: int = 0) -> float:
+def _check_moment_order(family: MatrixFamily, s: float) -> None:
+    """InputError where the log-moment diverges, for the exact and the sampled value."""
+    d = family.dimension
+    if s <= -1.0 / d:
+        raise InputError(
+            f"cramer_moment diverges for s <= -1/d = {-1.0 / d}; got s = {s}")
+
+
+def cramer_moment(family: MatrixFamily, symbol: int, s: float) -> float:
     """log integral of |det A|^s for one step (the log-moment function).
 
     The scalar factor contributes ``log E[lam^(d s)]``, which diverges at
     ``d s <= -1`` for both family kinds; base matrices add a finite
     log-sum-exp term.  Exactly 0 at s = 0.
     """
-    d = family.dimension
-    spec = family.symbols[symbol - 1]
-    if s <= -1.0 / d:
-        raise InputError(
-            f"cramer_moment diverges for s <= -1/d = {-1.0 / d}; got s = {s}")
-    if method == "monte_carlo":
-        return mc_cramer_moment(family, symbol, s, n_samples, seed)[0]
-    if method != "analytic":
-        raise InputError(f"unknown method {method!r}")
+    _check_moment_order(family, s)
     if s == 0.0:
         return 0.0
+    d = family.dimension
+    spec = family.symbols[symbol - 1]
     a, b = spec.r_minus, spec.r_plus
     q = d * s + 1.0
     val = np.log(b ** q - a ** q) - np.log((b - a) * q)
@@ -403,6 +394,7 @@ def cramer_moment(family: MatrixFamily, symbol: int, s: float,
 def mc_cramer_moment(family: MatrixFamily, symbol: int, s: float,
                      n_samples: int, seed: int) -> tuple:
     """Monte Carlo log-moment with a delta-method standard error."""
+    _check_moment_order(family, s)
     x = np.exp(s * _mc_log_dets(family, symbol, n_samples, seed))
     mean = x.mean()
     se = x.std(ddof=1) / np.sqrt(n_samples)
@@ -445,11 +437,9 @@ def moment_report(family: MatrixFamily, m: SymbolicMeasure,
         count = n_samples
     else:
         raise InputError(f"unknown method {method!r}")
-    cramer = {
-        float(s): np.array([cramer_moment(family, i, s, method, n_samples, seed)
-                            for i in syms])
-        for s in s_values
-    }
+    moment = (cramer_moment if method == "analytic" else
+              lambda fam, i, s: mc_cramer_moment(fam, i, s, n_samples, seed)[0])
+    cramer = {float(s): np.array([moment(family, i, s) for i in syms]) for s in s_values}
     lam = float(np.dot(np.asarray(m.first_symbol_probs()), lp))
     return MomentReport(lyapunov_prime=lp, lyapunov=lam, cramer_values=cramer,
                         method=method, sample_count=count, stderr=stderr)

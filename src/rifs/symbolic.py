@@ -15,9 +15,10 @@ and its cardinality grows like ``c**-n``.  Every level is a cut of one
 cylinder tree: :func:`iter_level_frontiers` expands it breadth-first, one
 vectorized depth at a time, with symbols in ascending order (a canonical,
 reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
-holds every level ``n <= n_max`` as a selection of its nodes.  Level sets,
-determinant windows and projections all read that one tree, the latter two
-carrying their own per-node state.
+holds every level ``n <= n_max`` as a selection of its nodes.  Level sets and
+restricted level sets are selected by one downward walk of it that carries a
+flag per active node; determinant windows and projections read the same tree
+with their own per-node state.
 
 Natural logarithms throughout.
 """
@@ -339,15 +340,6 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
         active_last = symbols[active_idx]
 
 
-def _parent_measures(tree: tuple) -> Iterator[np.ndarray]:
-    """Per depth of ``tree``, the mass of every child's parent."""
-    A = tree[0].symbols.size   # the root's children
-    parents = np.ones(1)
-    for fr in tree:
-        yield np.repeat(parents, A)
-        parents = fr.measures[fr.active_idx]
-
-
 @dataclass(frozen=True)
 class LevelSet:
     """Prefix-free word family whose cylinder measure first drops to c**n.
@@ -389,6 +381,25 @@ class LevelSet:
     @property
     def measure_bounds(self) -> tuple:
         return (float(self.measures.min()), float(self.measures.max()))
+
+
+def _cut(tree: tuple, n: int, threshold: float, bound=None) -> Iterator[np.ndarray]:
+    """The member mask of every depth of ``tree``, from one walk down it.
+
+    A flag per active node marks a prefix still above ``threshold`` that
+    passes ``bound(depth, measures)``, if given; a flagged node's child is a
+    member when its measure is at most ``threshold`` and it passes the bound.
+    """
+    flag = np.ones(1, dtype=bool)   # the root
+    for fr in tree:
+        above = fr.measures > threshold
+        if np.any(fr.emit_mask & above):
+            raise InputError(f"the cylinder tree is too shallow for level {n}")
+        ok = np.repeat(flag, tree[0].symbols.size)
+        if bound is not None:
+            ok &= bound(fr.depth, fr.measures)
+        yield ok & ~above
+        flag = (ok & above)[fr.active_idx]
 
 
 def _select(tree: tuple, n: int, masks) -> LevelSet:
@@ -438,11 +449,7 @@ def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT
         tree = tuple(iter_level_frontiers(m, n, word_budget))
     elif n < 1:
         raise InputError("level index n must be >= 1")
-    threshold = slow_decay_constant(m) ** n
-    if any(np.any(fr.measures[fr.emit_mask] > threshold) for fr in tree):
-        raise InputError(f"the cylinder tree is too shallow for level {n}")
-    return _select(tree, n, ((fr.measures <= threshold) & (parents > threshold)
-                             for fr, parents in zip(tree, _parent_measures(tree))))
+    return _select(tree, n, _cut(tree, n, slow_decay_constant(m) ** n))
 
 
 def level_sets(m: SymbolicMeasure, n_values, word_budget: int = WORD_BUDGET_DEFAULT) -> list:
@@ -466,18 +473,11 @@ def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
     if C2 <= 0:
         raise InputError("C2 must be positive")
     h = entropy(m)
+
+    def bound(k, meas):   # the entropy-decay bound on a depth-k prefix
+        return (meas >= np.exp(-k * (h + eps1)) / C2) & (meas <= C2 * np.exp(-k * (h - eps1)))
     tree = tuple(iter_level_frontiers(m, n, word_budget))
-    masks = []
-    good = np.ones(1, dtype=bool)  # every prefix so far obeys the bound, per active node
-    for fr in tree:
-        k = fr.depth
-        lo = np.exp(-k * (h + eps1)) / C2
-        hi = C2 * np.exp(-k * (h - eps1))
-        child_good = (np.repeat(good, m.alphabet.size) & (fr.measures >= lo)
-                      & (fr.measures <= hi))
-        masks.append(fr.emit_mask & child_good)
-        good = child_good[fr.active_idx]
-    return _select(tree, n, masks)
+    return _select(tree, n, _cut(tree, n, slow_decay_constant(m) ** n, bound))
 
 
 def is_prefix_free(words) -> bool:

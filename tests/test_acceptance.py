@@ -24,7 +24,7 @@ from rifs.experiments import EXPERIMENT_KINDS, Gauge, preset, run
 from rifs.random_model import (Realization, cramer_moment, lyapunov_prime,
                                mc_lyapunov_prime)
 from rifs.symbolic import (BernoulliMeasure, TailSequence, is_prefix_free,
-                           level_set, slow_decay_constant)
+                           level_set, level_sets, slow_decay_constant)
 
 from test_analysis import brute_ordered_pairs, exact_packing_number
 
@@ -186,18 +186,18 @@ def test_criterion_08_coverage_dichotomy():
     grid = cfg.grid()
     vol = grid.box_volume
     levels = list(range(6, 15))
+    sets = level_sets(cfg.measure, levels)   # seed-independent: selected once
     div_pass = 0
     conv_pass = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for j in range(50):
             r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-            rep = coverage_estimate(r, cfg.measure, cfg.tail, Gauge("one_over_n"),
-                                    levels, grid)
+            rep = coverage_estimate(r, sets, cfg.tail, Gauge("one_over_n"), grid)
             if all(rep.per_level_outer[n] >= 0.05 * vol for n in levels):
                 div_pass += 1
-            rep2 = coverage_estimate(r, cfg.measure, cfg.tail,
-                                     Gauge("geometric", q=0.5), levels, grid)
+            rep2 = coverage_estimate(r, sets, cfg.tail,
+                                     Gauge("geometric", q=0.5), grid)
             if rep2.per_level_outer[14] < 0.10 * rep2.per_level_outer[6]:
                 conv_pass += 1
     ok = div_pass >= 35 and conv_pass >= 45

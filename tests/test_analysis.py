@@ -16,7 +16,7 @@ from rifs.errors import InputError
 from rifs.experiments import Gauge, preset
 from rifs.random_model import MatrixFamily, Realization, SimilaritySpec
 from rifs.symbolic import (BernoulliMeasure, TailSequence, cylinder_measure,
-                           level_set)
+                           level_set, level_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +326,19 @@ def test_fit_line_basics():
 def test_density_trivial_thresholds(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     b = TailSequence.constant(1)
-    (rep0,), _ = density_sweep(line_family, m, b, c_list=[0.0], s_list=[0.25],
-                               n_range=range(3, 7), seed=1)
+    r = Realization(1, line_family)
+    levels = level_sets(m, range(3, 7))
+    (rep0,), _ = density_sweep(r, levels, b, c_list=[0.0], s_list=[0.25])
     assert rep0.upper_density == 1.0
-    (rep1,), _ = density_sweep(line_family, m, b, c_list=[1.0], s_list=[0.25],
-                               n_range=range(3, 7), seed=1)
+    (rep1,), _ = density_sweep(r, levels, b, c_list=[1.0], s_list=[0.25])
     assert rep1.upper_density == 0.0
 
 
 def test_density_sweep_best(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     b = TailSequence.constant(1)
-    reports, best = density_sweep(line_family, m, b, c_list=[0.3, 0.9],
-                                  s_list=[0.25, 1.0], n_range=range(4, 9), seed=3)
+    reports, best = density_sweep(Realization(3, line_family), level_sets(m, range(4, 9)),
+                                  b, c_list=[0.3, 0.9], s_list=[0.25, 1.0])
     assert len(reports) == 4
     assert best.upper_density == max(r.upper_density for r in reports)
 
@@ -347,8 +347,9 @@ def test_density_preset_scale(line_family):
     # supercritical line family keeps most levels separated at small scales
     m = BernoulliMeasure([0.5, 0.5])
     b = TailSequence.constant(1)
-    dens = [density_sweep(line_family, m, b, c_list=[0.5], s_list=[0.25],
-                          n_range=range(6, 13), seed=seed)[1].upper_density
+    levels = level_sets(m, range(6, 13))
+    dens = [density_sweep(Realization(seed, line_family), levels, b, c_list=[0.5],
+                          s_list=[0.25])[1].upper_density
             for seed in range(10)]
     assert sorted(dens)[len(dens) // 2] >= 0.8  # median of 10 seeds
 
@@ -446,9 +447,8 @@ def _toy_coverage(h, levels=(4, 5, 6), seed=2):
     m = BernoulliMeasure([0.5, 0.5])
     grid = CoverageGrid(np.array([-1.6]), np.array([1.6]), h)
     r = Realization(seed, fam)
-    return coverage_estimate(r, m, TailSequence.constant(1),
-                             Gauge("table", values=[4.0] * 12, regime="divergent"),
-                             list(levels), grid)
+    return coverage_estimate(r, level_sets(m, levels), TailSequence.constant(1),
+                             Gauge("table", values=[4.0] * 12, regime="divergent"), grid)
 
 
 def test_coverage_sandwich_and_refinement():
@@ -472,9 +472,9 @@ def test_coverage_dyadic_union_is_unit_interval():
 def test_coverage_zero_gauge_gives_zero(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     grid = CoverageGrid(np.array([-5.0]), np.array([5.0]), 2.0 ** -8)
-    rep = coverage_estimate(Realization(1, line_family), m, TailSequence.constant(1),
-                            Gauge("table", values=[0.0] * 8, regime="convergent"),
-                            [3, 4], grid)
+    rep = coverage_estimate(Realization(1, line_family), level_sets(m, [3, 4]),
+                            TailSequence.constant(1),
+                            Gauge("table", values=[0.0] * 8, regime="convergent"), grid)
     assert rep.per_level_outer[3] == 0.0
     assert rep.per_level_outer[4] == 0.0
 
@@ -484,9 +484,8 @@ def test_coverage_tail_union_nonincreasing(line_family):
     grid = CoverageGrid(np.array([-0.35]), np.array([2.05]), 2.0 ** -10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = coverage_estimate(Realization(4, line_family), m,
-                                TailSequence.constant(1), Gauge("one_over_n"),
-                                range(4, 10), grid)
+        rep = coverage_estimate(Realization(4, line_family), level_sets(m, range(4, 10)),
+                                TailSequence.constant(1), Gauge("one_over_n"), grid)
     vals = [rep.running_intersection_measure[n] for n in range(4, 10)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert rep.running_intersection_measure[9] == pytest.approx(
@@ -498,17 +497,16 @@ def test_coverage_clip_warning(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     tiny = CoverageGrid(np.array([0.2]), np.array([0.6]), 2.0 ** -10)
     with pytest.warns(UserWarning, match="clipped"):
-        coverage_estimate(Realization(1, line_family), m, TailSequence.constant(1),
-                          Gauge("one_over_n"), [4], tiny)
+        coverage_estimate(Realization(1, line_family), level_sets(m, [4]),
+                          TailSequence.constant(1), Gauge("one_over_n"), tiny)
 
 
 def test_coverage_inner_zero_warning(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     grid = CoverageGrid(np.array([-5.0]), np.array([5.0]), 2.0 ** -6)
     with pytest.warns(UserWarning, match="coarse"):
-        rep = coverage_estimate(Realization(1, line_family), m,
-                                TailSequence.constant(1),
-                                Gauge("geometric", q=0.5), [8], grid)
+        rep = coverage_estimate(Realization(1, line_family), level_sets(m, [8]),
+                                TailSequence.constant(1), Gauge("geometric", q=0.5), grid)
     assert rep.per_level_inner[8] == 0.0
 
 

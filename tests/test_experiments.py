@@ -330,6 +330,19 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["levelset", "--config", cfg, "--out", str(tmp_path / "o4")]) == 4
 
 
+def test_cli_gauge_underflowing_every_radius_exits_2(tmp_path, capsys):
+    main(["preset", "baby_theorem", "--out", str(tmp_path)])
+    raw = json.loads((tmp_path / "baby_theorem.json").read_text())
+    raw.update(n_min=4, n_max=6, seeds=1,
+               g={"kind": "table", "regime": "convergent", "values": [5e-324] * 10})
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "level-4" in err and "g(4) = 5e-324" in err
+
+
 _TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2
 _BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
 

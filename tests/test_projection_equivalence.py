@@ -3,7 +3,9 @@
 The reference oracles below are the earlier implementations: word-by-word
 compositions (``compose``, ``apply_map``, ``iterate_maps``,
 ``project_tail``), the breadth-first level-set materialization that carried
-every active word along, the per-word projection that recomposed every
+every active word along, the level-set selection that read parent masses in
+a pass of its own, the restricted level set walking its own tree with its
+own bound flags, the per-word projection that recomposed every
 prefix of every word one word-matrix column at a time (``AffineBatch``), and
 the determinant-window walk streaming the tree one depth at a time.
 
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import CoverageGrid, coverage_estimate, density_sweep
+from rifs.analysis import CoverageGrid, coverage_estimate
 from rifs.analysis.detwindow import DetWindowReport
 from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project_level,
                             project_levels)
@@ -29,8 +31,9 @@ from rifs.errors import InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                lyapunov_exponent)
-from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence,
-                           iter_level_frontiers, level_set, level_sets, validate_word)
+from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, _select, entropy,
+                           iter_level_frontiers, level_set, level_sets,
+                           restricted_level_set, slow_decay_constant, validate_word)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,36 @@ def ref_level_set(m, n):
             np.concatenate([c[2] for c in chunks]))
 
 
+def ref_level_set_masks(m, n, tree):
+    """Member masks of ``level_set``: measure at most c**n, parent's above it,
+    the parent masses read in a pass of their own."""
+    threshold = slow_decay_constant(m) ** n
+    parents = np.ones(1)
+    masks = []
+    for fr in tree:
+        masks.append((fr.measures <= threshold)
+                     & (np.repeat(parents, m.alphabet.size) > threshold))
+        parents = fr.measures[fr.active_idx]
+    return masks
+
+
+def ref_restricted_level_set(m, n, eps1, C2):
+    """``restricted_level_set`` walking its own tree, one bound flag per active node."""
+    h = entropy(m)
+    tree = tuple(iter_level_frontiers(m, n))
+    masks = []
+    good = np.ones(1, dtype=bool)  # every prefix so far obeys the bound, per active node
+    for fr in tree:
+        k = fr.depth
+        lo = np.exp(-k * (h + eps1)) / C2
+        hi = C2 * np.exp(-k * (h - eps1))
+        child_good = (np.repeat(good, m.alphabet.size) & (fr.measures >= lo)
+                      & (fr.measures <= hi))
+        masks.append(fr.emit_mask & child_good)
+        good = child_good[fr.active_idx]
+    return _select(tree, n, masks)
+
+
 def ref_det_window_report(r, m, n, eps1, C, N1):
     """The window walk streaming the tree, one depth in memory at a time."""
     lam = lyapunov_exponent(r.family, m)
@@ -255,6 +288,26 @@ def test_tree_selected_level_sets_match_level_set(case):
         assert np.unique(level_set(m, n_max, tree=tree).lengths).size >= 2
 
 
+def _assert_same_level_set(got, ref):
+    for name in ("word_matrix", "lengths", "measures", "parent_measures"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(got.nodes) == len(ref.nodes)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.nodes, ref.nodes))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_selection_walk_matches_the_walks_it_replaced(case):
+    _, m, _, _, n_max = CASES[case]
+    tree = tuple(iter_level_frontiers(m, n_max))
+    for n in range(1, n_max + 1):
+        _assert_same_level_set(level_set(m, n, tree=tree),
+                               _select(tree, n, ref_level_set_masks(m, n, tree)))
+        for eps1, C2 in ((0.05, 1.0), (0.2, 1.5), (0.4, 5.0), (1.0, 10.0)):
+            _assert_same_level_set(restricted_level_set(m, n, eps1, C2),
+                                   ref_restricted_level_set(m, n, eps1, C2))
+
+
 def test_level_set_rejects_a_too_shallow_tree():
     m = BernoulliMeasure([0.7, 0.3])
     tree = tuple(iter_level_frontiers(m, 3))
@@ -307,19 +360,6 @@ def test_projection_needs_one_tree():
                        [1e-3, 1e-3])
 
 
-def test_estimates_reject_level_sets_of_other_levels():
-    m = BernoulliMeasure([0.7, 0.3])
-    tail = TailSequence.constant(1)
-    levels = level_sets(m, [3, 4, 5])
-    grid = CoverageGrid(np.array([-2.0]), np.array([2.0]), 2.0 ** -6)
-    r = Realization(0, _LINE)
-    for n_values in ([3, 4], [3, 5, 4], [4, 5, 6]):
-        with pytest.raises(InputError, match="do not match"):
-            coverage_estimate(r, m, tail, Gauge("one_over_n"), n_values, grid, levels=levels)
-        with pytest.raises(InputError, match="do not match"):
-            density_sweep(_LINE, m, tail, [0.5], [1.0], n_values, 0, levels=levels)
-
-
 class CountingRealization(Realization):
     """Counts the rows sampled, one per map application."""
 
@@ -347,7 +387,7 @@ def test_coverage_samples_each_tree_node_once(fam, tail):
     R = bounding_ball(fam)
     grid = CoverageGrid(np.full(d, -R), np.full(d, R), 2.0 ** -7)
     r = CountingRealization(3, fam)
-    coverage_estimate(r, m, tail, gauge, n_values, grid)
+    coverage_estimate(r, level_sets(m, n_values), tail, gauge, grid)
 
     nodes = sum(fr.symbols.size for fr in iter_level_frontiers(m, max(n_values)))
     tail_steps = 0
