@@ -1,14 +1,21 @@
 """Experiment configuration, presets, and the report-producing orchestrator.
 
 A config is a plain JSON document (family, measure, tail, gauge, experiment
-kind, numeric knobs, master seed).  ``run`` validates it, executes the named
-experiment, and writes CSV reports whose first lines carry the config digest
-and the fully resolved config, so every output file is self-describing and
-reruns with the same seed are byte-identical.  Seed-independent work (the
-cylinder tree and the level sets selected from it) is done once per run and
-shared, read only, by every seed.  Supercriticality (entropy above the
-Lyapunov exponent) is required for the coverage-type experiments unless
-explicitly waived for contrast runs.
+kind, numeric knobs, master seed).  Its form is declared once: the top-level
+keys are the fields of ``ExperimentConfig`` (the gauge under ``"g"``), their
+JSON types follow from the field annotations, and the keys of each nested
+object are the entries of ``_SCHEMA``.  Encoding, decoding, type checks and
+the rejection of an unknown key at any level all read these declarations.
+A key whose value is the default may be omitted.
+
+``run`` validates a config, executes the named experiment, and writes CSV
+reports whose first lines carry the config digest and the fully resolved
+config, so every output file is self-describing and reruns with the same
+seed are byte-identical.  Seed-independent work (the cylinder tree and the
+level sets selected from it) is done once per run and shared, read only, by
+every seed.  Supercriticality (entropy above the Lyapunov exponent) is
+required for the coverage-type experiments unless explicitly waived for
+contrast runs.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +36,7 @@ from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, write_points_csv,
                         write_svg_scatter)
 from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
-                           lyapunov_exponent, moment_report)
+                           lyapunov_exponent, mc_lyapunov_prime, moment_report)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
                        TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
                        iter_level_frontiers, level_set, level_sets,
@@ -82,105 +89,98 @@ class Gauge:
             raise InputError(f"table gauge has {len(self.values)} values; asked for g({n})")
         return self.values[n - 1]
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "regime": self.regime}
-        if self.q is not None:
-            d["q"] = self.q
-        if self.values is not None:
-            d["values"] = self.values
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Gauge":
-        return cls(_field(d, "kind", "g"), q=d.get("q"), values=d.get("values"),
-                   regime=d.get("regime"))
-
-
-def _family_to_dict(f: MatrixFamily) -> dict:
-    symbols = []
-    for spec in f.symbols:
-        if isinstance(spec, SimilaritySpec):
-            symbols.append({"kind": "similarity", "r_minus": spec.r_minus,
-                            "r_plus": spec.r_plus})
-        else:
-            symbols.append({"kind": "affine", "r_minus": spec.r_minus,
-                            "r_plus": spec.r_plus,
-                            "base_matrices": spec.base_matrices.tolist(),
-                            "weights": spec.weights.tolist()})
-    return {"dimension": f.dimension, "symbols": symbols,
-            "translations": f.translations.tolist(),
-            "declared_nonsingular": f.declared_nonsingular}
+# The JSON form of each config object: table entry -> (class, required keys,
+# optional keys).  The keys are the class's constructor parameters and the
+# attributes holding their values; a key absent from the table is an error.
+_SCHEMA = {
+    "family": (MatrixFamily, ("dimension", "symbols", "translations"),
+               ("declared_nonsingular",)),
+    "similarity": (SimilaritySpec, ("r_minus", "r_plus"), ()),
+    "affine": (AffineSpec, ("r_minus", "r_plus", "base_matrices"), ("weights",)),
+    "bernoulli": (BernoulliMeasure, ("p",), ()),
+    "markov": (MarkovMeasure, ("pi", "P"), ()),
+    "tail": (TailSequence, (), ("prefix", "period")),
+    "gauge": (Gauge, ("kind",), ("q", "values", "regime")),
+}
+# Slots whose objects carry a "kind" key naming their table entry.  Inside an
+# object, such a slot's key holds a list of them (a family's symbols).
+_KINDED = {"measure": ("bernoulli", "markov"), "symbols": ("similarity", "affine")}
 
 
-def _field(d, key: str, where: str):
-    """``d[key]`` of the config object at ``where``; InputError naming a missing field."""
+def _to_json(obj):
+    """JSON form of a config value: arrays and tuples become lists, table objects dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_to_json(x) for x in obj]
+    for entry, (cls, required, optional) in _SCHEMA.items():
+        if type(obj) is cls:
+            d = {key: _to_json(getattr(obj, key)) for key in required + optional
+                 if getattr(obj, key) is not None}
+            if any(entry in kinds for kinds in _KINDED.values()):
+                d["kind"] = entry
+            return d
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    raise InputError(f"{type(obj).__name__} has no JSON config form")
+
+
+def _from_json(d, where: str, slot: str):
+    """Object of table entry ``slot`` (for a kinded slot, of the entry that the
+    ``kind`` key names) from its JSON form ``d`` at config path ``where``."""
     if not isinstance(d, dict):
         raise InputError(f"config field {where!r} must be a JSON object")
-    if key not in d:
-        raise InputError(f"config is missing the required field '{where}.{key}'")
-    return d[key]
-
-
-def _family_from_dict(d: dict) -> MatrixFamily:
-    specs = []
-    for k, s in enumerate(_field(d, "symbols", "family")):
-        where = f"family.symbols[{k}]"
-        kind = _field(s, "kind", where)
-        if kind == "similarity":
-            specs.append(SimilaritySpec(_field(s, "r_minus", where),
-                                        _field(s, "r_plus", where)))
-        elif kind == "affine":
-            specs.append(AffineSpec(_field(s, "r_minus", where), _field(s, "r_plus", where),
-                                    _field(s, "base_matrices", where), s.get("weights")))
-        else:
-            raise InputError(f"unknown symbol spec kind {kind!r}")
-    return MatrixFamily(_field(d, "dimension", "family"), specs,
-                        _field(d, "translations", "family"),
-                        d.get("declared_nonsingular", "distant"))
-
-
-def _measure_to_dict(m: SymbolicMeasure) -> dict:
-    if isinstance(m, BernoulliMeasure):
-        return {"kind": "bernoulli", "p": m.p.tolist()}
-    if isinstance(m, MarkovMeasure):
-        return {"kind": "markov", "pi": m.pi.tolist(), "P": m.P.tolist()}
-    raise InputError(f"unsupported measure type {type(m).__name__}")
-
-
-def _measure_from_dict(d: dict) -> SymbolicMeasure:
-    kind = _field(d, "kind", "measure")
-    if kind == "bernoulli":
-        return BernoulliMeasure(_field(d, "p", "measure"))
-    if kind == "markov":
-        return MarkovMeasure(_field(d, "pi", "measure"), _field(d, "P", "measure"))
-    raise InputError(f"unknown measure kind {kind!r}")
-
-
-_INT_FIELDS = ("master_seed", "n", "n_min", "n_max", "N1", "seeds", "mc_samples",
-               "word_budget", "map_budget")
-_FLOAT_FIELDS = ("eps1", "C", "grid_h", "diam_scale")
-_LIST_FIELDS = ("s_list", "c_list", "cramer_s", "grid_lo", "grid_hi")
+    if slot in _KINDED:
+        d = dict(d)
+        if "kind" not in d:
+            raise InputError(f"config is missing the required field '{where}.kind'")
+        kind = d.pop("kind")
+        if kind not in _KINDED[slot]:
+            raise InputError(f"unknown {where} kind {kind!r}")
+        slot = kind
+    cls, required, optional = _SCHEMA[slot]
+    unknown = set(d) - set(required + optional)
+    if unknown:
+        raise InputError(f"unknown config fields in {where!r}: {sorted(unknown)}")
+    for key in required:
+        if key not in d:
+            raise InputError(f"config is missing the required field '{where}.{key}'")
+    kwargs = dict(d)
+    for key in set(d) & set(_KINDED):
+        if not isinstance(d[key], list):
+            raise InputError(f"config field '{where}.{key}' must be a JSON list")
+        kwargs[key] = [_from_json(x, f"{where}.{key}[{i}]", key)
+                       for i, x in enumerate(d[key])]
+    try:
+        return cls(**kwargs)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed config field {where!r}: {exc}") from exc
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_scalar(key: str, value) -> None:
-    """InputError naming ``key`` when a top-level config field has the wrong type."""
-    if key in _INT_FIELDS:
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif key in _FLOAT_FIELDS:
-        ok, want = _is_number(value), "a finite number"
-    elif key in _LIST_FIELDS:
-        ok = isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)
-        want = "a list of finite numbers"
-    elif key == "allow_subcritical":
-        ok, want = isinstance(value, bool), "true or false"
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
+# JSON type rule of a scalar config field, by its annotation (``| None`` dropped).
+_SCALAR_RULES = {
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple": (lambda x: isinstance(x, (list, tuple)) and all(_is_number(v) for v in x),
+              "a list of finite numbers"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+}
+
+
+def _scalar_from_json(key: str, annotation: str, value):
+    """``value`` of the top-level field ``key`` after its type check; lists become tuples."""
+    ok, want = _SCALAR_RULES[annotation.removesuffix(" | None")]
+    if not ok(value):
         raise InputError(f"config field {key!r} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ class ExperimentConfig:
     kind: str
     family: MatrixFamily
     measure: SymbolicMeasure
-    tail: TailSequence
-    gauge: Gauge
+    tail: TailSequence = TailSequence()
+    gauge: Gauge = field(default=Gauge("one_over_n"), metadata={"json": "g"})
     master_seed: int = 0
     n: int = 8
     n_min: int = 4
@@ -286,65 +286,40 @@ class ExperimentConfig:
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "family": _family_to_dict(self.family),
-            "measure": _measure_to_dict(self.measure),
-            "tail": {"prefix": list(self.tail.prefix), "period": list(self.tail.period)},
-            "g": self.gauge.to_dict(),
-            "master_seed": self.master_seed,
-            "n": self.n, "n_min": self.n_min, "n_max": self.n_max,
-            "eps1": self.eps1, "C": self.C, "N1": self.N1,
-            "s_list": list(self.s_list), "c_list": list(self.c_list),
-            "seeds": self.seeds,
-            "grid_lo": None if self.grid_lo is None else list(self.grid_lo),
-            "grid_hi": None if self.grid_hi is None else list(self.grid_hi),
-            "grid_h": self.grid_h,
-            "diam_scale": self.diam_scale,
-            "mc_samples": self.mc_samples,
-            "cramer_s": list(self.cramer_s),
-            "word_budget": self.word_budget,
-            "map_budget": self.map_budget,
-            "allow_subcritical": self.allow_subcritical,
-        }
+        return {_json_key(f): _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {
-            "kind", "family", "measure", "tail", "g", "master_seed", "n", "n_min",
-            "n_max", "eps1", "C", "N1", "s_list", "c_list", "seeds", "grid_lo",
-            "grid_hi", "grid_h", "diam_scale", "mc_samples", "cramer_s",
-            "word_budget", "map_budget", "allow_subcritical"}
         if not isinstance(d, dict):
             raise InputError("config must be a JSON object")
-        unknown = set(d) - known
+        by_key = {_json_key(f): f for f in fields(cls)}
+        unknown = set(d) - set(by_key)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("kind", "family", "measure"):
-            if key not in d:
+        for key, f in by_key.items():
+            if f.default is MISSING and key not in d:
                 raise InputError(f"config is missing the required field {key!r}")
-        _check_scalar("kind", d["kind"])
-        try:
-            kwargs = dict(
-                kind=d["kind"],
-                family=_family_from_dict(d["family"]),
-                measure=_measure_from_dict(d["measure"]),
-                tail=TailSequence(**d.get("tail", {"prefix": [], "period": [1]})),
-                gauge=Gauge.from_dict(d.get("g", {"kind": "one_over_n"})),
-            )
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed family, measure, tail or gauge: {exc}") from exc
-        for key in sorted(known - {"kind", "family", "measure", "tail", "g"}):
-            if key in d and d[key] is not None:
-                _check_scalar(key, d[key])
-                kwargs[key] = tuple(d[key]) if key in _LIST_FIELDS else d[key]
+        kwargs = {}
+        for key, f in by_key.items():
+            if key not in d:
+                continue
+            if f.name in _SCHEMA or f.name in _KINDED:
+                kwargs[f.name] = _from_json(d[key], key, f.name)
+            elif d[key] is not None or f.default is MISSING:
+                kwargs[f.name] = _scalar_from_json(key, f.type, d[key])
         return cls(**kwargs)
 
+    def canonical(self) -> str:
+        """The config as compact JSON with sorted keys, as report headers carry it."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def digest(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+
+
+def _json_key(f) -> str:
+    """JSON key of the config field ``f``."""
+    return f.metadata.get("json", f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +346,9 @@ def preset(name: str) -> ExperimentConfig:
             kind="lyapunov",
             family=MatrixFamily(1, [SimilaritySpec(0.5, 0.9)] * 2, [[0.0], [0.5]]),
             measure=BernoulliMeasure([0.5, 0.5]),
-            tail=TailSequence.constant(1),
-            gauge=Gauge("one_over_n"),
             master_seed=20240 + 1,
             n=14, n_min=6, n_max=14,
-            eps1=0.1, C=math.e ** 2, N1=5,
-            s_list=(0.5, 1.0, 2.0, 4.0), c_list=(0.5,), seeds=50,
+            eps1=0.1, seeds=50,
             grid_lo=(-0.35,), grid_hi=(2.05,), grid_h=2.0 ** -12)
     if name == "example1_2d":
         return ExperimentConfig(
@@ -384,12 +356,9 @@ def preset(name: str) -> ExperimentConfig:
             family=MatrixFamily(2, [SimilaritySpec(0.7, 0.9)] * 2,
                                 [[0.0, 0.0], [1.0, 0.0]]),
             measure=BernoulliMeasure([0.5, 0.5]),
-            tail=TailSequence.constant(1),
-            gauge=Gauge("one_over_n"),
             master_seed=20240 + 2,
             n=10, n_min=4, n_max=10,
-            eps1=0.02, C=math.e ** 2, N1=5,
-            s_list=(0.5, 1.0, 2.0, 4.0), c_list=(0.5,), seeds=50,
+            eps1=0.02, seeds=50,
             grid_lo=(-3.5, -4.0), grid_hi=(4.5, 4.0), grid_h=2.0 ** -8)
     if name == "example2_affine":
         bases = [
@@ -406,24 +375,18 @@ def preset(name: str) -> ExperimentConfig:
                 2, [AffineSpec(0.45, 0.49, bases, [0.5, 0.5])] * 8,
                 translations, declared_nonsingular="full"),
             measure=BernoulliMeasure([1.0 / 8.0] * 8),
-            tail=TailSequence.constant(1),
-            gauge=Gauge("one_over_n"),
             master_seed=20240 + 3,
             n=4, n_min=2, n_max=4,
-            eps1=0.02, C=math.e ** 2, N1=2,
-            s_list=(0.5, 1.0, 2.0, 4.0), c_list=(0.5,), seeds=50,
+            eps1=0.02, N1=2, seeds=50,
             grid_lo=(-2.2, -2.2), grid_hi=(2.2, 2.2), grid_h=2.0 ** -8)
     if name == "subcritical_contrast":
         return ExperimentConfig(
             kind="lyapunov",
             family=MatrixFamily(1, [SimilaritySpec(0.2, 0.3)] * 2, [[0.0], [0.5]]),
             measure=BernoulliMeasure([0.5, 0.5]),
-            tail=TailSequence.constant(1),
-            gauge=Gauge("one_over_n"),
             master_seed=20240 + 4,
             n=10, n_min=4, n_max=12,
-            eps1=0.1, C=math.e ** 2, N1=5,
-            s_list=(0.5, 1.0, 2.0, 4.0), c_list=(0.5,), seeds=50,
+            eps1=0.1, seeds=50,
             grid_lo=(-0.75,), grid_hi=(0.75,), grid_h=2.0 ** -12)
     raise InputError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
@@ -441,14 +404,12 @@ def _fmt(x) -> str:
 
 
 def _self_description(config: ExperimentConfig) -> str:
-    canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return f"config_digest={config.digest()} config={canon}"
+    return f"config_digest={config.digest()} config={config.canonical()}"
 
 
 def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -> None:
     """Atomic CSV write with a self-describing config header comment."""
-    canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    lines = [f"# config_digest={config.digest()}", f"# config={canon}",
+    lines = [f"# config_digest={config.digest()}", f"# config={config.canonical()}",
              ",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -480,15 +441,13 @@ def _run_levelset(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
 def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     analytic = moment_report(cfg.family, cfg.measure, cfg.cramer_s)
-    mc = moment_report(cfg.family, cfg.measure, cfg.cramer_s,
-                       method="monte_carlo", n_samples=cfg.mc_samples,
-                       seed=cfg.master_seed)
     h = cfg.entropy()
     rows = []
     for i in cfg.family.alphabet.symbols:
+        mc, stderr = mc_lyapunov_prime(cfg.family, i, cfg.mc_samples, cfg.master_seed)
         rows.append([f"lyapunov_prime_{i}", analytic.lyapunov_prime[i - 1]])
-        rows.append([f"lyapunov_prime_mc_{i}", mc.lyapunov_prime[i - 1]])
-        rows.append([f"lyapunov_prime_mc_stderr_{i}", mc.stderr[i - 1]])
+        rows.append([f"lyapunov_prime_mc_{i}", mc])
+        rows.append([f"lyapunov_prime_mc_stderr_{i}", stderr])
     rows.append(["lyapunov", analytic.lyapunov])
     rows.append(["entropy", h])
     rows.append(["ratio", h / analytic.lyapunov])

@@ -202,25 +202,20 @@ class Realization:
     def root_chain(self) -> np.ndarray:
         return self._root.copy()
 
-    def chain_for_word(self, word) -> np.ndarray:
-        state = self._root
-        for s in word:
-            state = keyed.absorb(state, s)
-        return state
-
     # -- sampling -------------------------------------------------------------
     def sample_matrix(self, word) -> np.ndarray:
         """Matrix at ``word`` (bit-identical on repeated calls)."""
         w = validate_word(word, self.family.alphabet)
         if not w:
             raise InputError("the empty word carries no matrix")
-        return self.matrices_from_chains(self.chain_for_word(w), np.array([w[-1]]))[0]
+        return self.matrices_from_chains(keyed.word_state(self.seed, w),
+                                         np.array([w[-1]]))[0]
 
     def log_abs_det(self, word) -> float:
         w = validate_word(word, self.family.alphabet)
         if not w:
             raise InputError("the empty word carries no matrix")
-        states = self.chain_for_word(w)
+        states = keyed.word_state(self.seed, w)
         return float(self.log_dets_from_chains(states, np.array([w[-1]]))[0])
 
     def matrices_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
@@ -408,38 +403,16 @@ class MomentReport:
     lyapunov_prime: np.ndarray      # per symbol
     lyapunov: float
     cramer_values: dict             # s -> per-symbol array
-    method: str
-    sample_count: int | None = None
-    stderr: np.ndarray | None = None  # per symbol, Monte Carlo only
-
-    def agrees_within(self, other: "MomentReport", k_sigma: float = 3.0) -> bool:
-        """True iff per-symbol values of self/other differ by <= k sigma."""
-        se = self.stderr if self.stderr is not None else other.stderr
-        if se is None:
-            raise InputError("neither report carries standard errors")
-        return bool(np.all(np.abs(self.lyapunov_prime - other.lyapunov_prime)
-                           <= k_sigma * se))
 
 
 def moment_report(family: MatrixFamily, m: SymbolicMeasure,
-                  s_values: Sequence[float] = (),
-                  method: str = "analytic",
-                  n_samples: int = 100_000, seed: int = 0) -> MomentReport:
+                  s_values: Sequence[float] = ()) -> MomentReport:
+    """Closed-form per-symbol Lyapunov primes, their m-weighted mean, and the
+    log-moments at each ``s``; ``mc_lyapunov_prime`` and ``mc_cramer_moment``
+    are the Monte Carlo cross-checks."""
     syms = list(family.alphabet.symbols)
-    if method == "analytic":
-        lp = np.array([lyapunov_prime(family, i) for i in syms])
-        stderr = None
-        count = None
-    elif method == "monte_carlo":
-        pairs = [mc_lyapunov_prime(family, i, n_samples, seed) for i in syms]
-        lp = np.array([p[0] for p in pairs])
-        stderr = np.array([p[1] for p in pairs])
-        count = n_samples
-    else:
-        raise InputError(f"unknown method {method!r}")
-    moment = (cramer_moment if method == "analytic" else
-              lambda fam, i, s: mc_cramer_moment(fam, i, s, n_samples, seed)[0])
-    cramer = {float(s): np.array([moment(family, i, s) for i in syms]) for s in s_values}
+    lp = np.array([lyapunov_prime(family, i) for i in syms])
+    cramer = {float(s): np.array([cramer_moment(family, i, s) for i in syms])
+              for s in s_values}
     lam = float(np.dot(np.asarray(m.first_symbol_probs()), lp))
-    return MomentReport(lyapunov_prime=lp, lyapunov=lam, cramer_values=cramer,
-                        method=method, sample_count=count, stderr=stderr)
+    return MomentReport(lyapunov_prime=lp, lyapunov=lam, cramer_values=cramer)

@@ -214,7 +214,7 @@ def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
 
     # the tail under the environment of a prefix follows the same rule
     a, K = L.words[0], depths[0]
-    chain = r.chain_for_word(a)
+    chain = keyed.word_state(r.seed, a)
     M, v = np.eye(family.dimension), np.zeros(family.dimension)
     for s in tail.first(K):
         chain = keyed.absorb(chain, s)

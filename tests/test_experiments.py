@@ -115,11 +115,28 @@ def test_from_dict_rejects_unknown_fields():
 
 
 def test_roundtrip_through_json():
-    for name in ("baby_theorem", "example2_affine"):
-        cfg = preset(name)
-        clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    # every schema entry: both symbol spec kinds (an affine one with
+    # non-uniform weights), both measure kinds, all three gauge kinds and a
+    # tail with a prefix
+    bases = preset("example2_affine").family.symbols[0].base_matrices
+    family = MatrixFamily(2, [SimilaritySpec(0.3, 0.4),
+                              AffineSpec(0.45, 0.49, bases, [0.25, 0.75])],
+                          [[0.0, 0.0], [1.0, 0.0]])
+    markov = MarkovMeasure([4.0 / 7.0, 3.0 / 7.0], [[0.7, 0.3], [0.4, 0.6]])
+    mixed = replace(preset("example1_2d"), family=family, measure=markov,
+                    tail=symbolic.TailSequence((2, 1), (1, 2)),
+                    gauge=Gauge("geometric", q=0.5))
+    table = replace(mixed, gauge=Gauge("table", values=[0.5, 0.25], regime="convergent"))
+    for cfg in [preset(name) for name in PRESET_NAMES] + [mixed, table]:
+        d = cfg.to_dict()
+        clone = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
+        assert clone.to_dict() == d
         assert clone.digest() == cfg.digest()
         assert clone.family.rho_max == pytest.approx(cfg.family.rho_max)
+    assert mixed.to_dict()["family"]["symbols"][1]["weights"] == [0.25, 0.75]
+    defaults = ExperimentConfig("levelset", family, markov).to_dict()
+    assert defaults["tail"] == {"prefix": [], "period": [1]}
+    assert defaults["g"] == {"kind": "one_over_n", "regime": "divergent"}
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +358,23 @@ def test_cli_gauge_underflowing_every_radius_exits_2(tmp_path, capsys):
     assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "level-4" in err and "g(4) = 5e-324" in err
+
+
+@pytest.mark.parametrize("where,key", [
+    ("family", "declared_nonsingluar"), ("family.symbols[0]", "weigths"),
+    ("measure", "q"), ("tail", "perod"), ("g", "valuez")])
+def test_cli_unknown_nested_key_exits_2(where, key, tmp_path, capsys):
+    main(["preset", "example2_affine", "--out", str(tmp_path)])
+    raw = json.loads((tmp_path / "example2_affine.json").read_text())
+    node = raw["family"]["symbols"][0] if where == "family.symbols[0]" else raw[where]
+    node[key] = 1
+    cfg = tmp_path / "stray.json"
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["levelset", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"'{where}'" in err and key in err
 
 
 _TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2

@@ -81,7 +81,7 @@ def project_tail(r, a, b, depth):
     not applied), with the steps past ``_tail_steps`` skipped."""
     w = validate_word(a, r.family.alphabet)
     d = r.family.dimension
-    chain = r.chain_for_word(w)
+    chain = keyed.word_state(r.seed, w)
     M = np.eye(d)
     v = np.zeros(d)
     for k in range(1, int(_tail_steps(r.family, b, depth)) + 1):

@@ -12,18 +12,21 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   planar family under a Markov measure with a two-symbol tail period, at
   small sizes, with ``--threads 1``; the seed-parallel kinds again with
   ``--threads 2``, and ``detwindow`` with a single seed;
-* the six benchmark kinds of every workload at workload seeds 0 and 3.
+* the six benchmark kinds of every workload at workload seeds 0 and 3;
+* the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
 Configs pass through JSON first, as the CLI loads them.  The output is one
-JSON object mapping ``<run>/<file>`` to the file's sha256.  ``--compare``
-prints the files whose digests differ or that only one side has, and exits 1
-if there are any.
+JSON object mapping ``<run>/<file>`` (``preset/<NAME>.json`` for the preset
+files) to the file's sha256.  ``--compare`` prints the files whose digests
+differ or that only one side has, and exits 1 if there are any.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -101,10 +104,16 @@ def _grid():
 
 def digests(repo: Path) -> dict:
     sys.path[:0] = [str(repo / "src"), str(repo / "perfbench")]
-    from rifs.experiments import run
+    from rifs.cli import main as cli_main
+    from rifs.experiments import PRESET_NAMES, run
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
+        for name in PRESET_NAMES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main(["preset", name, "--out", str(Path(tmp) / "preset")])
+            out[f"preset/{name}.json"] = hashlib.sha256(
+                (Path(tmp) / "preset" / f"{name}.json").read_bytes()).hexdigest()
         for i, (name, cfg, threads) in enumerate(_grid()):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
