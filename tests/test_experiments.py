@@ -280,7 +280,7 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert a != b
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # 2: validation error (subcritical coverage without the waiver)
     main(["preset", "subcritical_contrast", "--out", str(tmp_path)])
     cfg = str(tmp_path / "subcritical_contrast.json")
@@ -332,6 +332,28 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         probe.write_text(json.dumps(raw))
         assert main(["levelset", "--config", str(probe),
                      "--out", str(tmp_path / f"o_{name}")]) == 2, name
+    # 2: a JSON boolean inside a config object, named by its path in one line
+    bool_probes = {
+        "weights_bool": ("example2_affine", "family.symbols[0].weights[0]",
+                         lambda c: c["family"]["symbols"][0].update(weights=[True, True])),
+        "period_bool": ("baby_theorem", "tail.period[0]",
+                        lambda c: c["tail"].update(period=[True])),
+        "translation_bool": ("baby_theorem", "family.translations[1][0]",
+                             lambda c: c["family"]["translations"][1].__setitem__(0, True)),
+        "dimension_bool": ("baby_theorem", "family.dimension",
+                           lambda c: c["family"].update(dimension=True)),
+    }
+    for name, (preset_name, where, mutate) in bool_probes.items():
+        main(["preset", preset_name, "--out", str(tmp_path)])
+        raw = json.loads((tmp_path / f"{preset_name}.json").read_text())
+        mutate(raw)
+        probe = tmp_path / f"{name}.json"
+        probe.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["levelset", "--config", str(probe),
+                     "--out", str(tmp_path / f"o_{name}")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(where) in err, (name, err)
     top_level_list = tmp_path / "list.json"
     top_level_list.write_text("[1, 2]")
     assert main(["levelset", "--config", str(top_level_list),

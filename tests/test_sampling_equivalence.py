@@ -8,7 +8,8 @@ selector must pick the index ``searchsorted`` picked.  Likewise a
 determinant-window walk over a tree built once
 (``tuple(iter_level_frontiers(...))``) and shared by threads must equal the
 walk that streams the tree (``ref_det_window_report``), field by field, for
-every seed and thread count.
+every seed and thread count, also when the walk cuts each depth into blocks
+of one or a few parents.
 """
 
 import json
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import det_window_report
+from rifs.analysis import det_window_report, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                _pick_base)
@@ -136,30 +137,49 @@ WINDOW_CASES = {
 
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_shared_tree_walk_equals_streamed_walk(case, threads):
+def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
     pick, m, n = WINDOW_CASES[case]
     fam = pick(_families())
     eps1, C, N1 = 0.05, 1.5, 2
     tree = tuple(iter_level_frontiers(m, n))
     if case == "mixed_lengths_affine":
         assert sum(bool(fr.emit_mask.any()) for fr in tree) >= 2   # several word lengths
+    # the default block holds every depth of these trees whole
+    assert max(fr.symbols.size for fr in tree) <= detwindow.BLOCK
 
     def shared(j):
         return det_window_report(Realization(j, fam), m, n, eps1, C, N1, tree=tree)
 
-    # more threads than cores and a short switch interval interleave the walks
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reports = keyed.map_seeds(shared, 8, threads)
-        # the shared tree is read, never written: a second pass gives the same reports
-        again = keyed.map_seeds(shared, 8, threads)
-    finally:
-        sys.setswitchinterval(interval)
-    for j, rep in enumerate(reports):
-        streamed = ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1)
-        assert _report_fields(rep) == _report_fields(streamed)
+    def interleaved(n_seeds):
+        # more threads than cores and a short switch interval interleave the walks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return [_report_fields(rep) for rep in keyed.map_seeds(shared, n_seeds, threads)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    reports = interleaved(8)
+    # the shared tree is read, never written: a second pass gives the same reports
+    again = interleaved(8)
+    streamed = [_report_fields(ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1))
+                for j in range(8)]
+    assert reports == streamed
     # without a tree, the walk streams its own, one depth at a time
     lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
-    assert _report_fields(lone) == _report_fields(reports[0])
-    assert [_report_fields(a) for a in again] == [_report_fields(b) for b in reports]
+    assert _report_fields(lone) == reports[0]
+    assert again == reports
+    if threads > 2:
+        return
+    # small blocks cut depths into many: one parent per block (a block smaller than
+    # one parent's children, then exactly one parent's), and three parents per block,
+    # which leaves a partial last block on some multi-block depth
+    A = m.alphabet.size
+    widths = [fr.symbols.size // A for fr in tree]
+    assert any(w > 3 and w % 3 for w in widths)
+    for block in (1, A, 3 * A + 1):
+        monkeypatch.setattr(detwindow, "BLOCK", block)
+        assert interleaved(2) == streamed[:2], block
+        if threads == 1:
+            lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
+            assert _report_fields(lone) == streamed[0], block

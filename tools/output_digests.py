@@ -12,6 +12,8 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   planar family under a Markov measure with a two-symbol tail period, at
   small sizes, with ``--threads 1``; the seed-parallel kinds again with
   ``--threads 2``, and ``detwindow`` with a single seed;
+* ``detwindow`` on the mixed and the Markov config at a level whose widest
+  depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``);
 * the six benchmark kinds of every workload at workload seeds 0 and 3;
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
@@ -44,6 +46,9 @@ SMALL = {
     "mixed": dict(n=7, n_min=3, n_max=6, seeds=3),
     "markov": dict(n=7, n_min=3, n_max=6, seeds=3),
 }
+# detwindow levels whose widest depth spans several blocks of
+# rifs.analysis.detwindow.BLOCK (2**14 children): 59,049 and 81,550 children
+MULTI_BLOCK_N = {"mixed": 9, "markov": 10}
 THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
 BENCH_SEEDS = (0, 3)
@@ -95,6 +100,9 @@ def _grid():
                 runs.append((f"{name}/{kind}/t2", cfg, 2))
         runs.append((f"{name}/detwindow/one_seed",
                      replace(base, kind="detwindow", n=sizes["n"], seeds=1), 1))
+        if name in MULTI_BLOCK_N:
+            runs.append((f"{name}/detwindow/multi_block",
+                         replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=3), 2))
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for kind, cfg in build_configs(workload, seed):
