@@ -19,13 +19,20 @@ The greedy separated subset keeps a point iff it lies strictly farther than
 the radius from everything kept before it (input order).  The result is a
 maximal separated set (a greedy net, Har-Peled & Mendel 2006): a certified
 lower bound for the packing number at the same radius and an upper bound for
-it at twice the radius.  The cell keys are computed in one vectorized pass;
-the inherently sequential scan then runs on plain Python floats and ints,
-comparing ``sum((y_k - x_k)**2)`` summed left to right against ``radius**2``.
+it at twice the radius.  Two points conflict when their cells of the radius
+are adjacent and ``sum((y_k - x_k)**2)``, summed left to right, is at most
+``radius**2``.  The net is the lexicographically first maximal independent
+set of that conflict graph, which Blelloch, Fineman & Shun (SPAA 2012) show
+resolves in few parallel rounds: the conflict edges come from the same
+sorted cell-key join, the rounds are whole-array operations, and a bounded
+number of them is followed by the sequential scan over the points still
+undecided.  The kept indices equal those of the scan alone.  A join with
+more than ``PAIR_LIMIT`` candidates per point is not expanded, and the scan
+then does all the work, so edge memory stays O(n).
 
 The density sweep reads one realization and the run's level sets, selected
-once from one cylinder tree; the transversality fit builds its one level
-set itself.
+once from one cylinder tree, and builds one join per level that serves all
+of its radii; the transversality fit builds its one level set itself.
 """
 
 from __future__ import annotations
@@ -59,16 +66,20 @@ def _compact(k: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps)))[inverse]
 
 
-def _cell_index(scaled: np.ndarray) -> tuple:
-    """Row-major linear keys (n,) of the cells ``floor(scaled)`` and their strides (d,).
+def _cell_keys(scaled: np.ndarray) -> np.ndarray:
+    """Integer cell keys (n, d) ``floor(scaled)``, refused beyond 2**62 cells from 0."""
+    if not np.all(np.abs(scaled) < 2.0 ** 62):
+        raise InputError("point coordinates must be finite and within 2**62 search radii of 0")
+    return np.floor(scaled).astype(np.int64)
+
+
+def _cell_index(keys: np.ndarray) -> tuple:
+    """Row-major linear keys (n,) of integer cell keys (n, d) and their strides (d,).
 
     Every axis keeps a spare cell on both sides, so a +-1 step along the last
     axis never wraps into the next row, and a +-1 step along any axis is a
     fixed linear offset.
     """
-    if not np.all(np.abs(scaled) < 2.0 ** 62):
-        raise InputError("point coordinates must be finite and within 2**62 search radii of 0")
-    keys = np.floor(scaled).astype(np.int64)
     if math.prod((keys.max(axis=0) - keys.min(axis=0) + 3).tolist()) >= 2 ** 62:
         keys = np.stack([_compact(k) for k in keys.T], axis=1)
     shifted = keys - keys.min(axis=0) + 1
@@ -77,20 +88,18 @@ def _cell_index(scaled: np.ndarray) -> tuple:
     return np.ravel_multi_index(tuple(shifted.T), dims), strides
 
 
-def _candidate_pairs(coords: np.ndarray, cell: float):
-    """Yield (i, j, dist) blocks over every unordered pair of points whose
-    cell keys differ by at most one on every axis, each pair once.
+def _join(coords: np.ndarray, cell: float) -> tuple:
+    """The sorted cell-key join: (order, owners, starts, counts).
 
     Points are sorted by linear cell key.  A point's partners in its own cell
     after it and in the next cell along the last axis form one contiguous run
     of the sorted order; each positive offset of the leading axes adds the run
-    of the three cells at that offset.  The distance expression is
-    ``sqrt(((x_i - x_j) ** 2).sum())``.
+    of the three cells at that offset.  Run ``k`` pairs point ``owners[k]``
+    with ``order[starts[k]:starts[k] + counts[k]]``, so ``counts.sum()`` is
+    the number of candidate pairs before any is expanded.
     """
     n, d = coords.shape
-    if n < 2:
-        return
-    lin, strides = _cell_index(coords / cell)
+    lin, strides = _cell_index(_cell_keys(coords / cell))
     order = np.argsort(lin)
     keys = lin[order]
     starts = [np.arange(1, n + 1)]
@@ -101,13 +110,37 @@ def _candidate_pairs(coords: np.ndarray, cell: float):
             starts.append(np.searchsorted(keys, base - 1, side="left"))
             stops.append(np.searchsorted(keys, base + 1, side="right"))
     starts = np.concatenate(starts)
-    counts = np.concatenate(stops) - starts
-    owners = np.tile(order, len(stops))
+    return order, np.tile(order, len(stops)), starts, np.concatenate(stops) - starts
+
+
+def _pair_blocks(join: tuple):
+    """Yield the (i, j) index blocks of a join, expanded in bounded blocks."""
+    order, owners, starts, counts = join
     for a, b in blocks(counts):
-        i = np.repeat(owners[a:b], counts[a:b])
-        j = order[ranges(starts[a:b], counts[a:b])]
-        dist = np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=-1))
-        yield i, j, dist
+        yield np.repeat(owners[a:b], counts[a:b]), order[ranges(starts[a:b], counts[a:b])]
+
+
+def _candidate_pairs(coords: np.ndarray, cell: float):
+    """Yield (i, j) index blocks over every unordered pair of points whose
+    cell keys differ by at most one on every axis, each pair once.  Each
+    caller applies its own distance expression to the blocks."""
+    if coords.shape[0] >= 2:
+        yield from _pair_blocks(_join(coords, cell))
+
+
+def _distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``sqrt(((x_i - x_j) ** 2).sum())`` per pair: the pair kernels' distance."""
+    return np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=-1))
+
+
+def _squared_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``(x_i - x_j)**2`` summed left to right over the axes: the greedy net's
+    distance, equal on every BLAS build (a row ``sum`` need not add in order)."""
+    diff = coords[i] - coords[j]
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, coords.shape[1]):
+        d2 += diff[:, k] * diff[:, k]
+    return d2
 
 
 @dataclass(frozen=True)
@@ -143,7 +176,8 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
     upper = 0
     firsts: list = []
     seconds: list = []
-    for i, j, dist in _candidate_pairs(coords, threshold + 2.0 * max_tr):
+    for i, j in _candidate_pairs(coords, threshold + 2.0 * max_tr):
+        dist = _distances(coords, i, j)
         rs = radii[i] + radii[j]
         close = dist <= threshold
         nominal += int(close.sum())
@@ -165,7 +199,8 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
 
 def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of all unordered pairs at distance <= cutoff (for sweeps)."""
-    out = [dist[dist <= cutoff] for _, _, dist in _candidate_pairs(coords, cutoff)]
+    dists = (_distances(coords, i, j) for i, j in _candidate_pairs(coords, cutoff))
+    out = [dist[dist <= cutoff] for dist in dists]
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -173,29 +208,138 @@ def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
 # separated subsets
 # ---------------------------------------------------------------------------
 
-def separated_subset(points, radius: float) -> np.ndarray:
+ROUNDS = 32             # parallel rounds before the sequential scan finishes a net
+PAIR_LIMIT = 64         # candidate pairs per point beyond which a join stays unexpanded
+_CELL_SLACK = 1.0 + 2.0 ** -20
+
+
+@dataclass(frozen=True)
+class ClosePairs:
+    """Pairs ``lo < hi`` of a set of ``n`` points whose squared distance
+    ``d2``, summed left to right over the axes, is at most ``cutoff**2``.  The
+    arrays are None when the join was too dense or too coarse to expand."""
+
+    cutoff: float
+    n: int
+    lo: np.ndarray | None
+    hi: np.ndarray | None
+    d2: np.ndarray | None
+
+
+def close_pairs(coords: np.ndarray, cutoff: float) -> ClosePairs:
+    """The conflict edges of the greedy nets at every radius up to ``cutoff``.
+
+    The join's cells are ``cutoff * (1 + 2**-20)`` wide.  While every
+    coordinate lies within 2**30 cells of 0 and ``cutoff**2`` is a normal
+    float, a pair whose ``d2`` is at most ``cutoff**2`` differs by less than
+    one cell along every axis even after the rounding of ``coords / cell``,
+    so the join holds it.  Outside that range, or when ``searchsorted``
+    counts more than ``PAIR_LIMIT`` candidates per point before anything is
+    expanded, nothing is expanded.  Edge memory is thus O(#pairs within the
+    cutoff), and O(n) on chains and on clusters of coincident points, where
+    the edge list would be quadratic.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[0]
+    if n < 2:
+        return ClosePairs(cutoff, n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                          np.zeros(0))
+    cell = cutoff * _CELL_SLACK
+    precise = (2.0 ** -500 <= cutoff <= 2.0 ** 500
+               and np.abs(coords).max() < 2.0 ** 30 * cell)
+    join = _join(coords, cell) if precise else None
+    if join is None or int(join[3].sum()) > PAIR_LIMIT * n:
+        return ClosePairs(cutoff, n, None, None, None)
+    c2 = cutoff * cutoff
+    los, his, d2s = [], [], []
+    for i, j in _pair_blocks(join):
+        d2 = _squared_distances(coords, i, j)
+        close = d2 <= c2
+        i, j = i[close], j[close]
+        los.append(np.minimum(i, j))
+        his.append(np.maximum(i, j))
+        d2s.append(d2[close])
+    return ClosePairs(cutoff, n, np.concatenate(los), np.concatenate(his), np.concatenate(d2s))
+
+
+def separated_subset(points, radius: float, edges: ClosePairs | None = None) -> np.ndarray:
     """Greedy maximal radius-separated subset; returns kept indices in order.
 
     Kept points are pairwise strictly farther than ``radius`` apart and every
     rejected point is within ``radius`` of some kept point (maximality).
+    ``edges`` may pass ``close_pairs(coords, cutoff)`` of the same points for
+    any ``cutoff >= radius``, so that several radii share one join; the
+    answer does not depend on it.
     """
     if radius <= 0.0:
         raise InputError("radius must be positive")
     coords, _ = points_to_arrays(points)
-    n, d = coords.shape
+    n = coords.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    keys = _cell_keys(coords * (1.0 / radius))
+    coords = coords.astype(np.float64, copy=False)   # square and add as Python floats
+    if edges is None:
+        edges = close_pairs(coords, radius)
+    elif edges.cutoff < radius or edges.n != n:
+        raise InputError(f"close pairs of {edges.n} points within {edges.cutoff} cannot "
+                         f"serve {n} points at radius {radius}")
     r2 = radius * radius
-    keys, strides = _cell_index(coords * (1.0 / radius))
-    steps = [int(np.dot(off, strides)) for off in itertools.product((-1, 0, 1), repeat=d)]
-    kept: list = []
+    kept, todo = np.zeros(0, dtype=np.int64), np.arange(n)
+    if edges.lo is not None:
+        close = edges.d2 <= r2
+        lo, hi = edges.lo[close], edges.hi[close]
+        # the scan compares a pair only when its radius-wide cells are adjacent
+        near = (np.abs(keys[lo] - keys[hi]) <= 1).all(axis=1)
+        kept, todo = _rounds(n, lo[near], hi[near])
+    if todo.size:
+        kept = _scan(coords, keys, r2, kept, todo)
+    return kept
+
+
+def _rounds(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Up to ``ROUNDS`` rounds of Blelloch, Fineman & Shun (2012) over the
+    conflict edges ``lo < hi``: (kept, undecided) indices, both ascending.
+
+    A round removes every undecided point with a kept earlier neighbour, then
+    keeps every undecided point whose earlier neighbours are all removed;
+    these are the decisions of the sequential scan.  Decided edges are
+    dropped.  Points kept in the last round have not yet removed their later
+    neighbours.
+    """
+    state = np.zeros(n, dtype=np.int8)     # 0 undecided, 1 kept, 2 removed
+    todo = np.arange(n)
+    for _ in range(ROUNDS):
+        state[hi[state[lo] == 1]] = 2
+        live = (state[lo] == 0) & (state[hi] == 0)
+        lo, hi = lo[live], hi[live]
+        blocked = np.zeros(n, dtype=bool)
+        blocked[hi] = True
+        todo = todo[state[todo] == 0]
+        free = ~blocked[todo]
+        state[todo[free]] = 1
+        todo = todo[~free]
+        if todo.size == 0:
+            break
+    return np.flatnonzero(state == 1), todo
+
+
+def _scan(coords: np.ndarray, keys: np.ndarray, r2: float, kept: np.ndarray,
+          todo: np.ndarray) -> np.ndarray:
+    """The sequential greedy scan over the undecided points ``todo`` in index
+    order, testing each against every point kept so far; returns all kept."""
+    lin, strides = _cell_index(keys)
+    steps = [int(np.dot(off, strides))
+             for off in itertools.product((-1, 0, 1), repeat=keys.shape[1])]
     kept_cells: dict = {}      # cell key -> coordinates of the points kept there
-    for i, (key, x) in enumerate(zip(keys.tolist(), coords.tolist())):
-        if _near_kept(kept_cells, key, x, steps, r2):
-            continue
-        kept.append(i)
+    for key, x in zip(lin[kept].tolist(), coords[kept].tolist()):
         kept_cells.setdefault(key, []).append(x)
-    return np.asarray(kept, dtype=np.int64)
+    new: list = []
+    for i, key, x in zip(todo.tolist(), lin[todo].tolist(), coords[todo].tolist()):
+        if not _near_kept(kept_cells, key, x, steps, r2):
+            new.append(i)
+            kept_cells.setdefault(key, []).append(x)
+    return np.sort(np.concatenate((kept, np.asarray(new, dtype=np.int64))))
 
 
 def _near_kept(kept_cells: dict, key: int, x: list, steps: list, r2: float) -> bool:
@@ -330,7 +474,8 @@ def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
     ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
     one cylinder tree and shared by the sweeps of every seed; each level
     index is its set's ``n``.  All levels are projected by one walk of that
-    tree.
+    tree.  Each level's conflict edges are joined once, at its largest
+    inflated radius, and every greedy net of the level filters them.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
@@ -348,8 +493,9 @@ def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
     for i, (radii, pts) in enumerate(zip(scales, clouds)):
         size = len(pts)
         slack = 2.0 * float(pts.radii.max())
+        edges = close_pairs(pts.coords, float(radii.max()) + slack)
         for k, rad in enumerate(radii):
-            kept = separated_subset(pts.coords, float(rad) + slack)
+            kept = separated_subset(pts.coords, float(rad) + slack, edges)
             ratios[i, k] = kept.size / size
 
     reports = []

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rifs.analysis import (close_pair_count, coverage_estimate,
+from rifs.analysis import (close_pair_count, coverage_estimate, pairs,
                            density_sweep, det_window_report,
                            g_divergence_heuristic, pair_report,
                            psi_equivalence_check, psi_from_mg, separated_subset,
@@ -341,6 +341,27 @@ def test_density_sweep_best(line_family):
                                   b, c_list=[0.3, 0.9], s_list=[0.25, 1.0])
     assert len(reports) == 4
     assert best.upper_density == max(r.upper_density for r in reports)
+
+
+@pytest.mark.parametrize("family", ["line_family", "plane_family"])
+def test_density_shared_join_equals_one_join_per_radius(family, request, monkeypatch):
+    # each level's nets share one join at its largest radius; building one
+    # join per radius instead must give the same ratios
+    m = BernoulliMeasure([0.5, 0.5])
+    args = (Realization(5, request.getfixturevalue(family)), level_sets(m, range(4, 10)),
+            TailSequence.constant(1), [0.3, 0.6], [0.1, 0.25, 1.0])
+    shared, _ = density_sweep(*args)
+    given = []
+    net = pairs.separated_subset
+
+    def one_join_per_radius(points, radius, edges=None):
+        given.append(edges)
+        return net(points, radius)
+
+    monkeypatch.setattr(pairs, "separated_subset", one_join_per_radius)
+    alone, _ = density_sweep(*args)
+    assert len(given) == 6 * 3 and all(e is not None and e.lo is not None for e in given)
+    assert [rep.ratios for rep in alone] == [rep.ratios for rep in shared]
 
 
 def test_density_preset_scale(line_family):

@@ -10,20 +10,37 @@ by the box, and non-positive radii.
 The greedy oracle sums squares through ``diff @ diff``, which a BLAS may fuse
 into multiply-adds; the kernel sums them left to right in plain floats.  The
 two agree wherever the sums are exact (the dyadic cases) or not within one
-rounding of ``radius**2`` (the random clouds).
+rounding of ``radius**2`` (the random clouds).  The d=8 tie, where the orders
+of summation differ, is checked against the left-to-right sum itself.
+
+The greedy net resolves most points in parallel rounds over conflict edges
+and finishes the rest with the sequential scan; every net is checked with
+``pairs.ROUNDS`` at 0 (the scan alone), 1, 2 and its default, on chains that
+need one round per point, exact ties, coincident points, joins of several
+expansion blocks and joins too dense to expand.
 """
 
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rifs.analysis import CoverageGrid, close_pair_count, separated_subset
-from rifs.analysis.pairs import pair_distances_within
+from rifs.analysis import CoverageGrid, close_pair_count, pairs, separated_subset
+from rifs.analysis.pairs import close_pairs, pair_distances_within
 from rifs.analysis.runs import blocks, ranges
 from rifs.attractor import PointCloud
 from rifs.errors import InputError
+
+REPO = Path(__file__).resolve().parent.parent
+ROUND_COUNTS = (0, 1, 2, pairs.ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +223,87 @@ def test_close_pair_count_matches_dict_bucket_join(d):
             assert res.pairs == pairs
 
 
+def _nets_equal(monkeypatch, coords, r, want):
+    """The net at every round count, on its own join and on a wider shared one."""
+    wide = close_pairs(coords, 2.0 * r)
+    for rounds in ROUND_COUNTS:
+        monkeypatch.setattr(pairs, "ROUNDS", rounds)
+        assert np.array_equal(separated_subset(coords, r), want), rounds
+        assert np.array_equal(separated_subset(coords, r, wide), want), rounds
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_separated_subset_matches_scalar_greedy(d):
+def test_separated_subset_matches_scalar_greedy(d, monkeypatch):
     rng = np.random.default_rng(300 + d)
     for coords, r in _point_sets(d, rng):
-        assert np.array_equal(separated_subset(coords, r), ref_separated(coords, r))
+        _nets_equal(monkeypatch, coords, r, ref_separated(coords, r))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_net_on_chains_just_below_the_radius(d, monkeypatch):
+    # each point conflicts with the next (or the next two), so rounds decide
+    # about two points each and the scan finishes the chain
+    r = 0.3
+    direction = np.array([1.0]) if d == 1 else np.array([0.6, 0.8])
+    for frac in (1.0, 0.5):
+        t = np.arange(300)[:, None] * (frac * r * (1.0 - 2.0 ** -20))
+        for coords in (t * direction, t[::-1] * direction):
+            want = ref_separated(coords, r)
+            assert want.size < 200
+            _nets_equal(monkeypatch, coords, r, want)
+
+
+@pytest.mark.parametrize("d, norms", [(2, (5, 13)), (3, (3, 7))])
+def test_net_on_ties_at_the_squared_radius(d, norms, monkeypatch):
+    # integer points with Pythagorean differences: many d2 equal r2 exactly
+    rng = np.random.default_rng(500 + d)
+    for norm in norms:
+        coords = rng.integers(0, 4 * norm, size=(400, d)) * 0.125
+        r = norm * 0.125
+        d2 = ((coords[:, None] - coords[None]) ** 2).sum(-1)
+        assert np.count_nonzero(d2 == r * r) > 0
+        _nets_equal(monkeypatch, coords, r, ref_separated(coords, r))
+
+
+def _left_to_right(v):
+    total = 0.0
+    for x in v:
+        total += x * x
+    return total
+
+
+def test_net_on_a_d8_tie_decided_by_the_left_to_right_sum(monkeypatch):
+    # numpy's row sum and the left-to-right sum of a difference vector differ;
+    # at the radius whose square is the smaller sum, the pair conflicts
+    # exactly when the left-to-right sum is the smaller one
+    rng = np.random.default_rng(8)
+    cases = {}
+    while len(cases) < 2:
+        v = rng.uniform(-1.0, 1.0, size=8)
+        ltr, row = _left_to_right(v.tolist()), float((v ** 2).sum())
+        r = math.sqrt(min(ltr, row))
+        if ltr != row and r * r == min(ltr, row):
+            cases.setdefault(ltr < row, (v, r))
+    for conflict, (v, r) in cases.items():
+        for coords in (np.array([np.zeros(8), v]), np.array([v, np.zeros(8)])):
+            for rounds in ROUND_COUNTS:
+                monkeypatch.setattr(pairs, "ROUNDS", rounds)
+                assert separated_subset(coords, r).tolist() == ([0] if conflict else [0, 1])
+
+
+def test_net_on_float32_coordinates_adds_in_float64(monkeypatch):
+    # a PointCloud keeps float32 coordinates; the scan adds them as Python
+    # floats, so the rounds must square and add in float64 too
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        coords = (rng.integers(-64, 64, size=(400, 2)) / np.float32(3.0)).astype(np.float32)
+        pts = PointCloud(coords, np.zeros(400), None, None)
+        r = float(rng.integers(1, 20)) / 3.0
+        monkeypatch.setattr(pairs, "ROUNDS", 0)
+        want = separated_subset(pts, r)
+        for rounds in ROUND_COUNTS[1:]:
+            monkeypatch.setattr(pairs, "ROUNDS", rounds)
+            assert np.array_equal(separated_subset(pts, r), want), rounds
 
 
 def test_far_apart_cells_are_compacted():
@@ -256,6 +349,59 @@ def test_large_joins_split_into_blocks():
     assert res.ordered_count == 2 * nominal and res.pairs == pairs
     assert np.array_equal(np.sort(pair_distances_within(coords, 0.04)),
                           np.sort(ref_pair_distances(coords, 0.04)))
+
+
+def test_net_over_a_join_of_several_blocks(monkeypatch):
+    rng = np.random.default_rng(9)
+    coords = rng.uniform(0.0, 1.0, size=(12_000, 1))
+    r = 0.0015
+    counts = pairs._join(coords, r * pairs._CELL_SLACK)[3]
+    assert 1 << 18 < counts.sum() <= pairs.PAIR_LIMIT * len(coords)
+    assert close_pairs(coords, r).lo is not None
+    _nets_equal(monkeypatch, coords, r, ref_separated(coords, r))
+
+
+def test_net_over_the_candidate_limit(monkeypatch):
+    # 30 clusters of 200 coincident points: too many candidates to expand
+    rng = np.random.default_rng(10)
+    coords = np.repeat(rng.uniform(0.0, 1.0, size=(30, 2)), 200, axis=0)
+    coords = coords[rng.permutation(len(coords))]
+    assert close_pairs(coords, 0.01).lo is None
+    _nets_equal(monkeypatch, coords, 0.01, ref_separated(coords, 0.01))
+
+
+def test_coincident_points_keep_memory_linear():
+    code = textwrap.dedent("""
+        import json, resource
+        import numpy as np
+        from rifs.analysis import separated_subset
+        coords = np.zeros((20_000, 1))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        kept = separated_subset(coords, 0.5)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps({"kept": kept.tolist(), "rise_mib": (after - before) / 1024}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["kept"] == [0]
+    assert out["rise_mib"] < 50.0
+
+
+def test_close_pairs_serve_radii_up_to_their_cutoff():
+    rng = np.random.default_rng(11)
+    coords = rng.uniform(0.0, 1.0, size=(300, 2))
+    edges = close_pairs(coords, 0.1)
+    assert edges.cutoff == 0.1
+    assert np.all(edges.lo < edges.hi) and np.all(edges.d2 <= 0.1 * 0.1)
+    for r in (0.1, 0.03):
+        assert np.array_equal(separated_subset(coords, r, edges), ref_separated(coords, r))
+    with pytest.raises(InputError):
+        separated_subset(coords, 0.12, edges)
+    with pytest.raises(InputError):
+        separated_subset(coords[1:], 0.1, edges)
 
 
 def test_large_balls_split_into_blocks():

@@ -14,6 +14,8 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   ``--threads 2``, and ``detwindow`` with a single seed;
 * ``detwindow`` on the mixed and the Markov config at a level whose widest
   depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``);
+* ``density`` on ``baby_theorem`` at its preset levels (n = 6..14, greedy
+  nets of up to 16,384 points) with one seed;
 * the six benchmark kinds of every workload at workload seeds 0 and 3;
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
@@ -103,6 +105,9 @@ def _grid():
         if name in MULTI_BLOCK_N:
             runs.append((f"{name}/detwindow/multi_block",
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=3), 2))
+        if name == "baby_theorem":
+            runs.append((f"{name}/density/preset_levels",
+                         replace(base, kind="density", seeds=1), 1))
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for kind, cfg in build_configs(workload, seed):
