@@ -22,12 +22,11 @@ from .attractor import (PointCloud, ProjectedPoint, bounding_ball, points_to_arr
                         write_svg_scatter)
 from .analysis import (AttractorMeasureReport, CoverageGrid, CoverageReport,
                        DensityReport, DetWindowReport, GDivergenceVerdict,
-                       PairCountResult, PairReport, PsiEquivalence,
-                       TransversalityFit, attractor_measure_estimate,
-                       close_pair_count, coverage_estimate, density_sweep,
-                       det_window_report, g_divergence_heuristic, pair_report,
-                       psi_equivalence_check, psi_from_mg, separated_subset,
-                       transversality_scaling)
+                       PairCountResult, PsiEquivalence, TransversalityFit,
+                       attractor_measure_estimate, close_pair_count,
+                       coverage_estimate, density_sweep, det_window_report,
+                       g_divergence_heuristic, psi_equivalence_check, psi_from_mg,
+                       separated_subset, transversality_scaling)
 from .experiments import ExperimentConfig, Gauge, preset, run
 
 __version__ = "0.1.0"

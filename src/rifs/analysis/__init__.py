@@ -3,9 +3,9 @@ close-pair counts and their scaling, separated subsets and density of good
 levels, divergence heuristics, and grid-based Lebesgue estimates."""
 
 from .detwindow import DetWindowReport, det_window_report
-from .pairs import (PairCountResult, PairReport, TransversalityFit, DensityReport,
-                    close_pair_count, pair_report, separated_subset,
-                    transversality_scaling, density_sweep)
+from .pairs import (PairCountResult, TransversalityFit, DensityReport,
+                    close_pair_count, separated_subset, transversality_scaling,
+                    density_sweep)
 from .coverage import (CoverageGrid, CoverageReport, AttractorMeasureReport,
                        coverage_estimate, attractor_measure_estimate)
 from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuristic,
@@ -13,8 +13,8 @@ from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuris
 
 __all__ = [
     "DetWindowReport", "det_window_report",
-    "PairCountResult", "PairReport", "TransversalityFit", "DensityReport",
-    "close_pair_count", "pair_report", "separated_subset", "transversality_scaling",
+    "PairCountResult", "TransversalityFit", "DensityReport",
+    "close_pair_count", "separated_subset", "transversality_scaling",
     "density_sweep",
     "CoverageGrid", "CoverageReport", "AttractorMeasureReport",
     "coverage_estimate", "attractor_measure_estimate",

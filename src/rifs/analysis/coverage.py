@@ -8,8 +8,11 @@ certainly lie inside the true ball), so `inner <= truth' <= ~outer` and both
 tighten as the mesh shrinks.  Degenerate radius-0 balls are single points of
 measure zero and contribute nothing.  Rasterizing works on grid rows: every
 ball covers one interval of the last axis on each row of its index box, the
-interval ends are found exactly, and the union of all intervals is merged and
-marked without a per-ball loop or any grid-sized integer array.
+interval ends are found exactly, and the union of all intervals is kept as a
+``CellSet``: sorted, merged ranges of flat cell indices.  No per-ball loop
+runs and nothing grid-sized is allocated, so memory is O(#row intervals)
+rather than O(#cells).  A set's measure is its summed range length times the
+cell volume, and the tail union merges two range lists.
 
 The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
@@ -43,6 +46,30 @@ from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
+
+
+class CellSet:
+    """Flat grid cells as ``[first, last]`` index ranges, kept sorted, disjoint
+    and non-adjacent, so equal sets hold equal arrays in any order of adding."""
+
+    def __init__(self):
+        self.first = self.last = np.zeros(0, dtype=np.int64)
+
+    def add(self, first: np.ndarray, last: np.ndarray) -> None:
+        """Add the cells ``first[k]..last[k]`` for every k; empty ranges are skipped."""
+        keep = last >= first
+        first = np.concatenate((self.first, first[keep]))
+        last = np.concatenate((self.last, last[keep]))
+        order = first.argsort()
+        first = first[order]
+        last = np.maximum.accumulate(last[order])
+        gaps = (first[1:] > last[:-1] + 1).nonzero()[0]   # a new range opens at gaps + 1
+        self.first = np.concatenate((first[:1], first[gaps + 1]))
+        self.last = np.concatenate((last[gaps], last[-1:]))
+
+    def __ior__(self, other: CellSet) -> CellSet:
+        self.add(other.first, other.last)
+        return self
 
 
 @dataclass(frozen=True)
@@ -87,27 +114,23 @@ class CoverageGrid:
     def box_volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def new_mask(self) -> np.ndarray:
-        return np.zeros(self.shape, dtype=bool)
+    def measure(self, cells: CellSet) -> float:
+        count = (cells.last - cells.first).sum() + cells.first.size
+        return float(count) * self.h ** self.dimension
 
-    def measure(self, mask: np.ndarray) -> float:
-        return float(np.count_nonzero(mask)) * self.h ** self.dimension
-
-    def mark_balls(self, mask: np.ndarray, centers: np.ndarray,
+    def mark_balls(self, cells: CellSet, centers: np.ndarray,
                    radii: np.ndarray) -> bool:
-        """OR cells whose center is within radius of each point.
+        """Add to ``cells`` the cells whose center is within radius of each point.
 
         Each ball is cut into the grid rows of its index box (one row per
         index tuple of the leading axes); on a row the marked cells form one
-        interval of the last axis, so only interval ends are searched and the
-        cells between are set directly.  In d >= 2 a cell is marked when its
-        squared center offset, summed axis by axis, is at most ``rad * rad``;
-        in d = 1 the index box itself is the interval.
+        interval of the last axis, so only the interval ends are searched and
+        each row adds one flat-index range to the set.  In d >= 2 a cell is
+        marked when its squared center offset, summed axis by axis, is at
+        most ``rad * rad``; in d = 1 the index box itself is the interval.
 
         Returns True when some ball was clipped by the box.
         """
-        if mask.shape != self.shape or not mask.flags.c_contiguous:
-            raise InputError("mask must be a C-contiguous array of the grid's shape")
         centers = np.atleast_2d(centers)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (centers.shape[0],))
         pos = radii > 0.0
@@ -127,13 +150,13 @@ class CoverageGrid:
         inside = np.all(last >= first, axis=1)
         if not inside.all():
             centers, radii, first, last = centers[inside], radii[inside], first[inside], last[inside]
-        flat = mask.reshape(-1)
-        for a, b in blocks(np.prod(last - first + 1, axis=1)):
-            self._mark_rows(flat, centers[a:b], radii[a:b], first[a:b], last[a:b])
+        # blocks bound the per-row temporaries: weigh each ball by its rows
+        for a, b in blocks(np.prod(last[:, :-1] - first[:, :-1] + 1, axis=1)):
+            self._mark_rows(cells, centers[a:b], radii[a:b], first[a:b], last[a:b])
         return clipped
 
-    def _mark_rows(self, flat, centers, radii, first, last) -> None:
-        """Mark the cells of every row of every ball in the flat mask view."""
+    def _mark_rows(self, cells, centers, radii, first, last) -> None:
+        """Add the marked cells of every row of every ball to the set."""
         h = self.h
         ball = np.arange(radii.size)
         row = np.zeros(radii.size, dtype=np.int64)    # flat index of the row / last-axis size
@@ -151,7 +174,7 @@ class CoverageGrid:
         if self.dimension > 1:
             lo_cell, hi_cell = self._row_interval(centers[ball, -1], radii[ball] * radii[ball],
                                                   lead2, lo_cell, hi_cell)
-        _mark_union(flat, row * self.shape[-1] + lo_cell, row * self.shape[-1] + hi_cell)
+        cells.add(row * self.shape[-1] + lo_cell, row * self.shape[-1] + hi_cell)
 
     def _row_interval(self, x, rad2, lead2, lo_cell, hi_cell) -> tuple:
         """Exact [first, last] marked cells of each row within [lo_cell, hi_cell].
@@ -184,23 +207,6 @@ class CoverageGrid:
         right = np.floor((x + half - lo) / h - 0.5).astype(np.int64)
         return (settle(np.clip(left, lo_cell, hi_cell + 1), 1),
                 settle(np.clip(right, lo_cell - 1, hi_cell), -1))
-
-
-def _mark_union(flat: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:
-    """Set ``flat[first[k]:last[k] + 1]`` for every k, touching each cell once:
-    the ranges are sorted and merged before they are expanded."""
-    nonempty = last >= first
-    if not nonempty.any():
-        return
-    first = first[nonempty]
-    order = np.argsort(first)
-    first = first[order]
-    last = np.maximum.accumulate(last[nonempty][order])
-    opens = np.ones(first.size, dtype=bool)
-    opens[1:] = first[1:] > last[:-1] + 1
-    heads = np.flatnonzero(opens)
-    ends = last[np.append(heads[1:] - 1, first.size - 1)]
-    flat[ranges(first[heads], ends - first[heads] + 1)] = True
 
 
 @dataclass(frozen=True)
@@ -252,35 +258,35 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
     per_outer = {}
     per_inner = {}
     running = {}
-    tail = grid.new_mask()   # the union of the outer masks of the levels done so far
+    tail = CellSet()   # the union of the outer cells of the levels done so far
     warned_coarse = False
     warned_clip = False
-    # deepest level first, so one running mask holds the tail union over n >= N
+    # deepest level first, so one running set holds the tail union over n >= N
     for k in sorted(range(len(levels)), key=lambda k: levels[k].n, reverse=True):
         n = levels[k].n
-        mask = grid.new_mask()
-        inner_mask = grid.new_mask()
+        outer = CellSet()
+        inner = CellSet()
         if k in balls:
             radii, pts = balls[k]
-            clipped = grid.mark_balls(mask, pts.coords, radii + pts.radii)
+            clipped = grid.mark_balls(outer, pts.coords, radii + pts.radii)
             inner_radii = radii - pts.radii - grid.h * sqrt_d / 2.0
             if np.all(inner_radii <= 0.0) and not warned_coarse:
                 warnings.warn(
                     f"grid resolution h={grid.h} is coarse relative to the level-{n} "
                     "ball radii; inner estimate is 0", stacklevel=2)
                 warned_coarse = True
-            grid.mark_balls(inner_mask, pts.coords, inner_radii)
+            grid.mark_balls(inner, pts.coords, inner_radii)
             if clipped and not warned_clip:
                 warnings.warn(
                     "some balls extend beyond the grid box and were clipped; "
                     "estimates undershoot the true union", stacklevel=2)
                 warned_clip = True
-        per_outer[n] = grid.measure(mask)
-        per_inner[n] = grid.measure(inner_mask)
+        per_outer[n] = grid.measure(outer)
+        per_inner[n] = grid.measure(inner)
         if per_inner[n] > per_outer[n]:
             raise InvariantError(
                 f"inner estimate {per_inner[n]} above outer {per_outer[n]} at level {n}")
-        tail |= mask
+        tail |= outer
         running[n] = grid.measure(tail)
 
     return CoverageReport(grid=grid, regime=getattr(g, "regime", "divergent"),
@@ -327,9 +333,9 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
     clouds = project_levels(r, levels, b, [delta / 8.0 for delta in deltas], map_budget)
     per_level = {}
     for n, delta, pts in zip(n_values, deltas, clouds):
-        mask = grid.new_mask()
-        grid.mark_balls(mask, pts.coords, np.full(len(pts), delta) + pts.radii)
-        per_level[n] = grid.measure(mask)
+        cells = CellSet()
+        grid.mark_balls(cells, pts.coords, np.full(len(pts), delta) + pts.radii)
+        per_level[n] = grid.measure(cells)
 
     vals = [per_level[n] for n in n_values[-3:]]
     rel = 0.0

@@ -354,28 +354,6 @@ def _near_kept(kept_cells: dict, key: int, x: list, steps: list, r2: float) -> b
     return False
 
 
-@dataclass(frozen=True)
-class PairReport:
-    """Close-pair and separation summary for one point set at one scale."""
-
-    n: int
-    s: float
-    pair_count: int              # ordered
-    normalized: float            # pair_count / #L
-    separated_lower_bound: int   # greedy maximal separated subset size
-
-
-def pair_report(points, s: float, level_size: int, n: int = 0) -> PairReport:
-    coords, _ = points_to_arrays(points)
-    d = coords.shape[1]
-    threshold = s / level_size ** (1.0 / d)
-    res = close_pair_count(points, threshold)
-    kept = separated_subset(points, threshold)
-    return PairReport(n=n, s=s, pair_count=res.ordered_count,
-                      normalized=res.ordered_count / level_size,
-                      separated_lower_bound=int(kept.size))
-
-
 # ---------------------------------------------------------------------------
 # transversality scaling
 # ---------------------------------------------------------------------------

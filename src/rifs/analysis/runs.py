@@ -1,7 +1,7 @@
 """Ragged integer ranges: the shared expansion step of the pair join and the raster.
 
 The geometry kernels describe their work as ranges of consecutive integers
-(candidate partners of a point in sorted order, marked cells of a grid row)
+(candidate partners of a point in sorted order, grid rows of a ball's index box)
 and expand them in bounded blocks, so temporaries stay proportional to the
 block rather than to the whole input.
 """
@@ -27,9 +27,11 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(step)
 
 
-def blocks(weights: np.ndarray, limit: int = BLOCK):
+def blocks(weights: np.ndarray, limit: int | None = None):
     """Yield (start, stop) slices of consecutive items whose weights sum to at
-    most ``limit``; an item heavier than ``limit`` gets a slice of its own."""
+    most ``limit`` (``BLOCK`` by default); an item heavier than ``limit`` gets
+    a slice of its own."""
+    limit = BLOCK if limit is None else limit
     ends = np.cumsum(weights)
     start = 0
     while start < ends.size:

@@ -6,10 +6,10 @@ import pytest
 
 from rifs.analysis import (close_pair_count, coverage_estimate, pairs,
                            density_sweep, det_window_report,
-                           g_divergence_heuristic, pair_report,
+                           g_divergence_heuristic,
                            psi_equivalence_check, psi_from_mg, separated_subset,
                            transversality_scaling)
-from rifs.analysis.coverage import CoverageGrid, attractor_measure_estimate
+from rifs.analysis.coverage import CellSet, CoverageGrid, attractor_measure_estimate
 from rifs.analysis.detwindow import fit_line
 from rifs.attractor import project_level
 from rifs.errors import InputError
@@ -135,7 +135,7 @@ def test_separated_properties_and_packing_bound():
             assert len(kept) >= exact_packing_number(pts, 2 * r)
 
 
-def test_counting_inequality_points_le_separated_plus_pairs():
+def test_counting_inequality_points_le_separated_plus_pairs(line_family):
     # every discard leaves at least one ordered close pair behind
     rng = np.random.default_rng(11)
     for d in (1, 2):
@@ -147,19 +147,11 @@ def test_counting_inequality_points_le_separated_plus_pairs():
             kept = separated_subset(pts, r)
             pairs = close_pair_count(pts, r).ordered_count
             assert n <= len(kept) + pairs
-
-
-def test_pair_report(line_family):
-    m = BernoulliMeasure([0.5, 0.5])
-    r = Realization(1, line_family)
-    L = level_set(m, 8)
-    pts = project_level(r, L, TailSequence.constant(1), 1e-7)
-    rep = pair_report(pts, s=1.0, level_size=len(L), n=8)
-    assert rep.pair_count >= 0
-    assert rep.normalized == rep.pair_count / len(L)
-    assert 1 <= rep.separated_lower_bound <= len(L)
-    # the counting inequality at the report's own scale
-    assert len(L) <= rep.separated_lower_bound + rep.pair_count
+    # a projected level set at the scale 1/#L of its own level
+    L = level_set(BernoulliMeasure([0.5, 0.5]), 8)
+    pts = project_level(Realization(1, line_family), L, TailSequence.constant(1), 1e-7)
+    t = 1.0 / len(L)
+    assert len(L) <= separated_subset(pts, t).size + close_pair_count(pts, t).ordered_count
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +434,17 @@ def test_psi_zero_gauge_fails(uniform2):
 # ---------------------------------------------------------------------------
 
 def test_grid_single_ball_exactness():
-    # outer estimate of one грid-centered ball within (1 + 4 h sqrt(d)/rho)^d
+    # outer estimate of one grid-centered ball within (1 + 4 h sqrt(d)/rho)^d
     for d, rho in ((1, 0.05), (2, 0.08)):
         h = 1.0 / 256
         grid = CoverageGrid(np.full(d, -0.5), np.full(d, 0.5), h)
         center_idx = np.array(grid.shape) // 2
         center = grid.lo + (center_idx + 0.5) * h
-        mask = grid.new_mask()
-        grid.mark_balls(mask, center[None, :], np.array([rho]))
-        est = grid.measure(mask)
+        cells = CellSet()
+        grid.mark_balls(cells, center[None, :], np.array([rho]))
+        est = grid.measure(cells)
+        # one range per grid row the ball covers
+        assert cells.first.size == (1 if d == 1 else 2 * int(rho / h) + 1)
         truth = 2 * rho if d == 1 else math.pi * rho ** 2
         bound = (1 + 4 * h * math.sqrt(d) / rho) ** d
         assert truth / bound <= est <= truth * bound

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifs.analysis import CoverageGrid, close_pair_count, pairs, separated_subset
+from rifs.analysis import CoverageGrid, close_pair_count, pairs, runs, separated_subset
+from rifs.analysis.coverage import CellSet
 from rifs.analysis.pairs import close_pairs, pair_distances_within
 from rifs.analysis.runs import blocks, ranges
 from rifs.attractor import PointCloud
@@ -162,6 +163,27 @@ def ref_mark_balls(grid, mask, centers, radii):
         window = tuple(slice(int(l), int(u) + 1) for l, u in zip(lo_idx, hi_idx))
         mask[window] |= d2 <= rad * rad
     return clipped
+
+
+def cells_mask(grid, cells):
+    """The grid mask of a ``CellSet``, whose ranges must be sorted, disjoint
+    and non-adjacent."""
+    assert np.all(cells.first <= cells.last)
+    assert np.all(cells.first[1:] > cells.last[:-1] + 1)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask.reshape(-1)[ranges(cells.first, cells.last - cells.first + 1)] = True
+    return mask
+
+
+def _marks_match(grid, centers, radii, cells=None, mask=None):
+    """Mark the balls into a set and, by the oracle, into a mask; compare them.
+    Returns the set and the mask."""
+    cells = CellSet() if cells is None else cells
+    mask = np.zeros(grid.shape, dtype=bool) if mask is None else mask
+    assert grid.mark_balls(cells, centers, radii) == ref_mark_balls(grid, mask, centers, radii)
+    assert np.array_equal(cells_mask(grid, cells), mask)
+    assert grid.measure(cells) == np.count_nonzero(mask) * grid.h ** grid.dimension
+    return cells, mask
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +426,19 @@ def test_close_pairs_serve_radii_up_to_their_cutoff():
         separated_subset(coords[1:], 0.1, edges)
 
 
-def test_large_balls_split_into_blocks():
-    # index boxes of more cells than one block, next to small ones
+def test_large_balls_split_into_blocks(monkeypatch):
+    # index boxes of more rows than one block, next to small ones
     grid = CoverageGrid(np.zeros(2), np.ones(2), 1.0 / 640)
     rng = np.random.default_rng(8)
     centers = rng.uniform(0.0, 1.0, size=(12, 2))
     radii = np.where(np.arange(12) % 3 == 0, 0.45, 0.01)
-    got = grid.new_mask()
-    want = grid.new_mask()
-    assert grid.mark_balls(got, centers, radii) == ref_mark_balls(grid, want, centers, radii)
-    assert np.array_equal(got, want)
+    calls = []
+    mark_rows = CoverageGrid._mark_rows
+    monkeypatch.setattr(CoverageGrid, "_mark_rows",
+                        lambda self, *a: calls.append(1) or mark_rows(self, *a))
+    monkeypatch.setattr(runs, "BLOCK", 256)
+    _marks_match(grid, centers, radii)
+    assert len(calls) > 4
 
 
 def _ball_cases(grid, rng):
@@ -442,20 +467,44 @@ def _ball_cases(grid, rng):
     # single balls wholly past either end of the box
     cases.append((grid.hi + 4 * h, np.array([2.0 * h])))
     cases.append((grid.lo - 4 * h, np.array([2.0 * h])))
+    # coincident centers, some of radius 0
+    cases.append((np.repeat(centers[:5], 4, axis=0), h * np.tile([0.0, 1.5, 0.0, 3.0], 5)))
     return cases
+
+
+def _grids(d):
+    return [CoverageGrid(np.full(d, -1.0), np.full(d, 1.0), 2.0 ** -4),
+            CoverageGrid(np.linspace(-0.3, 0.2, d), np.linspace(0.4, 0.9, d), 0.03)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mark_balls_matches_per_ball_raster(d):
     rng = np.random.default_rng(400 + d)
-    grids = [CoverageGrid(np.full(d, -1.0), np.full(d, 1.0), 2.0 ** -4),
-             CoverageGrid(np.linspace(-0.3, 0.2, d), np.linspace(0.4, 0.9, d), 0.03)]
-    for grid in grids:
+    for grid in _grids(d):
         for centers, radii in _ball_cases(grid, rng):
-            got = grid.new_mask()
-            want = grid.new_mask()
-            # marking on top of earlier marks ORs into them
-            got[(0,) * d] = want[(0,) * d] = True
-            assert grid.mark_balls(got, centers, radii) == \
-                ref_mark_balls(grid, want, centers, radii)
-            assert np.array_equal(got, want)
+            # marking on top of earlier marks adds to them
+            cells = CellSet()
+            cells.add(np.array([0]), np.array([0]))
+            mask = np.zeros(grid.shape, dtype=bool)
+            mask[(0,) * d] = True
+            _marks_match(grid, centers, radii, cells, mask)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_set_union_matches_mask_or(d):
+    # the union's ranges are canonical, so it does not depend on the order of
+    # the operands: threaded and sequential runs measure the same arrays
+    rng = np.random.default_rng(500 + d)
+    for grid in _grids(d):
+        cases = _ball_cases(grid, rng)
+        for i, j in zip(range(len(cases)), rng.permutation(len(cases))):
+            a, mask_a = _marks_match(grid, *cases[i])
+            b, mask_b = _marks_match(grid, *cases[j])
+            ab = CellSet()
+            ab |= a
+            ab |= b
+            b |= a
+            assert np.array_equal(cells_mask(grid, ab), mask_a | mask_b)
+            assert np.array_equal(ab.first, b.first) and np.array_equal(ab.last, b.last)
+            a |= a
+            assert np.array_equal(cells_mask(grid, a), mask_a)

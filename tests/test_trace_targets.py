@@ -12,6 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,3 +52,10 @@ def test_wrapped_signatures(layertrace, line_family, uniform2):
     counts = layertrace._project_counts(args, {}, attractor.project_level(*args))
     assert counts["words"] == 16 and counts["prefix_letters"] == 64
     assert 0.0 < counts["max_radius_ratio"] <= 1.0
+    # the raster wrapper passes (self, target, centers, radii) by position and
+    # counts the target with np.count_nonzero, which must not raise on a set
+    from rifs.analysis.coverage import CellSet, CoverageGrid
+
+    params = list(inspect.signature(CoverageGrid.mark_balls).parameters)
+    assert params == ["self", "cells", "centers", "radii"]
+    assert np.count_nonzero(CellSet()) in (0, 1)
