@@ -250,9 +250,9 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
                 raise InputError(f"every level-{L.n} ball radius underflows to 0 "
                                  f"with g({L.n}) = {gn}")
             gauged.append((k, rad))
-    clouds = project_levels(r, [levels[k] for k, _ in gauged], b,
+    clouds = project_levels([r], [levels[k] for k, _ in gauged], b,
                             [float(rad[rad > 0.0].min()) / 8.0 for _, rad in gauged],
-                            map_budget)
+                            map_budget)[0]
     balls = {k: (rad, pts) for (k, rad), pts in zip(gauged, clouds)}
 
     per_outer = {}
@@ -330,7 +330,7 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
     levels = level_sets(m, n_values, word_budget)
 
     deltas = [diam_scale * c ** (n / d) for n in n_values]
-    clouds = project_levels(r, levels, b, [delta / 8.0 for delta in deltas], map_budget)
+    clouds = project_levels([r], levels, b, [delta / 8.0 for delta in deltas], map_budget)[0]
     per_level = {}
     for n, delta, pts in zip(n_values, deltas, clouds):
         cells = CellSet()

@@ -32,7 +32,8 @@ then does all the work, so edge memory stays O(n).
 
 The density sweep reads one realization and the run's level sets, selected
 once from one cylinder tree, and builds one join per level that serves all
-of its radii; the transversality fit builds its one level set itself.
+of its radii; the transversality fit builds its one level set itself and
+projects it for a group of seeds per walk.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import keyed
-from ..attractor import (MAP_BUDGET_DEFAULT, points_to_arrays, project_level,
-                         project_levels)
+from ..attractor import MAP_BUDGET_DEFAULT, points_to_arrays, project_levels, seed_groups
 from ..errors import InputError, InvariantError
 from ..random_model import MatrixFamily, Realization
 from ..symbolic import SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set
@@ -380,8 +380,9 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     The expected slope is the ambient dimension in the small-s regime.  Mean
     counts of zero (below resolution) are dropped; with fewer than two usable
     scales, or no variation across scales (saturated geometry), the fit is
-    reported as below resolution instead of a slope.  Seeds may run on
-    ``threads`` worker threads; the result does not depend on it.
+    reported as below resolution instead of a slope.  The seeds are projected
+    in groups (``seed_groups``), one tree walk per group, and the groups may
+    run on ``threads`` worker threads; the result depends on neither.
     """
     s_arr = np.asarray(sorted(float(s) for s in s_list))
     if s_arr.size < 2 or s_arr[0] <= 0.0:
@@ -397,13 +398,18 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     thresholds = s_arr / size ** (1.0 / d)
     eps = float(thresholds.min()) / 8.0
 
-    def seed_counts(j: int) -> list:
-        r = Realization(keyed.derive_seed(master_seed, j), family)
-        pts = project_level(r, L, b, eps, map_budget)
-        dists = pair_distances_within(pts.coords, float(thresholds.max()))
-        return [2.0 * int((dists <= t).sum()) for t in thresholds]
+    groups = seed_groups(n_seeds, [L])
 
-    counts = np.asarray(keyed.map_seeds(seed_counts, n_seeds, threads))
+    def group_counts(g: int) -> list:
+        rs = [Realization(keyed.derive_seed(master_seed, j), family) for j in groups[g]]
+        counts = []
+        for (pts,) in project_levels(rs, [L], b, [eps], map_budget):
+            dists = pair_distances_within(pts.coords, float(thresholds.max()))
+            counts.append([2.0 * int((dists <= t).sum()) for t in thresholds])
+        return counts
+
+    counts = np.asarray([c for group in keyed.map_seeds(group_counts, len(groups), threads)
+                         for c in group])
     means = counts.mean(axis=0) / size
 
     usable = means > 0.0
@@ -465,8 +471,8 @@ def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
     d = r.family.dimension
     n_values = tuple(L.n for L in levels)
     scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
-    clouds = project_levels(r, levels, b, [float(radii.min()) / 8.0 for radii in scales],
-                            map_budget)
+    clouds = project_levels([r], levels, b, [float(radii.min()) / 8.0 for radii in scales],
+                            map_budget)[0]
     ratios = np.zeros((len(levels), len(s_vals)))
     for i, (radii, pts) in enumerate(zip(scales, clouds)):
         size = len(pts)

@@ -20,14 +20,19 @@ sooner): the coordinates equal the full depth-``K`` evaluation exactly, while
 the radius and the ``map_budget`` charge stay those of depth ``K``.
 
 Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
-:func:`project_levels` walks that tree once per realization, carrying the
-chain state and the composed ``(M, v)`` per node.  Every prefix is composed
-once and shared by all its descendants; a level's cloud is its members'
-nodes plus their own tail steps.  Each node repeats exactly the operations
-of a word-by-word evaluation (:func:`project`), so the coordinates do not
-depend on which words are evaluated together.  The result is a
-:class:`PointCloud` of coordinate and radius arrays; per-point
-:class:`ProjectedPoint` objects are built only when a caller indexes it.
+:func:`project_levels` walks that tree once per seed group: a sequence of
+realizations of one family, stepped together.  Each depth's rows are
+seed-major (every seed has the same nodes), and each carries the chain state
+and the composed ``(M, v)`` of its node, so every prefix is composed once
+per realization and shared by all its descendants; a level's cloud is its
+members' nodes plus their own tail steps.  Each row repeats exactly the
+operations of a word-by-word evaluation (:func:`project`), so the
+coordinates are bit-identical to it whichever words and seeds are evaluated
+together.  A group's rows are capped by ``GROUP_ROWS`` (:func:`seed_groups`),
+so memory does not grow with the number of seeds.  The result is a
+:class:`PointCloud` of coordinate and radius arrays per seed and level;
+per-point :class:`ProjectedPoint` objects are built only when a caller
+indexes it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from .symbolic import (LevelSet, TailSequence, _write_atomic, validate_word,
                        word_strings)
 
 MAP_BUDGET_DEFAULT = 200_000_000
+# rows of the widest array of one seed group's walk (see seed_groups)
+GROUP_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,14 +95,14 @@ def bounding_ball(family: MatrixFamily) -> float:
     return max_t / (1.0 - family.rho_max)
 
 
-def _start(r: Realization, n: int) -> tuple:
-    """Chain states, linear parts and translations of ``n`` identity maps.
+def _start(family: MatrixFamily, states: np.ndarray) -> tuple:
+    """Chain states, linear parts and translations of identity maps, one per state.
 
     Dimension 1 keeps flat scalar arrays instead of 1x1 matrix stacks; the
     arithmetic per element is identical either way.
     """
-    d = r.family.dimension
-    states = np.broadcast_to(r.root_chain(), (n,)).copy()
+    d = family.dimension
+    n = states.size
     if d == 1:
         return states, np.ones(n), np.zeros(n)
     return states, np.broadcast_to(np.eye(d), (n, d, d)).copy(), np.zeros((n, d))
@@ -155,7 +162,7 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
         raise InputError("depth must be >= 1")
     w = validate_word(a, r.family.alphabet)
     b.validate(r.family.alphabet)
-    maps = _start(r, 1)
+    maps = _start(r.family, r.root_chain())
     for s in w + b.first(int(_tail_steps(r.family, b, depth))):
         maps = _step(r, *maps, s)
     radius = r.family.rho_max ** (len(w) + depth) * bounding_ball(r.family)
@@ -167,29 +174,61 @@ def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: f
                   map_budget: int = MAP_BUDGET_DEFAULT) -> PointCloud:
     """One enclosed point per level-set word, all radii <= ``target_radius``.
 
-    ``project_levels`` for the single level set ``L``.
+    ``project_levels`` for the single realization ``r`` and level set ``L``.
     """
-    return project_levels(r, [L], b, [target_radius], map_budget)[0]
+    return project_levels([r], [L], b, [target_radius], map_budget)[0][0]
 
 
-def project_levels(r: Realization, levels, b: TailSequence, target_radii,
+def seed_groups(n_seeds: int, levels) -> list:
+    """Consecutive ranges of ``range(n_seeds)`` to pass to ``project_levels`` together.
+
+    A group's widest array (a depth of the walk, or a level's members) holds
+    at most ``GROUP_ROWS`` rows, or one seed's rows when those alone exceed it.
+    """
+    tree = levels[0].tree
+    deepest = max(int(L.lengths.max(initial=0)) for L in levels)
+    rows = max([fr.symbols.size for fr in tree[:deepest]] + [len(L) for L in levels])
+    per = max(1, GROUP_ROWS // rows)
+    return [range(lo, min(lo + per, n_seeds)) for lo in range(0, n_seeds, per)]
+
+
+def _seed_major(parts: list, seeds: int) -> np.ndarray:
+    """Join per-depth seed-major row blocks so that each seed's rows stay contiguous."""
+    if len(parts) == 1:
+        return parts[0]
+    tail = parts[0].shape[1:]
+    return np.concatenate([p.reshape((seeds, -1) + tail) for p in parts],
+                          axis=1).reshape((-1,) + tail)
+
+
+def project_levels(rs, levels, b: TailSequence, target_radii,
                    map_budget: int = MAP_BUDGET_DEFAULT) -> list:
-    """Point clouds of level sets selected from one cylinder tree, from one walk of it.
+    """Point clouds of level sets selected from one cylinder tree, for a seed
+    group ``rs`` (realizations of one family), from one walk of the tree.
 
-    The tree is walked down to the deepest member, composing every node's
-    map from its parent's; each level's cloud takes its members' maps and
-    adds their tail steps.  The tail depth is chosen per word length (level
-    sets mix lengths) so that every radius is at most the level's target
-    radius.  Tail steps after the last one with a nonzero translation are
-    skipped (``_tail_steps``): the coordinates are bit-identical to the
-    full-depth ones, and the radii and the up-front ``map_budget`` charge,
-    per level, still use the full worst-case depth and the word lengths.
+    Returns ``clouds[j][i]``, level ``levels[i]`` under ``rs[j]``.  The tree
+    is walked down to the deepest member, composing every node's map from
+    its parent's, for every seed at once: each depth's rows are seed-major,
+    seed ``j``'s node ``idx`` at row ``j * width + idx``.  Each level's cloud
+    takes its members' maps and adds their tail steps.  The tail depth is
+    chosen per word length (level sets mix lengths) so that every radius is
+    at most the level's target radius; the radii do not depend on the seed,
+    and one read-only array serves every seed.  Tail steps after the last
+    one with a nonzero translation are skipped (``_tail_steps``): the
+    coordinates are bit-identical to the full-depth ones, and the radii and
+    the up-front ``map_budget`` charge, per seed and level, still use the
+    full worst-case depth and the word lengths.
     """
-    b.validate(r.family.alphabet)
-    if not levels:
+    if not rs:
         return []
-    rho = r.family.rho_max
-    R = bounding_ball(r.family)
+    family = rs[0].family
+    if any(q.family is not family for q in rs):
+        raise InputError("a seed group must hold realizations of one family")
+    b.validate(family.alphabet)
+    if not levels:
+        return [[] for _ in rs]
+    rho = family.rho_max
+    R = bounding_ball(family)
     depths = []
     for L, target in zip(levels, target_radii):
         distinct, inverse = np.unique(L.lengths, return_inverse=True)
@@ -204,30 +243,39 @@ def project_levels(r: Realization, levels, b: TailSequence, target_radii,
     if any(L.tree is not tree for L in levels):
         raise InputError("projected level sets must be selected from one cylinder tree")
 
+    S = len(rs)
+    r = rs[0]   # sampling reads only the family and the chain states
+    seed_rows = np.arange(S)[:, None]
     A = tree[0].symbols.size   # the root's children
     picked = [[] for _ in levels]   # per level: (states, M, v) of its members, per depth
-    maps = _start(r, 1)
+    maps = _start(family, np.concatenate([q.root_chain() for q in rs]))
     for fr in tree[:max(int(L.lengths.max(initial=0)) for L in levels)]:
-        maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), fr.symbols)
+        maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), np.tile(fr.symbols, S))
+        first = seed_rows * fr.symbols.size   # each seed's first row at this depth
         for chunks, L in zip(picked, levels):
             idx = L.nodes[fr.depth - 1]
             if idx.size:
-                chunks.append(tuple(a[idx] for a in maps))
-        maps = tuple(a[fr.active_idx] for a in maps)
+                rows = (first + idx).ravel()
+                chunks.append(tuple(a[rows] for a in maps))
+        rows = (first + fr.active_idx).ravel()
+        maps = tuple(a[rows] for a in maps)
 
     clouds = []
     for L, chunks, depth in zip(levels, picked, depths):
-        states, M, v = (np.concatenate(parts) for parts in zip(*chunks)) if chunks \
-            else _start(r, 0)
-        steps = _tail_steps(r.family, b, depth)
+        states, M, v = (_seed_major(parts, S) for parts in zip(*chunks)) if chunks \
+            else _start(family, np.empty(0, dtype=np.uint64))
+        steps = np.tile(_tail_steps(family, b, depth), S)
         for k in range(1, int(steps.max(initial=0)) + 1):
             rows = np.flatnonzero(steps >= k)
             states[rows], M[rows], v[rows] = _step(r, states[rows], M[rows], v[rows],
                                                    b.symbol(k))
         radii = rho ** (L.lengths + depth) * R
         radii.setflags(write=False)
-        clouds.append(PointCloud(_coords(v), radii, L, b))
-    return clouds
+        coords = _coords(v)
+        n = len(L)
+        clouds.append([PointCloud(coords[j * n:(j + 1) * n], radii, L, b)
+                       for j in range(S)])
+    return [list(per_seed) for per_seed in zip(*clouds)]
 
 
 def points_to_arrays(points) -> tuple:

@@ -192,6 +192,18 @@ def test_pairs_threads_match_sequential(tmp_path):
     assert seq == par
 
 
+def test_pairs_uneven_seed_groups_match_across_threads(tmp_path, monkeypatch):
+    # 61 seeds of a 64-word level: one group at the default cap, and 15 groups
+    # of 4 seeds plus a last group of 1 under a cap of 4 seeds' rows
+    cfg = replace(_small_config("pairs"), n=6, seeds=61)
+    whole = read_all(run(cfg, tmp_path / "whole", threads=1))
+    monkeypatch.setattr(attractor, "GROUP_ROWS", 4 * 64 + 3)
+    L = symbolic.level_set(cfg.measure, cfg.n)
+    assert [len(g) for g in attractor.seed_groups(cfg.seeds, [L])] == [4] * 15 + [1]
+    for threads in (1, 2, 4):
+        assert read_all(run(cfg, tmp_path / f"t{threads}", threads=threads)) == whole
+
+
 def test_lyapunov_report_values(tmp_path):
     paths = run(_small_config("lyapunov"), tmp_path)
     rows = dict(line.split(",") for line in

@@ -9,9 +9,10 @@ own bound flags, the per-word projection that recomposed every
 prefix of every word one word-matrix column at a time (``AffineBatch``), and
 the determinant-window walk streaming the tree one depth at a time.
 
-One walk of the cylinder tree must give, for every level it serves, the
-same coordinate and radius bytes as the per-word projection of that level
-alone, and sample exactly one matrix per tree node plus the tail steps.
+One walk of the cylinder tree must give, for every level and every seed of
+the group it serves, the same coordinate and radius bytes as the per-word
+projection of that level under that seed alone, and sample exactly one
+matrix per tree node plus the tail steps.
 """
 
 import json
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from rifs import keyed
+from rifs import attractor, keyed
 from rifs.analysis import CoverageGrid, coverage_estimate
 from rifs.analysis.detwindow import DetWindowReport
 from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project_level,
-                            project_levels)
-from rifs.errors import InputError
+                            project_levels, seed_groups)
+from rifs.errors import BudgetError, InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                lyapunov_exponent)
@@ -315,20 +316,89 @@ def test_level_set_rejects_a_too_shallow_tree():
         level_set(m, 4, tree=tree)
 
 
+SEEDS = (5, 6, 7)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_walk_matches_per_word_projection(case):
     fam, m, tail, n_min, n_max = CASES[case]
-    r = Realization(5, fam)
+    rs = [Realization(seed, fam) for seed in SEEDS]
     levels = level_sets(m, range(n_min, n_max + 1))
     targets = _targets(levels)
-    clouds = project_levels(r, levels, tail, targets)
-    for L, target, pts in zip(levels, targets, clouds):
-        coords, radii = ref_project_level(r, level_set(m, L.n), tail, target)
-        assert pts.coords.shape == coords.shape
-        assert pts.coords.tobytes() == coords.tobytes(), L.n
-        assert pts.radii.tobytes() == radii.tobytes(), L.n
-        single = project_level(r, L, tail, target)
-        assert single.coords.tobytes() == coords.tobytes()
+    group = project_levels(rs, levels, tail, targets)
+    assert len(group) == len(rs)
+    for r, clouds in zip(rs, group):
+        alone = project_levels([r], levels, tail, targets)[0]
+        for L, target, pts, own in zip(levels, targets, clouds, alone):
+            coords, radii = ref_project_level(r, level_set(m, L.n), tail, target)
+            for got in (pts, own, project_level(r, L, tail, target)):
+                assert got.coords.shape == coords.shape
+                assert got.coords.tobytes() == coords.tobytes(), L.n
+                assert got.radii.tobytes() == radii.tobytes(), L.n
+                assert got.level_set is L and got.tail is tail
+                assert not got.coords.flags.writeable and not got.radii.flags.writeable
+
+
+def _walk_rows(levels):
+    """Rows one seed adds to the widest array of a walk: a depth or a level."""
+    deepest = max(int(L.lengths.max()) for L in levels)
+    return max([fr.symbols.size for fr in levels[0].tree[:deepest]]
+               + [len(L) for L in levels])
+
+
+@pytest.mark.parametrize("cap", ["one_row", "one_seed", "uneven"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_seed_groups_give_each_seed_its_own_clouds(case, cap, monkeypatch):
+    fam, m, tail, n_min, n_max = CASES[case]
+    levels = level_sets(m, range(n_min, n_max + 1))
+    targets = _targets(levels)
+    rows = _walk_rows(levels)
+    limit, sizes = {"one_row": (1, [1] * 3), "one_seed": (rows, [1] * 3),
+                    "uneven": (2 * rows + rows // 2, [2, 1])}[cap]
+    monkeypatch.setattr(attractor, "GROUP_ROWS", limit)
+    groups = seed_groups(3, levels)
+    assert [len(g) for g in groups] == sizes
+    assert [j for g in groups for j in g] == list(range(3))
+    rs = [Realization(100 + j, fam) for j in range(3)]
+    got = [clouds for g in groups
+           for clouds in project_levels([rs[j] for j in g], levels, tail, targets)]
+    for r, clouds in zip(rs, got):
+        for pts, own in zip(clouds, project_levels([r], levels, tail, targets)[0]):
+            assert pts.coords.tobytes() == own.coords.tobytes()
+            assert pts.radii.tobytes() == own.radii.tobytes()
+            assert pts.level_set is own.level_set and pts.tail is own.tail
+
+
+def test_benchmark_sized_pairs_runs_are_one_group():
+    # the largest benchmark pairs level (baby_theorem n = 9, 512 words) at 30 seeds
+    assert len(seed_groups(30, [level_set(BernoulliMeasure([0.5, 0.5]), 9)])) == 1
+    assert len(seed_groups(30, [level_set(BernoulliMeasure([0.5, 0.5]), 11)])) == 4
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_group_budget_is_charged_per_seed_and_level(case):
+    fam, m, tail, n_min, n_max = CASES[case]
+    levels = level_sets(m, range(n_min, n_max + 1))
+    targets = _targets(levels)
+    rho, R = fam.rho_max, bounding_ball(fam)
+    need = max(int(L.lengths.sum()) + sum(_required_depth(t, k, rho, R)
+                                          for k in L.lengths.tolist())
+               for L, t in zip(levels, targets))
+    rs = [Realization(seed, fam) for seed in SEEDS]
+    assert len(project_levels(rs, levels, tail, targets, map_budget=need)) == len(rs)
+    message = (f"projection map budget ({need - 1}) exceeded: "
+               f"{need} applications requested")
+    for group in (rs, rs[:1]):
+        with pytest.raises(BudgetError) as err:
+            project_levels(group, levels, tail, targets, map_budget=need - 1)
+        assert str(err.value) == message
+
+
+def test_seed_group_needs_one_family():
+    m = BernoulliMeasure([0.7, 0.3])
+    with pytest.raises(InputError, match="one family"):
+        project_levels([Realization(0, _LINE), Realization(1, _PLANE)], [level_set(m, 3)],
+                       TailSequence.constant(1), [1e-3])
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -338,7 +408,7 @@ def test_level_sets_shared_by_threads(threads):
     targets = _targets(levels)
 
     def clouds(j):
-        pts = project_levels(Realization(j, fam), levels, tail, targets)
+        pts = project_levels([Realization(j, fam)], levels, tail, targets)[0]
         return [c.coords.tobytes() for c in pts]
 
     # more threads than cores and a short switch interval interleave the walks
@@ -356,7 +426,7 @@ def test_projection_needs_one_tree():
     m = BernoulliMeasure([0.7, 0.3])
     r = Realization(0, _LINE)
     with pytest.raises(InputError, match="one cylinder tree"):
-        project_levels(r, [level_set(m, 3), level_set(m, 4)], TailSequence.constant(1),
+        project_levels([r], [level_set(m, 3), level_set(m, 4)], TailSequence.constant(1),
                        [1e-3, 1e-3])
 
 

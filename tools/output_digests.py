@@ -16,6 +16,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``);
 * ``density`` on ``baby_theorem`` at its preset levels (n = 6..14, greedy
   nets of up to 16,384 points) with one seed;
+* ``pairs`` on ``baby_theorem`` at a level whose seeds split into several
+  groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
+  per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
+  the 30 seeds), with ``--threads 1`` and ``--threads 2``;
 * the six benchmark kinds of every workload at workload seeds 0 and 3;
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
@@ -53,6 +57,8 @@ SMALL = {
 MULTI_BLOCK_N = {"mixed": 9, "markov": 10}
 THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
+# a baby_theorem pairs level whose 30 seeds take 4 projection seed groups
+MULTI_GROUP_N = 11
 BENCH_SEEDS = (0, 3)
 
 
@@ -108,6 +114,10 @@ def _grid():
         if name == "baby_theorem":
             runs.append((f"{name}/density/preset_levels",
                          replace(base, kind="density", seeds=1), 1))
+            for threads in (1, 2):
+                runs.append((f"{name}/pairs/multi_group/t{threads}",
+                             replace(base, kind="pairs", n=MULTI_GROUP_N, seeds=PAIRS_SEEDS),
+                             threads))
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for kind, cfg in build_configs(workload, seed):
