@@ -25,8 +25,9 @@ from .analysis import (AttractorMeasureReport, CoverageGrid, CoverageReport,
                        PairCountResult, PsiEquivalence, TransversalityFit,
                        attractor_measure_estimate, close_pair_count,
                        coverage_estimate, density_sweep, det_window_report,
-                       g_divergence_heuristic, psi_equivalence_check, psi_from_mg,
-                       separated_subset, transversality_scaling)
+                       det_window_reports, g_divergence_heuristic,
+                       psi_equivalence_check, psi_from_mg, separated_subset,
+                       transversality_scaling)
 from .experiments import ExperimentConfig, Gauge, preset, run
 
 __version__ = "0.1.0"

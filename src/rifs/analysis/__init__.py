@@ -2,7 +2,7 @@
 close-pair counts and their scaling, separated subsets and density of good
 levels, divergence heuristics, and grid-based Lebesgue estimates."""
 
-from .detwindow import DetWindowReport, det_window_report
+from .detwindow import DetWindowReport, det_window_report, det_window_reports
 from .pairs import (PairCountResult, TransversalityFit, DensityReport,
                     close_pair_count, separated_subset, transversality_scaling,
                     density_sweep)
@@ -12,7 +12,7 @@ from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuris
                          psi_from_mg, psi_equivalence_check)
 
 __all__ = [
-    "DetWindowReport", "det_window_report",
+    "DetWindowReport", "det_window_report", "det_window_reports",
     "PairCountResult", "TransversalityFit", "DensityReport",
     "close_pair_count", "separated_subset", "transversality_scaling",
     "density_sweep",

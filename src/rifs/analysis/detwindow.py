@@ -19,25 +19,37 @@ empirical decay rate.
 
 The cylinder tree itself does not depend on the seed: a run over many seeds
 builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the same
-tree that level sets are selected from, and walks it once per seed (the
-``tree`` argument of :func:`det_window_report`); a lone walk streams it.
+tree that level sets are selected from, and :func:`det_window_reports` walks
+it once per seed group, a sequence of realizations of one family stepped
+together.  A group's rows are seed-major: seed ``j``'s node ``i`` of a depth
+with ``P`` nodes per seed sits at row ``j * P + i``.  Each row repeats the
+operations of a walk of its seed alone, and each seed's good measures of a
+depth are summed as one array, so a seed's report does not depend on the
+group it was walked in.  :func:`det_window_report` is the walk of one
+realization; without a tree it streams one depth at a time.
 
-Each depth is walked in blocks of consecutive parents owning about ``BLOCK``
-(2**14) children, so the walk's temporaries are bounded by the block, not by
-the width of the depth; the next depth's state is the concatenation of the
-blocks' active children.  At that size every temporary stays cache-resident
-and comes from the malloc heap rather than from freshly mmapped pages, whose
-page faults dominated whole-depth passes: on the 8-symbol ``wide_io``
-benchmark workload (widest depth 2**18 children) the walk went from 0.27 s to
-0.16 s per round.  A depth of at most ``BLOCK`` children is one block and
-takes the whole-depth path unchanged.  Blocks change no result bit: the good
-measures of a depth are concatenated and summed once, as before.
+The walk works in blocks of at most ``BLOCK`` (2**14) children.  A group
+walks a depth together while its seeds' children fit in one block.
+Before a depth that would exceed it, the group splits into subgroups of
+``max(1, BLOCK // width)`` seeds (``width`` children per seed), and each
+subgroup walks the rest of the tree before the next one starts: the
+subgroups' rows are copied onto an explicit stack and the parent group's
+arrays are dropped.  Depth-first order keeps the live rows of the walk near
+one block, whatever the number of seeds; breadth-first order would hold
+every subgroup's depth at once.  A single seed on a depth wider than
+``BLOCK`` takes it in blocks of consecutive parents and concatenates the
+blocks' active children for the next depth.  At that size every temporary
+stays cache-resident and comes from the malloc heap rather than from freshly
+mmapped pages, whose page faults dominated whole-depth passes.  Grouping
+pays the fixed cost of a block's numpy calls once for many shallow depths
+of many seeds instead of once per seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -46,8 +58,8 @@ from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
 from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
 
-# Children per block of one depth of the walk (see the module docstring):
-# 128 KiB per float64 temporary, cache-resident and reused from the malloc heap.
+# Children per block of the walk (see the module docstring): 128 KiB per
+# float64 temporary, cache-resident and reused from the malloc heap.
 BLOCK = 1 << 14
 
 
@@ -106,11 +118,25 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
                       tree: tuple | None = None) -> DetWindowReport:
     """Classify every level-set word by its determinant window behaviour.
 
-    Walks the cylinder tree of ``(m, n)`` once, carrying per-node chain
-    states and cumulative log-determinants.  ``tree`` is
+    ``det_window_reports`` for the single realization ``r``; without a
+    ``tree`` the walk streams the tree one depth at a time.
+    """
+    return det_window_reports([r], m, n, eps1, C, N1, word_budget, tree)[0]
+
+
+def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1: int,
+                       word_budget: int = WORD_BUDGET_DEFAULT,
+                       tree: tuple | None = None) -> list:
+    """Window reports of a seed group ``rs`` (realizations of one family),
+    from one depth-first walk of the cylinder tree of ``(m, n)``.
+
+    Returns one report per realization, in order.  The walk carries per-node
+    chain states, cumulative log-determinants and good flags, seed-major,
+    and splits the group before a depth whose children exceed ``BLOCK``
+    (see the module docstring).  ``tree`` is
     ``tuple(iter_level_frontiers(m, n, word_budget))``, built once per run
-    and shared (read only) by the walks of every seed; when omitted, the
-    tree is streamed one depth at a time.
+    and shared (read only) by every group; when omitted, it is built here,
+    or streamed for a single realization.
     """
     if eps1 <= 0.0:
         raise InputError("eps1 must be positive")
@@ -118,71 +144,112 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
         raise InputError("window constant C must be positive")
     if N1 < 1:
         raise InputError("prefix threshold N1 must be >= 1")
-    if m.alphabet.size != r.family.alphabet.size:
+    if not rs:
+        return []
+    family = rs[0].family
+    if any(q.family is not family for q in rs):
+        raise InputError("a seed group must hold realizations of one family")
+    if m.alphabet.size != family.alphabet.size:
         raise InputError("measure and family alphabets disagree")
     if tree is None:
         tree = iter_level_frontiers(m, n, word_budget)
+    if len(rs) > 1:
+        tree = tuple(tree)   # subgroups walk the depths below a split again
 
-    lam = lyapunov_exponent(r.family, m)
+    lam = lyapunov_exponent(family, m)
     log_c = math.log(C)
-
-    states = r.root_chain()
-    cum_ld = np.zeros(1)
-    good = np.ones(1, dtype=bool)
-    bad_counts: list = []
-    totals: list = []
-    good_mass = 0.0
-
     A = m.alphabet.size
-    per = max(1, BLOCK // A)   # parents per block
-    for fr in tree:
-        k = fr.depth
-        cut = k * eps1 + log_c if k >= N1 else None
-        P = states.size
-        if P <= per:
-            bad, kept, states, cum_ld, good = _walk_block(
-                r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, k * lam, k * eps1, cut)
-        else:
-            # children are parent-major, so parents [lo, hi) own children [lo*A, hi*A)
-            cuts = list(range(0, P, per)) + [P]
-            at = np.searchsorted(fr.active_idx, np.multiply(cuts, A)).tolist()
-            parts = [_walk_block(r, fr, A, states, cum_ld, good, lo, hi,
-                                 fr.active_idx[a:b] - lo * A, k * lam, k * eps1, cut)
-                     for lo, hi, a, b in zip(cuts, cuts[1:], at, at[1:])]
-            bads, kepts, *nxt = zip(*parts)
-            bad = sum(bads)
-            kepts = [x for x in kepts if x is not None]
-            kept = np.concatenate(kepts) if kepts else None
-            states, cum_ld, good = (np.concatenate(x) for x in nxt)
-        bad_counts.append(bad)
-        totals.append(P * A)
-        if kept is not None:   # one sum per depth, as the whole-depth walk sums
-            good_mass += float(kept.sum())
+    r = rs[0]   # sampling reads only the family and the chain states
+    S = len(rs)
+    failures: list = []   # per depth: band violations of every seed
+    totals: list = []     # per depth: children per seed
+    good_mass = np.zeros(S)
 
-    return DetWindowReport(
-        n=n, eps1=eps1, C=C, N1=N1, lyapunov=lam, good_mass=good_mass,
-        per_prefix_failures=np.array(bad_counts, dtype=np.int64),
-        per_prefix_totals=np.array(totals, dtype=np.int64))
+    # (first depth index, seeds lo..hi-1, their rows: states, cum_ld, good)
+    stack = [(0, 0, S, np.concatenate([q.root_chain() for q in rs]),
+              np.zeros(S), np.ones(S, dtype=bool))]
+    while stack:
+        start, lo, hi, states, cum_ld, good = stack.pop()
+        G = hi - lo
+        for fr in islice(tree, start, None):
+            width = fr.symbols.size
+            P = states.size // G   # parents per seed
+            if G > 1 and G * width > BLOCK:
+                # split; pushed last, the first subgroup is walked first
+                per = max(1, BLOCK // width)
+                for a in reversed(range(lo, hi, per)):
+                    b = min(a + per, hi)
+                    rows = slice((a - lo) * P, (b - lo) * P)
+                    stack.append((fr.depth - 1, a, b, states[rows].copy(),
+                                  cum_ld[rows].copy(), good[rows].copy()))
+                break
+            k = fr.depth
+            if k > len(totals):
+                totals.append(width)
+                failures.append(np.zeros(S, dtype=np.int64))
+            cut = k * eps1 + log_c if k >= N1 else None
+            args = (k * lam, k * eps1, cut)
+            if G * width <= BLOCK:
+                bad, kept, states, cum_ld, good = _walk_block(
+                    r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, *args)
+            else:
+                # one seed wider than a block: consecutive parents [a, b) own
+                # children [a*A, b*A), since children are parent-major
+                cuts = list(range(0, P, max(1, BLOCK // A))) + [P]
+                at = np.searchsorted(fr.active_idx, np.multiply(cuts, A)).tolist()
+                parts = [_walk_block(r, fr, A, states[a:b], cum_ld[a:b], good[a:b], a, b,
+                                     fr.active_idx[i:j] - a * A, *args)
+                         for a, b, i, j in zip(cuts, cuts[1:], at, at[1:])]
+                bads, kepts, *nxt = zip(*parts)
+                bad = sum(b[0] for b in bads)
+                kepts = [x[0] for x in kepts if x]
+                kept = [np.concatenate(kepts)] if kepts else []
+                states, cum_ld, good = (np.concatenate(x) for x in nxt)
+            failures[k - 1][lo:hi] = bad
+            if kept:   # one sum per seed and depth, as a walk of one seed sums
+                good_mass[lo:hi] += [x.sum() for x in kept]
+
+    failures = np.array(failures, dtype=np.int64).reshape(-1, S)
+    return [DetWindowReport(
+        n=n, eps1=eps1, C=C, N1=N1, lyapunov=lam, good_mass=float(good_mass[j]),
+        per_prefix_failures=failures[:, j].copy(),
+        per_prefix_totals=np.array(totals, dtype=np.int64)) for j in range(S)]
+
+
+def seed_ranges(n_seeds: int, n_symbols: int, threads: int) -> list:
+    """Consecutive ranges of ``range(n_seeds)`` to pass to ``det_window_reports``:
+    one per thread, each no wider than the first depth fits in one block."""
+    per = max(1, min(-(-n_seeds // max(1, threads)), BLOCK // n_symbols))
+    return [range(lo, min(lo + per, n_seeds)) for lo in range(0, n_seeds, per)]
 
 
 def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
-                sel: np.ndarray, shift: float, band: float, cut):
-    """One block of a depth: the children of active parents ``lo .. hi - 1``.
+                act: np.ndarray, shift: float, band: float, cut):
+    """One block of a depth: the children of parents ``lo .. hi - 1`` of each
+    seed whose rows (seed-major) are ``states``, ``cum_ld`` and ``good``.
 
-    Returns the block's band-violation count, the measures of its good
-    emitted children (None when there are none), and the chain states,
-    cumulative log-determinants and good flags of its children ``sel``
-    (indices within the block), which stay active.
+    Returns each seed's band-violation count, each seed's measures of its
+    good emitted children (an empty list when no seed has any), and the
+    chain states, cumulative log-determinants and good flags of the children
+    ``act`` (indices within one seed's block) of every seed, seed-major;
+    those stay active.
     """
     c = slice(lo * A, hi * A)
+    G = states.size // (hi - lo)
     # children are parent-major/symbol-minor, so gathers are plain repeats
-    child_states = keyed.absorb_children(states[lo:hi], A)
-    S = np.repeat(cum_ld[lo:hi], A) + r.log_dets_from_chains(child_states, fr.symbols[c])
+    child_states = keyed.absorb_children(states, A)
+    symbols = fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
+    S = np.repeat(cum_ld, A) + r.log_dets_from_chains(child_states, symbols)
     dev = np.abs(S + shift)
-    child_good = np.repeat(good[lo:hi], A)
+    child_good = np.repeat(good, A)
     if cut is not None:
         child_good &= dev <= cut
-    emitted_good = fr.emit_mask[c] & child_good
-    kept = fr.measures[c][emitted_good] if emitted_good.any() else None
-    return (np.count_nonzero(dev > band), kept,
-            child_states[sel], S[sel], child_good[sel])
+    over = dev > band
+    emitted_good = fr.emit_mask[c] & child_good.reshape(G, -1)
+    measures = fr.measures[c]
+    kept = [measures[e] for e in emitted_good] if emitted_good.any() else []
+    if G == 1:   # flat count and gathers, twice as fast as their per-seed forms
+        return [np.count_nonzero(over)], kept, child_states[act], S[act], child_good[act]
+    return (np.count_nonzero(over.reshape(G, -1), axis=1), kept,
+            *(np.take(x.reshape(G, -1), act, axis=1).reshape(-1)
+              for x in (child_states, S, child_good)))

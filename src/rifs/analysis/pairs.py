@@ -370,6 +370,11 @@ class TransversalityFit:
     below_resolution: bool
 
 
+def _counts_at_most(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``[(values <= t).sum() for t in thresholds]`` from one sort and one search."""
+    return np.searchsorted(np.sort(values), thresholds, side="right")
+
+
 def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                            n: int, s_list, n_seeds: int, master_seed: int = 0,
                            word_budget: int = WORD_BUDGET_DEFAULT,
@@ -405,7 +410,7 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
         counts = []
         for (pts,) in project_levels(rs, [L], b, [eps], map_budget):
             dists = pair_distances_within(pts.coords, float(thresholds.max()))
-            counts.append([2.0 * int((dists <= t).sum()) for t in thresholds])
+            counts.append(2.0 * _counts_at_most(dists, thresholds))
         return counts
 
     counts = np.asarray([c for group in keyed.map_seeds(group_counts, len(groups), threads)

@@ -30,8 +30,9 @@ import numpy as np
 
 from . import keyed
 from .analysis import (CoverageGrid, attractor_measure_estimate,
-                       coverage_estimate, density_sweep, det_window_report,
+                       coverage_estimate, density_sweep, det_window_reports,
                        transversality_scaling)
+from .analysis.detwindow import seed_ranges
 from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, write_points_csv,
                         write_svg_scatter)
 from .errors import InputError
@@ -478,15 +479,17 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
 def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     eps1 = cfg.resolved_eps1()
-    # the tree is seed-independent: built once and shared by every seed's walk
+    # the tree is seed-independent: built once and shared by every group's walk
     tree = tuple(iter_level_frontiers(cfg.measure, cfg.n, cfg.word_budget))
+    ranges = seed_ranges(cfg.seeds, cfg.measure.alphabet.size, threads)
 
-    def one(j: int):
-        r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-        return det_window_report(r, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
-                                 cfg.word_budget, tree=tree)
+    def group(g: int):
+        rs = [Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
+              for j in ranges[g]]
+        return det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
+                                  cfg.word_budget, tree=tree)
 
-    reports = keyed.map_seeds(one, cfg.seeds, threads)
+    reports = [rep for reps in keyed.map_seeds(group, len(ranges), threads) for rep in reps]
     rows = []
     hist_rows = []
     for j, rep in enumerate(reports):

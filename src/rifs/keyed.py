@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,8 @@ _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
+# children per cached tile of symbol steps (absorb_children)
+_STEP_TILE = 1 << 14
 # map_seeds keeps at most this many seeds in flight per worker thread
 SEED_WINDOW_PER_THREAD = 4
 
@@ -85,14 +88,29 @@ def absorb(states: np.ndarray, symbols) -> np.ndarray:
     return _mix64_inplace(states ^ (sym * _SYMBOL_STEP))
 
 
+@lru_cache(maxsize=8)
+def _symbol_steps(n_symbols: int) -> np.ndarray:
+    """Read-only ``tile(1..A, ...) * _SYMBOL_STEP``, whole tiles of about
+    ``_STEP_TILE`` children (at least one tile of ``A``)."""
+    steps = np.tile(np.arange(1, n_symbols + 1, dtype=np.uint64) * _SYMBOL_STEP,
+                    max(1, _STEP_TILE // n_symbols))
+    steps.setflags(write=False)
+    return steps
+
+
 def absorb_children(states: np.ndarray, n_symbols: int) -> np.ndarray:
     """Chain states of every one-symbol extension, parent-major symbol-minor.
 
-    Equivalent to ``absorb(repeat(states, A), tile(1..A, len(states)))`` in a
-    single broadcasted pass; shape ``(len(states) * n_symbols,)``.
+    Equals ``absorb(repeat(states, A), tile(1..A, len(states)))``; shape
+    ``(len(states) * n_symbols,)``.  The per-symbol steps are xored from a
+    cached tile, so no pass has an inner loop of length ``A``.
     """
-    pre = np.arange(1, n_symbols + 1, dtype=np.uint64) * _SYMBOL_STEP
-    return _mix64_inplace((states[:, None] ^ pre[None, :]).reshape(-1))
+    out = np.repeat(states, n_symbols)
+    steps = _symbol_steps(n_symbols)
+    for lo in range(0, out.size, steps.size):   # whole tiles keep symbols aligned
+        part = out[lo:lo + steps.size]
+        part ^= steps[:part.size]
+    return _mix64_inplace(out)
 
 
 def word_state(seed: int, word) -> np.ndarray:

@@ -191,6 +191,20 @@ def test_transversality_small_run(line_family):
     assert 0.6 < fit.slope < 1.4
 
 
+def test_pair_counts_from_one_sort_match_one_reduction_per_threshold():
+    # distances with ties exactly on the thresholds and one ulp to either side
+    rng = np.random.default_rng(11)
+    thresholds = np.array([0.5, 1, 2, 4, 8, 16]) / 64.0
+    ties = np.concatenate([thresholds, np.nextafter(thresholds, 0.0),
+                           np.nextafter(thresholds, 1.0)])
+    for size in (0, 1, 9, 2000):
+        dists = np.concatenate([rng.uniform(0.0, 0.3, size),
+                                rng.choice(ties, size=size // 2 + 1), [0.0]])
+        rng.shuffle(dists)
+        want = [int((dists <= t).sum()) for t in thresholds]
+        assert pairs._counts_at_most(dists, thresholds).tolist() == want
+
+
 def test_transversality_below_resolution():
     # widely separated translations, tiny scales: no close pairs at all
     fam = MatrixFamily(1, [SimilaritySpec(0.01, 0.02)] * 2, [[0.0], [100.0]])

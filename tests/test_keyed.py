@@ -17,7 +17,16 @@ def test_word_state_is_path_independent():
     assert int(full[0]) == int(resumed[0])
 
 
+@pytest.mark.filterwarnings("error")   # no uint64 overflow warnings
 def test_absorb_children_matches_scalar_absorb():
+    for A in (2, 3, 8, 255):
+        # 0, 1 and 7 parents, one whole block of the window walk, and more than
+        # one cached tile of symbol steps, whose last tile ends mid-input
+        for P in (0, 1, 7, (1 << 14) // A, 3 * (1 << 14) // A + 5):
+            states = keyed.mix64(np.arange(P, dtype=np.uint64) + np.uint64(A))
+            kids = keyed.absorb_children(states, A)
+            want = keyed.absorb(np.repeat(states, A), np.tile(np.arange(1, A + 1), P))
+            assert kids.dtype == np.uint64 and np.array_equal(kids, want), (A, P)
     states = keyed.mix64(np.arange(7, dtype=np.uint64))
     kids = keyed.absorb_children(states, 3)
     for p in range(7):

@@ -9,7 +9,9 @@ determinant-window walk over a tree built once
 (``tuple(iter_level_frontiers(...))``) and shared by threads must equal the
 walk that streams the tree (``ref_det_window_report``), field by field, for
 every seed and thread count, also when the walk cuts each depth into blocks
-of one or a few parents.
+of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
+seeds must equal the same oracle at 1 and 2 threads, also when a smaller
+``BLOCK`` splits its groups unevenly at several depths.
 """
 
 import json
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import det_window_report, detwindow
+from rifs.analysis import det_window_report, det_window_reports, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                _pick_base)
@@ -183,3 +185,51 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
         if threads == 1:
             lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
             assert _report_fields(lone) == streamed[0], block
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_seed_group_walk_equals_oracle(case, monkeypatch):
+    pick, m, n = WINDOW_CASES[case]
+    fam = pick(_families())
+    eps1, C, N1 = 0.05, 1.5, 2
+    tree = tuple(iter_level_frontiers(m, n))
+    want = [_report_fields(ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1))
+            for j in range(8)]
+
+    calls = []   # (depth, seeds in the block) of every block walked
+    walk_block = detwindow._walk_block
+
+    def spy(r, fr, A, states, cum_ld, good, lo, hi, *rest):
+        calls.append((fr.depth, states.size // (hi - lo)))
+        return walk_block(r, fr, A, states, cum_ld, good, lo, hi, *rest)
+
+    monkeypatch.setattr(detwindow, "_walk_block", spy)
+
+    def grouped(threads):
+        ranges = detwindow.seed_ranges(8, m.alphabet.size, threads)
+
+        def group(g):
+            rs = [Realization(j, fam) for j in ranges[g]]
+            return det_window_reports(rs, m, n, eps1, C, N1, tree=tree)
+
+        return [_report_fields(rep)
+                for reps in keyed.map_seeds(group, len(ranges), threads) for rep in reps]
+
+    # the default block, and one of three middle-depth widths: 8 seeds walk the
+    # shallow depths together, then split unevenly (3+3+2, 6+2 or 7+1) and again
+    widths = [fr.symbols.size for fr in tree]
+    for block in (detwindow.BLOCK, 3 * widths[len(widths) // 2]):
+        monkeypatch.setattr(detwindow, "BLOCK", block)
+        for threads in (1, 2):
+            assert grouped(threads) == want, (block, threads)
+        # a group built here, without a tree, walks the same
+        rs = [Realization(j, fam) for j in range(8)]
+        assert [_report_fields(rep) for rep in det_window_reports(rs, m, n, eps1, C, N1)] == want
+    calls.clear()
+    grouped(1)
+    assert calls[0] == (1, 8)
+    sizes = {}
+    for depth, seeds in calls:
+        sizes.setdefault(depth, set()).add(seeds)
+    assert len(set().union(*sizes.values())) >= 3   # split at two depths at least
+    assert any(len(s) > 1 for s in sizes.values())  # uneven subgroups side by side

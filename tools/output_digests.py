@@ -13,7 +13,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   small sizes, with ``--threads 1``; the seed-parallel kinds again with
   ``--threads 2``, and ``detwindow`` with a single seed;
 * ``detwindow`` on the mixed and the Markov config at a level whose widest
-  depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``);
+  depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``), with 3
+  seeds at ``--threads 2`` and with 8 seeds at ``--threads 1``; the 8 seeds
+  start as one group of the walk, which splits mid-tree, and on the mixed
+  family each group mixes two distributions;
 * ``density`` on ``baby_theorem`` at its preset levels (n = 6..14, greedy
   nets of up to 16,384 points) with one seed;
 * ``pairs`` on ``baby_theorem`` at a level whose seeds split into several
@@ -111,6 +114,8 @@ def _grid():
         if name in MULTI_BLOCK_N:
             runs.append((f"{name}/detwindow/multi_block",
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=3), 2))
+            runs.append((f"{name}/detwindow/multi_block_grouped",
+                         replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=8), 1))
         if name == "baby_theorem":
             runs.append((f"{name}/density/preset_levels",
                          replace(base, kind="density", seeds=1), 1))
