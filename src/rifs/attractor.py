@@ -46,8 +46,8 @@ import numpy as np
 from . import keyed
 from .errors import BudgetError, InputError
 from .random_model import MatrixFamily, Realization
-from .symbolic import (LevelSet, TailSequence, _write_atomic, validate_word,
-                       word_strings)
+from .symbolic import (LevelSet, TailSequence, _write_atomic, format_distinct,
+                       validate_word, word_strings)
 
 MAP_BUDGET_DEFAULT = 200_000_000
 # rows of the widest array of one seed group's walk (see seed_groups)
@@ -298,9 +298,8 @@ def write_points_csv(points, path, header_comment: str | None = None) -> None:
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("word," + ",".join(f"x_{i + 1}" for i in range(d)) + ",trunc_radius")
-    for w, xy, rad in zip(words, coords.tolist(), radii.tolist()):
-        xs = ",".join(repr(c) for c in xy)
-        lines.append(f"{w},{xs},{rad!r}")
+    xs = (",".join(map(repr, xy)) for xy in coords.tolist())
+    lines.extend(map(",".join, zip(words, xs, format_distinct(radii, repr))))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -319,7 +318,7 @@ def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
     if header_comment:
         parts.append(f"<!-- {header_comment} -->")
     parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
-    for x, y in pix:
+    for x, y in pix.tolist():
         parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="1" fill="black"/>')
     parts.append("</svg>")
     _write_atomic(path, "\n".join(parts) + "\n")

@@ -8,7 +8,12 @@ are supported, mirroring the standard similarity and affine constructions:
   ``[r_minus, r_plus]`` (0 < r- < r+ < 1) and ``O`` Haar-distributed on the
   orthogonal group (Gaussian QR with the sign-fixed-diagonal convention).
   For d = 1 the orthogonal factor is taken to be the identity so that
-  samples are positive scalars in ``[r-, r+]``.
+  samples are positive scalars in ``[r-, r+]``.  For d = 2 the factor is
+  built in closed form from the same four Gaussian draws: the normalized
+  first column, then that column turned by +90 degrees times the sign of
+  the Gaussian matrix's determinant.  It equals LAPACK's factor up to
+  rounding and no longer depends on the LAPACK build; d >= 3 takes
+  LAPACK's Householder QR.
 * ``AffineSpec``: ``A = lam * O * B`` with ``B`` drawn from a finite weighted
   set of invertible matrices with operator norm <= 1 and smallest singular
   value bounded away from 0.
@@ -276,16 +281,36 @@ class Realization:
         if d == 1:
             mats = lam[:, None, None].copy()
         else:
-            gauss = ndtri(keyed.draw_u01_block(states, 2, d * d)).reshape(-1, d, d)
-            q, r = np.linalg.qr(gauss)
-            signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-            signs = np.where(signs == 0.0, 1.0, signs)
-            q = q * signs[:, None, :]
-            mats = lam[:, None, None] * q
+            gauss = ndtri(keyed.draw_u01_block(states, 2, d * d))
+            mats = lam[:, None, None] * _haar_factor(gauss, d)
         if isinstance(spec, AffineSpec):
             idx = _base_index(states, spec)
             mats = mats @ spec.base_matrices[idx]
         return mats
+
+
+def _haar_factor(gauss: np.ndarray, d: int) -> np.ndarray:
+    """Sign-fixed QR factor of each row-major d x d Gaussian row, shape (N, d, d).
+
+    The factor ``Q`` of ``G = QR`` with ``diag(R) >= 0`` (a zero entry counts
+    as positive) is Haar on the orthogonal group (Mezzadri 2007).  For d = 2
+    it is built in closed form: the first column is ``G``'s first column
+    normalized, and the second is that turned by +90 degrees times ``sign(det G)``,
+    which makes ``R[1, 1] = sign(det G) det G / |g_1|`` nonnegative.  The
+    first column is never zero, because no uniform draw is exactly 1/2.
+    d >= 3 takes LAPACK's Householder QR.
+    """
+    if d == 2:
+        g00, g01, g10, g11 = gauss.T
+        norm = np.sqrt(g00 * g00 + g10 * g10)
+        c = g00 / norm
+        s = g10 / norm
+        sign = np.where(g00 * g11 - g01 * g10 < 0.0, -1.0, 1.0)
+        return np.stack([c, -sign * s, s, sign * c], axis=1).reshape(-1, 2, 2)
+    q, r = np.linalg.qr(gauss.reshape(-1, d, d))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0.0, 1.0, signs)
+    return q * signs[:, None, :]
 
 
 def _scalar_factor(states: np.ndarray, spec) -> np.ndarray:

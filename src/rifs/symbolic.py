@@ -509,9 +509,21 @@ def write_levelset_csv(ls: LevelSet, path, header_comment: str | None = None) ->
     if header_comment:
         lines.append(f"# {header_comment}")
     lines.append("word,length,measure")
-    lines.extend(f"{w},{n},{mu!r}" for w, n, mu in
-                 zip(word_strings(ls), ls.lengths.tolist(), ls.measures.tolist()))
+    lines.extend(map(",".join, zip(word_strings(ls), format_distinct(ls.lengths, str),
+                                   format_distinct(ls.measures, repr))))
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def format_distinct(values: np.ndarray, fmt) -> list:
+    """``[fmt(v) for v in values.tolist()]``, calling ``fmt`` once per distinct value.
+
+    Values are keyed by their bit pattern, so ``0.0`` and ``-0.0`` format apart.
+    """
+    values = np.ascontiguousarray(values)
+    _, first, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def _write_atomic(path, text: str) -> None:

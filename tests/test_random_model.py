@@ -114,15 +114,21 @@ def test_samples_uniform_on_interval_ks(line_family):
     assert stat < 1.628 / math.sqrt(n)  # 1% critical value
 
 
+def _distinct_word_states(seed, n):
+    """Chain states of ``n`` distinct 15-letter binary words."""
+    bits = ((np.arange(n)[:, None] >> np.arange(15)[None, :]) & 1) + 1
+    states = np.broadcast_to(keyed.root_state(seed), (n,)).copy()
+    for j in range(15):
+        states = keyed.absorb(states, bits[:, j].astype(np.uint64))
+    return states, bits[:, 14]
+
+
 def test_det_root_uniform_in_2d(plane_family):
     # |det A|^(1/d) recovers the scalar factor, uniform on [0.7, 0.9]
     n = 20_000
-    bits = ((np.arange(n)[:, None] >> np.arange(15)[None, :]) & 1) + 1
-    states = np.broadcast_to(keyed.root_state(29), (n,)).copy()
-    for j in range(15):
-        states = keyed.absorb(states, bits[:, j].astype(np.uint64))
+    states, last = _distinct_word_states(29, n)
     r = Realization(29, plane_family)
-    roots = np.exp(0.5 * r.log_dets_from_chains(states, bits[:, 14]))
+    roots = np.exp(0.5 * r.log_dets_from_chains(states, last))
     assert np.all((roots >= 0.7) & (roots <= 0.9))
     stat = stats.kstest(roots, stats.uniform(loc=0.7, scale=0.2).cdf).statistic
     assert stat < 1.628 / math.sqrt(n)
@@ -170,6 +176,34 @@ def test_haar_det_is_unit(plane_family):
     A = r.sample_matrix((1,))
     lam = math.sqrt((A.T @ A)[0, 0])
     assert abs(abs(np.linalg.det(A / lam)) - 1.0) < 1e-12
+
+
+def test_haar_factor_2d_angle_uniform_and_det_sign_fair(plane_family):
+    # O(2) Haar: the first column's angle is uniform and det O = -1 with
+    # probability 1/2 (independent of the angle)
+    n = 20_000
+    states, last = _distinct_word_states(31, n)
+    mats = Realization(31, plane_family).matrices_from_chains(states, last)
+    angle = np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
+    stat = stats.kstest(angle, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).statistic
+    assert stat < 1.628 / math.sqrt(n)  # 1% critical value
+    flips = int((np.linalg.det(mats) < 0.0).sum())
+    assert stats.binomtest(flips, n, 0.5).pvalue > 0.01
+
+
+def test_three_dimensional_similarity_samples_orthogonal_factors():
+    fam = MatrixFamily(3, [SimilaritySpec(0.3, 0.5)] * 3, np.eye(3))
+    r = Realization(19, fam)
+    states, _ = _distinct_word_states(19, 256)
+    mats = r.matrices_from_chains(states, np.arange(256) % 3 + 1)
+    lam = np.sqrt(np.einsum("nij,nij->n", mats, mats) / 3.0)
+    assert np.all((lam > 0.3 - 1e-12) & (lam < 0.5 + 1e-12))
+    o = mats / lam[:, None, None]
+    assert np.abs(np.einsum("nij,nik->njk", o, o) - np.eye(3)).max() < 1e-12
+    assert np.abs(np.abs(np.linalg.det(o)) - 1.0).max() < 1e-12
+    assert 0 < int((np.linalg.det(o) < 0.0).sum()) < 256
+    assert r.log_dets_from_chains(states, 1) == pytest.approx(
+        np.log(np.abs(np.linalg.det(mats))), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ walk that streams the tree (``ref_det_window_report``), field by field, for
 every seed and thread count, also when the walk cuts each depth into blocks
 of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
 seeds must equal the same oracle at 1 and 2 threads, also when a smaller
-``BLOCK`` splits its groups unevenly at several depths.
+``BLOCK`` splits its groups unevenly at several depths.  The closed-form
+2x2 orthogonal factor must match LAPACK's sign-fixed QR (``ref_haar_qr``)
+within 1e-15 per entry, and d >= 3 must still take that QR.
 """
 
 import json
@@ -19,12 +21,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rifs import keyed
 from rifs.analysis import det_window_report, det_window_reports, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
-                               _pick_base)
+                               _haar_factor, _pick_base)
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure, iter_level_frontiers
 from test_projection_equivalence import ref_det_window_report
 
@@ -39,6 +42,15 @@ def ref_per_symbol(method, states, symbols, row_shape=()):
         mask = symbols == sym
         out[mask] = method(states[mask], int(sym))
     return out
+
+
+def ref_haar_qr(gauss):
+    """Sign-fixed factor of LAPACK's QR: each column times the sign of R's
+    diagonal entry, 0 counting as +."""
+    q, r = np.linalg.qr(gauss)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0.0, 1.0, signs)
+    return q * signs[:, None, :]
 
 
 def _json_family(name):
@@ -117,6 +129,47 @@ def test_pick_base_matches_searchsorted(weights):
     u = np.concatenate([rng.random(10_000), c, np.nextafter(c, 0.0),
                         np.nextafter(c, 1.0), [np.nextafter(1.0, 0.0), 2.0 ** -54]])
     assert np.array_equal(_pick_base(u, spec), np.searchsorted(spec.cum_weights, u))
+
+
+def _keyed_gaussians(n, count):
+    """``count`` keyed Gaussian draws (draws 2..) at ``n`` distinct two-letter words."""
+    states = keyed.absorb_children(keyed.absorb_children(keyed.root_state(41), 256), 256)
+    return ndtri(keyed.draw_u01_block(states[:n], 2, count)), states[:n]
+
+
+def test_closed_form_2x2_factor_matches_lapack_qr():
+    gauss, _ = _keyed_gaussians(20_000, 4)
+    g = gauss.reshape(-1, 2, 2)
+    q = _haar_factor(gauss, 2)
+    assert np.abs(q - ref_haar_qr(g)).max() <= 1e-15
+    assert np.abs(np.einsum("nij,nik->njk", q, q) - np.eye(2)).max() <= 1e-15
+    det_q = np.linalg.det(q)
+    assert np.abs(np.abs(det_q) - 1.0).max() <= 1e-15
+    assert np.array_equal(np.sign(det_q), np.sign(np.linalg.det(g)))
+    # det g == 0: the second column is the first turned by +90 degrees
+    singular = np.array([[1.0, 2.0, -3.0, -6.0], [0.5, 0.5, 0.5, 0.5], [-2.0, 0.0, 1.0, 0.0]])
+    q0 = _haar_factor(singular, 2)
+    assert np.array_equal(q0[:, :, 1], np.stack([-q0[:, 1, 0], q0[:, 0, 0]], axis=1))
+    assert np.allclose(q0[:, :, 0], singular[:, [0, 2]] / np.hypot(
+        singular[:, 0], singular[:, 2])[:, None], rtol=0.0, atol=1e-15)
+
+
+def test_sampled_matrices_are_scaled_lapack_factors():
+    fam = _families()["mixed_d2"]
+    spec = fam.symbols[1]
+    assert isinstance(spec, SimilaritySpec)
+    gauss, states = _keyed_gaussians(4096, 4)
+    syms = np.arange(states.size) % 3 + 1
+    got = Realization(41, fam).matrices_from_chains(states, syms)
+    lam = spec.r_minus + keyed.draw_u01(states, 0) * (spec.r_plus - spec.r_minus)
+    sim = syms == 2
+    want = lam[sim, None, None] * ref_haar_qr(gauss[sim].reshape(-1, 2, 2))
+    assert np.abs(got[sim] - want).max() <= 1e-15
+
+
+def test_three_dimensional_factor_takes_lapack_qr():
+    gauss, _ = _keyed_gaussians(512, 9)
+    assert np.array_equal(_haar_factor(gauss, 3), ref_haar_qr(gauss.reshape(-1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Report writers against the per-row formatting they replaced.
+
+``ref_write_levelset_csv``, ``ref_write_points_csv`` and
+``ref_write_svg_scatter`` format every row on its own (``repr`` of each
+measure, coordinate and radius, numpy rows in the scatter).  The writers
+format each distinct measure, length and radius once and must write the
+same bytes.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rifs import BernoulliMeasure, MarkovMeasure, MatrixFamily, SimilaritySpec
+from rifs.attractor import (PointCloud, points_to_arrays, project_level, write_points_csv,
+                            write_svg_scatter)
+from rifs.experiments import preset
+from rifs.random_model import Realization
+from rifs.symbolic import TailSequence, level_set, word_to_string, write_levelset_csv
+
+WIDE_P = [0.3] + [0.1] * 7
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+# ---------------------------------------------------------------------------
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+def ref_write_levelset_csv(ls, header_comment=None):
+    lines = [f"# {header_comment}"] if header_comment else []
+    lines.append("word,length,measure")
+    lines.extend(f"{word_to_string(w)},{n},{mu!r}" for w, n, mu in
+                 zip(ls.words, ls.lengths.tolist(), ls.measures.tolist()))
+    return _text(lines)
+
+
+def ref_write_points_csv(points, header_comment=None):
+    coords, radii = points_to_arrays(points)
+    words = ([word_to_string(w) for w in points.level_set.words]
+             if isinstance(points, PointCloud) else [""] * len(radii))
+    lines = [f"# {header_comment}"] if header_comment else []
+    lines.append("word," + ",".join(f"x_{i + 1}" for i in range(coords.shape[1]))
+                 + ",trunc_radius")
+    for w, xy, rad in zip(words, coords.tolist(), radii.tolist()):
+        xs = ",".join(repr(c) for c in xy)
+        lines.append(f"{w},{xs},{rad!r}")
+    return _text(lines)
+
+
+def ref_write_svg_scatter(points, header_comment=None):
+    coords, _ = points_to_arrays(points)
+    lo = coords.min(axis=0)
+    span = np.maximum(coords.max(axis=0) - lo, 1e-9)
+    size = 1024
+    pix = (coords - lo) / span * (size - 20) + 10
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">']
+    if header_comment:
+        parts.append(f"<!-- {header_comment} -->")
+    parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
+    for x, y in pix:
+        parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="1" fill="black"/>')
+    parts.append("</svg>")
+    return _text(parts)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def _level_sets():
+    wide = level_set(BernoulliMeasure(WIDE_P), 4)
+    return {
+        "bernoulli_mixed_lengths": wide,
+        "markov": level_set(MarkovMeasure([4.0 / 7.0, 3.0 / 7.0],
+                                          [[0.7, 0.3], [0.4, 0.6]]), 7),
+        "uniform": level_set(BernoulliMeasure([1.0 / 3.0] * 3), 5),
+        "empty": replace(wide, word_matrix=wide.word_matrix[:0], lengths=wide.lengths[:0],
+                         measures=wide.measures[:0], parent_measures=wide.parent_measures[:0],
+                         nodes=()),
+    }
+
+
+def _clouds():
+    line = MatrixFamily(1, [SimilaritySpec(0.5, 0.9)] * 2, [[0.0], [0.5]])
+    affine = preset("example2_affine")
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((300, 2))
+    raw[:3] = [[0.0, -0.0], [1e-300, -2.5e17], [0.1, 0.1]]
+    return {
+        "d1_cloud": project_level(Realization(3, line), level_set(BernoulliMeasure([0.7, 0.3]), 6),
+                                  TailSequence.constant(1), 1e-4),
+        "d2_cloud_mixed_lengths": project_level(
+            Realization(8, affine.family), level_set(BernoulliMeasure(WIDE_P), 3),
+            affine.tail, 0.2),
+        "raw_d2": raw,
+        "raw_d1": raw[:, 0],
+    }
+
+
+# ---------------------------------------------------------------------------
+# byte equality
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(_level_sets()))
+@pytest.mark.parametrize("header", [None, "digest=abc"])
+def test_levelset_csv_matches_per_row_oracle(name, header, tmp_path):
+    ls = _level_sets()[name]
+    path = tmp_path / "ls.csv"
+    write_levelset_csv(ls, path, header_comment=header)
+    assert path.read_text() == ref_write_levelset_csv(ls, header)
+
+
+def test_level_set_inputs_cover_the_cases():
+    sets = _level_sets()
+    assert len(np.unique(sets["bernoulli_mixed_lengths"].lengths)) > 1
+    assert len(np.unique(sets["bernoulli_mixed_lengths"].measures)) > 1
+    assert len(np.unique(sets["uniform"].measures)) == 1
+    assert len(sets["empty"]) == 0
+    clouds = _clouds()
+    assert len(np.unique(clouds["d2_cloud_mixed_lengths"].radii)) == 4
+
+
+@pytest.mark.parametrize("name", sorted(_clouds()))
+@pytest.mark.parametrize("header", [None, "digest=xyz"])
+def test_points_csv_matches_per_row_oracle(name, header, tmp_path):
+    pts = _clouds()[name]
+    path = tmp_path / "pts.csv"
+    write_points_csv(pts, path, header_comment=header)
+    assert path.read_text() == ref_write_points_csv(pts, header)
+
+
+@pytest.mark.parametrize("name", ["d2_cloud_mixed_lengths", "raw_d2"])
+@pytest.mark.parametrize("header", [None, "digest=xyz"])
+def test_svg_scatter_matches_per_row_oracle(name, header, tmp_path):
+    pts = _clouds()[name]
+    path = tmp_path / "cloud.svg"
+    write_svg_scatter(pts, path, header_comment=header)
+    assert path.read_text() == ref_write_svg_scatter(pts, header)

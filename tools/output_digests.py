@@ -23,6 +23,9 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
   per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
   the 30 seeds), with ``--threads 1`` and ``--threads 2``;
+* ``pairs`` and ``density`` on a three-symbol similarity family in three
+  dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
+  orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
 * the six benchmark kinds of every workload at workload seeds 0 and 3;
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
@@ -63,6 +66,8 @@ PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
 # a baby_theorem pairs level whose 30 seeds take 4 projection seed groups
 MULTI_GROUP_N = 11
 BENCH_SEEDS = (0, 3)
+SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
+                 "density": dict(n_min=3, n_max=5, seeds=3)}
 
 
 def _mixed_family_config(preset):
@@ -88,9 +93,30 @@ def _markov_config(preset):
                    tail=TailSequence((), (2, 1)), master_seed=11)
 
 
+def _similarity_3d_config(preset):
+    """Three similarities of R^3 with scalars on [0.72, 0.8] and translations
+    0, e_1 and e_2, under the uniform measure (entropy log 3 above the
+    Lyapunov exponent, so density runs without ``allow_subcritical``)."""
+    from rifs import BernoulliMeasure
+    from rifs.random_model import MatrixFamily, SimilaritySpec
+
+    family = MatrixFamily(3, [SimilaritySpec(0.72, 0.8)] * 3,
+                          [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return replace(preset("example1_2d"), family=family,
+                   measure=BernoulliMeasure([1.0 / 3.0] * 3), master_seed=13,
+                   grid_lo=(-1.5,) * 3, grid_hi=(2.5,) * 3, grid_h=1.0 / 16.0)
+
+
+def _through_json(cfg):
+    """``cfg`` encoded to JSON text and decoded, as the CLI loads a config."""
+    from rifs.experiments import ExperimentConfig
+
+    return ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
 def _grid():
     """[(run name, config, threads)] in a fixed order."""
-    from rifs.experiments import EXPERIMENT_KINDS, ExperimentConfig, preset
+    from rifs.experiments import EXPERIMENT_KINDS, preset
     from workloads import WORKLOADS, build_configs
 
     runs = []
@@ -101,7 +127,7 @@ def _grid():
             base = _markov_config(preset)
         else:
             base = preset(name)
-        base = ExperimentConfig.from_dict(json.loads(json.dumps(base.to_dict())))
+        base = _through_json(base)
         for kind in EXPERIMENT_KINDS:
             cfg = replace(base, kind=kind, mc_samples=20_000, **sizes)
             if kind == "pairs":
@@ -123,6 +149,9 @@ def _grid():
                 runs.append((f"{name}/pairs/multi_group/t{threads}",
                              replace(base, kind="pairs", n=MULTI_GROUP_N, seeds=PAIRS_SEEDS),
                              threads))
+    base = _through_json(_similarity_3d_config(preset))
+    for kind, sizes in SIMILARITY_3D.items():
+        runs.append((f"similarity_3d/{kind}/t1", replace(base, kind=kind, **sizes), 1))
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for kind, cfg in build_configs(workload, seed):
