@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import BudgetError, InputError, InvariantError
-from .experiments import (EXPERIMENT_KINDS, PRESET_NAMES, ExperimentConfig,
+from .experiments import (EXPERIMENT_KINDS, MAX_THREADS, PRESET_NAMES, ExperimentConfig,
                           preset, run)
 
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-subcritical", action="store_true",
                        help="permit coverage-type runs with h <= lambda")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent seeds")
+                       help=f"worker threads for independent seeds (1 to {MAX_THREADS})")
     return parser
 
 

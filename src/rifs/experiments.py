@@ -51,6 +51,9 @@ _SUPERCRITICAL_KINDS = ("coverage", "attractor", "density")
 # memory, 8 bytes each).
 MAX_SEEDS = 100_000
 MAX_MC_SAMPLES = 10_000_000
+# Upper limit on worker threads, so that a mistyped huge value exits 2 instead
+# of starting up to ``seeds`` OS threads.
+MAX_THREADS = 256
 
 
 class Gauge:
@@ -434,6 +437,8 @@ def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -
 
 def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:
     """Execute the configured experiment; returns the written file paths."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise InputError(f"threads must be between 1 and {MAX_THREADS}, got {threads}")
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,6 @@ across libm implementations).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -175,6 +174,8 @@ def map_seeds(fn, n_seeds: int, threads: int = 1) -> list:
     """
     if threads <= 1 or n_seeds <= 1:
         return [fn(j) for j in range(n_seeds)]
+    from concurrent.futures import ThreadPoolExecutor
+
     window = SEED_WINDOW_PER_THREAD * threads
     results = []
     pending: deque = deque()

@@ -13,7 +13,10 @@ are supported, mirroring the standard similarity and affine constructions:
   first column, then that column turned by +90 degrees times the sign of
   the Gaussian matrix's determinant.  It equals LAPACK's factor up to
   rounding and no longer depends on the LAPACK build; d >= 3 takes
-  LAPACK's Householder QR.
+  LAPACK's Householder QR.  The Gaussian draws are ``scipy.special.ndtri``
+  of keyed uniforms; scipy is imported by the first d >= 2 draw, so runs
+  that never draw one (every d = 1 run, level sets, Lyapunov exponents,
+  determinant windows) do not load it.
 * ``AffineSpec``: ``A = lam * O * B`` with ``B`` drawn from a finite weighted
   set of invertible matrices with operator norm <= 1 and smallest singular
   value bounded away from 0.
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import keyed
 from .errors import InputError
@@ -281,6 +283,7 @@ class Realization:
         if d == 1:
             mats = lam[:, None, None].copy()
         else:
+            from scipy.special import ndtri
             gauss = ndtri(keyed.draw_u01_block(states, 2, d * d))
             mats = lam[:, None, None] * _haar_factor(gauss, d)
         if isinstance(spec, AffineSpec):

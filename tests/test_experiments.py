@@ -1,7 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +17,12 @@ from rifs import attractor, keyed, symbolic
 from rifs.analysis import CoverageGrid
 from rifs.cli import main
 from rifs.errors import InputError
-from rifs.experiments import (EXPERIMENT_KINDS, PRESET_NAMES, ExperimentConfig, Gauge,
-                              preset, run)
+from rifs.experiments import (EXPERIMENT_KINDS, MAX_THREADS, PRESET_NAMES, ExperimentConfig,
+                              Gauge, preset, run)
 from rifs.random_model import AffineSpec, MatrixFamily, SimilaritySpec
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def read_all(paths):
@@ -143,8 +150,8 @@ def test_roundtrip_through_json():
 # run() outputs
 # ---------------------------------------------------------------------------
 
-def _small_config(kind):
-    cfg = preset("baby_theorem")
+def _small_config(kind, name="baby_theorem"):
+    cfg = preset(name)
     tweaks = {
         "levelset": dict(n=6),
         "lyapunov": dict(mc_samples=5000),
@@ -202,6 +209,39 @@ def test_pairs_uneven_seed_groups_match_across_threads(tmp_path, monkeypatch):
     assert [len(g) for g in attractor.seed_groups(cfg.seeds, [L])] == [4] * 15 + [1]
     for threads in (1, 2, 4):
         assert read_all(run(cfg, tmp_path / f"t{threads}", threads=threads)) == whole
+
+
+def test_runs_without_gaussians_leave_scipy_and_thread_pools_unloaded(tmp_path):
+    # all runs in one fresh process, which records the deferred modules it has
+    # loaded after import rifs and after each run
+    configs = [_small_config(kind) for kind in EXPERIMENT_KINDS]
+    configs += [_small_config(kind, "example1_2d")
+                for kind in ("levelset", "detwindow", "lyapunov", "pairs")]
+    code = textwrap.dedent("""
+        import json, sys
+        import rifs
+        from rifs.experiments import ExperimentConfig, run
+
+        def loaded():
+            return [m for m in ("scipy.special", "concurrent.futures") if m in sys.modules]
+
+        seen = [loaded()]
+        for i, raw in enumerate(json.load(sys.stdin)):
+            run(ExperimentConfig.from_dict(raw), f"{sys.argv[1]}/{i}")
+            seen.append(loaded())
+        print(json.dumps(seen))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          input=json.dumps([cfg.to_dict() for cfg in configs]),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    # import, 7 baby_theorem kinds, example1_2d levelset, detwindow, lyapunov
+    assert seen[:-1] == [[]] * 11
+    # the example1_2d pairs run draws the Gaussians behind its rotations
+    # (scipy.special itself imports concurrent.futures)
+    assert "scipy.special" in seen[-1]
 
 
 def test_lyapunov_report_values(tmp_path):
@@ -392,6 +432,25 @@ def test_cli_gauge_underflowing_every_radius_exits_2(tmp_path, capsys):
     assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "level-4" in err and "g(4) = 5e-324" in err
+
+
+@pytest.mark.parametrize("threads", [0, -1, MAX_THREADS + 1])
+def test_cli_threads_out_of_range_exit_2_before_any_work(threads, tmp_path, monkeypatch,
+                                                         capsys):
+    main(["preset", "baby_theorem", "--out", str(tmp_path)])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("map_seeds called")
+
+    monkeypatch.setattr(keyed, "map_seeds", no_pool)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["density", "--config", str(tmp_path / "baby_theorem.json"),
+                 "--out", str(out), "--threads", str(threads)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"between 1 and {MAX_THREADS}, got {threads}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where,key", [

@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -79,7 +80,8 @@ def test_map_seeds_bounds_outstanding_futures(monkeypatch):
             peak[0] = max(peak[0], sum(not f.done() for f in submitted))
             return fut
 
-    monkeypatch.setattr(keyed, "ThreadPoolExecutor", CountingPool)
+    # map_seeds imports the pool class when it first needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
 
     def slow_square(j):
         time.sleep(0.001)
