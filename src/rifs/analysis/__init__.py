@@ -5,9 +5,9 @@ levels, divergence heuristics, and grid-based Lebesgue estimates."""
 from .detwindow import DetWindowReport, det_window_report, det_window_reports
 from .pairs import (PairCountResult, TransversalityFit, DensityReport,
                     close_pair_count, separated_subset, transversality_scaling,
-                    density_sweep)
+                    density_sweep, density_sweeps)
 from .coverage import (CoverageGrid, CoverageReport, AttractorMeasureReport,
-                       coverage_estimate, attractor_measure_estimate)
+                       coverage_estimate, coverage_estimates, attractor_measure_estimate)
 from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuristic,
                          psi_from_mg, psi_equivalence_check)
 
@@ -15,9 +15,9 @@ __all__ = [
     "DetWindowReport", "det_window_report", "det_window_reports",
     "PairCountResult", "TransversalityFit", "DensityReport",
     "close_pair_count", "separated_subset", "transversality_scaling",
-    "density_sweep",
+    "density_sweep", "density_sweeps",
     "CoverageGrid", "CoverageReport", "AttractorMeasureReport",
-    "coverage_estimate", "attractor_measure_estimate",
+    "coverage_estimate", "coverage_estimates", "attractor_measure_estimate",
     "GDivergenceVerdict", "PsiEquivalence", "g_divergence_heuristic",
     "psi_from_mg", "psi_equivalence_check",
 ]

@@ -16,14 +16,19 @@ cell volume, and the tail union merges two range lists.
 
 The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
-input: they are selected once per run from one cylinder tree, and each seed
-projects them by one walk of it (``project_levels``).  The limsup target set
-has no finite surrogate; as a proxy, ``running_intersection_measure[N]``
-reports the measure of cells covered at some level n >= N within the
-computed range, equivalently the measure of cells covered in at least one
-level of every window starting at M <= N, minimized over M.  It is
-nonincreasing in N: divergent gauges keep the tail fat, summable gauges let
-it collapse.
+input: they are selected once per run from one cylinder tree, and
+:func:`coverage_estimates` projects them for a seed group by one walk of it
+(``project_levels``).  ``attractor.GROUP_ROWS`` bounds the group's widest
+array, a depth of the walk or the members of all levels merged for the tail
+steps (one seed's rows when those alone are wider).  Each seed's unions are
+then rasterized, with its own warnings, as if it had been projected alone.
+
+The limsup target set has no finite surrogate; as a proxy,
+``running_intersection_measure[N]`` reports the measure of cells covered at
+some level n >= N within the computed range, equivalently the measure of
+cells covered in at least one level of every window starting at M <= N,
+minimized over M.  It is nonincreasing in N: divergent gauges keep the tail
+fat, summable gauges let it collapse.
 
 The box defaults to the conservative a-priori bounding ball but may be any
 box; balls that stick out are clipped (estimates then undershoot) with a
@@ -224,20 +229,33 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
                       map_budget: int = MAP_BUDGET_DEFAULT) -> CoverageReport:
     """Rasterize the level-n ball unions with radii (m([a]) g(n))^(1/d).
 
-    ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
-    one cylinder tree and shared by the estimates of every seed; each level
-    index is its set's ``n``.  ``g`` is called with each level index and
-    names the regime (``g.regime``, divergent when it has none); projections
-    are resolved until every enclosure is at most an eighth of the smallest
-    positive ball radius at its level, keeping outer and inner estimates
-    honest.
+    ``coverage_estimates`` for the single realization ``r``.
     """
-    if grid.dimension != r.family.dimension:
+    return coverage_estimates([r], levels, b, g, grid, map_budget)[0]
+
+
+def coverage_estimates(rs, levels, b: TailSequence, g, grid: CoverageGrid,
+                       map_budget: int = MAP_BUDGET_DEFAULT) -> list:
+    """Coverage reports of a seed group ``rs`` (realizations of one family),
+    one per realization, in order.
+
+    ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
+    one cylinder tree and shared by every seed group; each level index is
+    its set's ``n``.  ``g`` is called with each level index and names the
+    regime (``g.regime``, divergent when it has none).  The gauged levels of
+    every seed of the group are projected by one walk of that tree
+    (``project_levels``), resolved until every enclosure is at most an
+    eighth of the smallest positive ball radius at its level, keeping outer
+    and inner estimates honest.  Each seed's unions are then rasterized, and
+    its warnings issued, as if it had been projected alone.
+    """
+    if not rs:
+        return []
+    d = rs[0].family.dimension
+    if grid.dimension != d:
         raise InputError("grid dimension does not match the family")
     if not levels:
         raise InputError("coverage needs at least one level set")
-    d = r.family.dimension
-    sqrt_d = math.sqrt(d)
 
     gauged = []   # (level position, ball radii) where g(n) > 0
     for k, L in enumerate(levels):
@@ -250,11 +268,21 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
                 raise InputError(f"every level-{L.n} ball radius underflows to 0 "
                                  f"with g({L.n}) = {gn}")
             gauged.append((k, rad))
-    clouds = project_levels([r], [levels[k] for k, _ in gauged], b,
+    groups = project_levels(rs, [levels[k] for k, _ in gauged], b,
                             [float(rad[rad > 0.0].min()) / 8.0 for _, rad in gauged],
-                            map_budget)[0]
-    balls = {k: (rad, pts) for (k, rad), pts in zip(gauged, clouds)}
+                            map_budget)
+    regime = getattr(g, "regime", "divergent")
+    reports = []   # a plain loop: the warnings' stacklevel counts its frames
+    for clouds in groups:
+        balls = {k: (rad, pts) for (k, rad), pts in zip(gauged, clouds)}
+        reports.append(_coverage_report(grid, regime, levels, balls))
+    return reports
 
+
+def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> CoverageReport:
+    """One seed's union measures; ``balls`` maps a level position to its ball
+    radii and point cloud, for the levels with ``g(n) > 0``."""
+    sqrt_d = math.sqrt(grid.dimension)
     per_outer = {}
     per_inner = {}
     running = {}
@@ -273,13 +301,13 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
             if np.all(inner_radii <= 0.0) and not warned_coarse:
                 warnings.warn(
                     f"grid resolution h={grid.h} is coarse relative to the level-{n} "
-                    "ball radii; inner estimate is 0", stacklevel=2)
+                    "ball radii; inner estimate is 0", stacklevel=3)
                 warned_coarse = True
             grid.mark_balls(inner, pts.coords, inner_radii)
             if clipped and not warned_clip:
                 warnings.warn(
                     "some balls extend beyond the grid box and were clipped; "
-                    "estimates undershoot the true union", stacklevel=2)
+                    "estimates undershoot the true union", stacklevel=3)
                 warned_clip = True
         per_outer[n] = grid.measure(outer)
         per_inner[n] = grid.measure(inner)
@@ -289,9 +317,8 @@ def coverage_estimate(r: Realization, levels, b: TailSequence, g, grid: Coverage
         tail |= outer
         running[n] = grid.measure(tail)
 
-    return CoverageReport(grid=grid, regime=getattr(g, "regime", "divergent"),
-                          per_level_outer=per_outer, per_level_inner=per_inner,
-                          running_intersection_measure=running)
+    return CoverageReport(grid=grid, regime=regime, per_level_outer=per_outer,
+                          per_level_inner=per_inner, running_intersection_measure=running)
 
 
 @dataclass(frozen=True)

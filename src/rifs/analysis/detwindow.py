@@ -216,13 +216,6 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
         per_prefix_totals=np.array(totals, dtype=np.int64)) for j in range(S)]
 
 
-def seed_ranges(n_seeds: int, n_symbols: int, threads: int) -> list:
-    """Consecutive ranges of ``range(n_seeds)`` to pass to ``det_window_reports``:
-    one per thread, each no wider than the first depth fits in one block."""
-    per = max(1, min(-(-n_seeds // max(1, threads)), BLOCK // n_symbols))
-    return [range(lo, min(lo + per, n_seeds)) for lo in range(0, n_seeds, per)]
-
-
 def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
                 act: np.ndarray, shift: float, band: float, cut):
     """One block of a depth: the children of parents ``lo .. hi - 1`` of each

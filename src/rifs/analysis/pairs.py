@@ -30,10 +30,10 @@ undecided.  The kept indices equal those of the scan alone.  A join with
 more than ``PAIR_LIMIT`` candidates per point is not expanded, and the scan
 then does all the work, so edge memory stays O(n).
 
-The density sweep reads one realization and the run's level sets, selected
-once from one cylinder tree, and builds one join per level that serves all
-of its radii; the transversality fit builds its one level set itself and
-projects it for a group of seeds per walk.
+The density sweep projects the run's level sets, selected once from one
+cylinder tree, for a group of seeds per walk, and builds one join per level
+and seed that serves all of its radii; the transversality fit builds its one
+level set itself and projects it for a group of seeds per walk.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import keyed
-from ..attractor import MAP_BUDGET_DEFAULT, points_to_arrays, project_levels, seed_groups
+from ..attractor import (MAP_BUDGET_DEFAULT, map_seed_groups, points_to_arrays,
+                         project_levels, walk_rows)
 from ..errors import InputError, InvariantError
 from ..random_model import MatrixFamily, Realization
 from ..symbolic import SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set
@@ -287,8 +287,10 @@ def separated_subset(points, radius: float, edges: ClosePairs | None = None) -> 
     r2 = radius * radius
     kept, todo = np.zeros(0, dtype=np.int64), np.arange(n)
     if edges.lo is not None:
-        close = edges.d2 <= r2
-        lo, hi = edges.lo[close], edges.hi[close]
+        lo, hi = edges.lo, edges.hi
+        if radius < edges.cutoff:   # at the cutoff itself every edge is close
+            close = edges.d2 <= r2
+            lo, hi = lo[close], hi[close]
         # the scan compares a pair only when its radius-wide cells are adjacent
         near = (np.abs(keys[lo] - keys[hi]) <= 1).all(axis=1)
         kept, todo = _rounds(n, lo[near], hi[near])
@@ -386,8 +388,8 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     counts of zero (below resolution) are dropped; with fewer than two usable
     scales, or no variation across scales (saturated geometry), the fit is
     reported as below resolution instead of a slope.  The seeds are projected
-    in groups (``seed_groups``), one tree walk per group, and the groups may
-    run on ``threads`` worker threads; the result depends on neither.
+    in groups (``map_seed_groups``), one tree walk per group, and the groups
+    may run on ``threads`` worker threads; the result depends on neither.
     """
     s_arr = np.asarray(sorted(float(s) for s in s_list))
     if s_arr.size < 2 or s_arr[0] <= 0.0:
@@ -403,18 +405,15 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     thresholds = s_arr / size ** (1.0 / d)
     eps = float(thresholds.min()) / 8.0
 
-    groups = seed_groups(n_seeds, [L])
-
-    def group_counts(g: int) -> list:
-        rs = [Realization(keyed.derive_seed(master_seed, j), family) for j in groups[g]]
+    def group_counts(rs) -> list:
         counts = []
         for (pts,) in project_levels(rs, [L], b, [eps], map_budget):
             dists = pair_distances_within(pts.coords, float(thresholds.max()))
             counts.append(2.0 * _counts_at_most(dists, thresholds))
         return counts
 
-    counts = np.asarray([c for group in keyed.map_seeds(group_counts, len(groups), threads)
-                         for c in group])
+    counts = np.asarray(map_seed_groups(group_counts, family, master_seed, n_seeds,
+                                        walk_rows([L]), threads))
     means = counts.mean(axis=0) / size
 
     usable = means > 0.0
@@ -457,14 +456,26 @@ def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
                   map_budget: int = MAP_BUDGET_DEFAULT) -> tuple:
     """Membership indicators per (c, s) across levels, with upper densities.
 
-    Returns (reports, best report).  The greedy separated count stands in for
-    the packing number (a certified lower bound, evaluated at the scale
-    inflated by the point enclosures), so membership claims are conservative.
-    ``levels`` are the run's ``level_sets(m, n_values)``, selected once from
-    one cylinder tree and shared by the sweeps of every seed; each level
-    index is its set's ``n``.  All levels are projected by one walk of that
-    tree.  Each level's conflict edges are joined once, at its largest
-    inflated radius, and every greedy net of the level filters them.
+    ``density_sweeps`` for the single realization ``r``.
+    """
+    return density_sweeps([r], levels, b, c_list, s_list, map_budget)[0]
+
+
+def density_sweeps(rs, levels, b: TailSequence, c_list, s_list,
+                   map_budget: int = MAP_BUDGET_DEFAULT) -> list:
+    """Density sweeps of a seed group ``rs`` (realizations of one family):
+    one (reports, best report) pair per realization, in order.
+
+    The greedy separated count stands in for the packing number (a
+    certified lower bound, evaluated at the scale inflated by the point
+    enclosures), so membership claims are conservative.  ``levels`` are the
+    run's ``level_sets(m, n_values)``, selected once from one cylinder tree
+    and shared by every seed group; each level index is its set's ``n``.
+    The levels of every seed of the group are projected by one walk of that
+    tree (``project_levels``; ``seed_groups`` keeps its arrays within
+    ``GROUP_ROWS`` rows).  Then, per seed and level, the conflict edges are
+    joined once, at the largest inflated radius, and every greedy net of
+    the level filters them.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
@@ -472,28 +483,32 @@ def density_sweep(r: Realization, levels, b: TailSequence, c_list, s_list,
         raise InputError("density sweep needs nonempty c, s, and level ranges")
     if any(c < 0.0 for c in c_vals) or any(s <= 0.0 for s in s_vals):
         raise InputError("need c >= 0 and s > 0")
+    if not rs:
+        return []
 
-    d = r.family.dimension
+    d = rs[0].family.dimension
     n_values = tuple(L.n for L in levels)
     scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
-    clouds = project_levels([r], levels, b, [float(radii.min()) / 8.0 for radii in scales],
-                            map_budget)[0]
-    ratios = np.zeros((len(levels), len(s_vals)))
-    for i, (radii, pts) in enumerate(zip(scales, clouds)):
-        size = len(pts)
-        slack = 2.0 * float(pts.radii.max())
-        edges = close_pairs(pts.coords, float(radii.max()) + slack)
-        for k, rad in enumerate(radii):
-            kept = separated_subset(pts.coords, float(rad) + slack, edges)
-            ratios[i, k] = kept.size / size
+    out = []
+    for r, clouds in zip(rs, project_levels(rs, levels, b,
+                                            [float(radii.min()) / 8.0 for radii in scales],
+                                            map_budget)):
+        ratios = np.zeros((len(levels), len(s_vals)))
+        for i, (radii, pts) in enumerate(zip(scales, clouds)):
+            size = len(pts)
+            slack = 2.0 * float(pts.radii.max())
+            edges = close_pairs(pts.coords, float(radii.max()) + slack)
+            for k, rad in enumerate(radii):
+                kept = separated_subset(pts.coords, float(rad) + slack, edges)
+                ratios[i, k] = kept.size / size
 
-    reports = []
-    for k, s in enumerate(s_vals):
-        for c in c_vals:
-            members = tuple(bool(x) for x in ratios[:, k] > c)
-            reports.append(DensityReport(
-                c=c, s=s, seed=r.seed, n_values=n_values,
-                ratios=tuple(float(x) for x in ratios[:, k]), members=members,
-                upper_density=upper_density(members)))
-    best = max(reports, key=lambda rep: rep.upper_density)
-    return reports, best
+        reports = []
+        for k, s in enumerate(s_vals):
+            for c in c_vals:
+                members = tuple(bool(x) for x in ratios[:, k] > c)
+                reports.append(DensityReport(
+                    c=c, s=s, seed=r.seed, n_values=n_values,
+                    ratios=tuple(float(x) for x in ratios[:, k]), members=members,
+                    upper_density=upper_density(members)))
+        out.append((reports, max(reports, key=lambda rep: rep.upper_density)))
+    return out

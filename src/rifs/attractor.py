@@ -24,19 +24,25 @@ Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
 realizations of one family, stepped together.  Each depth's rows are
 seed-major (every seed has the same nodes), and each carries the chain state
 and the composed ``(M, v)`` of its node, so every prefix is composed once
-per realization and shared by all its descendants; a level's cloud is its
-members' nodes plus their own tail steps.  Each row repeats exactly the
-operations of a word-by-word evaluation (:func:`project`), so the
-coordinates are bit-identical to it whichever words and seeds are evaluated
-together.  A group's rows are capped by ``GROUP_ROWS`` (:func:`seed_groups`),
-so memory does not grow with the number of seeds.  The result is a
-:class:`PointCloud` of coordinate and radius arrays per seed and level;
-per-point :class:`ProjectedPoint` objects are built only when a caller
-indexes it.
+per realization and shared by all its descendants.  The members of every
+level and seed are then copied once into merged arrays, ordered by
+descending tail depth, and one loop of ``max(depth)`` tail steps serves them
+all: step ``k`` takes the leading rows that still need it.  Each row repeats
+exactly the operations of a word-by-word evaluation (:func:`project`), so
+the coordinates are bit-identical to it whichever words, levels and seeds
+are evaluated together.  ``GROUP_ROWS`` caps a group's widest array, a
+depth of the walk or the merged members (:func:`walk_rows`):
+:func:`seed_groups` cuts a run's seeds into consecutive groups under it (one
+seed when a seed's rows alone exceed it), so memory does not grow with the
+number of seeds, and :func:`map_seed_groups` maps a run's groups over its
+threads.  The result is a :class:`PointCloud` of coordinate and radius
+arrays per seed and level; per-point :class:`ProjectedPoint` objects are
+built only when a caller indexes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,7 +56,8 @@ from .symbolic import (LevelSet, TailSequence, _write_atomic, format_distinct,
                        validate_word, word_strings)
 
 MAP_BUDGET_DEFAULT = 200_000_000
-# rows of the widest array of one seed group's walk (see seed_groups)
+# rows of the widest array of one seed group: a depth of its walk, or the
+# merged members of all its levels (see walk_rows and seed_groups)
 GROUP_ROWS = 1 << 14
 
 
@@ -179,26 +186,43 @@ def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: f
     return project_levels([r], [L], b, [target_radius], map_budget)[0][0]
 
 
-def seed_groups(n_seeds: int, levels) -> list:
-    """Consecutive ranges of ``range(n_seeds)`` to pass to ``project_levels`` together.
-
-    A group's widest array (a depth of the walk, or a level's members) holds
-    at most ``GROUP_ROWS`` rows, or one seed's rows when those alone exceed it.
-    """
-    tree = levels[0].tree
+def walk_rows(levels) -> int:
+    """Rows one seed adds to the widest array of a ``project_levels`` walk of
+    ``levels``: a depth of the tree down to the deepest member, or the
+    members of all levels, which take their tail steps together."""
     deepest = max(int(L.lengths.max(initial=0)) for L in levels)
-    rows = max([fr.symbols.size for fr in tree[:deepest]] + [len(L) for L in levels])
-    per = max(1, GROUP_ROWS // rows)
+    return max([fr.symbols.size for fr in levels[0].tree[:deepest]]
+               + [sum(len(L) for L in levels)])
+
+
+def seed_groups(n_seeds: int, rows: int, threads: int = 1) -> list:
+    """Consecutive ranges of ``range(n_seeds)``, one per seed group of a walk
+    whose widest array takes ``rows`` rows per seed.
+
+    A group holds at most ``GROUP_ROWS`` rows (one seed when ``rows`` alone
+    exceeds it).  With ``threads >= 2`` it also holds at most
+    ``ceil(n_seeds / threads)`` seeds, and few enough that the workers get at
+    least ``min(threads, n_seeds)`` groups; with one thread the groups are
+    as wide as the row cap allows.
+    """
+    per = min(GROUP_ROWS // max(rows, 1), -(-n_seeds // threads))
+    if threads > 1:   # ceil(n_seeds / per) >= threads needs per < n_seeds / (threads - 1)
+        per = min(per, -(-n_seeds // (threads - 1)) - 1)
+    per = max(1, per)
     return [range(lo, min(lo + per, n_seeds)) for lo in range(0, n_seeds, per)]
 
 
-def _seed_major(parts: list, seeds: int) -> np.ndarray:
-    """Join per-depth seed-major row blocks so that each seed's rows stay contiguous."""
-    if len(parts) == 1:
-        return parts[0]
-    tail = parts[0].shape[1:]
-    return np.concatenate([p.reshape((seeds, -1) + tail) for p in parts],
-                          axis=1).reshape((-1,) + tail)
+def map_seed_groups(fn, family: MatrixFamily, master_seed: int, n_seeds: int, rows: int,
+                    threads: int = 1) -> list:
+    """``fn(rs)`` for the realizations ``rs`` of each ``seed_groups`` range,
+    seed ``j`` keyed by ``derive_seed(master_seed, j)``, on ``threads``
+    worker threads; the per-seed results of every group, in seed order."""
+    groups = seed_groups(n_seeds, rows, threads)
+
+    def group(g: int) -> list:
+        return fn([Realization(keyed.derive_seed(master_seed, j), family) for j in groups[g]])
+
+    return [x for out in keyed.map_seeds(group, len(groups), threads) for x in out]
 
 
 def project_levels(rs, levels, b: TailSequence, target_radii,
@@ -209,15 +233,19 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
     Returns ``clouds[j][i]``, level ``levels[i]`` under ``rs[j]``.  The tree
     is walked down to the deepest member, composing every node's map from
     its parent's, for every seed at once: each depth's rows are seed-major,
-    seed ``j``'s node ``idx`` at row ``j * width + idx``.  Each level's cloud
-    takes its members' maps and adds their tail steps.  The tail depth is
-    chosen per word length (level sets mix lengths) so that every radius is
-    at most the level's target radius; the radii do not depend on the seed,
-    and one read-only array serves every seed.  Tail steps after the last
-    one with a nonzero translation are skipped (``_tail_steps``): the
-    coordinates are bit-identical to the full-depth ones, and the radii and
-    the up-front ``map_budget`` charge, per seed and level, still use the
-    full worst-case depth and the word lengths.
+    seed ``j``'s node ``idx`` at row ``j * width + idx``.  The members of
+    every level and seed are copied once into merged arrays, ordered by
+    descending tail steps, and one loop of tail steps serves them all: step
+    ``k`` takes the leading rows with at least ``k`` steps, and a row that
+    has taken its last step is copied out to its level, seed and word.  The
+    tail depth is chosen per level and word length (level sets mix lengths)
+    so that every radius is at most the level's target radius; the radii do
+    not depend on the seed, and one read-only array serves every seed.  Tail
+    steps after the last one with a nonzero translation are skipped
+    (``_tail_steps``): the coordinates are bit-identical to the full-depth
+    ones, and the radii and the up-front ``map_budget`` charge, per seed and
+    level, still use the full worst-case depth and the word lengths.  When
+    no row takes a tail step, only the members' translations are kept.
     """
     if not rs:
         return []
@@ -247,33 +275,52 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
     r = rs[0]   # sampling reads only the family and the chain states
     seed_rows = np.arange(S)[:, None]
     A = tree[0].symbols.size   # the root's children
-    picked = [[] for _ in levels]   # per level: (states, M, v) of its members, per depth
+    sizes = [len(L) for L in levels]
+    starts = [S * k for k in itertools.accumulate(sizes, initial=0)]   # merged row of each level
+    # tail steps of every member, level-major, then seed-major, then word order
+    steps = np.concatenate([np.tile(_tail_steps(family, b, depth), S) for depth in depths])
+    order = np.argsort(-steps, kind="stable")   # merged row -> member
+    pos = np.empty_like(order)                  # member -> merged row
+    pos[order] = np.arange(order.size)
+    K = int(steps.max(initial=0))
+    # merged (states, M, v) of the members; the translations alone without tail steps
+    kept = slice(0, 3) if K else slice(2, 3)
+    merged = [np.empty((starts[-1],) + a.shape[1:], a.dtype)
+              for a in _start(family, np.empty(0, dtype=np.uint64))[kept]]
+    filled = [0] * len(levels)   # per level: members of each seed copied so far
     maps = _start(family, np.concatenate([q.root_chain() for q in rs]))
     for fr in tree[:max(int(L.lengths.max(initial=0)) for L in levels)]:
         maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), np.tile(fr.symbols, S))
         first = seed_rows * fr.symbols.size   # each seed's first row at this depth
-        for chunks, L in zip(picked, levels):
+        for i, L in enumerate(levels):
             idx = L.nodes[fr.depth - 1]
             if idx.size:
-                rows = (first + idx).ravel()
-                chunks.append(tuple(a[rows] for a in maps))
+                dest = pos[starts[i] + seed_rows * sizes[i] + filled[i] + np.arange(idx.size)]
+                for arr, a in zip(merged, maps[kept]):
+                    arr[dest] = a[first + idx]
+                filled[i] += idx.size
         rows = (first + fr.active_idx).ravel()
         maps = tuple(a[rows] for a in maps)
 
+    v = merged[-1]   # without tail steps, merged order is member order
+    if K:
+        states, M, _ = merged
+        done = v.shape[0]   # merged rows from done on have taken all their steps
+        by_member = np.empty_like(v)
+        for k in range(1, K + 1):
+            c = int(np.count_nonzero(steps >= k))
+            by_member[order[c:done]] = v[c:done]
+            states, M, v = _step(r, states[:c], M[:c], v[:c], b.symbol(k))
+            done = c
+        by_member[order[:done]] = v
+        v = by_member
+    coords = _coords(v)
     clouds = []
-    for L, chunks, depth in zip(levels, picked, depths):
-        states, M, v = (_seed_major(parts, S) for parts in zip(*chunks)) if chunks \
-            else _start(family, np.empty(0, dtype=np.uint64))
-        steps = np.tile(_tail_steps(family, b, depth), S)
-        for k in range(1, int(steps.max(initial=0)) + 1):
-            rows = np.flatnonzero(steps >= k)
-            states[rows], M[rows], v[rows] = _step(r, states[rows], M[rows], v[rows],
-                                                   b.symbol(k))
+    for L, lo, depth in zip(levels, starts, depths):
         radii = rho ** (L.lengths + depth) * R
         radii.setflags(write=False)
-        coords = _coords(v)
         n = len(L)
-        clouds.append([PointCloud(coords[j * n:(j + 1) * n], radii, L, b)
+        clouds.append([PointCloud(coords[lo + j * n:lo + (j + 1) * n], radii, L, b)
                        for j in range(S)])
     return [list(per_seed) for per_seed in zip(*clouds)]
 

@@ -28,13 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import keyed
 from .analysis import (CoverageGrid, attractor_measure_estimate,
-                       coverage_estimate, density_sweep, det_window_reports,
+                       coverage_estimates, density_sweeps, det_window_reports,
                        transversality_scaling)
-from .analysis.detwindow import seed_ranges
-from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, write_points_csv,
-                        write_svg_scatter)
+from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, map_seed_groups, walk_rows,
+                        write_points_csv, write_svg_scatter)
 from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, mc_lyapunov_prime, moment_report)
@@ -486,15 +484,10 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     eps1 = cfg.resolved_eps1()
     # the tree is seed-independent: built once and shared by every group's walk
     tree = tuple(iter_level_frontiers(cfg.measure, cfg.n, cfg.word_budget))
-    ranges = seed_ranges(cfg.seeds, cfg.measure.alphabet.size, threads)
-
-    def group(g: int):
-        rs = [Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-              for j in ranges[g]]
-        return det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
-                                  cfg.word_budget, tree=tree)
-
-    reports = [rep for reps in keyed.map_seeds(group, len(ranges), threads) for rep in reps]
+    reports = map_seed_groups(
+        lambda rs: det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
+                                      cfg.word_budget, tree=tree),
+        cfg.family, cfg.master_seed, cfg.seeds, tree[0].symbols.size, threads)
     rows = []
     hist_rows = []
     for j, rep in enumerate(reports):
@@ -536,11 +529,9 @@ def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     # the level sets are seed-independent: selected once from one tree
     sets = level_sets(cfg.measure, levels, cfg.word_budget)
 
-    def one(j: int):
-        r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-        return coverage_estimate(r, sets, cfg.tail, cfg.gauge, grid, cfg.map_budget)
-
-    reports = keyed.map_seeds(one, cfg.seeds, threads)
+    reports = map_seed_groups(
+        lambda rs: coverage_estimates(rs, sets, cfg.tail, cfg.gauge, grid, cfg.map_budget),
+        cfg.family, cfg.master_seed, cfg.seeds, walk_rows(sets), threads)
     rows = []
     for j, rep in enumerate(reports):
         for n in levels:
@@ -580,11 +571,9 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     sets = level_sets(cfg.measure, range(cfg.n_min, cfg.n_max + 1), cfg.word_budget)
 
-    def one(j: int):
-        r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
-        return density_sweep(r, sets, cfg.tail, cfg.c_list, cfg.s_list, cfg.map_budget)
-
-    results = keyed.map_seeds(one, cfg.seeds, threads)
+    results = map_seed_groups(
+        lambda rs: density_sweeps(rs, sets, cfg.tail, cfg.c_list, cfg.s_list, cfg.map_budget),
+        cfg.family, cfg.master_seed, cfg.seeds, walk_rows(sets), threads)
     rows = []
     summary = []
     for j, (reports, best) in enumerate(results):

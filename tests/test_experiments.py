@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,12 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rifs import attractor, keyed, symbolic
-from rifs.analysis import CoverageGrid
+from rifs.analysis import CoverageGrid, coverage_estimate, density_sweep
 from rifs.cli import main
 from rifs.errors import InputError
 from rifs.experiments import (EXPERIMENT_KINDS, MAX_THREADS, PRESET_NAMES, ExperimentConfig,
                               Gauge, preset, run)
-from rifs.random_model import AffineSpec, MatrixFamily, SimilaritySpec
+from rifs.random_model import AffineSpec, MatrixFamily, Realization, SimilaritySpec
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure
 
 REPO = Path(__file__).resolve().parent.parent
@@ -206,9 +207,50 @@ def test_pairs_uneven_seed_groups_match_across_threads(tmp_path, monkeypatch):
     whole = read_all(run(cfg, tmp_path / "whole", threads=1))
     monkeypatch.setattr(attractor, "GROUP_ROWS", 4 * 64 + 3)
     L = symbolic.level_set(cfg.measure, cfg.n)
-    assert [len(g) for g in attractor.seed_groups(cfg.seeds, [L])] == [4] * 15 + [1]
+    assert [len(g) for g in attractor.seed_groups(cfg.seeds, attractor.walk_rows([L]))] \
+        == [4] * 15 + [1]
     for threads in (1, 2, 4):
         assert read_all(run(cfg, tmp_path / f"t{threads}", threads=threads)) == whole
+
+
+def _run_warned(cfg, out, threads):
+    """(report bytes, warning messages in the order issued) of one run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        files = read_all(run(cfg, out, threads=threads))
+    return files, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("kind", ["coverage", "density"])
+def test_coverage_and_density_uneven_seed_groups_match_across_threads(kind, tmp_path,
+                                                                       monkeypatch):
+    # a box that clips the balls and a coarse grid: each coverage seed warns twice
+    cfg = replace(_small_config(kind), seeds=7, grid_lo=(0.2,), grid_hi=(1.5,),
+                  grid_h=2.0 ** -6)
+    sets = symbolic.level_sets(cfg.measure, range(cfg.n_min, cfg.n_max + 1))
+    rows = attractor.walk_rows(sets)
+    assert len(attractor.seed_groups(cfg.seeds, rows)) == 1
+    whole, warned = _run_warned(cfg, tmp_path / "whole", 1)
+    alone = []   # each seed's warnings when it is estimated by itself
+    for j in range(cfg.seeds):
+        r = Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if kind == "coverage":
+                coverage_estimate(r, sets, cfg.tail, cfg.gauge, cfg.grid())
+            else:
+                density_sweep(r, sets, cfg.tail, cfg.c_list, cfg.s_list)
+        alone += [str(w.message) for w in caught]
+    assert warned == alone
+    assert len(warned) == (2 * cfg.seeds if kind == "coverage" else 0)
+    monkeypatch.setattr(attractor, "GROUP_ROWS", 3 * rows + 1)
+    assert [len(g) for g in attractor.seed_groups(cfg.seeds, rows)] == [3, 3, 1]
+    for threads in (1, 2, 4):
+        files, got = _run_warned(cfg, tmp_path / f"t{threads}", threads)
+        assert files == whole, threads
+        assert sorted(got) == sorted(warned), threads   # threads may interleave seeds
+        if threads == 1:
+            assert got == warned
 
 
 def test_runs_without_gaussians_leave_scipy_and_thread_pools_unloaded(tmp_path):

@@ -26,8 +26,8 @@ import pytest
 from rifs import attractor, keyed
 from rifs.analysis import CoverageGrid, coverage_estimate
 from rifs.analysis.detwindow import DetWindowReport
-from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project_level,
-                            project_levels, seed_groups)
+from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project,
+                            project_level, project_levels, seed_groups, walk_rows)
 from rifs.errors import BudgetError, InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
@@ -340,10 +340,11 @@ def test_one_walk_matches_per_word_projection(case):
 
 
 def _walk_rows(levels):
-    """Rows one seed adds to the widest array of a walk: a depth or a level."""
+    """Rows one seed adds to the widest array of a walk: a depth, or the
+    members of all levels, which take their tail steps together."""
     deepest = max(int(L.lengths.max()) for L in levels)
     return max([fr.symbols.size for fr in levels[0].tree[:deepest]]
-               + [len(L) for L in levels])
+               + [sum(len(L) for L in levels)])
 
 
 @pytest.mark.parametrize("cap", ["one_row", "one_seed", "uneven"])
@@ -356,7 +357,8 @@ def test_seed_groups_give_each_seed_its_own_clouds(case, cap, monkeypatch):
     limit, sizes = {"one_row": (1, [1] * 3), "one_seed": (rows, [1] * 3),
                     "uneven": (2 * rows + rows // 2, [2, 1])}[cap]
     monkeypatch.setattr(attractor, "GROUP_ROWS", limit)
-    groups = seed_groups(3, levels)
+    assert walk_rows(levels) == rows
+    groups = seed_groups(3, rows)
     assert [len(g) for g in groups] == sizes
     assert [j for g in groups for j in g] == list(range(3))
     rs = [Realization(100 + j, fam) for j in range(3)]
@@ -371,8 +373,75 @@ def test_seed_groups_give_each_seed_its_own_clouds(case, cap, monkeypatch):
 
 def test_benchmark_sized_pairs_runs_are_one_group():
     # the largest benchmark pairs level (baby_theorem n = 9, 512 words) at 30 seeds
-    assert len(seed_groups(30, [level_set(BernoulliMeasure([0.5, 0.5]), 9)])) == 1
-    assert len(seed_groups(30, [level_set(BernoulliMeasure([0.5, 0.5]), 11)])) == 4
+    assert len(seed_groups(30, walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 9)]))) == 1
+    assert len(seed_groups(30, walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 11)]))) == 4
+
+
+def test_seed_groups_give_every_thread_a_group():
+    # one thread: groups as wide as the row cap allows; more threads: at least
+    # one group per thread, of at most ceil(seeds / threads) seeds each
+    words = walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 9)])
+    assert [len(g) for g in seed_groups(30, words, 2)] == [15, 15]
+    assert [len(g) for g in seed_groups(7, 1, 4)] == [2, 2, 2, 1]
+    for n in range(1, 40):
+        for rows in (1, 7, 600, attractor.GROUP_ROWS + 1):
+            cap = max(1, attractor.GROUP_ROWS // rows)
+            assert [len(g) for g in seed_groups(n, rows)] == \
+                [min(cap, n - lo) for lo in range(0, n, cap)]
+            for threads in range(2, 9):
+                groups = seed_groups(n, rows, threads)
+                assert [j for g in groups for j in g] == list(range(n))
+                assert len(groups) >= min(threads, n)
+                assert max(len(g) for g in groups) <= min(cap, -(-n // threads))
+
+
+@pytest.mark.parametrize("case", ["line", "moving_tail_period"])
+def test_merged_tail_loop_matches_per_word_project(case):
+    # translation-bearing tails whose depths differ between levels (and, under
+    # the Markov measure, between the word lengths of one level)
+    fam, m, tail, n_min, _ = CASES[case]
+    levels = level_sets(m, range(n_min, n_min + 3))
+    targets = _targets(levels)
+    rho, R = fam.rho_max, bounding_ball(fam)
+    depths = [np.array([_required_depth(t, la, rho, R) for la in L.lengths.tolist()])
+              for L, t in zip(levels, targets)]
+    steps = [set(_tail_steps(fam, tail, depth).tolist()) for depth in depths]
+    assert all(len(steps[0] | later) > len(steps[0]) for later in steps[1:])
+    if case == "moving_tail_period":
+        assert any(len(s) > 1 for s in steps)
+    rs = [Realization(seed, fam) for seed in SEEDS]
+    for r, clouds in zip(rs, project_levels(rs, levels, tail, targets)):
+        for L, depth, pts in zip(levels, depths, clouds):
+            for word, k, x in zip(L.words, depth.tolist(), pts.coords):
+                assert x.tobytes() == project(r, word, tail, k).coordinates.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_group_arrays_hold_at_most_group_rows(case, monkeypatch):
+    fam, m, tail, n_min, n_max = CASES[case]
+    levels = level_sets(m, range(n_min, n_max + 1))
+    targets = _targets(levels)
+    rows = walk_rows(levels)
+    seen = []   # rows of every array stepped, and of the merged members
+    step, coords = attractor._step, attractor._coords
+
+    def spy_step(r, states, *rest):
+        seen.append(states.size)
+        return step(r, states, *rest)
+
+    def spy_coords(v):
+        seen.append(v.shape[0])
+        return coords(v)
+
+    monkeypatch.setattr(attractor, "_step", spy_step)
+    monkeypatch.setattr(attractor, "_coords", spy_coords)
+    for cap in (rows - 1, rows, 2 * rows + 1, 5 * rows):
+        monkeypatch.setattr(attractor, "GROUP_ROWS", cap)
+        for g in seed_groups(5, rows):
+            seen.clear()
+            project_levels([Realization(j, fam) for j in g], levels, tail, targets)
+            assert max(seen) <= cap or (len(g) == 1 and max(seen) == rows), (cap, len(g))
+            assert len(g) * sum(len(L) for L in levels) in seen   # the merged members
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

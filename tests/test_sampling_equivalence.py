@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from rifs import keyed
+from rifs import attractor, keyed
 from rifs.analysis import det_window_report, det_window_reports, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
@@ -259,7 +259,7 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
     monkeypatch.setattr(detwindow, "_walk_block", spy)
 
     def grouped(threads):
-        ranges = detwindow.seed_ranges(8, m.alphabet.size, threads)
+        ranges = attractor.seed_groups(8, m.alphabet.size, threads)
 
         def group(g):
             rs = [Realization(j, fam) for j in ranges[g]]

@@ -23,6 +23,11 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
   per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
   the 30 seeds), with ``--threads 1`` and ``--threads 2``;
+* ``coverage`` and ``density`` on ``baby_theorem`` and on the Markov config
+  at level ranges whose seeds split into uneven projection groups
+  (``MULTI_GROUP_LEVELS``: 4,032 and 3,017 member rows per seed, so groups
+  of 4+4+2 and 5+5+2 seeds), with ``--threads 1`` and ``--threads 2``; the
+  Markov levels mix word lengths and take tail steps of several depths;
 * ``pairs`` and ``density`` on a three-symbol similarity family in three
   dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
   orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
@@ -65,6 +70,9 @@ THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
 # a baby_theorem pairs level whose 30 seeds take 4 projection seed groups
 MULTI_GROUP_N = 11
+# coverage and density level ranges whose seeds take uneven projection groups
+MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
+                      "markov": dict(n_min=3, n_max=6, seeds=12)}
 BENCH_SEEDS = (0, 3)
 SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
                  "density": dict(n_min=3, n_max=5, seeds=3)}
@@ -142,6 +150,10 @@ def _grid():
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=3), 2))
             runs.append((f"{name}/detwindow/multi_block_grouped",
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=8), 1))
+        for kind in ("coverage", "density") if name in MULTI_GROUP_LEVELS else ():
+            for threads in (1, 2):
+                runs.append((f"{name}/{kind}/multi_group/t{threads}",
+                             replace(base, kind=kind, **MULTI_GROUP_LEVELS[name]), threads))
         if name == "baby_theorem":
             runs.append((f"{name}/density/preset_levels",
                          replace(base, kind="density", seeds=1), 1))
