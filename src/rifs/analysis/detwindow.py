@@ -37,12 +37,27 @@ subgroups' rows are copied onto an explicit stack and the parent group's
 arrays are dropped.  Depth-first order keeps the live rows of the walk near
 one block, whatever the number of seeds; breadth-first order would hold
 every subgroup's depth at once.  A single seed on a depth wider than
-``BLOCK`` takes it in blocks of consecutive parents and concatenates the
-blocks' active children for the next depth.  At that size every temporary
-stays cache-resident and comes from the malloc heap rather than from freshly
-mmapped pages, whose page faults dominated whole-depth passes.  Grouping
-pays the fixed cost of a block's numpy calls once for many shallow depths
-of many seeds instead of once per seed.
+``BLOCK`` takes it in blocks of consecutive parents; each block writes its
+active children straight into the next depth's arrays, which stay ordinary
+arrays, and its good measures into a buffer of the workspace.  Grouping pays
+the fixed cost of a block's numpy calls once for many shallow depths of many
+seeds instead of once per seed.
+
+Each :func:`det_window_reports` call allocates one workspace (``_Workspace``)
+and every block of its walk writes into it with ``out=``: the raw draws and
+splitmix64 scratch, deviations and masks, and two sets of child rows used in
+turn, one for a block's children and one for those carried to the next
+depth.  At ``BLOCK`` entries it takes 816 KiB, stays cache-resident and is
+freed when the call returns.  A seed group walked on a worker thread owns
+the workspace of its call; nothing is kept between calls or at module level.
+The keyed draws and the log-determinant formula are the shared ones
+(``keyed.draw_u01``, ``Realization.log_dets_from_chains``), called with
+buffer arguments.  A fresh 128 KiB temporary per numpy operation faults its
+pages in again whenever glibc has returned them: on the benchmark's
+detwindow configs, steady-state minor faults per walk
+(``resource.getrusage``, one thread, 15 walks after 3 warm-up walks) read
+5,584 on ``line``, 6,080 on ``plane`` and 6,014-8,012 on ``wide_io`` with
+such temporaries, and 1,194, 474 and 0-2 with the workspace.
 """
 
 from __future__ import annotations
@@ -58,8 +73,8 @@ from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
 from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
 
-# Children per block of the walk (see the module docstring): 128 KiB per
-# float64 temporary, cache-resident and reused from the malloc heap.
+# Children per block of the walk, and entries per workspace buffer (see the
+# module docstring): 128 KiB per float64 buffer, cache-resident.
 BLOCK = 1 << 14
 
 
@@ -160,10 +175,16 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
     log_c = math.log(C)
     A = m.alphabet.size
     r = rs[0]   # sampling reads only the family and the chain states
+    # a family with one distribution samples a batch without its symbols
+    one_spec = len(family.distributions) == 1
     S = len(rs)
     failures: list = []   # per depth: band violations of every seed
     totals: list = []     # per depth: children per seed
     good_mass = np.zeros(S)
+    # keyed's cached step tile for this alphabet comes first: made above the
+    # workspace by the first walk, it would pin the workspace's freed memory
+    keyed.absorb_children(np.empty(0, dtype=np.uint64), A)
+    ws = _Workspace(max(BLOCK, A))
 
     # (first depth index, seeds lo..hi-1, their rows: states, cum_ld, good)
     stack = [(0, 0, S, np.concatenate([q.root_chain() for q in rs]),
@@ -188,26 +209,38 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
                 totals.append(width)
                 failures.append(np.zeros(S, dtype=np.int64))
             cut = k * eps1 + log_c if k >= N1 else None
-            args = (k * lam, k * eps1, cut)
+            args = (k * lam, k * eps1, cut, one_spec, ws)
+            kids, carry = ws.node_sets(states)
             if G * width <= BLOCK:
                 bad, kept, states, cum_ld, good = _walk_block(
-                    r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, *args)
+                    r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, *args, kids, carry)
             else:
                 # one seed wider than a block: consecutive parents [a, b) own
-                # children [a*A, b*A), since children are parent-major
+                # children [a*A, b*A), since children are parent-major; their
+                # active children go straight into the next depth's arrays
                 cuts = list(range(0, P, max(1, BLOCK // A))) + [P]
                 at = np.searchsorted(fr.active_idx, np.multiply(cuts, A)).tolist()
-                parts = [_walk_block(r, fr, A, states[a:b], cum_ld[a:b], good[a:b], a, b,
-                                     fr.active_idx[i:j] - a * A, *args)
-                         for a, b, i, j in zip(cuts, cuts[1:], at, at[1:])]
-                bads, kepts, *nxt = zip(*parts)
-                bad = sum(b[0] for b in bads)
-                kepts = [x[0] for x in kepts if x]
-                kept = [np.concatenate(kepts)] if kepts else []
-                states, cum_ld, good = (np.concatenate(x) for x in nxt)
+                n_act = fr.active_idx.size
+                nxt = (np.empty(n_act, dtype=np.uint64), np.empty(n_act),
+                       np.empty(n_act, dtype=bool))
+                measures = ws.good_measures(np.count_nonzero(fr.emit_mask))
+                bad = used = 0
+                for a, b, i, j in zip(cuts, cuts[1:], at, at[1:]):
+                    dst = tuple(x[i:j] for x in nxt)
+                    block_bad, block_kept, *_ = _walk_block(
+                        r, fr, A, states[a:b], cum_ld[a:b], good[a:b], a, b,
+                        fr.active_idx[i:j] - a * A, *args,
+                        dst if j - i == (b - a) * A else kids, dst)
+                    bad += block_bad[0]
+                    for x in block_kept:
+                        measures[used:used + x.size] = x
+                        used += x.size
+                kept = [measures[:used]] if used else []
+                states, cum_ld, good = nxt
             failures[k - 1][lo:hi] = bad
             if kept:   # one sum per seed and depth, as a walk of one seed sums
                 good_mass[lo:hi] += [x.sum() for x in kept]
+            del kept   # before the next block's measures are gathered
 
     failures = np.array(failures, dtype=np.int64).reshape(-1, S)
     return [DetWindowReport(
@@ -216,33 +249,94 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
         per_prefix_totals=np.array(totals, dtype=np.int64)) for j in range(S)]
 
 
+class _Workspace:
+    """The buffers one walk reuses for every block, ``size`` entries each.
+
+    ``raw`` and ``mix`` (uint64) take the draws and the splitmix64 scratch,
+    and ``mask`` (bool) the comparisons.  ``dev`` (float64) shares ``raw``'s
+    memory: it takes the parents' log-determinants and the deviations once a
+    block's draws are spent.  ``nodes`` holds two sets of (chain states,
+    cumulative log-determinants, good flags): a block's children go into the
+    set that does not hold its parents, and the children carried to the next
+    depth stay there when all are active, or are gathered into the other
+    set.  At ``size = BLOCK`` the buffers take 51 bytes per entry, 816 KiB.
+    """
+
+    def __init__(self, size: int):
+        self.raw = np.empty(size, dtype=np.uint64)
+        self.dev = self.raw.view(np.float64)
+        self.mix = np.empty(size, dtype=np.uint64)
+        self.mask = np.empty(size, dtype=bool)
+        self.nodes = [(np.empty(size, dtype=np.uint64), np.empty(size),
+                       np.empty(size, dtype=bool)) for _ in range(2)]
+        self._measures = np.empty(0)
+
+    def good_measures(self, n: int) -> np.ndarray:
+        """A float64 buffer of ``n`` entries for the good measures of one
+        seed's depth wider than a block, reused by later such depths."""
+        if self._measures.size < n:
+            self._measures = np.empty(n)
+        return self._measures[:n]
+
+    def node_sets(self, parents: np.ndarray) -> tuple:
+        """(children's set, carried set) for parents whose chain states are
+        ``parents``; the carried set is the one holding them, if either is."""
+        a, b = self.nodes
+        return (b, a) if np.may_share_memory(parents, a[0]) else (a, b)
+
+
 def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
-                act: np.ndarray, shift: float, band: float, cut):
+                act: np.ndarray, shift: float, band: float, cut, one_spec: bool,
+                ws: _Workspace, kids: tuple, carry: tuple):
     """One block of a depth: the children of parents ``lo .. hi - 1`` of each
     seed whose rows (seed-major) are ``states``, ``cum_ld`` and ``good``.
 
+    The children's chain states, cumulative log-determinants and good flags
+    are written into the arrays ``kids``, and the temporaries into ``ws``.
     Returns each seed's band-violation count, each seed's measures of its
     good emitted children (an empty list when no seed has any), and the
     chain states, cumulative log-determinants and good flags of the children
     ``act`` (indices within one seed's block) of every seed, seed-major;
-    those stay active.
+    those stay active.  They are ``kids`` themselves when every child stays
+    active, else gathered into ``carry``, which may hold the parents.
     """
     c = slice(lo * A, hi * A)
     G = states.size // (hi - lo)
-    # children are parent-major/symbol-minor, so gathers are plain repeats
-    child_states = keyed.absorb_children(states, A)
-    symbols = fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
-    S = np.repeat(cum_ld, A) + r.log_dets_from_chains(child_states, symbols)
-    dev = np.abs(S + shift)
-    child_good = np.repeat(good, A)
+    N = G * (hi - lo) * A
+    child_states, S, child_good = (x[:N] for x in kids)
+    mix, raw, dev, mask = ws.mix[:N], ws.raw[:N], ws.dev[:N], ws.mask[:N]
+    keyed.absorb_children(states, A, out=child_states, scratch=mix)
+    # symbol 1 stands for every symbol of a family with one distribution
+    symbols = 1 if one_spec else fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
+    r.log_dets_from_chains(child_states, symbols, out=S, raw=raw, scratch=mix)
+    S += keyed.repeat_children(cum_ld, A, out=dev)   # the draws are spent
+    np.add(S, shift, out=dev)
+    np.abs(dev, out=dev)
+    keyed.repeat_children(good, A, out=child_good)
     if cut is not None:
-        child_good &= dev <= cut
-    over = dev > band
-    emitted_good = fr.emit_mask[c] & child_good.reshape(G, -1)
-    measures = fr.measures[c]
-    kept = [measures[e] for e in emitted_good] if emitted_good.any() else []
-    if G == 1:   # flat count and gathers, twice as fast as their per-seed forms
-        return [np.count_nonzero(over)], kept, child_states[act], S[act], child_good[act]
-    return (np.count_nonzero(over.reshape(G, -1), axis=1), kept,
-            *(np.take(x.reshape(G, -1), act, axis=1).reshape(-1)
-              for x in (child_states, S, child_good)))
+        child_good &= np.less_equal(dev, cut, out=mask)
+    over = np.greater(dev, band, out=mask)
+    bad = [np.count_nonzero(over)] if G == 1 \
+        else np.count_nonzero(over.reshape(G, -1), axis=1)
+    kept = []
+    emit = fr.emit_mask[c]
+    if emit.any():
+        emitted_good = np.logical_and(child_good.reshape(G, -1), emit, out=mask.reshape(G, -1))
+        if emitted_good.any():
+            measures = fr.measures[c]
+            # a seed whose every child here is good and emitted sums the tree's
+            # own slice; its sum equals that of a copy
+            kept = [measures if e.all() else measures[e] for e in emitted_good]
+    if act.size * G == N:
+        return bad, kept, child_states, S, child_good
+    n = G * act.size
+    # np.take copies a read-only index (the tree's) on every call: copy it once
+    # into the spent splitmix64 scratch; mode="clip" gathers straight into carry
+    idx = mix[:act.size].view(np.intp)
+    np.copyto(idx, act)
+    if G == 1:   # flat gathers, twice as fast as their per-seed forms
+        return (bad, kept, *(np.take(x[:N], idx, out=y[:n], mode="clip")
+                             for x, y in zip(kids, carry)))
+    return (bad, kept, *(np.take(x[:N].reshape(G, -1), idx, axis=1,
+                                 out=y[:n].reshape(G, -1), mode="clip").reshape(-1)
+                         for x, y in zip(kids, carry)))

@@ -332,7 +332,12 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+        return _digest(self.canonical())
+
+
+def _digest(canonical: str) -> str:
+    """The config digest: 16 hex digits of the sha256 of ``canonical()``."""
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _json_key(f) -> str:
@@ -422,12 +427,15 @@ def _fmt(x) -> str:
 
 
 def _self_description(config: ExperimentConfig) -> str:
-    return f"config_digest={config.digest()} config={config.canonical()}"
+    canonical = config.canonical()
+    return f"config_digest={_digest(canonical)} config={canonical}"
 
 
 def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -> None:
-    """Atomic CSV write with a self-describing config header comment."""
-    lines = [f"# config_digest={config.digest()}", f"# config={config.canonical()}",
+    """Atomic CSV write with a self-describing config header comment; the
+    config is serialized once."""
+    canonical = config.canonical()
+    lines = [f"# config_digest={_digest(canonical)}", f"# config={canonical}",
              ",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")

@@ -51,9 +51,10 @@ _STEP_TILE = 1 << 14
 SEED_WINDOW_PER_THREAD = 4
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer mutating a fresh uint64 array (two buffers total)."""
-    t = z >> np.uint64(30)
+def _mix64_inplace(z: np.ndarray, *, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer mutating a fresh uint64 array; ``scratch``, a
+    uint64 array of the same shape, holds the shifted copies (else allocated)."""
+    t = np.right_shift(z, np.uint64(30), out=scratch)
     z ^= t
     z *= _M1
     np.right_shift(z, np.uint64(27), out=t)
@@ -97,19 +98,42 @@ def _symbol_steps(n_symbols: int) -> np.ndarray:
     return steps
 
 
-def absorb_children(states: np.ndarray, n_symbols: int) -> np.ndarray:
+def repeat_children(parents: np.ndarray, n_symbols: int, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``np.repeat(parents, n_symbols)``, written into ``out`` when given: a
+    value per parent copied to each of its children, parent-major.
+
+    Below 6 symbols it makes one strided copy per symbol (at 2 symbols 2.7x
+    faster than a gather from a cached index, and 6-9x faster than a
+    broadcast copy, whose inner loop has length ``A``); from 6 on it makes
+    the broadcast copy, which is as fast as the strided ones for float64 and
+    1.2-2.5x faster than a gather at 8 and 16 symbols.
+    """
+    if out is None:
+        out = np.empty(parents.size * n_symbols, dtype=parents.dtype)
+    if n_symbols < 6:
+        for j in range(n_symbols):
+            out[j::n_symbols] = parents
+    else:
+        np.copyto(out.reshape(-1, n_symbols), parents[:, None])
+    return out
+
+
+def absorb_children(states: np.ndarray, n_symbols: int, *, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Chain states of every one-symbol extension, parent-major symbol-minor.
 
     Equals ``absorb(repeat(states, A), tile(1..A, len(states)))``; shape
-    ``(len(states) * n_symbols,)``.  The per-symbol steps are xored from a
-    cached tile, so no pass has an inner loop of length ``A``.
+    ``(len(states) * n_symbols,)``, written into ``out`` when given, with
+    ``scratch`` for the finalizer.  The per-symbol steps are xored from a
+    cached tile, so that pass has no inner loop of length ``A``.
     """
-    out = np.repeat(states, n_symbols)
+    out = repeat_children(states, n_symbols, out=out)
     steps = _symbol_steps(n_symbols)
     for lo in range(0, out.size, steps.size):   # whole tiles keep symbols aligned
         part = out[lo:lo + steps.size]
         part ^= steps[:part.size]
-    return _mix64_inplace(out)
+    return _mix64_inplace(out, scratch=scratch)
 
 
 def word_state(seed: int, word) -> np.ndarray:
@@ -120,28 +144,43 @@ def word_state(seed: int, word) -> np.ndarray:
     return state
 
 
-def draw(states: np.ndarray, index: int) -> np.ndarray:
-    """Counter-indexed raw uint64 output for each chain state."""
+def draw(states: np.ndarray, index: int, *, out: np.ndarray | None = None,
+         scratch: np.ndarray | None = None) -> np.ndarray:
+    """Counter-indexed raw uint64 output for each chain state, written into
+    ``out`` when given, with ``scratch`` for the finalizer."""
     step = np.array([index + 1], dtype=np.uint64) * GAMMA
-    return _mix64_inplace(states + step)
+    return _mix64_inplace(np.add(states, step, out=out), scratch=scratch)
 
 
-def to_u01(raw: np.ndarray) -> np.ndarray:
+def to_u01(raw: np.ndarray, *, out: np.ndarray | None = None,
+           scratch: np.ndarray | None = None) -> np.ndarray:
     """Map raw 64-bit outputs to floats strictly inside (0, 1).
 
     The top 53 bits, offset by half a step, give ``(k + 0.5) * 2**-53``.  For
     ``k = 2**53 - 1`` that rounds to exactly 1.0, so the result is clamped to
-    the largest float below 1; no other value changes.
+    the largest float below 1; no other value changes.  ``out`` (float64)
+    receives the result and ``scratch`` (uint64, may be ``raw`` itself) the
+    top bits, when given.
     """
-    u = (raw >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= _INV_2_53
-    return np.minimum(u, _BELOW_ONE, out=u)
+    k = np.right_shift(raw, np.uint64(11), out=scratch)
+    if out is None:
+        out = np.empty(k.shape)
+    np.copyto(out, k)   # exact: k < 2**53
+    out += 0.5
+    out *= _INV_2_53
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def draw_u01(states: np.ndarray, index: int) -> np.ndarray:
-    """Uniform (0,1) variate ``index`` for each chain state."""
-    return to_u01(draw(states, index))
+def draw_u01(states: np.ndarray, index: int, *, out: np.ndarray | None = None,
+             raw: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Uniform (0,1) variate ``index`` for each chain state.
+
+    The optional buffers, one entry per state, receive the uniforms
+    (``out``, float64) and the raw draws (``raw``) with the finalizer's
+    ``scratch`` (both uint64); ``raw`` is overwritten.
+    """
+    raw = draw(states, index, out=raw, scratch=scratch)
+    return to_u01(raw, out=out, scratch=raw)
 
 
 def draw_u01_block(states: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -150,12 +189,18 @@ def draw_u01_block(states: np.ndarray, start: int, count: int) -> np.ndarray:
     return to_u01(_mix64_inplace(states[:, None] + idx[None, :]))
 
 
-def stream_u01(seed: int, count: int, lane: int = 0) -> np.ndarray:
-    """``count`` iid uniforms from an anonymous stream (Monte Carlo use)."""
+def stream_raw(seed: int, count: int, lane: int = 0) -> np.ndarray:
+    """``count`` raw uint64 outputs of an anonymous stream (Monte Carlo use)."""
     lane_arr = np.array([lane], dtype=np.uint64) * _SYMBOL_STEP
     base = mix64(root_state(int(seed)) ^ lane_arr)
     idx = np.arange(1, count + 1, dtype=np.uint64) * GAMMA
-    return to_u01(_mix64_inplace(base + idx))
+    return _mix64_inplace(base + idx)
+
+
+def stream_u01(seed: int, count: int, lane: int = 0) -> np.ndarray:
+    """``to_u01`` of ``stream_raw``: ``count`` iid uniforms."""
+    raw = stream_raw(seed, count, lane)
+    return to_u01(raw, scratch=raw)
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -26,8 +26,9 @@ is materialized lazily: the sample at a word is a pure function of
 ``(seed, word, family)`` via the keyed streams in :mod:`rifs.keyed`, so any
 finite set of coordinates can be produced reproducibly, in any order, in
 bulk or one at a time.  Per-word draw layout (fixed): draw 0 is the scalar
-``lam``, draw 1 the base-matrix selector, draws 2 .. 1 + d*d feed the
-Gaussian matrix behind ``O``.  A batch is sampled with one call per distinct
+``lam``, draw 1 the base-matrix selector (its raw value against the spec's
+``base_thresholds``), draws 2 .. 1 + d*d feed the Gaussian matrix behind
+``O``.  A batch is sampled with one call per distinct
 distribution (specs that compare equal are one), which changes no value.
 
 ``lyapunov_prime`` is the expected negative log absolute determinant of one
@@ -94,10 +95,13 @@ class AffineSpec:
         # (weights such as [0.1] * 10 sum to 0.9999999999999999)
         self.cum_weights = np.cumsum(w)
         self.cum_weights[-1] = 1.0
+        # base i is drawn when the raw draw is at least base_thresholds[i - 1]
+        self.base_thresholds = _raw_thresholds(self.cum_weights[:-1])
         self.base_log_abs_det = np.log(np.abs(np.linalg.det(bases)))
         self.base_max_norm = float(svals[:, 0].max())
         self.lower_singular_bound = float(svals[:, -1].min())
-        for a in (self.base_matrices, self.weights, self.cum_weights, self.base_log_abs_det):
+        for a in (self.base_matrices, self.weights, self.cum_weights, self.base_thresholds,
+                  self.base_log_abs_det):
             a.setflags(write=False)
 
     def __repr__(self):
@@ -230,17 +234,26 @@ class Realization:
         d = self.family.dimension
         return self._per_symbol(self._sample_symbol, states, last_symbols, (d, d))
 
-    def log_dets_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
-        """log|det| per row without materializing the matrices."""
+    def log_dets_from_chains(self, states: np.ndarray, last_symbols, *,
+                             out: np.ndarray | None = None, raw: np.ndarray | None = None,
+                             scratch: np.ndarray | None = None) -> np.ndarray:
+        """log|det| per row without materializing the matrices.
+
+        The optional buffers, one entry per row, receive the result (``out``,
+        float64) and the raw draws with the finalizer's scratch (``raw`` and
+        ``scratch``, uint64, overwritten).  A batch whose rows have more than
+        one distribution is sampled into ``out`` without them.
+        """
         d = self.family.dimension
 
-        def log_det(st, spec):
-            val = d * np.log(_scalar_factor(st, spec))
-            if isinstance(spec, AffineSpec):
-                val = val + spec.base_log_abs_det[_base_index(st, spec)]
-            return val
+        def log_det(st, spec, out=None, raw=None, scratch=None):
+            u = keyed.draw_u01(st, 0, out=out, raw=raw, scratch=scratch)
+            base_raw = keyed.draw(st, 1, out=raw, scratch=scratch) \
+                if isinstance(spec, AffineSpec) else None
+            return _log_dets(u, base_raw, spec, d, scratch=scratch)
 
-        return self._per_symbol(log_det, states, last_symbols)
+        return self._per_symbol(log_det, states, last_symbols,
+                                out=out, raw=raw, scratch=scratch)
 
     def scalars_from_chains(self, states: np.ndarray, last_symbols) -> np.ndarray:
         """1x1 samples as a flat vector (fast path for dimension-1 families)."""
@@ -256,20 +269,24 @@ class Realization:
         return self._per_symbol(scalar, states, last_symbols)
 
     def _per_symbol(self, sample, states: np.ndarray, last_symbols,
-                    row_shape: tuple = ()) -> np.ndarray:
+                    row_shape: tuple = (), **buffers) -> np.ndarray:
         """Rows of ``sample(states, spec)``, one call per distribution.
 
         ``last_symbols`` is one symbol per row, or a single symbol shared by
         every row.  Rows whose symbols share a distribution are sampled in one
         call; a family with a single distribution samples the whole batch at
-        once, without masks.
+        once, without masks.  ``buffers`` (keyword arrays with one entry per
+        row) go to a call that samples the whole batch; rows split by
+        distribution are written into ``buffers["out"]`` when given.
         """
         fam = self.family
         if np.ndim(last_symbols) == 0:
-            return sample(states, fam.symbols[int(last_symbols) - 1])
+            return sample(states, fam.symbols[int(last_symbols) - 1], **buffers)
         if len(fam.distributions) == 1:
-            return sample(states, fam.distributions[0])
-        out = np.empty((states.size,) + row_shape)
+            return sample(states, fam.distributions[0], **buffers)
+        out = buffers.get("out")
+        if out is None:
+            out = np.empty((states.size,) + row_shape)
         group = fam.distribution_index[last_symbols]
         for g, spec in enumerate(fam.distributions):
             mask = group == g
@@ -316,24 +333,68 @@ def _haar_factor(gauss: np.ndarray, d: int) -> np.ndarray:
     return q * signs[:, None, :]
 
 
+def _scale(u: np.ndarray, spec) -> np.ndarray:
+    """The scalar factor ``r_minus + u (r_plus - r_minus)``, in place over ``u``."""
+    u *= spec.r_plus - spec.r_minus
+    u += spec.r_minus
+    return u
+
+
 def _scalar_factor(states: np.ndarray, spec) -> np.ndarray:
-    u = keyed.draw_u01(states, 0)
-    return spec.r_minus + u * (spec.r_plus - spec.r_minus)
+    return _scale(keyed.draw_u01(states, 0), spec)
 
 
 def _base_index(states: np.ndarray, spec: AffineSpec) -> np.ndarray:
-    return _pick_base(keyed.draw_u01(states, 1), spec)
+    return _pick_base(keyed.draw(states, 1), spec)
 
 
-def _pick_base(u: np.ndarray, spec: AffineSpec) -> np.ndarray:
-    """Base matrix selected by each uniform: the count of ``cum_weights`` below it.
+def _log_dets(u: np.ndarray, base_raw, spec, d: int, *,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """log|det| of each step from its scalar uniform ``u`` and, for an affine
+    spec, its raw base draw; ``u`` becomes the result and ``base_raw`` and
+    ``scratch`` (uint64, when given) are overwritten."""
+    val = np.log(_scale(u, spec), out=u)
+    if d != 1:
+        val *= d
+    if isinstance(spec, AffineSpec):
+        idx = _pick_base(base_raw, spec, out=None if scratch is None else scratch.view(np.intp))
+        # the raw draws are spent once the bases are picked: their buffer takes
+        # the gathered log-determinants (mode="clip" writes straight into it)
+        val += np.take(spec.base_log_abs_det, idx, out=base_raw.view(np.float64), mode="clip")
+    return val
 
-    Equals ``searchsorted(cum_weights, u)`` for every ``u <= cum_weights[-1] = 1``.
+
+def _raw_thresholds(cum: np.ndarray) -> np.ndarray:
+    """For each of the non-decreasing ``cum`` that some ``keyed.to_u01`` value
+    exceeds, the smallest raw draw whose value does.
+
+    ``to_u01`` reads only ``k = raw >> 11`` and scales ``fl(k + 0.5)``, which
+    is ``k``, ``k + 0.5`` or ``k + 1``, by ``2**-53`` exactly; so with
+    ``g = floor(c * 2**53)`` the smallest ``k`` whose value exceeds ``c`` is
+    ``g`` or ``g + 1``, and ``to_u01`` of ``g`` tells which.
     """
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for c in spec.cum_weights[:-1]:
-        idx += u > c
-    return idx
+    top = keyed.to_u01(np.full(1, np.iinfo(np.uint64).max, dtype=np.uint64))[0]
+    cum = cum[cum < top]
+    k = (cum * 2.0 ** 53).astype(np.uint64)
+    k += keyed.to_u01(k << np.uint64(11)) <= cum
+    return k << np.uint64(11)
+
+
+def _pick_base(raw: np.ndarray, spec: AffineSpec, *,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Base matrix selected by each raw draw: the count of ``base_thresholds``
+    at or below it, written into ``out`` (intp) when given.
+
+    Equals ``searchsorted(cum_weights, to_u01(raw))``: ``to_u01`` is
+    monotone, so ``to_u01(raw) > c`` exactly when ``raw`` is at least the
+    threshold of ``c``.
+    """
+    if out is None:
+        out = np.empty(raw.shape, dtype=np.intp)
+    out[...] = 0
+    for t in spec.base_thresholds:
+        out += raw >= t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +426,9 @@ def mc_lyapunov_prime(family: MatrixFamily, symbol: int,
 def _mc_log_dets(family: MatrixFamily, symbol: int, n_samples: int, seed: int) -> np.ndarray:
     spec = family.symbols[symbol - 1]
     u = keyed.stream_u01(seed, n_samples, lane=2 * symbol)
-    lam = spec.r_minus + u * (spec.r_plus - spec.r_minus)
-    out = family.dimension * np.log(lam)
-    if isinstance(spec, AffineSpec):
-        ub = keyed.stream_u01(seed, n_samples, lane=2 * symbol + 1)
-        out = out + spec.base_log_abs_det[_pick_base(ub, spec)]
-    return out
+    base_raw = keyed.stream_raw(seed, n_samples, lane=2 * symbol + 1) \
+        if isinstance(spec, AffineSpec) else None
+    return _log_dets(u, base_raw, spec, family.dimension)
 
 
 def lyapunov_exponent(family: MatrixFamily, m: SymbolicMeasure) -> float:

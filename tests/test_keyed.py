@@ -28,6 +28,17 @@ def test_absorb_children_matches_scalar_absorb():
             kids = keyed.absorb_children(states, A)
             want = keyed.absorb(np.repeat(states, A), np.tile(np.arange(1, A + 1), P))
             assert kids.dtype == np.uint64 and np.array_equal(kids, want), (A, P)
+            # into given buffers, and the parents' repeat of other dtypes
+            out, scratch = np.empty_like(want), np.empty_like(want)
+            assert keyed.absorb_children(states, A, out=out, scratch=scratch) is out
+            assert np.array_equal(out, want), (A, P)
+            for parents in (states, np.sqrt(np.arange(P)), np.arange(P) % 3 == 0):
+                got = keyed.repeat_children(parents, A)
+                assert got.dtype == parents.dtype, (A, P)
+                assert np.array_equal(got, np.repeat(parents, A)), (A, P)
+                buf = np.empty_like(got)
+                assert keyed.repeat_children(parents, A, out=buf) is buf
+                assert np.array_equal(buf, got), (A, P)
     states = keyed.mix64(np.arange(7, dtype=np.uint64))
     kids = keyed.absorb_children(states, 3)
     for p in range(7):
@@ -47,6 +58,16 @@ def test_draws_are_counter_indexed_and_stable():
     block = keyed.draw_u01_block(s, 0, 5)
     assert a[0] == block[0, 3]
     assert np.array_equal(block, keyed.draw_u01_block(s, 0, 5))
+    # into given buffers: the same values, and the states are left alone
+    states = keyed.absorb_children(s, 300)
+    kept = states.copy()
+    out, raw, scratch = np.empty(300), np.empty(300, np.uint64), np.empty(300, np.uint64)
+    assert keyed.draw_u01(states, 3, out=out, raw=raw, scratch=scratch) is out
+    assert np.array_equal(out, keyed.draw_u01(states, 3))
+    assert keyed.draw(states, 1, out=raw, scratch=scratch) is raw
+    assert np.array_equal(raw, keyed.draw(states, 1))
+    assert np.array_equal(keyed.to_u01(raw, out=out, scratch=scratch), keyed.to_u01(raw))
+    assert np.array_equal(states, kept)
 
 
 def test_u01_range_and_uniformity():

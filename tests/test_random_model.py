@@ -219,7 +219,8 @@ def test_top_raw_draws_give_finite_samples_and_valid_bases(monkeypatch):
     fam = MatrixFamily(2, [spec, spec], [[0.0, 0.0], [1.0, 0.0]])
     r = Realization(0, fam)
     states = keyed.absorb_children(r.root_chain(), 2)
-    monkeypatch.setattr(keyed, "_mix64_inplace", lambda z: np.full_like(z, 2 ** 64 - 1))
+    monkeypatch.setattr(keyed, "_mix64_inplace",
+                        lambda z, scratch=None: np.full_like(z, 2 ** 64 - 1))
     syms = np.array([1, 2])
     mats = r.matrices_from_chains(states, syms)
     lds = r.log_dets_from_chains(states, syms)

@@ -3,15 +3,19 @@
 ``ref_per_symbol`` is the earlier dispatch kept as an oracle: one boolean
 mask per distinct last symbol (``np.unique``), each group sampled through the
 single-symbol path.  Grouping symbols by equal distribution must give
-bitwise-equal matrices, log-determinants and scalars, and the base-matrix
-selector must pick the index ``searchsorted`` picked.  Likewise a
+bitwise-equal matrices, log-determinants and scalars (also into given
+buffers), and the base-matrix selector, which compares raw draws with
+integer thresholds, must pick the index ``searchsorted`` picks on their
+uniforms.  Likewise a
 determinant-window walk over a tree built once
 (``tuple(iter_level_frontiers(...))``) and shared by threads must equal the
 walk that streams the tree (``ref_det_window_report``), field by field, for
 every seed and thread count, also when the walk cuts each depth into blocks
 of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
 seeds must equal the same oracle at 1 and 2 threads, also when a smaller
-``BLOCK`` splits its groups unevenly at several depths.  The closed-form
+``BLOCK`` splits its groups unevenly at several depths, and walks run one
+after another or on several threads must not share workspace buffers.  The
+closed-form
 2x2 orthogonal factor must match LAPACK's sign-fixed QR (``ref_haar_qr``)
 within 1e-15 per entry, and d >= 3 must still take that QR.
 """
@@ -27,7 +31,7 @@ from rifs import attractor, keyed
 from rifs.analysis import det_window_report, det_window_reports, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
-                               _haar_factor, _pick_base)
+                               _haar_factor, _pick_base, _raw_thresholds)
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure, iter_level_frontiers
 from test_projection_equivalence import ref_det_window_report
 
@@ -110,6 +114,9 @@ def test_grouped_sampling_matches_per_symbol_oracle(name):
         got = r.log_dets_from_chains(states, syms)
         want = ref_per_symbol(r.log_dets_from_chains, states, syms)
         assert np.array_equal(got, want), layout
+        out, raw, mix = np.empty(states.size), np.empty_like(states), np.empty_like(states)
+        got = r.log_dets_from_chains(states, syms, out=out, raw=raw, scratch=mix)
+        assert got is out and np.array_equal(got, want), layout
         if d == 1:
             got = r.scalars_from_chains(states, syms)
             want = ref_per_symbol(r.scalars_from_chains, states, syms)
@@ -119,16 +126,45 @@ def test_grouped_sampling_matches_per_symbol_oracle(name):
 
 
 @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.1] * 10, [1.0, 2.0, 3.0, 1e-9],
-                                     [0.999, 0.001]])
+                                     [0.999, 0.001], [1.0, 1e-17]])
 def test_pick_base_matches_searchsorted(weights):
+    # the integer thresholds on raw draws pick the base that searchsorted picks
+    # on the uniforms; [0.1] * 10 has inexact cumulative sums, and [1.0, 1e-17]
+    # a cumulative weight that no uniform exceeds, so it has no threshold
     d = len(weights)
     spec = AffineSpec(0.4, 0.6, [np.eye(2) * (0.5 + 0.04 * k) for k in range(d)], weights)
+    T = spec.base_thresholds
+    assert T.dtype == np.uint64 and not T.flags.writeable
+    assert T.size == np.count_nonzero(spec.cum_weights[:-1] < keyed.to_u01(
+        np.full(1, 2 ** 64 - 1, dtype=np.uint64))[0])
     rng = np.random.default_rng(d)
-    # uniforms, every cumulative weight below 1 exactly, and its neighbours
-    c = spec.cum_weights[:-1]
-    u = np.concatenate([rng.random(10_000), c, np.nextafter(c, 0.0),
-                        np.nextafter(c, 1.0), [np.nextafter(1.0, 0.0), 2.0 ** -54]])
-    assert np.array_equal(_pick_base(u, spec), np.searchsorted(spec.cum_weights, u))
+    # random raws, every threshold, the raw below it, the last raw of its
+    # 2**11-wide step, and the top raw
+    raw = np.concatenate([rng.integers(0, 2 ** 64, 10_000, dtype=np.uint64, endpoint=False),
+                          T, T[T > 0] - np.uint64(1), T + np.uint64(2047),
+                          np.array([2 ** 64 - 1, 0], dtype=np.uint64)])
+    want = np.searchsorted(spec.cum_weights, keyed.to_u01(raw))
+    assert np.array_equal(_pick_base(raw, spec), want)
+    out = np.full(raw.size, -1, dtype=np.intp)
+    assert _pick_base(raw, spec, out=out) is out and np.array_equal(out, want)
+
+
+def test_raw_thresholds_are_the_smallest_exceeding_draws():
+    # cumulative weights anywhere in [0, 1), near 0, near 1 and in the top
+    # half, where k + 0.5 rounds in to_u01
+    rng = np.random.default_rng(3)
+    cum = np.sort(np.concatenate([
+        rng.random(20_000), 1.0 - rng.random(500) * 2.0 ** -45,
+        0.5 + rng.random(500) * 2.0 ** -30, np.nextafter(rng.random(500), 1.0),
+        [0.0, 2.0 ** -60, 2.0 ** -54, 2.0 ** -53, 3 * 2.0 ** -54, 0.5, 0.75 - 2.0 ** -54,
+         1.0 - 2.0 ** -52, 1.0 - 3 * 2.0 ** -54, np.nextafter(1.0, 0.0)]]))
+    T = _raw_thresholds(cum)
+    top = keyed.to_u01(np.full(1, 2 ** 64 - 1, dtype=np.uint64))[0]
+    below = cum[cum < top]
+    assert T.size == below.size and below[-1] < cum[-1] == top
+    assert np.all(keyed.to_u01(T) > below)
+    # the raw draws below a threshold end at T - 1, which shares T - 2048's top bits
+    assert np.all((T == 0) | (keyed.to_u01(T - np.uint64(1)) <= below))
 
 
 def _keyed_gaussians(n, count):
@@ -286,3 +322,62 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
         sizes.setdefault(depth, set()).add(seeds)
     assert len(set().union(*sizes.values())) >= 3   # split at two depths at least
     assert any(len(s) > 1 for s in sizes.values())  # uneven subgroups side by side
+
+
+def test_window_walks_share_no_buffer_state():
+    # a walk whose widest depth spans several blocks, then a walk of another
+    # family whose blocks are shorter than the workspace buffers, then the
+    # first walk again: each equals the streamed oracle, so no walk reads what
+    # an earlier one left in its buffers
+    eps1, C, N1 = 0.05, 1.5, 2
+    fams = _families()
+    wide = (fams["mixed_d1"], BernoulliMeasure([0.4, 0.3, 0.3]), 9)
+    short = (fams["affine_d2"], BernoulliMeasure([0.6, 0.4]), 6)
+    for (fam, m, n), blocks in ((wide, "several"), (short, "short"), (wide, "several")):
+        widths = [fr.symbols.size for fr in iter_level_frontiers(m, n)]
+        if blocks == "several":
+            assert max(widths) >= 3 * detwindow.BLOCK
+        else:
+            assert sum(widths) * 3 < detwindow.BLOCK
+        rs = [Realization(j, fam) for j in range(3)]
+        got = [_report_fields(rep) for rep in det_window_reports(rs, m, n, eps1, C, N1)]
+        want = [_report_fields(ref_det_window_report(r, m, n, eps1, C, N1)) for r in rs]
+        assert got == want, blocks
+
+
+def test_threaded_seed_group_walks_own_their_workspaces(monkeypatch):
+    # 8 seeds in 4 groups on 2 and on 4 threads equal one group on one thread;
+    # every walk builds its own workspace, and the module keeps none
+    fam = _families()["mixed_d1"]
+    m, n = BernoulliMeasure([0.4, 0.3, 0.3]), 7
+    A = m.alphabet.size
+    tree = tuple(iter_level_frontiers(m, n))
+    built = []
+
+    class Workspace(detwindow._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(detwindow, "_Workspace", Workspace)
+
+    def walk(threads):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads' walks
+        try:
+            return [_report_fields(rep) for rep in attractor.map_seed_groups(
+                lambda rs: det_window_reports(rs, m, n, 0.05, 1.5, 2, tree=tree),
+                fam, 7, 8, A, threads)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    one = walk(1)
+    assert len(built) == 1
+    monkeypatch.setattr(attractor, "GROUP_ROWS", 2 * A)
+    for threads in (2, 4):
+        assert [len(g) for g in attractor.seed_groups(8, A, threads)] == [2, 2, 2, 2]
+        built.clear()
+        assert walk(threads) == one, threads
+        assert len({id(ws) for ws in built}) == 4
+    assert not any(isinstance(v, (np.ndarray, detwindow._Workspace))
+                   for v in vars(detwindow).values())

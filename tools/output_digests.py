@@ -28,6 +28,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   (``MULTI_GROUP_LEVELS``: 4,032 and 3,017 member rows per seed, so groups
   of 4+4+2 and 5+5+2 seeds), with ``--threads 1`` and ``--threads 2``; the
   Markov levels mix word lengths and take tail steps of several depths;
+* ``detwindow``, ``lyapunov`` and ``pairs`` on a planar affine family whose
+  specs hold three and four weighted base matrices with inexact cumulative
+  weights (``WEIGHTED_AFFINE``), so the base selector crosses several
+  thresholds; ``detwindow`` also at a level that spans several blocks;
 * ``pairs`` and ``density`` on a three-symbol similarity family in three
   dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
   orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
@@ -74,6 +78,10 @@ MULTI_GROUP_N = 11
 MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
                       "markov": dict(n_min=3, n_max=6, seeds=12)}
 BENCH_SEEDS = (0, 3)
+# kind -> sizes; multi_block is detwindow at a widest depth of 66,474 children
+WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
+                   "pairs": dict(n=3, seeds=PAIRS_SEEDS),
+                   "multi_block": dict(kind="detwindow", n=7, seeds=3)}
 SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
                  "density": dict(n_min=3, n_max=5, seeds=3)}
 
@@ -99,6 +107,26 @@ def _markov_config(preset):
     return replace(preset("example1_2d"),
                    measure=MarkovMeasure([4.0 / 7.0, 3.0 / 7.0], [[0.7, 0.3], [0.4, 0.6]]),
                    tail=TailSequence((), (2, 1)), master_seed=11)
+
+
+def _weighted_affine_config(preset):
+    """Three planar affine symbols under a non-uniform measure: symbols 1 and 3
+    share a spec of four bases weighted 0.1 .. 0.4 (cumulative 0.1,
+    0.30000000000000004, 0.6000000000000001), symbol 2 has three bases
+    weighted 0.7, 0.2, 0.1 (cumulative 0.7000000000000001, 0.9000000000000001)."""
+    from rifs import BernoulliMeasure
+    from rifs.random_model import AffineSpec, MatrixFamily
+
+    quarter = [[0.0, -1.0], [1.0, 0.0]]
+    four = AffineSpec(0.45, 0.49, [[[0.9, 0.0], [0.0, 0.7]], [[0.5, 0.2], [0.1, 0.8]],
+                                   quarter, [[-0.6, 0.0], [0.2, 0.85]]],
+                      [0.1, 0.2, 0.3, 0.4])
+    three = AffineSpec(0.4, 0.5, [[[0.8, 0.0], [0.0, 0.6]], [[0.0, 0.9], [-0.7, 0.0]],
+                                  [[0.95, 0.1], [0.0, -0.5]]], [0.7, 0.2, 0.1])
+    family = MatrixFamily(2, [four, three, four],
+                          [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+    return replace(preset("example2_affine"), family=family,
+                   measure=BernoulliMeasure([0.5, 0.3, 0.2]), master_seed=17)
 
 
 def _similarity_3d_config(preset):
@@ -161,6 +189,12 @@ def _grid():
                 runs.append((f"{name}/pairs/multi_group/t{threads}",
                              replace(base, kind="pairs", n=MULTI_GROUP_N, seeds=PAIRS_SEEDS),
                              threads))
+    base = _through_json(_weighted_affine_config(preset))
+    for name, sizes in WEIGHTED_AFFINE.items():
+        sizes = {"kind": name, **sizes}
+        runs.append((f"weighted_affine/{name}/t1", replace(base, **sizes), 1))
+        if sizes["kind"] in THREADED_KINDS:
+            runs.append((f"weighted_affine/{name}/t2", replace(base, **sizes), 2))
     base = _through_json(_similarity_3d_config(preset))
     for kind, sizes in SIMILARITY_3D.items():
         runs.append((f"similarity_3d/{kind}/t1", replace(base, kind=kind, **sizes), 1))
