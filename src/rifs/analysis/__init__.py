@@ -1,6 +1,6 @@
 """Quantitative statistics over realizations: determinant-regularity windows,
 close-pair counts and their scaling, separated subsets and density of good
-levels, divergence heuristics, and grid-based Lebesgue estimates."""
+levels, and grid-based Lebesgue estimates."""
 
 from .detwindow import DetWindowReport, det_window_report, det_window_reports
 from .pairs import (PairCountResult, TransversalityFit, DensityReport,
@@ -8,8 +8,6 @@ from .pairs import (PairCountResult, TransversalityFit, DensityReport,
                     density_sweep, density_sweeps)
 from .coverage import (CoverageGrid, CoverageReport, AttractorMeasureReport,
                        coverage_estimate, coverage_estimates, attractor_measure_estimate)
-from .divergence import (GDivergenceVerdict, PsiEquivalence, g_divergence_heuristic,
-                         psi_from_mg, psi_equivalence_check)
 
 __all__ = [
     "DetWindowReport", "det_window_report", "det_window_reports",
@@ -18,6 +16,4 @@ __all__ = [
     "density_sweep", "density_sweeps",
     "CoverageGrid", "CoverageReport", "AttractorMeasureReport",
     "coverage_estimate", "coverage_estimates", "attractor_measure_estimate",
-    "GDivergenceVerdict", "PsiEquivalence", "g_divergence_heuristic",
-    "psi_from_mg", "psi_equivalence_check",
 ]

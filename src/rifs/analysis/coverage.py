@@ -147,8 +147,9 @@ class CoverageGrid:
         upper = centers + radii[:, None]
         clipped = bool(np.any(lower < self.lo) or np.any(upper > self.hi))
         shape = np.asarray(self.shape)
-        first = np.maximum(np.ceil((lower - self.lo) / self.h - 0.5).astype(np.int64), 0)
-        last = np.minimum(np.floor((upper - self.lo) / self.h - 0.5).astype(np.int64), shape - 1)
+        # clip before the cast: a bound beyond int64 range would wrap around
+        first = np.ceil((lower - self.lo) / self.h - 0.5).clip(0, shape).astype(np.int64)
+        last = np.floor((upper - self.lo) / self.h - 0.5).clip(-1, shape - 1).astype(np.int64)
         if self.dimension == 1:
             # a ball wholly past the upper end marks the last cell, as it always has
             first = np.minimum(first, shape - 1)
@@ -208,10 +209,9 @@ class CoverageGrid:
                 end = end + side * (shrink.astype(np.int64) - grow)
 
         half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
-        left = np.ceil((x - half - lo) / h - 0.5).astype(np.int64)
-        right = np.floor((x + half - lo) / h - 0.5).astype(np.int64)
-        return (settle(np.clip(left, lo_cell, hi_cell + 1), 1),
-                settle(np.clip(right, lo_cell - 1, hi_cell), -1))
+        left = np.ceil((x - half - lo) / h - 0.5).clip(lo_cell, hi_cell + 1)
+        right = np.floor((x + half - lo) / h - 0.5).clip(lo_cell - 1, hi_cell)
+        return settle(left.astype(np.int64), 1), settle(right.astype(np.int64), -1)
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,11 @@ def _squared_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class PairCountResult:
-    """Ordered close-pair count with truncation brackets and the pair list."""
+    """Ordered close-pair count with truncation brackets."""
 
     ordered_count: int
     ordered_lower: int
     ordered_upper: int
-    pairs: tuple                 # unordered (i, j) with i < j, nominal threshold
     threshold: float
     truncation_robust: bool
 
@@ -168,32 +167,20 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
             f"close-pair threshold {threshold} does not dominate the truncation "
             f"enclosures (2 max radius = {2 * max_tr}); nominal count is not "
             "robust, rely on the [lower, upper] bracket", stacklevel=2)
-    if n < 2:
-        return PairCountResult(0, 0, 0, (), threshold, robust)
-
     nominal = 0
     lower = 0
     upper = 0
-    firsts: list = []
-    seconds: list = []
     for i, j in _candidate_pairs(coords, threshold + 2.0 * max_tr):
         dist = _distances(coords, i, j)
         rs = radii[i] + radii[j]
-        close = dist <= threshold
-        nominal += int(close.sum())
+        nominal += int((dist <= threshold).sum())
         lower += int((dist + rs <= threshold).sum())
         upper += int((dist - rs <= threshold).sum())
-        firsts.append(np.minimum(i[close], j[close]))
-        seconds.append(np.maximum(i[close], j[close]))
-    first = np.concatenate(firsts)
-    second = np.concatenate(seconds)
-    order = np.lexsort((second, first))
-    pairs = tuple(zip(first[order].tolist(), second[order].tolist()))
     if not lower <= nominal <= upper:
         raise InvariantError(
             f"pair-count bracket out of order: {lower} <= {nominal} <= {upper} failed")
     return PairCountResult(ordered_count=2 * nominal, ordered_lower=2 * lower,
-                           ordered_upper=2 * upper, pairs=pairs,
+                           ordered_upper=2 * upper,
                            threshold=threshold, truncation_robust=robust)
 
 

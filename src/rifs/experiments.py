@@ -280,6 +280,16 @@ class ExperimentConfig:
             problems.append("window constant C must be positive")
         if self.N1 < 1:
             problems.append("prefix threshold N1 must be >= 1")
+        if (self.grid_lo is None) != (self.grid_hi is None):
+            problems.append("grid_lo and grid_hi must be given together")
+        for key in ("grid_lo", "grid_hi"):
+            corner = getattr(self, key)
+            if corner is not None and len(corner) != self.family.dimension:
+                problems.append(f"{key} has {len(corner)} coordinates, the family "
+                                f"dimension is {self.family.dimension}")
+        for key in ("word_budget", "map_budget"):
+            if getattr(self, key) < 1:
+                problems.append(f"{key} must be >= 1")
         if not problems:
             deepest = max(self.n, self.n_max)
             if slow_decay_constant(self.measure) ** deepest == 0.0:

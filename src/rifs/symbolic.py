@@ -15,10 +15,10 @@ and its cardinality grows like ``c**-n``.  Every level is a cut of one
 cylinder tree: :func:`iter_level_frontiers` expands it breadth-first, one
 vectorized depth at a time, with symbols in ascending order (a canonical,
 reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
-holds every level ``n <= n_max`` as a selection of its nodes.  Level sets and
-restricted level sets are selected by one downward walk of it that carries a
-flag per active node; determinant windows and projections read the same tree
-with their own per-node state.
+holds every level ``n <= n_max`` as a selection of its nodes.  Level sets are
+selected by one downward walk of it that carries a flag per active node;
+determinant windows and projections read the same tree with their own
+per-node state.
 
 Natural logarithms throughout.
 """
@@ -383,12 +383,11 @@ class LevelSet:
         return (float(self.measures.min()), float(self.measures.max()))
 
 
-def _cut(tree: tuple, n: int, threshold: float, bound=None) -> Iterator[np.ndarray]:
+def _cut(tree: tuple, n: int, threshold: float) -> Iterator[np.ndarray]:
     """The member mask of every depth of ``tree``, from one walk down it.
 
-    A flag per active node marks a prefix still above ``threshold`` that
-    passes ``bound(depth, measures)``, if given; a flagged node's child is a
-    member when its measure is at most ``threshold`` and it passes the bound.
+    A flag per active node marks a prefix still above ``threshold``; a
+    flagged node's child is a member when its measure is at most ``threshold``.
     """
     flag = np.ones(1, dtype=bool)   # the root
     for fr in tree:
@@ -396,8 +395,6 @@ def _cut(tree: tuple, n: int, threshold: float, bound=None) -> Iterator[np.ndarr
         if np.any(fr.emit_mask & above):
             raise InputError(f"the cylinder tree is too shallow for level {n}")
         ok = np.repeat(flag, tree[0].symbols.size)
-        if bound is not None:
-            ok &= bound(fr.depth, fr.measures)
         yield ok & ~above
         flag = (ok & above)[fr.active_idx]
 
@@ -457,27 +454,6 @@ def level_sets(m: SymbolicMeasure, n_values, word_budget: int = WORD_BUDGET_DEFA
     for the deepest level, so they can be projected by one walk."""
     tree = tuple(iter_level_frontiers(m, max(n_values), word_budget))
     return [level_set(m, n, tree=tree) for n in n_values]
-
-
-def restricted_level_set(m: SymbolicMeasure, n: int, eps1: float, C2: float,
-                         word_budget: int = WORD_BUDGET_DEFAULT) -> LevelSet:
-    """Members of L_{m,n} obeying the two-sided entropy-decay bound.
-
-    Keeps a word iff every prefix of length k satisfies
-    ``exp(-k (h + eps1)) / C2 <= m([a_1..a_k]) <= C2 exp(-k (h - eps1))``.
-    The returned set's ``mass`` is the retained fraction of the full level
-    set's unit mass.
-    """
-    if eps1 <= 0:
-        raise InputError("eps1 must be positive")
-    if C2 <= 0:
-        raise InputError("C2 must be positive")
-    h = entropy(m)
-
-    def bound(k, meas):   # the entropy-decay bound on a depth-k prefix
-        return (meas >= np.exp(-k * (h + eps1)) / C2) & (meas <= C2 * np.exp(-k * (h - eps1)))
-    tree = tuple(iter_level_frontiers(m, n, word_budget))
-    return _select(tree, n, _cut(tree, n, slow_decay_constant(m) ** n, bound))
 
 
 def is_prefix_free(words) -> bool:

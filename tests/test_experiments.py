@@ -295,6 +295,22 @@ def test_lyapunov_report_values(tmp_path):
     assert float(rows["ratio"]) == pytest.approx(1.8702, abs=1e-4)
 
 
+@pytest.mark.parametrize("kind,change", [
+    ("coverage", dict(gauge=Gauge("table", values=[1e40] * 10, regime="divergent"))),
+    ("attractor", dict(diam_scale=1e300))])
+def test_balls_wider_than_int64_cells_cover_the_box(kind, change, tmp_path):
+    # a 2.5-wide box of 2**-10 cells: the grid measure equals the box volume
+    cfg = replace(_small_config(kind), grid_lo=(-0.5,), grid_hi=(2.0,), **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # the balls are clipped by the box
+        paths = run(cfg, tmp_path)
+    lines = [line for line in paths[0].read_text().splitlines()
+             if line[:1].isdigit()]
+    columns = 3 if kind == "coverage" else 1
+    assert lines and all(line.split(",")[-columns:] == ["2.5"] * columns
+                         for line in lines)
+
+
 def test_levelset_csv_rowcount(tmp_path):
     paths = run(_small_config("levelset"), tmp_path)
     lines = paths[0].read_text().strip().splitlines()
@@ -510,6 +526,30 @@ def test_cli_unknown_nested_key_exits_2(where, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"'{where}'" in err and key in err
+
+
+@pytest.mark.parametrize("change,problem", [
+    (dict(grid_lo=[-1.0]), "grid_lo and grid_hi must be given together"),
+    (dict(grid_hi=[1.0]), "grid_lo and grid_hi must be given together"),
+    (dict(grid_lo=[-1.0, -1.0], grid_hi=[1.0]), "grid_lo has 2 coordinates"),
+    (dict(grid_lo=[-1.0], grid_hi=[1.0, 1.0]), "grid_hi has 2 coordinates"),
+    (dict(word_budget=0), "word_budget must be >= 1"),
+    (dict(map_budget=0), "map_budget must be >= 1"),
+], ids=["lo-only", "hi-only", "lo-too-long", "hi-too-long", "word-budget-0",
+        "map-budget-0"])
+def test_cli_config_boundary_exits_2(change, problem, tmp_path, capsys):
+    main(["preset", "baby_theorem", "--out", str(tmp_path)])
+    raw = json.loads((tmp_path / "baby_theorem.json").read_text())
+    for key in ("grid_lo", "grid_hi"):
+        raw.pop(key)
+    raw.update(change)
+    cfg = tmp_path / "boundary.json"
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert "Traceback" not in err and len(problems) == 1 and problem in problems[0]
 
 
 _TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2

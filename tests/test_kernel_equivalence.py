@@ -79,20 +79,16 @@ def ref_pair_distances(coords, cutoff):
 
 
 def ref_close_pairs(coords, radii, threshold):
-    """(nominal, lower, upper, sorted pairs) of unordered pairs."""
+    """(nominal, lower, upper) counts of unordered pairs."""
     nominal = lower = upper = 0
-    pairs = []
     if coords.shape[0] < 2:
-        return 0, 0, 0, ()
+        return 0, 0, 0
     for i_idx, j_idx, dist in _ref_blocks(coords, threshold + 2.0 * float(radii.max())):
         rs = radii[i_idx] + radii[j_idx]
-        close = dist <= threshold
-        nominal += int(close.sum())
+        nominal += int((dist <= threshold).sum())
         lower += int((dist + rs <= threshold).sum())
         upper += int((dist - rs <= threshold).sum())
-        for i, j in zip(i_idx[close].tolist(), j_idx[close].tolist()):
-            pairs.append((i, j) if i < j else (j, i))
-    return nominal, lower, upper, tuple(sorted(pairs))
+    return nominal, lower, upper
 
 
 def ref_separated(coords, radius):
@@ -239,10 +235,9 @@ def test_close_pair_count_matches_dict_bucket_join(d):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = close_pair_count(pts, r)
-            nominal, lower, upper, pairs = ref_close_pairs(coords, radii, r)
+            nominal, lower, upper = ref_close_pairs(coords, radii, r)
             assert (res.ordered_count, res.ordered_lower, res.ordered_upper) == \
                 (2 * nominal, 2 * lower, 2 * upper)
-            assert res.pairs == pairs
 
 
 def _nets_equal(monkeypatch, coords, r, want):
@@ -365,10 +360,10 @@ def test_large_joins_split_into_blocks():
     rng = np.random.default_rng(7)
     coords = rng.uniform(0.0, 0.05, size=(900, 2))
     pts = PointCloud(coords, np.zeros(900), None, None)
-    nominal, lower, upper, pairs = ref_close_pairs(coords, np.zeros(900), 0.04)
+    nominal, _, _ = ref_close_pairs(coords, np.zeros(900), 0.04)
     res = close_pair_count(pts, 0.04)
     assert nominal > 1 << 18
-    assert res.ordered_count == 2 * nominal and res.pairs == pairs
+    assert res.ordered_count == 2 * nominal
     assert np.array_equal(np.sort(pair_distances_within(coords, 0.04)),
                           np.sort(ref_pair_distances(coords, 0.04)))
 

@@ -4,10 +4,9 @@ The reference oracles below are the earlier implementations: word-by-word
 compositions (``compose``, ``apply_map``, ``iterate_maps``,
 ``project_tail``), the breadth-first level-set materialization that carried
 every active word along, the level-set selection that read parent masses in
-a pass of its own, the restricted level set walking its own tree with its
-own bound flags, the per-word projection that recomposed every
-prefix of every word one word-matrix column at a time (``AffineBatch``), and
-the determinant-window walk streaming the tree one depth at a time.
+a pass of its own, the per-word projection that recomposed every prefix of
+every word one word-matrix column at a time (``AffineBatch``), and the
+determinant-window walk streaming the tree one depth at a time.
 
 One walk of the cylinder tree must give, for every level and every seed of
 the group it serves, the same coordinate and radius bytes as the per-word
@@ -32,9 +31,9 @@ from rifs.errors import BudgetError, InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                lyapunov_exponent)
-from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, _select, entropy,
+from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, _select,
                            iter_level_frontiers, level_set, level_sets,
-                           restricted_level_set, slow_decay_constant, validate_word)
+                           slow_decay_constant, validate_word)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +185,6 @@ def ref_level_set_masks(m, n, tree):
     return masks
 
 
-def ref_restricted_level_set(m, n, eps1, C2):
-    """``restricted_level_set`` walking its own tree, one bound flag per active node."""
-    h = entropy(m)
-    tree = tuple(iter_level_frontiers(m, n))
-    masks = []
-    good = np.ones(1, dtype=bool)  # every prefix so far obeys the bound, per active node
-    for fr in tree:
-        k = fr.depth
-        lo = np.exp(-k * (h + eps1)) / C2
-        hi = C2 * np.exp(-k * (h - eps1))
-        child_good = (np.repeat(good, m.alphabet.size) & (fr.measures >= lo)
-                      & (fr.measures <= hi))
-        masks.append(fr.emit_mask & child_good)
-        good = child_good[fr.active_idx]
-    return _select(tree, n, masks)
-
-
 def ref_det_window_report(r, m, n, eps1, C, N1):
     """The window walk streaming the tree, one depth in memory at a time."""
     lam = lyapunov_exponent(r.family, m)
@@ -304,9 +286,6 @@ def test_selection_walk_matches_the_walks_it_replaced(case):
     for n in range(1, n_max + 1):
         _assert_same_level_set(level_set(m, n, tree=tree),
                                _select(tree, n, ref_level_set_masks(m, n, tree)))
-        for eps1, C2 in ((0.05, 1.0), (0.2, 1.5), (0.4, 5.0), (1.0, 10.0)):
-            _assert_same_level_set(restricted_level_set(m, n, eps1, C2),
-                                   ref_restricted_level_set(m, n, eps1, C2))
 
 
 def test_level_set_rejects_a_too_shallow_tree():

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rifs import (BernoulliMeasure, MarkovMeasure, cylinder_measure, entropy,
-                  entropy_estimate, is_prefix_free, level_set,
-                  restricted_level_set, slow_decay_constant, word_from_string,
-                  word_to_string, write_levelset_csv)
+                  entropy_estimate, is_prefix_free, level_set, slow_decay_constant,
+                  word_from_string, word_to_string, write_levelset_csv)
 from rifs.errors import BudgetError, InputError
 from rifs.symbolic import Alphabet, TailSequence, word_strings
 
@@ -180,8 +179,7 @@ def test_level_set_invariants(skew2, markov2):
 
 
 def test_level_set_words_view_matches_word_matrix(skew2, markov2):
-    for ls in (level_set(skew2, 3), level_set(markov2, 4),
-               restricted_level_set(skew2, 4, eps1=0.2, C2=1.5)):
+    for ls in (level_set(skew2, 3), level_set(markov2, 4)):
         assert len(ls.words) == len(ls) > 0
         for i, w in enumerate(ls.words):
             assert w == tuple(ls.word_matrix[i, :ls.lengths[i]])
@@ -197,42 +195,6 @@ def test_level_set_word_budget(uniform2):
     with pytest.raises(BudgetError) as err:
         level_set(uniform2, 12, word_budget=100)
     assert "100" in str(err.value)
-
-
-def test_restricted_level_set_uniform_is_identity(uniform2):
-    full = level_set(uniform2, 4)
-    for eps1, C2 in ((0.05, 1.0), (0.5, 2.0)):
-        sub = restricted_level_set(uniform2, 4, eps1, C2)
-        assert sub.words == full.words
-        assert sub.mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_restricted_level_set_filters(skew2):
-    sub = restricted_level_set(skew2, 4, eps1=0.05, C2=1.0)
-    full = level_set(skew2, 4)
-    assert len(sub) < len(full)
-    assert sub.mass < 1.0
-    assert set(sub.words) <= set(full.words)
-    # oracle: direct per-prefix filter of the full level set
-    h = entropy(skew2)
-    expected = []
-    for w in full.words:
-        ok = True
-        for k in range(1, len(w) + 1):
-            mu = cylinder_measure(skew2, w[:k])
-            if not (math.exp(-k * (h + 0.05)) <= mu <= math.exp(-k * (h - 0.05))):
-                ok = False
-                break
-        if ok:
-            expected.append(w)
-    assert list(sub.words) == expected
-
-
-def test_restricted_level_set_slack_bounds_keep_everything(skew2):
-    sub = restricted_level_set(skew2, 4, eps1=1.0, C2=10.0)
-    full = level_set(skew2, 4)
-    assert sub.words == full.words
-    assert sub.mass == pytest.approx(1.0, abs=1e-9)
 
 
 @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4), st.integers(1, 5))
@@ -284,7 +246,6 @@ def test_tail_sequence():
 
 def test_word_strings_match_word_to_string(skew2, markov2):
     sets = [level_set(skew2, 6), level_set(markov2, 5),
-            restricted_level_set(skew2, 6, 0.4, 5.0),
             level_set(BernoulliMeasure([0.5, 0.2, 0.1, 0.1, 0.05, 0.05]), 4)]
     for ls in sets:
         assert word_strings(ls) == [word_to_string(w) for w in ls.words]
