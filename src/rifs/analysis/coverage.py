@@ -51,6 +51,8 @@ from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
+_CLIPPED = ("some balls extend beyond the grid box and were clipped; "
+            "estimates undershoot the true union")
 
 
 class CellSet:
@@ -178,8 +180,9 @@ class CoverageGrid:
         lo_cell = first[ball, -1]
         hi_cell = last[ball, -1]
         if self.dimension > 1:
-            lo_cell, hi_cell = self._row_interval(centers[ball, -1], radii[ball] * radii[ball],
-                                                  lead2, lo_cell, hi_cell)
+            with np.errstate(over="ignore"):   # an infinite square still marks the right cells
+                rad2 = radii[ball] * radii[ball]
+            lo_cell, hi_cell = self._row_interval(centers[ball, -1], rad2, lead2, lo_cell, hi_cell)
         cells.add(row * self.shape[-1] + lo_cell, row * self.shape[-1] + hi_cell)
 
     def _row_interval(self, x, rad2, lead2, lo_cell, hi_cell) -> tuple:
@@ -305,9 +308,7 @@ def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> Co
                 warned_coarse = True
             grid.mark_balls(inner, pts.coords, inner_radii)
             if clipped and not warned_clip:
-                warnings.warn(
-                    "some balls extend beyond the grid box and were clipped; "
-                    "estimates undershoot the true union", stacklevel=3)
+                warnings.warn(_CLIPPED, stacklevel=3)
                 warned_clip = True
         per_outer[n] = grid.measure(outer)
         per_inner[n] = grid.measure(inner)
@@ -359,10 +360,13 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
     deltas = [diam_scale * c ** (n / d) for n in n_values]
     clouds = project_levels([r], levels, b, [delta / 8.0 for delta in deltas], map_budget)[0]
     per_level = {}
+    clipped = False
     for n, delta, pts in zip(n_values, deltas, clouds):
         cells = CellSet()
-        grid.mark_balls(cells, pts.coords, np.full(len(pts), delta) + pts.radii)
+        clipped |= grid.mark_balls(cells, pts.coords, np.full(len(pts), delta) + pts.radii)
         per_level[n] = grid.measure(cells)
+    if clipped:
+        warnings.warn(_CLIPPED, stacklevel=2)
 
     vals = [per_level[n] for n in n_values[-3:]]
     rel = 0.0

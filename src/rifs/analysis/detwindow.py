@@ -175,8 +175,6 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
     log_c = math.log(C)
     A = m.alphabet.size
     r = rs[0]   # sampling reads only the family and the chain states
-    # a family with one distribution samples a batch without its symbols
-    one_spec = len(family.distributions) == 1
     S = len(rs)
     failures: list = []   # per depth: band violations of every seed
     totals: list = []     # per depth: children per seed
@@ -209,7 +207,7 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
                 totals.append(width)
                 failures.append(np.zeros(S, dtype=np.int64))
             cut = k * eps1 + log_c if k >= N1 else None
-            args = (k * lam, k * eps1, cut, one_spec, ws)
+            args = (k * lam, k * eps1, cut, ws)
             kids, carry = ws.node_sets(states)
             if G * width <= BLOCK:
                 bad, kept, states, cum_ld, good = _walk_block(
@@ -286,8 +284,8 @@ class _Workspace:
 
 
 def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
-                act: np.ndarray, shift: float, band: float, cut, one_spec: bool,
-                ws: _Workspace, kids: tuple, carry: tuple):
+                act: np.ndarray, shift: float, band: float, cut, ws: _Workspace,
+                kids: tuple, carry: tuple):
     """One block of a depth: the children of parents ``lo .. hi - 1`` of each
     seed whose rows (seed-major) are ``states``, ``cum_ld`` and ``good``.
 
@@ -306,8 +304,7 @@ def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: i
     child_states, S, child_good = (x[:N] for x in kids)
     mix, raw, dev, mask = ws.mix[:N], ws.raw[:N], ws.dev[:N], ws.mask[:N]
     keyed.absorb_children(states, A, out=child_states, scratch=mix)
-    # symbol 1 stands for every symbol of a family with one distribution
-    symbols = 1 if one_spec else fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
+    symbols = fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
     r.log_dets_from_chains(child_states, symbols, out=S, raw=raw, scratch=mix)
     S += keyed.repeat_children(cum_ld, A, out=dev)   # the draws are spent
     np.add(S, shift, out=dev)

@@ -6,7 +6,12 @@ method for fixed-radius near neighbours (Bentley, Stanat & Williams 1977):
 points are keyed to grid cells whose edge matches the search radius, so every
 close pair sits in a 3^d cell neighbourhood, and the keys are linearised and
 sorted so that each neighbourhood is a few contiguous ranges of the sorted
-order, found with ``searchsorted`` and expanded in bounded blocks.
+order, found with ``searchsorted`` and expanded in bounded blocks.  Every
+pair statistic (close-pair counts, sweep distances, the greedy nets'
+conflicts) reads one squared distance, ``(y_k - x_k)**2`` summed left to
+right over the axes, and a reported distance is its ``sqrt``.  A row
+``sum`` may add in another order (numpy's does from d = 8 on), so two
+statistics computed two ways could disagree about the same pair.
 
 Because projected points carry truncation enclosures, counts are bracketed:
 a pair is certainly close when dist + r_i + r_j <= t and possibly close when
@@ -96,9 +101,13 @@ def _join(coords: np.ndarray, cell: float) -> tuple:
     of the sorted order; each positive offset of the leading axes adds the run
     of the three cells at that offset.  Run ``k`` pairs point ``owners[k]``
     with ``order[starts[k]:starts[k] + counts[k]]``, so ``counts.sum()`` is
-    the number of candidate pairs before any is expanded.
+    the number of candidate pairs before any is expanded.  Fewer than two
+    points give an empty join.
     """
     n, d = coords.shape
+    if n < 2:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
     lin, strides = _cell_index(_cell_keys(coords / cell))
     order = np.argsort(lin)
     keys = lin[order]
@@ -113,34 +122,21 @@ def _join(coords: np.ndarray, cell: float) -> tuple:
     return order, np.tile(order, len(stops)), starts, np.concatenate(stops) - starts
 
 
-def _pair_blocks(join: tuple):
-    """Yield the (i, j) index blocks of a join, expanded in bounded blocks."""
+def _pairs(coords: np.ndarray, join: tuple):
+    """Yield ``(i, j, d2)`` blocks over the candidate pairs of a join, each
+    pair once, expanded in bounded blocks.  ``d2`` is ``(x_i - x_j)**2``
+    summed left to right over the axes, in the dtype of ``coords``: the one
+    distance of every pair statistic, equal on every BLAS build (a row
+    ``sum`` need not add in order)."""
     order, owners, starts, counts = join
     for a, b in blocks(counts):
-        yield np.repeat(owners[a:b], counts[a:b]), order[ranges(starts[a:b], counts[a:b])]
-
-
-def _candidate_pairs(coords: np.ndarray, cell: float):
-    """Yield (i, j) index blocks over every unordered pair of points whose
-    cell keys differ by at most one on every axis, each pair once.  Each
-    caller applies its own distance expression to the blocks."""
-    if coords.shape[0] >= 2:
-        yield from _pair_blocks(_join(coords, cell))
-
-
-def _distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``sqrt(((x_i - x_j) ** 2).sum())`` per pair: the pair kernels' distance."""
-    return np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=-1))
-
-
-def _squared_distances(coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``(x_i - x_j)**2`` summed left to right over the axes: the greedy net's
-    distance, equal on every BLAS build (a row ``sum`` need not add in order)."""
-    diff = coords[i] - coords[j]
-    d2 = diff[:, 0] * diff[:, 0]
-    for k in range(1, coords.shape[1]):
-        d2 += diff[:, k] * diff[:, k]
-    return d2
+        i = np.repeat(owners[a:b], counts[a:b])
+        j = order[ranges(starts[a:b], counts[a:b])]
+        diff = coords[i] - coords[j]
+        d2 = diff[:, 0] * diff[:, 0]
+        for k in range(1, coords.shape[1]):
+            d2 += diff[:, k] * diff[:, k]
+        yield i, j, d2
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,8 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
     nominal = 0
     lower = 0
     upper = 0
-    for i, j in _candidate_pairs(coords, threshold + 2.0 * max_tr):
-        dist = _distances(coords, i, j)
+    for i, j, d2 in _pairs(coords, _join(coords, threshold + 2.0 * max_tr)):
+        dist = np.sqrt(d2)
         rs = radii[i] + radii[j]
         nominal += int((dist <= threshold).sum())
         lower += int((dist + rs <= threshold).sum())
@@ -186,7 +182,7 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
 
 def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of all unordered pairs at distance <= cutoff (for sweeps)."""
-    dists = (_distances(coords, i, j) for i, j in _candidate_pairs(coords, cutoff))
+    dists = (np.sqrt(d2) for _, _, d2 in _pairs(coords, _join(coords, cutoff)))
     out = [dist[dist <= cutoff] for dist in dists]
     return np.concatenate(out) if out else np.zeros(0)
 
@@ -239,8 +235,7 @@ def close_pairs(coords: np.ndarray, cutoff: float) -> ClosePairs:
         return ClosePairs(cutoff, n, None, None, None)
     c2 = cutoff * cutoff
     los, his, d2s = [], [], []
-    for i, j in _pair_blocks(join):
-        d2 = _squared_distances(coords, i, j)
+    for i, j, d2 in _pairs(coords, join):
         close = d2 <= c2
         i, j = i[close], j[close]
         los.append(np.minimum(i, j))

@@ -310,7 +310,7 @@ class ExperimentConfig:
             elif self.eps1 is not None and self.eps1 <= 0:
                 problems.append("eps1 must be positive")
         if problems:
-            raise InputError("invalid config:\n  - " + "\n  - ".join(problems))
+            raise InputError("invalid config: " + "; ".join(problems))
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict:

@@ -99,7 +99,6 @@ class AffineSpec:
         self.base_thresholds = _raw_thresholds(self.cum_weights[:-1])
         self.base_log_abs_det = np.log(np.abs(np.linalg.det(bases)))
         self.base_max_norm = float(svals[:, 0].max())
-        self.lower_singular_bound = float(svals[:, -1].min())
         for a in (self.base_matrices, self.weights, self.cum_weights, self.base_thresholds,
                   self.base_log_abs_det):
             a.setflags(write=False)
@@ -259,14 +258,7 @@ class Realization:
         """1x1 samples as a flat vector (fast path for dimension-1 families)."""
         if self.family.dimension != 1:
             raise InputError("scalar sampling requires a 1-dimensional family")
-
-        def scalar(st, spec):
-            lam = _scalar_factor(st, spec)
-            if isinstance(spec, AffineSpec):
-                lam = lam * spec.base_matrices[_base_index(st, spec), 0, 0]
-            return lam
-
-        return self._per_symbol(scalar, states, last_symbols)
+        return self._per_symbol(_scalars, states, last_symbols)
 
     def _per_symbol(self, sample, states: np.ndarray, last_symbols,
                     row_shape: tuple = (), **buffers) -> np.ndarray:
@@ -296,13 +288,11 @@ class Realization:
 
     def _sample_symbol(self, states: np.ndarray, spec) -> np.ndarray:
         d = self.family.dimension
-        lam = _scalar_factor(states, spec)
         if d == 1:
-            mats = lam[:, None, None].copy()
-        else:
-            from scipy.special import ndtri
-            gauss = ndtri(keyed.draw_u01_block(states, 2, d * d))
-            mats = lam[:, None, None] * _haar_factor(gauss, d)
+            return _scalars(states, spec)[:, None, None]
+        from scipy.special import ndtri
+        gauss = ndtri(keyed.draw_u01_block(states, 2, d * d))
+        mats = _scalar_factor(states, spec)[:, None, None] * _haar_factor(gauss, d)
         if isinstance(spec, AffineSpec):
             idx = _base_index(states, spec)
             mats = mats @ spec.base_matrices[idx]
@@ -346,6 +336,14 @@ def _scalar_factor(states: np.ndarray, spec) -> np.ndarray:
 
 def _base_index(states: np.ndarray, spec: AffineSpec) -> np.ndarray:
     return _pick_base(keyed.draw(states, 1), spec)
+
+
+def _scalars(states: np.ndarray, spec) -> np.ndarray:
+    """1x1 samples: the scalar factor, times the selected base of an affine spec."""
+    lam = _scalar_factor(states, spec)
+    if isinstance(spec, AffineSpec):
+        lam *= spec.base_matrices[_base_index(states, spec), 0, 0]
+    return lam
 
 
 def _log_dets(u: np.ndarray, base_raw, spec, d: int, *,

@@ -255,7 +255,7 @@ def entropy(m: SymbolicMeasure) -> float:
     raise InputError(f"unsupported measure type {type(m).__name__}")
 
 
-def entropy_estimate(m: SymbolicMeasure, k: int, k_cap: int = ENTROPY_K_CAP) -> float:
+def entropy_estimate(m: SymbolicMeasure, k: int) -> float:
     """Finite-k entropy quotient ``-sum m([a]) log m([a]) / k`` over A^k.
 
     The sum is enumerated (vectorized, one array per depth); ``k`` is capped
@@ -264,8 +264,8 @@ def entropy_estimate(m: SymbolicMeasure, k: int, k_cap: int = ENTROPY_K_CAP) -> 
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    if k > k_cap:
-        raise BudgetError(f"entropy_estimate depth cap ({k_cap}) exceeded by k={k}")
+    if k > ENTROPY_K_CAP:
+        raise BudgetError(f"entropy_estimate depth cap ({ENTROPY_K_CAP}) exceeded by k={k}")
     A = m.alphabet.size
     if A ** k > _ENTROPY_NODE_BUDGET:
         raise BudgetError(

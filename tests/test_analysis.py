@@ -420,10 +420,12 @@ def test_grid_validation():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_huge_ball_marks_the_whole_box(d):
-    # index bounds far beyond int64 range are clipped before the cast
+    # index bounds far beyond int64 range are clipped before the cast, and
+    # the squared radius, inf in d = 2, raises no overflow warning
     grid = CoverageGrid(np.full(d, -0.5), np.full(d, 0.5), 1.0 / 64)
     cells = CellSet()
-    with np.errstate(over="ignore"):   # the squared radius is inf in d = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert grid.mark_balls(cells, np.zeros((1, d)), np.array([1e300]))
     assert grid.measure(cells) == grid.box_volume == 1.0
 

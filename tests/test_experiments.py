@@ -311,6 +311,12 @@ def test_balls_wider_than_int64_cells_cover_the_box(kind, change, tmp_path):
                          for line in lines)
 
 
+def test_attractor_run_warns_when_balls_are_clipped(tmp_path):
+    # baby_theorem's level-9 points pass the upper end (2.05) of the preset box
+    with pytest.warns(UserWarning, match="clipped"):
+        run(replace(_small_config("attractor"), n_min=6, n_max=9), tmp_path)
+
+
 def test_levelset_csv_rowcount(tmp_path):
     paths = run(_small_config("levelset"), tmp_path)
     lines = paths[0].read_text().strip().splitlines()
@@ -548,8 +554,7 @@ def test_cli_config_boundary_exits_2(change, problem, tmp_path, capsys):
     capsys.readouterr()
     assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    problems = [line for line in err.splitlines() if line.startswith("  - ")]
-    assert "Traceback" not in err and len(problems) == 1 and problem in problems[0]
+    assert err.count("\n") == 1 and "Traceback" not in err and problem in err
 
 
 _TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2

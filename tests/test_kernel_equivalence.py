@@ -11,7 +11,8 @@ The greedy oracle sums squares through ``diff @ diff``, which a BLAS may fuse
 into multiply-adds; the kernel sums them left to right in plain floats.  The
 two agree wherever the sums are exact (the dyadic cases) or not within one
 rounding of ``radius**2`` (the random clouds).  The d=8 tie, where the orders
-of summation differ, is checked against the left-to-right sum itself.
+of summation differ, is checked against the left-to-right sum itself, which
+the pair counts and distances read too.
 
 The greedy net resolves most points in parallel rounds over conflict edges
 and finishes the rest with the sequential scan; every net is checked with
@@ -308,6 +309,24 @@ def test_net_on_a_d8_tie_decided_by_the_left_to_right_sum(monkeypatch):
                 assert separated_subset(coords, r).tolist() == ([0] if conflict else [0, 1])
 
 
+def test_pair_counts_agree_with_the_net_on_a_d8_tie():
+    # the counts and the sweep read the left-to-right sum too: at the radius
+    # whose square it is, a pair whose row sum is larger still counts
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        v = rng.uniform(-1.0, 1.0, size=8)
+        ltr, row = _left_to_right(v.tolist()), float((v ** 2).sum())
+        t = math.sqrt(ltr)
+        if ltr < row and t * t == ltr and math.sqrt(row) > t:
+            break
+    else:
+        pytest.fail("no d=8 tie found")
+    coords = np.array([np.zeros(8), v])
+    assert pair_distances_within(coords, t).size == 1
+    assert close_pair_count(coords, t).ordered_count == 2
+    assert separated_subset(coords, t).tolist() == [0]
+
+
 def test_net_on_float32_coordinates_adds_in_float64(monkeypatch):
     # a PointCloud keeps float32 coordinates; the scan adds them as Python
     # floats, so the rounds must square and add in float64 too
@@ -343,13 +362,14 @@ def test_cell_keys_out_of_int64_range_raise_input_error(coords):
         separated_subset(coords, 1e-9)
 
 
-def test_ranges_and_blocks():
+def test_ranges_and_blocks(monkeypatch):
     starts = np.array([5, 0, 9, 2])
     counts = np.array([2, 0, 3, 1])
     assert ranges(starts, counts).tolist() == [5, 6, 9, 10, 11, 2]
     assert ranges(starts[:0], counts[:0]).size == 0
     weights = np.array([3, 1, 9, 2, 2, 0, 4])
-    slices = list(blocks(weights, 4))
+    monkeypatch.setattr(runs, "BLOCK", 4)
+    slices = list(blocks(weights))
     assert slices == [(0, 2), (2, 3), (3, 6), (6, 7)]
     for a, b in slices:
         assert b == a + 1 or weights[a:b].sum() <= 4

@@ -1,15 +1,20 @@
 """The package names the benchmark's layer trace wraps still exist, as it expects.
 
 ``perfbench/layertrace.py`` patches ``rifs`` functions by name from outside
-the package; a renamed function, a generator turned into a function, or a
-reordered positional parameter would break traced runs silently.  This test
-only reads that file.
+the package; a renamed function, a generator turned into a function, a
+reordered positional parameter, or a refactor that stops calling a wrapped
+name on the CLI path would break traced runs silently.  These tests only
+read that file.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +64,54 @@ def test_wrapped_signatures(layertrace, line_family, uniform2):
     params = list(inspect.signature(CoverageGrid.mark_balls).parameters)
     assert params == ["self", "cells", "centers", "radii"]
     assert np.count_nonzero(CellSet()) in (0, 1)
+
+
+# Traced names no CLI kind reaches: each kind now calls the seed-group form
+# (project_levels, coverage_estimates, det_window_reports, density_sweeps)
+# of the wrapped single-realization function.
+UNREACHED = {"attractor.project_level", "coverage.estimate", "detwindow.report",
+             "pairs.density_sweep"}
+
+
+def test_cli_kinds_reach_the_traced_names(layertrace, tmp_path):
+    # every kind on small baby_theorem and example1_2d configs, in a fresh
+    # interpreter that writes no bytecode (nothing lands under perfbench/)
+    code = textwrap.dedent(f"""
+        import importlib.util, json, warnings
+        from dataclasses import replace
+        from pathlib import Path
+        from rifs.experiments import EXPERIMENT_KINDS, preset, run
+
+        spec = importlib.util.spec_from_file_location(
+            "layertrace", {str(PERFBENCH / "layertrace.py")!r})
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        tracer = layertrace.Tracer()
+        layertrace.install(tracer)
+        small = {{
+            "levelset": dict(n=6),
+            "lyapunov": dict(mc_samples=2000),
+            "detwindow": dict(n=6, seeds=2),
+            "pairs": dict(n=5, seeds=30),
+            "coverage": dict(n_min=4, n_max=6, seeds=1),
+            "attractor": dict(n_min=4, n_max=6),
+            "density": dict(n_min=4, n_max=6, seeds=2),
+        }}
+        for name in ("baby_theorem", "example1_2d"):
+            for kind in EXPERIMENT_KINDS:
+                cfg = replace(preset(name), kind=kind, **small[kind])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    tracer.run_root(run, cfg, Path({str(tmp_path)!r}) / name / kind)
+        print(json.dumps(sorted({{span[0] for span in tracer.spans}})))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reached = set(json.loads(proc.stdout.splitlines()[-1])) - {layertrace.ROOT}
+    # install() wraps the raster and the frontier walk by hand, besides TARGETS
+    traced = {name for name, *_ in layertrace.TARGETS} | {"coverage.mark_balls",
+                                                          "symbolic.frontier"}
+    assert UNREACHED <= traced
+    assert reached == traced - UNREACHED
