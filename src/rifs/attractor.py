@@ -37,7 +37,8 @@ seed when a seed's rows alone exceed it), so memory does not grow with the
 number of seeds, and :func:`map_seed_groups` maps a run's groups over its
 threads.  The result is a :class:`PointCloud` of coordinate and radius
 arrays per seed and level; per-point :class:`ProjectedPoint` objects are
-built only when a caller indexes it.
+built only when a caller indexes it.  :func:`write_points_csv` writes a
+cloud with the level-set writer's byte tables (:func:`rifs.symbolic.write_word_table`).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import numpy as np
 from . import keyed
 from .errors import BudgetError, InputError
 from .random_model import MatrixFamily, Realization
-from .symbolic import (LevelSet, TailSequence, _write_atomic, format_distinct,
-                       validate_word, word_strings)
+from .symbolic import (LevelSet, TailSequence, _write_atomic, text_table,
+                       validate_word, write_word_table)
 
 MAP_BUDGET_DEFAULT = 200_000_000
 # rows of the widest array of one seed group: a depth of its walk, or the
@@ -338,16 +339,14 @@ def points_to_arrays(points) -> tuple:
 def write_points_csv(points, path, header_comment: str | None = None) -> None:
     """CSV columns ``word,x_1..x_d,trunc_radius``; raw coordinates get empty words."""
     coords, radii = points_to_arrays(points)
-    words = (word_strings(points.level_set) if isinstance(points, PointCloud)
-             else [""] * len(radii))
+    words = (points.level_set.word_matrix if isinstance(points, PointCloud)
+             else np.zeros((radii.size, 0), dtype=np.uint8))
     d = coords.shape[1]
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("word," + ",".join(f"x_{i + 1}" for i in range(d)) + ",trunc_radius")
-    xs = (",".join(map(repr, xy)) for xy in coords.tolist())
-    lines.extend(map(",".join, zip(words, xs, format_distinct(radii, repr))))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    head = f"# {header_comment}\n" if header_comment else ""
+    head += "word," + ",".join(f"x_{i + 1}" for i in range(d)) + ",trunc_radius\n"
+    table, index = text_table(coords, repr)
+    write_word_table(path, head, words, [(table, index[:, i]) for i in range(d)]
+                     + [text_table(radii, repr)])
 
 
 def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
@@ -368,4 +367,4 @@ def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
     for x, y in pix.tolist():
         parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="1" fill="black"/>')
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+    _write_atomic(path, [("\n".join(parts) + "\n").encode()])

@@ -36,7 +36,7 @@ from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, map_seed_groups, walk
 from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, mc_lyapunov_prime, moment_report)
-from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
+from .symbolic import (MAX_DIGIT_SYMBOL, BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
                        TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
                        iter_level_frontiers, level_set, level_sets,
                        slow_decay_constant, write_levelset_csv)
@@ -44,6 +44,8 @@ from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
 _SUPERCRITICAL_KINDS = ("coverage", "attractor", "density")
+# kinds whose reports list words
+_WORD_KINDS = ("levelset", "attractor")
 # Upper limits on the replicate counts, so that a mistyped huge value exits 2
 # instead of starting a run that cannot finish (Monte Carlo draws are held in
 # memory, 8 bytes each).
@@ -290,6 +292,11 @@ class ExperimentConfig:
         for key in ("word_budget", "map_budget"):
             if getattr(self, key) < 1:
                 problems.append(f"{key} must be >= 1")
+        if self.kind in _WORD_KINDS and self.measure.alphabet.size > MAX_DIGIT_SYMBOL:
+            problems.append(
+                f"{self.kind} reports spell words with one digit per symbol, so the "
+                f"alphabet needs at most {MAX_DIGIT_SYMBOL} symbols, not "
+                f"{self.measure.alphabet.size}")
         if not problems:
             deepest = max(self.n, self.n_max)
             if slow_decay_constant(self.measure) ** deepest == 0.0:
@@ -448,7 +455,7 @@ def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -
     lines = [f"# config_digest={_digest(canonical)}", f"# config={canonical}",
              ",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:

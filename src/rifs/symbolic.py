@@ -18,13 +18,20 @@ reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
 holds every level ``n <= n_max`` as a selection of its nodes.  Level sets are
 selected by one downward walk of it that carries a flag per active node;
 determinant windows and projections read the same tree with their own
-per-node state.
+per-node state.  A depth is built only if its children fit the word budget.
+
+Reports are UTF-8 bytes with ``\n`` line ends, each written to a sibling
+temporary file and renamed into place.  The level-set and point CSVs are
+byte tables: each distinct value of a column is formatted once, words are
+spelled as digits straight from the word matrix, and rows are laid out
+``ROW_BLOCK`` at a time, so the writer's memory is bounded per block.
 
 Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 from dataclasses import dataclass, field
@@ -38,6 +45,10 @@ from .errors import BudgetError, InputError
 WORD_BUDGET_DEFAULT = 10_000_000
 ENTROPY_K_CAP = 20
 _ENTROPY_NODE_BUDGET = 1 << 23
+# words are spelled with one decimal digit per symbol in reports
+MAX_DIGIT_SYMBOL = 9
+# rows per block of a report table (see write_word_table)
+ROW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,8 +79,9 @@ def validate_word(word, alphabet: Alphabet) -> tuple:
 
 def word_to_string(word) -> str:
     """Digit-string form used in CSV output; alphabets above 9 do not fit."""
-    if any(s > 9 for s in word):
-        raise InputError("digit-string serialization requires alphabet size <= 9")
+    if any(s > MAX_DIGIT_SYMBOL for s in word):
+        raise InputError(f"digit-string serialization requires alphabet size "
+                         f"<= {MAX_DIGIT_SYMBOL}")
     return "".join(str(s) for s in word)
 
 
@@ -321,6 +333,13 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
     emitted = 0
     while active_meas.size:
         depth += 1
+        # every child is emitted or stays active, so the budget is checked
+        # before the depth is built
+        if emitted + active_meas.size * A > word_budget:
+            raise BudgetError(
+                f"level-set word budget ({word_budget}) exceeded at depth {depth} "
+                f"(n={n}, {active_meas.size * A} children after {emitted} "
+                "emitted words)")
         if active_last is None:
             child_meas = np.asarray(m.first_symbol_probs(), dtype=np.float64).copy()
         else:
@@ -328,11 +347,7 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
         symbols = np.tile(symbols_tile, active_meas.size)
         emit = child_meas <= threshold
         active_idx = np.flatnonzero(~emit)
-        emitted += np.count_nonzero(emit)
-        if emitted + active_idx.size > word_budget:
-            raise BudgetError(
-                f"level-set word budget ({word_budget}) exceeded at depth {depth} "
-                f"(n={n}, emitted so far {emitted})")
+        emitted += child_meas.size - active_idx.size
         for a in (symbols, child_meas, emit, active_idx):
             a.setflags(write=False)   # trees are shared by threads
         yield LevelFrontier(depth, symbols, child_meas, emit, active_idx)
@@ -462,49 +477,71 @@ def is_prefix_free(words) -> bool:
     return not any(b[: len(a)] == a for a, b in zip(ws, ws[1:]))
 
 
-def word_strings(ls: LevelSet) -> list:
-    """Digit strings of the level set's words, read from its word matrix.
+def text_table(values: np.ndarray, fmt) -> tuple:
+    """``(table, index)``: ``fmt`` of each distinct value as a NUL-padded
+    ``uint8`` row of ``table``, and the row of every value, shaped like ``values``.
 
-    Each row is shifted to ASCII digits, its zero padding masked back to NUL,
-    and viewed as one fixed-width byte string (trailing NULs drop on decode).
+    ``fmt`` is called once per distinct value of ``values.tolist()``.  Values
+    are keyed by their bit pattern, so ``0.0`` and ``-0.0`` format apart.
     """
-    words = ls.word_matrix
-    if words.size and int(words.max()) > 9:
-        raise InputError("digit-string serialization requires alphabet size <= 9")
-    width = words.shape[1]
-    if width == 0:
-        return [""] * len(ls)
-    digits = np.where(np.arange(width) < ls.lengths[:, None], words + ord("0"), 0)
-    rows = np.ascontiguousarray(digits, dtype=np.uint8).view(f"S{width}")[:, 0]
-    return rows.astype(str).tolist()
+    flat = np.ascontiguousarray(values).reshape(-1)
+    _, first, index = np.unique(flat.view(f"u{flat.itemsize}"),
+                                return_index=True, return_inverse=True)
+    texts = np.array(list(map(fmt, flat[first].tolist())), dtype="S")
+    return (texts.view(np.uint8).reshape(texts.size, texts.itemsize),
+            index.reshape(np.shape(values)))
+
+
+def write_word_table(path, head: str, words: np.ndarray, columns) -> None:
+    """Write ``head``, then one CSV row per row of the zero-padded word matrix ``words``.
+
+    A row is its word as a digit string (``words`` may be 0 wide), then one
+    cell per ``(table, index)`` pair of ``columns`` (see :func:`text_table`):
+    row ``index[i]`` of ``table`` is row ``i``'s cell.  Rows are laid out
+    ``ROW_BLOCK`` at a time in one ``uint8`` buffer that holds the separators:
+    each cell is copied into its NUL-padded slice, and the buffer's non-NUL
+    bytes are written, so memory beyond the inputs is bounded per block.
+    """
+    if words.size and int(words.max()) > MAX_DIGIT_SYMBOL:
+        raise InputError(f"digit-string serialization requires alphabet size "
+                         f"<= {MAX_DIGIT_SYMBOL}")
+    n, width = words.shape
+    stops = np.cumsum([width + 1] + [t.shape[1] + 1 for t, _ in columns])
+    buf = np.full((min(n, ROW_BLOCK), stops[-1]), ord(","), dtype=np.uint8)
+    buf[:, -1] = ord("\n")
+    nonzero = np.empty_like(buf, dtype=bool)
+
+    def blocks():
+        yield head.encode()
+        for lo in range(0, n, ROW_BLOCK):
+            rows = buf[:min(n - lo, ROW_BLOCK)]
+            w = words[lo:lo + rows.shape[0]]
+            rows[:, :width] = (w + ord("0")) * (w != 0)
+            for (table, index), start, stop in zip(columns, stops, stops[1:]):
+                np.take(table, index[lo:lo + rows.shape[0]], axis=0,
+                        out=rows[:, start:stop - 1])
+            yield rows[np.not_equal(rows, 0, out=nonzero[:rows.shape[0]])]
+
+    _write_atomic(path, blocks())
 
 
 def write_levelset_csv(ls: LevelSet, path, header_comment: str | None = None) -> None:
     """CSV with columns ``word,length,measure``; words as digit strings."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("word,length,measure")
-    lines.extend(map(",".join, zip(word_strings(ls), format_distinct(ls.lengths, str),
-                                   format_distinct(ls.measures, repr))))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    head = f"# {header_comment}\n" if header_comment else ""
+    write_word_table(path, head + "word,length,measure\n", ls.word_matrix,
+                     [text_table(ls.lengths, str), text_table(ls.measures, repr)])
 
 
-def format_distinct(values: np.ndarray, fmt) -> list:
-    """``[fmt(v) for v in values.tolist()]``, calling ``fmt`` once per distinct value.
-
-    Values are keyed by their bit pattern, so ``0.0`` and ``-0.0`` format apart.
-    """
-    values = np.ascontiguousarray(values)
-    _, first, inverse = np.unique(values.view(f"u{values.itemsize}"),
-                                  return_index=True, return_inverse=True)
-    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
-    return texts[inverse].tolist()
-
-
-def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a sibling temporary file, then rename it onto ``path``."""
+def _write_atomic(path, blocks) -> None:
+    """Write ``blocks`` (bytes or contiguous ``uint8`` arrays) to a sibling
+    temporary file, then rename it onto ``path``; the temporary file is
+    removed if a block fails."""
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(blocks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)

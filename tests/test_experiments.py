@@ -557,6 +557,26 @@ def test_cli_config_boundary_exits_2(change, problem, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err and problem in err
 
 
+@pytest.mark.parametrize("kind", ["levelset", "attractor"])
+def test_cli_ten_symbol_word_report_exits_2_before_any_level_set(kind, tmp_path, monkeypatch,
+                                                                 capsys):
+    family = MatrixFamily(1, [SimilaritySpec(0.12, 0.2)] * 10, [[k / 9.0] for k in range(10)])
+    cfg = replace(preset("baby_theorem"), family=family,
+                  measure=BernoulliMeasure([0.1] * 10), n=2, n_min=2, n_max=3,
+                  grid_lo=(-0.5,), grid_hi=(1.5,))
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    built = []
+    frontiers = symbolic.iter_level_frontiers
+    monkeypatch.setattr(symbolic, "iter_level_frontiers",
+                        lambda *a, **k: built.append(a) or frontiers(*a, **k))
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at most 9 symbols, not 10" in err
+    assert not built and not out.exists()
+
+
 _TWO_LINE_MAPS = [SimilaritySpec(0.5, 0.9)] * 2
 _BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rifs import (BernoulliMeasure, MarkovMeasure, cylinder_measure, entropy,
                   entropy_estimate, is_prefix_free, level_set, slow_decay_constant,
                   word_from_string, word_to_string, write_levelset_csv)
 from rifs.errors import BudgetError, InputError
-from rifs.symbolic import Alphabet, TailSequence, word_strings
+from rifs.symbolic import Alphabet, TailSequence
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,19 @@ def test_level_set_word_budget(uniform2):
     assert "100" in str(err.value)
 
 
+def test_level_set_word_budget_raises_before_building_the_depth():
+    # depth 6 of ten equal symbols holds 10**6 children: 7.6 MiB of measures alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as err:
+            level_set(BernoulliMeasure([0.1] * 10), 7, word_budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+    assert "(100000) exceeded at depth 6 (n=7, 1000000 children" in str(err.value)
+
+
 @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_level_set_properties_random_bernoulli(weights, n):
@@ -244,13 +258,16 @@ def test_tail_sequence():
         TailSequence((3,), (1,)).validate(Alphabet(2))
 
 
-def test_word_strings_match_word_to_string(skew2, markov2):
+def test_levelset_csv_words_match_word_to_string(skew2, markov2, tmp_path):
     sets = [level_set(skew2, 6), level_set(markov2, 5),
             level_set(BernoulliMeasure([0.5, 0.2, 0.1, 0.1, 0.05, 0.05]), 4)]
+    path = tmp_path / "ls.csv"
     for ls in sets:
-        assert word_strings(ls) == [word_to_string(w) for w in ls.words]
+        write_levelset_csv(ls, path)
+        words = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+        assert words == [word_to_string(w) for w in ls.words]
     with pytest.raises(InputError):
-        word_strings(level_set(BernoulliMeasure([0.1] * 10), 1))
+        write_levelset_csv(level_set(BernoulliMeasure([0.1] * 10), 1), path)
 
 
 def test_levelset_csv(tmp_path, skew2):

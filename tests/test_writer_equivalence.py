@@ -3,8 +3,10 @@
 ``ref_write_levelset_csv``, ``ref_write_points_csv`` and
 ``ref_write_svg_scatter`` format every row on its own (``repr`` of each
 measure, coordinate and radius, numpy rows in the scatter).  The writers
-format each distinct measure, length and radius once and must write the
-same bytes.
+format each distinct measure, length, coordinate and radius once and lay
+the CSV rows out in blocks of ``rifs.symbolic.ROW_BLOCK`` rows; they must
+write the oracle's text as UTF-8 bytes at the default block and at blocks
+of 1 and 3 rows.
 """
 
 from dataclasses import replace
@@ -12,14 +14,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rifs import BernoulliMeasure, MarkovMeasure, MatrixFamily, SimilaritySpec
+from rifs import BernoulliMeasure, MarkovMeasure, MatrixFamily, SimilaritySpec, symbolic
 from rifs.attractor import (PointCloud, points_to_arrays, project_level, write_points_csv,
                             write_svg_scatter)
+from rifs.errors import InputError
 from rifs.experiments import preset
 from rifs.random_model import Realization
 from rifs.symbolic import TailSequence, level_set, word_to_string, write_levelset_csv
 
 WIDE_P = [0.3] + [0.1] * 7
+NINE_P = [0.2] + [0.1] * 8
+BLOCKS = (symbolic.ROW_BLOCK, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,7 @@ def _level_sets():
         "markov": level_set(MarkovMeasure([4.0 / 7.0, 3.0 / 7.0],
                                           [[0.7, 0.3], [0.4, 0.6]]), 7),
         "uniform": level_set(BernoulliMeasure([1.0 / 3.0] * 3), 5),
+        "nine_symbols": level_set(BernoulliMeasure(NINE_P), 2),
         "empty": replace(wide, word_matrix=wide.word_matrix[:0], lengths=wide.lengths[:0],
                          measures=wide.measures[:0], parent_measures=wide.parent_measures[:0],
                          nodes=()),
@@ -87,6 +93,7 @@ def _level_sets():
 
 def _clouds():
     line = MatrixFamily(1, [SimilaritySpec(0.5, 0.9)] * 2, [[0.0], [0.5]])
+    nine = MatrixFamily(1, [SimilaritySpec(0.12, 0.2)] * 9, [[k / 8.0] for k in range(9)])
     affine = preset("example2_affine")
     rng = np.random.default_rng(5)
     raw = rng.standard_normal((300, 2))
@@ -94,6 +101,9 @@ def _clouds():
     return {
         "d1_cloud": project_level(Realization(3, line), level_set(BernoulliMeasure([0.7, 0.3]), 6),
                                   TailSequence.constant(1), 1e-4),
+        "d1_nine_symbols": project_level(Realization(4, nine),
+                                         level_set(BernoulliMeasure(NINE_P), 2),
+                                         TailSequence.constant(1), 1e-3),
         "d2_cloud_mixed_lengths": project_level(
             Realization(8, affine.family), level_set(BernoulliMeasure(WIDE_P), 3),
             affine.tail, 0.2),
@@ -106,13 +116,20 @@ def _clouds():
 # byte equality
 # ---------------------------------------------------------------------------
 
+def _check_blocks(write, expected, path, monkeypatch):
+    """``write(path)`` writes ``expected`` as UTF-8 bytes at every block size."""
+    for block in BLOCKS:
+        monkeypatch.setattr(symbolic, "ROW_BLOCK", block)
+        write(path)
+        assert path.read_bytes() == expected.encode(), block
+
+
 @pytest.mark.parametrize("name", sorted(_level_sets()))
 @pytest.mark.parametrize("header", [None, "digest=abc"])
-def test_levelset_csv_matches_per_row_oracle(name, header, tmp_path):
+def test_levelset_csv_matches_per_row_oracle(name, header, tmp_path, monkeypatch):
     ls = _level_sets()[name]
-    path = tmp_path / "ls.csv"
-    write_levelset_csv(ls, path, header_comment=header)
-    assert path.read_text() == ref_write_levelset_csv(ls, header)
+    _check_blocks(lambda path: write_levelset_csv(ls, path, header_comment=header),
+                  ref_write_levelset_csv(ls, header), tmp_path / "ls.csv", monkeypatch)
 
 
 def test_level_set_inputs_cover_the_cases():
@@ -121,17 +138,19 @@ def test_level_set_inputs_cover_the_cases():
     assert len(np.unique(sets["bernoulli_mixed_lengths"].measures)) > 1
     assert len(np.unique(sets["uniform"].measures)) == 1
     assert len(sets["empty"]) == 0
+    assert sets["nine_symbols"].word_matrix.max() == 9
+    assert len(sets["nine_symbols"]) > 3 * max(BLOCKS[1:])
     clouds = _clouds()
     assert len(np.unique(clouds["d2_cloud_mixed_lengths"].radii)) == 4
+    assert clouds["d1_nine_symbols"].level_set.word_matrix.max() == 9
 
 
 @pytest.mark.parametrize("name", sorted(_clouds()))
 @pytest.mark.parametrize("header", [None, "digest=xyz"])
-def test_points_csv_matches_per_row_oracle(name, header, tmp_path):
+def test_points_csv_matches_per_row_oracle(name, header, tmp_path, monkeypatch):
     pts = _clouds()[name]
-    path = tmp_path / "pts.csv"
-    write_points_csv(pts, path, header_comment=header)
-    assert path.read_text() == ref_write_points_csv(pts, header)
+    _check_blocks(lambda path: write_points_csv(pts, path, header_comment=header),
+                  ref_write_points_csv(pts, header), tmp_path / "pts.csv", monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["d2_cloud_mixed_lengths", "raw_d2"])
@@ -140,4 +159,25 @@ def test_svg_scatter_matches_per_row_oracle(name, header, tmp_path):
     pts = _clouds()[name]
     path = tmp_path / "cloud.svg"
     write_svg_scatter(pts, path, header_comment=header)
-    assert path.read_text() == ref_write_svg_scatter(pts, header)
+    assert path.read_bytes() == ref_write_svg_scatter(pts, header).encode()
+
+
+def test_ten_symbol_words_raise_before_any_file(tmp_path):
+    ls = level_set(BernoulliMeasure([0.1] * 10), 1)
+    pts = PointCloud(np.zeros((len(ls), 1)), np.zeros(len(ls)), ls, TailSequence.constant(1))
+    with pytest.raises(InputError, match="alphabet size <= 9"):
+        write_levelset_csv(ls, tmp_path / "ls.csv")
+    with pytest.raises(InputError, match="alphabet size <= 9"):
+        write_points_csv(pts, tmp_path / "pts.csv")
+    assert not list(tmp_path.iterdir())
+
+
+def test_block_that_fails_leaves_no_file(tmp_path):
+    ls = _level_sets()["uniform"]
+    table, index = symbolic.text_table(ls.measures, repr)
+    index = index.copy()
+    index[-1] = table.shape[0]   # out of range: the last block raises mid-write
+    path = tmp_path / "ls.csv"
+    with pytest.raises(IndexError):
+        symbolic.write_word_table(path, "word,measure\n", ls.word_matrix, [(table, index)])
+    assert not list(tmp_path.iterdir())

@@ -35,7 +35,12 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
 * ``pairs`` and ``density`` on a three-symbol similarity family in three
   dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
   orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
-* the six benchmark kinds of every workload at workload seeds 0 and 3;
+* ``levelset`` and ``attractor`` on a nine-symbol similarity family on the
+  line (``NINE_SYMBOLS``), so the digit 9 appears in the word columns; both
+  CSVs hold 59,377 words (4 row blocks);
+* the six benchmark kinds of every workload at workload seeds 0 and 3; the
+  ``wide_io`` ``levelset.csv`` files hold 36,758 words, which span 3 row
+  blocks of ``rifs.symbolic.ROW_BLOCK`` (2**14 rows);
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
 Configs pass through JSON first, as the CLI loads them.  The output is one
@@ -84,6 +89,7 @@ WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
                    "multi_block": dict(kind="detwindow", n=7, seeds=3)}
 SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
                  "density": dict(n_min=3, n_max=5, seeds=3)}
+NINE_SYMBOLS = {"levelset": dict(n=4), "attractor": dict(n_min=2, n_max=4)}
 
 
 def _mixed_family_config(preset):
@@ -143,6 +149,19 @@ def _similarity_3d_config(preset):
                    grid_lo=(-1.5,) * 3, grid_hi=(2.5,) * 3, grid_h=1.0 / 16.0)
 
 
+def _nine_symbol_config(preset):
+    """Nine similarities of the line with scalars on [0.12, 0.2] and
+    translations 0, 1/8, .., 1 under the measure (0.2, 0.1, .., 0.1): entropy
+    2.16 against a Lyapunov exponent of about 1.84, and words of mixed lengths."""
+    from rifs import BernoulliMeasure
+    from rifs.random_model import MatrixFamily, SimilaritySpec
+
+    family = MatrixFamily(1, [SimilaritySpec(0.12, 0.2)] * 9, [[k / 8.0] for k in range(9)])
+    return replace(preset("baby_theorem"), family=family,
+                   measure=BernoulliMeasure([0.2] + [0.1] * 8), master_seed=19,
+                   grid_lo=(-0.5,), grid_hi=(1.5,))
+
+
 def _through_json(cfg):
     """``cfg`` encoded to JSON text and decoded, as the CLI loads a config."""
     from rifs.experiments import ExperimentConfig
@@ -198,6 +217,9 @@ def _grid():
     base = _through_json(_similarity_3d_config(preset))
     for kind, sizes in SIMILARITY_3D.items():
         runs.append((f"similarity_3d/{kind}/t1", replace(base, kind=kind, **sizes), 1))
+    base = _through_json(_nine_symbol_config(preset))
+    for kind, sizes in NINE_SYMBOLS.items():
+        runs.append((f"nine_symbols/{kind}/t1", replace(base, kind=kind, **sizes), 1))
     for workload in WORKLOADS:
         for seed in BENCH_SEEDS:
             for kind, cfg in build_configs(workload, seed):
