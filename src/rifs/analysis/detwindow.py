@@ -304,7 +304,9 @@ def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: i
     child_states, S, child_good = (x[:N] for x in kids)
     mix, raw, dev, mask = ws.mix[:N], ws.raw[:N], ws.dev[:N], ws.mask[:N]
     keyed.absorb_children(states, A, out=child_states, scratch=mix)
-    symbols = fr.symbols[c] if G == 1 else np.tile(fr.symbols[c], G)
+    symbols = fr.symbols[c]
+    if G > 1 and len(r.family.distributions) > 1:   # one distribution reads no symbols
+        symbols = np.tile(symbols, G)
     r.log_dets_from_chains(child_states, symbols, out=S, raw=raw, scratch=mix)
     S += keyed.repeat_children(cum_ld, A, out=dev)   # the draws are spent
     np.add(S, shift, out=dev)

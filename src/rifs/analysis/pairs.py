@@ -35,10 +35,20 @@ undecided.  The kept indices equal those of the scan alone.  A join with
 more than ``PAIR_LIMIT`` candidates per point is not expanded, and the scan
 then does all the work, so edge memory stays O(n).
 
+Nets of several point sets share their work: ``separated_subsets`` takes
+the sets in batches of at most ``NET_BATCH`` points, and each batch makes
+one join, in which every set is keyed to the cells of its own largest
+radius and shifted two cells clear of the others, and one pass of rounds
+over the disjoint union of its nets' conflict graphs.  The rounds are
+local, so each net keeps what it keeps alone; the join's fixed cost is paid
+once per batch rather than once per set, and the rounds' once per batch
+rather than once per net.
+
 The density sweep projects the run's level sets, selected once from one
-cylinder tree, for a group of seeds per walk, and builds one join per level
-and seed that serves all of its radii; the transversality fit builds its one
-level set itself and projects it for a group of seeds per walk.
+cylinder tree, for a group of seeds per walk, and takes the greedy nets of
+every level, radius and seed of the group in such batches; the
+transversality fit builds its one level set itself and projects it for a
+group of seeds per walk.
 """
 
 from __future__ import annotations
@@ -93,22 +103,36 @@ def _cell_index(keys: np.ndarray) -> tuple:
     return np.ravel_multi_index(tuple(shifted.T), dims), strides
 
 
-def _join(coords: np.ndarray, cell: float) -> tuple:
-    """The sorted cell-key join: (order, owners, starts, counts).
+def _join(sets: list, cells: list) -> tuple:
+    """The sorted cell-key join of the point sets ``sets``, each keyed to
+    cells of its own width ``cells[s]``: (order, owners, starts, counts).
 
-    Points are sorted by linear cell key.  A point's partners in its own cell
-    after it and in the next cell along the last axis form one contiguous run
-    of the sorted order; each positive offset of the leading axes adds the run
-    of the three cells at that offset.  Run ``k`` pairs point ``owners[k]``
-    with ``order[starts[k]:starts[k] + counts[k]]``, so ``counts.sum()`` is
-    the number of candidate pairs before any is expanded.  Fewer than two
-    points give an empty join.
+    Indices run over the concatenated sets.  With several sets, each set's
+    keys are shifted along the leading axis to start two cells past the end
+    of the set before it, so no cell of one set is adjacent to a cell of
+    another (``_compact`` keeps a gap of two) and no candidate run crosses
+    sets; their keys must then lie within 2**30 of 0, so the shifts cannot
+    overflow.  Points are sorted by linear cell key.  A point's partners in
+    its own cell after it and in the next cell along the last axis form one
+    contiguous run of the sorted order; each positive offset of the leading
+    axes adds the run of the three cells at that offset.  Run ``k`` pairs
+    point ``owners[k]`` with ``order[starts[k]:starts[k] + counts[k]]``, so
+    ``counts.sum()`` is the number of candidate pairs before any is
+    expanded.  Fewer than two points give an empty join.
     """
-    n, d = coords.shape
+    n = sum(len(coords) for coords in sets)
+    d = sets[0].shape[1]
     if n < 2:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty
-    lin, strides = _cell_index(_cell_keys(coords / cell))
+    keys = [_cell_keys(coords / cell) for coords, cell in zip(sets, cells)]
+    if len(keys) > 1:
+        base = 0
+        for k in keys:
+            low, high = int(k[:, 0].min()), int(k[:, 0].max())
+            k[:, 0] += base - low
+            base += high - low + 2
+    lin, strides = _cell_index(np.concatenate(keys))
     order = np.argsort(lin)
     keys = lin[order]
     starts = [np.arange(1, n + 1)]
@@ -129,13 +153,15 @@ def _pairs(coords: np.ndarray, join: tuple):
     distance of every pair statistic, equal on every BLAS build (a row
     ``sum`` need not add in order)."""
     order, owners, starts, counts = join
+    axes = [np.ascontiguousarray(x) for x in coords.T]   # gathers from columns are faster
     for a, b in blocks(counts):
         i = np.repeat(owners[a:b], counts[a:b])
         j = order[ranges(starts[a:b], counts[a:b])]
-        diff = coords[i] - coords[j]
-        d2 = diff[:, 0] * diff[:, 0]
-        for k in range(1, coords.shape[1]):
-            d2 += diff[:, k] * diff[:, k]
+        diff = axes[0][i] - axes[0][j]
+        d2 = diff * diff
+        for x in axes[1:]:
+            diff = x[i] - x[j]
+            d2 += diff * diff
         yield i, j, d2
 
 
@@ -166,7 +192,7 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
     nominal = 0
     lower = 0
     upper = 0
-    for i, j, d2 in _pairs(coords, _join(coords, threshold + 2.0 * max_tr)):
+    for i, j, d2 in _pairs(coords, _join([coords], [threshold + 2.0 * max_tr])):
         dist = np.sqrt(d2)
         rs = radii[i] + radii[j]
         nominal += int((dist <= threshold).sum())
@@ -182,7 +208,7 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
 
 def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of all unordered pairs at distance <= cutoff (for sweeps)."""
-    dists = (np.sqrt(d2) for _, _, d2 in _pairs(coords, _join(coords, cutoff)))
+    dists = (np.sqrt(d2) for _, _, d2 in _pairs(coords, _join([coords], [cutoff])))
     out = [dist[dist <= cutoff] for dist in dists]
     return np.concatenate(out) if out else np.zeros(0)
 
@@ -193,6 +219,7 @@ def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
 
 ROUNDS = 32             # parallel rounds before the sequential scan finishes a net
 PAIR_LIMIT = 64         # candidate pairs per point beyond which a join stays unexpanded
+NET_BATCH = 1 << 12     # points per batch of sets whose nets share one join and one pass
 _CELL_SLACK = 1.0 + 2.0 ** -20
 
 
@@ -223,62 +250,145 @@ def close_pairs(coords: np.ndarray, cutoff: float) -> ClosePairs:
     the edge list would be quadratic.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    n = coords.shape[0]
-    if n < 2:
-        return ClosePairs(cutoff, n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                          np.zeros(0))
-    cell = cutoff * _CELL_SLACK
-    precise = (2.0 ** -500 <= cutoff <= 2.0 ** 500
-               and np.abs(coords).max() < 2.0 ** 30 * cell)
-    join = _join(coords, cell) if precise else None
-    if join is None or int(join[3].sum()) > PAIR_LIMIT * n:
-        return ClosePairs(cutoff, n, None, None, None)
-    c2 = cutoff * cutoff
-    los, his, d2s = [], [], []
-    for i, j, d2 in _pairs(coords, join):
-        close = d2 <= c2
+    expanded, lo, hi, d2 = _close_pairs([coords], [cutoff])
+    if not expanded[0]:
+        return ClosePairs(cutoff, coords.shape[0], None, None, None)
+    return ClosePairs(cutoff, coords.shape[0], lo, hi, d2)
+
+
+def _close_pairs(sets: list, cutoffs: list) -> tuple:
+    """``close_pairs`` of several float64 point sets, each within its own
+    cutoff, from one join: (expanded, lo, hi, d2).
+
+    ``lo < hi`` index the concatenated sets, and ``expanded[s]`` is False for
+    a set whose join the guards of :func:`close_pairs` leave unexpanded; such
+    a set has no pairs here.  Sets of fewer than two points have none either.
+    """
+    sizes = np.array([len(coords) for coords in sets])
+    expanded = np.array([n < 2 or (2.0 ** -500 <= cutoff <= 2.0 ** 500 and
+                                   np.abs(coords).max() < 2.0 ** 30 * (cutoff * _CELL_SLACK))
+                         for coords, cutoff, n in zip(sets, cutoffs, sizes)], dtype=bool)
+    joining = expanded & (sizes >= 2)
+    joined = np.flatnonzero(joining)
+    empty = np.zeros(0, dtype=np.int64)
+    if not joined.size:
+        return expanded, empty, empty, np.zeros(0)
+    order, owners, starts, counts = _join([sets[s] for s in joined],
+                                          [cutoffs[s] * _CELL_SLACK for s in joined])
+    member = np.repeat(np.arange(joined.size), sizes[joined])   # set of each joined point
+    # the candidates of each set, counted before anything is expanded
+    over = np.bincount(member[owners], counts, joined.size) > PAIR_LIMIT * sizes[joined]
+    if over.any():
+        expanded[joined[over]] = False
+        runs = ~over[member[owners]]
+        owners, starts, counts = owners[runs], starts[runs], counts[runs]
+    coords = np.concatenate([sets[s] for s in joined])
+    c2 = np.array([cutoffs[s] * cutoffs[s] for s in joined])[member]   # per point
+    los, his, d2s = [empty], [empty], [np.zeros(0)]
+    for i, j, d2 in _pairs(coords, (order, owners, starts, counts)):
+        close = d2 <= c2[i]
         i, j = i[close], j[close]
         los.append(np.minimum(i, j))
         his.append(np.maximum(i, j))
         d2s.append(d2[close])
-    return ClosePairs(cutoff, n, np.concatenate(los), np.concatenate(his), np.concatenate(d2s))
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    if joined.size < len(sets):   # renumber into the concatenation of every set
+        index = np.flatnonzero(np.repeat(joining, sizes))
+        lo, hi = index[lo], index[hi]
+    return expanded, lo, hi, np.concatenate(d2s)
 
 
-def separated_subset(points, radius: float, edges: ClosePairs | None = None) -> np.ndarray:
+def separated_subset(points, radius: float) -> np.ndarray:
     """Greedy maximal radius-separated subset; returns kept indices in order.
 
     Kept points are pairwise strictly farther than ``radius`` apart and every
     rejected point is within ``radius`` of some kept point (maximality).
-    ``edges`` may pass ``close_pairs(coords, cutoff)`` of the same points for
-    any ``cutoff >= radius``, so that several radii share one join; the
-    answer does not depend on it.
+    This is the one net of :func:`separated_subsets`.
     """
-    if radius <= 0.0:
+    return separated_subsets([points], [[radius]])[0][0]
+
+
+def separated_subsets(clouds: list, radii) -> list:
+    """The greedy nets of several point sets: entry ``[s][k]`` holds the
+    indices that ``separated_subset(clouds[s], radii[s][k])`` keeps.
+
+    Every set takes the same number of radii.  The sets are taken in batches
+    of consecutive sets with at most ``NET_BATCH`` points in all (a larger set
+    is a batch of its own), so the memory of a batch's edges and rounds stays
+    bounded, and each batch makes one join and one pass of rounds
+    (:func:`_nets`); the nets do not depend on the batches.
+    """
+    if not clouds:
+        return []
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 2 or len(radii) != len(clouds):
+        raise InputError("give one row of radii per point set")
+    if not np.all(radii > 0.0):
         raise InputError("radius must be positive")
-    coords, _ = points_to_arrays(points)
-    n = coords.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    keys = _cell_keys(coords * (1.0 / radius))
-    coords = coords.astype(np.float64, copy=False)   # square and add as Python floats
-    if edges is None:
-        edges = close_pairs(coords, radius)
-    elif edges.cutoff < radius or edges.n != n:
-        raise InputError(f"close pairs of {edges.n} points within {edges.cutoff} cannot "
-                         f"serve {n} points at radius {radius}")
-    r2 = radius * radius
-    kept, todo = np.zeros(0, dtype=np.int64), np.arange(n)
-    if edges.lo is not None:
-        lo, hi = edges.lo, edges.hi
-        if radius < edges.cutoff:   # at the cutoff itself every edge is close
-            close = edges.d2 <= r2
-            lo, hi = lo[close], hi[close]
-        # the scan compares a pair only when its radius-wide cells are adjacent
-        near = (np.abs(keys[lo] - keys[hi]) <= 1).all(axis=1)
-        kept, todo = _rounds(n, lo[near], hi[near])
-    if todo.size:
-        kept = _scan(coords, keys, r2, kept, todo)
-    return kept
+    coords = [points_to_arrays(points)[0] for points in clouds]
+    out = []
+    for a, b in blocks(np.array([len(x) for x in coords]), NET_BATCH):
+        out.extend(_nets(coords[a:b], radii[a:b]))
+    return out
+
+
+def _nets(clouds: list, radii: np.ndarray) -> list:
+    """Kept indices ``[s][k]`` of the greedy nets of the point sets
+    ``clouds`` at the radii ``radii[s, k]``, from one join and one pass of
+    rounds.
+
+    Each set's pairs are joined once, within its largest radius
+    (:func:`_close_pairs`).  The conflict edges of net ``(s, k)`` are the
+    pairs within ``radii[s, k]`` whose cells of that radius are adjacent
+    (the pairs the scan compares), its points numbered from
+    ``k * N + offset[s]`` among the ``N`` points of all sets.  So the nets'
+    conflict graphs are disjoint, and one ``_rounds`` pass over their union
+    decides what a pass over each alone would: the rounds are local.  The
+    scan finishes each net's undecided points, and every net of a set
+    whose join was not expanded.
+    """
+    sizes = [len(x) for x in clouds]
+    at = np.cumsum([0] + sizes)
+    n, K = int(at[-1]), radii.shape[1]
+    points = np.concatenate(clouds)
+    member = np.repeat(np.arange(len(clouds)), sizes)
+    # keys (K, d, n) in the clouds' dtype, as ``points * (1.0 / radius)`` rounds them
+    inv = (1.0 / radii.T).astype(np.result_type(points.dtype, 1.0))
+    keys = _cell_keys(points.T * inv[:, None, member])
+    coords = points.astype(np.float64, copy=False)   # square and add as Python floats
+    expanded, lo, hi, d2 = _close_pairs([coords[a:b] for a, b in zip(at, at[1:])],
+                                        radii.max(axis=1).tolist())
+    r2 = radii * radii
+    owner = member[lo]
+    los, his = [], []
+    for k in range(K):
+        close = d2 <= r2[:, k][owner]
+        i, j = lo[close], hi[close]
+        near = np.abs(keys[k, 0][i] - keys[k, 0][j]) <= 1
+        for axis in keys[k, 1:]:
+            near &= np.abs(axis[i] - axis[j]) <= 1
+        los.append(i[near] + k * n)
+        his.append(j[near] + k * n)
+    kept, todo = _rounds(K * n, np.concatenate(los), np.concatenate(his))
+
+    first = np.arange(K)[:, None] * n + at     # net (s, k) holds nodes first[k, s:s + 2]
+    kept_at = np.searchsorted(kept, first).tolist()
+    todo_at = np.searchsorted(todo, first).tolist()
+    first = first.tolist()
+    out = []
+    for s, (a, b) in enumerate(zip(at.tolist(), at[1:].tolist())):
+        nets = []
+        for k in range(K):
+            if expanded[s]:
+                net = kept[kept_at[k][s]:kept_at[k][s + 1]] - first[k][s]
+                undecided = todo[todo_at[k][s]:todo_at[k][s + 1]] - first[k][s]
+            else:
+                net, undecided = kept[:0], np.arange(b - a)
+            if undecided.size:
+                net = _scan(coords[a:b], keys[k, :, a:b].T, float(r2[s, k]), net, undecided)
+            nets.append(net)
+        out.append(nets)
+    return out
 
 
 def _rounds(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -455,9 +565,9 @@ def density_sweeps(rs, levels, b: TailSequence, c_list, s_list,
     and shared by every seed group; each level index is its set's ``n``.
     The levels of every seed of the group are projected by one walk of that
     tree (``project_levels``; ``seed_groups`` keeps its arrays within
-    ``GROUP_ROWS`` rows).  Then, per seed and level, the conflict edges are
-    joined once, at the largest inflated radius, and every greedy net of
-    the level filters them.
+    ``GROUP_ROWS`` rows).  Then the greedy nets of every seed, level and
+    inflated radius are taken together (``separated_subsets``): one join and
+    one pass of rounds per batch of consecutive (seed, level) point sets.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]
@@ -471,18 +581,17 @@ def density_sweeps(rs, levels, b: TailSequence, c_list, s_list,
     d = rs[0].family.dimension
     n_values = tuple(L.n for L in levels)
     scales = [np.asarray(s_vals) / len(L) ** (1.0 / d) for L in levels]
+    clouds = project_levels(rs, levels, b, [float(radii.min()) / 8.0 for radii in scales],
+                            map_budget)
+    # each net's radius is inflated by the two largest enclosures of its cloud
+    nets = separated_subsets(
+        [pts.coords for seed in clouds for pts in seed],
+        [radii + 2.0 * float(pts.radii.max()) for seed in clouds
+         for radii, pts in zip(scales, seed)])
     out = []
-    for r, clouds in zip(rs, project_levels(rs, levels, b,
-                                            [float(radii.min()) / 8.0 for radii in scales],
-                                            map_budget)):
-        ratios = np.zeros((len(levels), len(s_vals)))
-        for i, (radii, pts) in enumerate(zip(scales, clouds)):
-            size = len(pts)
-            slack = 2.0 * float(pts.radii.max())
-            edges = close_pairs(pts.coords, float(radii.max()) + slack)
-            for k, rad in enumerate(radii):
-                kept = separated_subset(pts.coords, float(rad) + slack, edges)
-                ratios[i, k] = kept.size / size
+    for j, r in enumerate(rs):
+        ratios = np.array([[kept.size / len(pts) for kept in level_nets]
+                           for pts, level_nets in zip(clouds[j], nets[j * len(levels):])])
 
         reports = []
         for k, s in enumerate(s_vals):

@@ -27,13 +27,14 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(step)
 
 
-def blocks(weights: np.ndarray):
+def blocks(weights: np.ndarray, limit: int | None = None):
     """Yield (start, stop) slices of consecutive items whose weights sum to at
-    most ``BLOCK``; an item heavier than ``BLOCK`` gets a slice of its own."""
+    most ``limit`` (default ``BLOCK``); a heavier item gets a slice of its own."""
+    limit = BLOCK if limit is None else limit
     ends = np.cumsum(weights)
     start = 0
     while start < ends.size:
         base = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
         yield start, stop
         start = stop

@@ -39,7 +39,8 @@ from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec
 from .symbolic import (MAX_DIGIT_SYMBOL, BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
                        TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
                        iter_level_frontiers, level_set, level_sets,
-                       slow_decay_constant, write_levelset_csv)
+                       slow_decay_constant, text_table, write_levelset_csv,
+                       write_word_table)
 
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
@@ -448,14 +449,18 @@ def _self_description(config: ExperimentConfig) -> str:
     return f"config_digest={_digest(canonical)} config={canonical}"
 
 
-def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -> None:
-    """Atomic CSV write with a self-describing config header comment; the
-    config is serialized once."""
+def _csv_head(header: list, config: ExperimentConfig) -> str:
+    """The self-describing config comment lines and the column header of a
+    report CSV; the config is serialized once."""
     canonical = config.canonical()
-    lines = [f"# config_digest={_digest(canonical)}", f"# config={canonical}",
-             ",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    _write_atomic(path, [("\n".join(lines) + "\n").encode()])
+    return f"# config_digest={_digest(canonical)}\n# config={canonical}\n{','.join(header)}\n"
+
+
+def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -> None:
+    """Atomic CSV write with a self-describing config header comment."""
+    lines = [_csv_head(header, config)]
+    lines.extend(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    _write_atomic(path, ["".join(lines).encode()])
 
 
 def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:
@@ -514,20 +519,23 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
                                       cfg.word_budget, tree=tree),
         cfg.family, cfg.master_seed, cfg.seeds, tree[0].symbols.size, threads)
     rows = []
-    hist_rows = []
     for j, rep in enumerate(reports):
         fit = rep.bad_fraction_log_slope()
         slope, stderr = fit if fit is not None else (float("nan"), float("nan"))
         rows.append([j, rep.n, rep.eps1, rep.C, rep.N1, rep.lyapunov,
                      rep.good_mass, slope, stderr])
-        for k, (bad, tot) in enumerate(zip(rep.per_prefix_failures,
-                                           rep.per_prefix_totals), start=1):
-            hist_rows.append([j, k, int(bad), int(tot)])
     p1 = out / "detwindow.csv"
     _write_csv(p1, ["seed", "n", "eps1", "C", "N1", "lyapunov", "good_mass",
                     "bad_slope", "bad_slope_stderr"], rows, cfg)
+    # one row per seed and depth k, written from byte tables of the integer columns
+    depths = [rep.per_prefix_totals.size for rep in reports]
+    hist = (np.repeat(np.arange(len(reports)), depths),
+            np.concatenate([np.arange(1, k + 1) for k in depths]),
+            np.concatenate([rep.per_prefix_failures for rep in reports]),
+            np.concatenate([rep.per_prefix_totals for rep in reports]))
     p2 = out / "detwindow_hist.csv"
-    _write_csv(p2, ["seed", "k", "bad", "total"], hist_rows, cfg)
+    write_word_table(p2, _csv_head(["seed", "k", "bad", "total"], cfg), None,
+                     [text_table(col, str) for col in hist])
     return [p1, p2]
 
 

@@ -492,21 +492,27 @@ def text_table(values: np.ndarray, fmt) -> tuple:
             index.reshape(np.shape(values)))
 
 
-def write_word_table(path, head: str, words: np.ndarray, columns) -> None:
+def write_word_table(path, head: str, words: np.ndarray | None, columns) -> None:
     """Write ``head``, then one CSV row per row of the zero-padded word matrix ``words``.
 
     A row is its word as a digit string (``words`` may be 0 wide), then one
     cell per ``(table, index)`` pair of ``columns`` (see :func:`text_table`):
-    row ``index[i]`` of ``table`` is row ``i``'s cell.  Rows are laid out
-    ``ROW_BLOCK`` at a time in one ``uint8`` buffer that holds the separators:
-    each cell is copied into its NUL-padded slice, and the buffer's non-NUL
-    bytes are written, so memory beyond the inputs is bounded per block.
+    row ``index[i]`` of ``table`` is row ``i``'s cell.  With ``words=None`` a
+    row is its cells alone, one row per entry of the first index.  Rows are
+    laid out ``ROW_BLOCK`` at a time in one ``uint8`` buffer that holds the
+    separators: each cell is copied into its NUL-padded slice, and the
+    buffer's non-NUL bytes are written, so memory beyond the inputs is
+    bounded per block.
     """
-    if words.size and int(words.max()) > MAX_DIGIT_SYMBOL:
-        raise InputError(f"digit-string serialization requires alphabet size "
-                         f"<= {MAX_DIGIT_SYMBOL}")
-    n, width = words.shape
-    stops = np.cumsum([width + 1] + [t.shape[1] + 1 for t, _ in columns])
+    if words is None:
+        n, width, lead = columns[0][1].size, 0, 0
+    else:
+        if words.size and int(words.max()) > MAX_DIGIT_SYMBOL:
+            raise InputError(f"digit-string serialization requires alphabet size "
+                             f"<= {MAX_DIGIT_SYMBOL}")
+        n, width = words.shape
+        lead = width + 1
+    stops = np.cumsum([lead] + [t.shape[1] + 1 for t, _ in columns])
     buf = np.full((min(n, ROW_BLOCK), stops[-1]), ord(","), dtype=np.uint8)
     buf[:, -1] = ord("\n")
     nonzero = np.empty_like(buf, dtype=bool)
@@ -515,8 +521,9 @@ def write_word_table(path, head: str, words: np.ndarray, columns) -> None:
         yield head.encode()
         for lo in range(0, n, ROW_BLOCK):
             rows = buf[:min(n - lo, ROW_BLOCK)]
-            w = words[lo:lo + rows.shape[0]]
-            rows[:, :width] = (w + ord("0")) * (w != 0)
+            if width:
+                w = words[lo:lo + rows.shape[0]]
+                rows[:, :width] = (w + ord("0")) * (w != 0)
             for (table, index), start, stop in zip(columns, stops, stops[1:]):
                 np.take(table, index[lo:lo + rows.shape[0]], axis=0,
                         out=rows[:, start:stop - 1])

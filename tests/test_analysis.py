@@ -6,11 +6,11 @@ import pytest
 
 import rifs.analysis
 from rifs.analysis import (close_pair_count, coverage_estimate, pairs,
-                           density_sweep, det_window_report, separated_subset,
-                           transversality_scaling)
+                           density_sweep, density_sweeps, det_window_report,
+                           separated_subset, transversality_scaling)
 from rifs.analysis.coverage import CellSet, CoverageGrid, attractor_measure_estimate
 from rifs.analysis.detwindow import fit_line
-from rifs.attractor import project_level
+from rifs.attractor import project_level, project_levels
 from rifs.errors import InputError
 from rifs.experiments import Gauge, preset
 from rifs.random_model import MatrixFamily, Realization, SimilaritySpec
@@ -360,23 +360,23 @@ def test_density_sweep_best(line_family):
 
 @pytest.mark.parametrize("family", ["line_family", "plane_family"])
 def test_density_shared_join_equals_one_join_per_radius(family, request, monkeypatch):
-    # each level's nets share one join at its largest radius; building one
-    # join per radius instead must give the same ratios
-    m = BernoulliMeasure([0.5, 0.5])
-    args = (Realization(5, request.getfixturevalue(family)), level_sets(m, range(4, 10)),
-            TailSequence.constant(1), [0.3, 0.6], [0.1, 0.25, 1.0])
-    shared, _ = density_sweep(*args)
-    given = []
-    net = pairs.separated_subset
-
-    def one_join_per_radius(points, radius, edges=None):
-        given.append(edges)
-        return net(points, radius)
-
-    monkeypatch.setattr(pairs, "separated_subset", one_join_per_radius)
-    alone, _ = density_sweep(*args)
-    assert len(given) == 6 * 3 and all(e is not None and e.lo is not None for e in given)
-    assert [rep.ratios for rep in alone] == [rep.ratios for rep in shared]
+    # the nets of a seed group share joins and passes of rounds, in one batch
+    # or in several; a fresh separated_subset per level and radius on the same
+    # projected clouds must give the same ratios
+    fam = request.getfixturevalue(family)
+    rs = [Realization(seed, fam) for seed in (5, 6, 7)]
+    levels = level_sets(BernoulliMeasure([0.5, 0.5]), range(4, 10))
+    b = TailSequence.constant(1)
+    s_list = [0.1, 0.25, 1.0]
+    scales = [np.asarray(s_list) / len(L) ** (1.0 / fam.dimension) for L in levels]
+    clouds = project_levels(rs, levels, b, [float(sc.min()) / 8.0 for sc in scales])
+    want = [[tuple(separated_subset(pts, float(sc[k]) + 2.0 * float(pts.radii.max())).size
+                   / len(pts) for pts, sc in zip(seed, scales)) for k in range(len(s_list))]
+            for seed in clouds]
+    for batch in (pairs.NET_BATCH, 100):
+        monkeypatch.setattr(pairs, "NET_BATCH", batch)
+        for (reports, _), expect in zip(density_sweeps(rs, levels, b, [0.3, 0.6], s_list), want):
+            assert [rep.ratios for rep in reports] == [x for x in expect for _ in (0, 1)]
 
 
 def test_density_preset_scale(line_family):

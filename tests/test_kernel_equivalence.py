@@ -18,7 +18,10 @@ The greedy net resolves most points in parallel rounds over conflict edges
 and finishes the rest with the sequential scan; every net is checked with
 ``pairs.ROUNDS`` at 0 (the scan alone), 1, 2 and its default, on chains that
 need one round per point, exact ties, coincident points, joins of several
-expansion blocks and joins too dense to expand.
+expansion blocks and joins too dense to expand.  The batched nets
+(``separated_subsets``: one join and one pass of rounds per batch of point
+sets) must keep what each net keeps alone, at every round count and with
+batches of one set and of all sets.
 """
 
 import itertools
@@ -36,7 +39,7 @@ import pytest
 
 from rifs.analysis import CoverageGrid, close_pair_count, pairs, runs, separated_subset
 from rifs.analysis.coverage import CellSet
-from rifs.analysis.pairs import close_pairs, pair_distances_within
+from rifs.analysis.pairs import close_pairs, pair_distances_within, separated_subsets
 from rifs.analysis.runs import blocks, ranges
 from rifs.attractor import PointCloud
 from rifs.errors import InputError
@@ -242,12 +245,13 @@ def test_close_pair_count_matches_dict_bucket_join(d):
 
 
 def _nets_equal(monkeypatch, coords, r, want):
-    """The net at every round count, on its own join and on a wider shared one."""
-    wide = close_pairs(coords, 2.0 * r)
+    """The net at every round count, on its own join and on a wider one that
+    it shares with the net at twice the radius."""
     for rounds in ROUND_COUNTS:
         monkeypatch.setattr(pairs, "ROUNDS", rounds)
         assert np.array_equal(separated_subset(coords, r), want), rounds
-        assert np.array_equal(separated_subset(coords, r, wide), want), rounds
+        shared = separated_subsets([coords], [[r, 2.0 * r]])[0][0]
+        assert np.array_equal(shared, want), rounds
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -392,7 +396,7 @@ def test_net_over_a_join_of_several_blocks(monkeypatch):
     rng = np.random.default_rng(9)
     coords = rng.uniform(0.0, 1.0, size=(12_000, 1))
     r = 0.0015
-    counts = pairs._join(coords, r * pairs._CELL_SLACK)[3]
+    counts = pairs._join([coords], [r * pairs._CELL_SLACK])[3]
     assert 1 << 18 < counts.sum() <= pairs.PAIR_LIMIT * len(coords)
     assert close_pairs(coords, r).lo is not None
     _nets_equal(monkeypatch, coords, r, ref_separated(coords, r))
@@ -405,6 +409,62 @@ def test_net_over_the_candidate_limit(monkeypatch):
     coords = coords[rng.permutation(len(coords))]
     assert close_pairs(coords, 0.01).lo is None
     _nets_equal(monkeypatch, coords, 0.01, ref_separated(coords, 0.01))
+
+
+def _net_batch(d, rng):
+    """(clouds, radii): point sets that each stress one guard of the batched
+    nets, three radii per set."""
+    r = 0.05
+    direction = np.eye(d)[0]
+    clouds = [
+        # over PAIR_LIMIT: clusters of coincident points, joined unexpanded
+        np.repeat(rng.uniform(0.0, 1.0, size=(6, d)), 200, axis=0)[rng.permutation(1200)],
+        # imprecise: a coordinate beyond 2**30 cells of 0
+        np.array([[0.0] * d, [2.0 ** 32 * r] + [0.0] * (d - 1), [0.3 * r] * d]),
+        np.array([[0.25] * d]),                                 # one point
+        np.arange(5)[:, None] * (3.0 * r) * direction,          # no pairs within 2r
+        np.repeat(np.array([[0.5] * d, [0.5 + r] * d]), 3, axis=0),   # coincident points
+        rng.uniform(0.0, 1.0, size=(200, d)),
+        # the next two sets share their keys: without the gap between sets their
+        # cells would touch, and their pairs across the sets would conflict
+        rng.uniform(0.0, 0.2, size=(40, d)),
+        rng.uniform(0.0, 0.2, size=(40, d)),
+        np.zeros((0, d)),
+    ]
+    radii = [[r, 2.0 * r, 0.5 * r]] * len(clouds)
+    radii[-2] = [0.07, 0.02, 0.11]
+    return clouds, radii
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_nets_equal_one_net_at_a_time(d, monkeypatch):
+    rng = np.random.default_rng(600 + d)
+    clouds, radii = _net_batch(d, rng)
+    for x, rs in zip(clouds[:2], radii):
+        assert close_pairs(x, max(rs)).lo is None
+    monkeypatch.setattr(pairs, "ROUNDS", 0)
+    want = [[separated_subset(x, r) for r in rs] for x, rs in zip(clouds, radii)]
+    for x, rs, nets in zip(clouds, radii, want):
+        for r, kept in zip(rs, nets):
+            assert np.array_equal(kept, ref_separated(x, r))
+    for rounds in ROUND_COUNTS:
+        for cap in (1, 1 << 62):
+            monkeypatch.setattr(pairs, "ROUNDS", rounds)
+            monkeypatch.setattr(pairs, "NET_BATCH", cap)
+            got = separated_subsets(clouds, radii)
+            assert len(got) == len(clouds)
+            for s, (nets, expect) in enumerate(zip(got, want)):
+                for kept, ref in zip(nets, expect):
+                    assert np.array_equal(kept, ref), (rounds, cap, s)
+                    assert kept.dtype == np.int64
+
+
+def test_batched_nets_check_their_radii():
+    with pytest.raises(InputError):
+        separated_subsets([np.zeros((3, 1)), np.ones((2, 1))], [[0.1], [0.0]])
+    with pytest.raises(InputError):
+        separated_subset(np.zeros((3, 1)), -1.0)
+    assert separated_subsets([], []) == []
 
 
 def test_coincident_points_keep_memory_linear():
@@ -433,12 +493,9 @@ def test_close_pairs_serve_radii_up_to_their_cutoff():
     edges = close_pairs(coords, 0.1)
     assert edges.cutoff == 0.1
     assert np.all(edges.lo < edges.hi) and np.all(edges.d2 <= 0.1 * 0.1)
-    for r in (0.1, 0.03):
-        assert np.array_equal(separated_subset(coords, r, edges), ref_separated(coords, r))
-    with pytest.raises(InputError):
-        separated_subset(coords, 0.12, edges)
-    with pytest.raises(InputError):
-        separated_subset(coords[1:], 0.1, edges)
+    # the nets of one set share its join at the largest radius
+    for r, kept in zip((0.1, 0.03), separated_subsets([coords], [[0.1, 0.03]])[0]):
+        assert np.array_equal(kept, ref_separated(coords, r))
 
 
 def test_large_balls_split_into_blocks(monkeypatch):

@@ -324,6 +324,29 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
     assert any(len(s) > 1 for s in sizes.values())  # uneven subgroups side by side
 
 
+def test_one_distribution_walk_passes_no_per_row_symbols(monkeypatch):
+    # a family of one distribution samples a block without reading its
+    # symbols, so a walk of several seeds does not tile them per row; a
+    # family of two distributions still passes one symbol per row
+    seen = []
+    log_dets = Realization.log_dets_from_chains
+
+    def spy(self, states, last_symbols, **buffers):
+        seen.append(np.size(last_symbols) == states.size)
+        return log_dets(self, states, last_symbols, **buffers)
+
+    monkeypatch.setattr(Realization, "log_dets_from_chains", spy)
+    fams = _families()
+    for name, m, per_row in (("similarity_d2", BernoulliMeasure([0.5, 0.5]), False),
+                             ("mixed_d1", BernoulliMeasure([0.4, 0.3, 0.3]), True)):
+        rs = [Realization(j, fams[name]) for j in range(4)]
+        want = [_report_fields(ref_det_window_report(r, m, 5, 0.05, 1.5, 2)) for r in rs]
+        seen.clear()
+        got = [_report_fields(rep) for rep in det_window_reports(rs, m, 5, 0.05, 1.5, 2)]
+        assert got == want, name
+        assert seen and set(seen) == {per_row}, name
+
+
 def test_window_walks_share_no_buffer_state():
     # a walk whose widest depth spans several blocks, then a walk of another
     # family whose blocks are shorter than the workspace buffers, then the

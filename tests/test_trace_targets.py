@@ -68,9 +68,11 @@ def test_wrapped_signatures(layertrace, line_family, uniform2):
 
 # Traced names no CLI kind reaches: each kind now calls the seed-group form
 # (project_levels, coverage_estimates, det_window_reports, density_sweeps)
-# of the wrapped single-realization function.
+# of the wrapped single-realization function, and density_sweeps takes its
+# greedy nets in batches (separated_subsets) instead of one separated_subset
+# per level and radius.
 UNREACHED = {"attractor.project_level", "coverage.estimate", "detwindow.report",
-             "pairs.density_sweep"}
+             "pairs.density_sweep", "pairs.separated"}
 
 
 def test_cli_kinds_reach_the_traced_names(layertrace, tmp_path):

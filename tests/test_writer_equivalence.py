@@ -2,11 +2,12 @@
 
 ``ref_write_levelset_csv``, ``ref_write_points_csv`` and
 ``ref_write_svg_scatter`` format every row on its own (``repr`` of each
-measure, coordinate and radius, numpy rows in the scatter).  The writers
-format each distinct measure, length, coordinate and radius once and lay
-the CSV rows out in blocks of ``rifs.symbolic.ROW_BLOCK`` rows; they must
-write the oracle's text as UTF-8 bytes at the default block and at blocks
-of 1 and 3 rows.
+measure, coordinate and radius, numpy rows in the scatter), and the
+determinant-window histogram's oracle is the per-row ``_write_csv``.  The
+writers format each distinct measure, length, coordinate, radius and count
+once and lay the CSV rows out in blocks of ``rifs.symbolic.ROW_BLOCK`` rows;
+they must write the oracle's text as UTF-8 bytes at the default block and
+at blocks of 1 and 3 rows.
 """
 
 from dataclasses import replace
@@ -14,11 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rifs import BernoulliMeasure, MarkovMeasure, MatrixFamily, SimilaritySpec, symbolic
+from rifs import (BernoulliMeasure, MarkovMeasure, MatrixFamily, SimilaritySpec, keyed,
+                  symbolic)
+from rifs.analysis import det_window_reports
 from rifs.attractor import (PointCloud, points_to_arrays, project_level, write_points_csv,
                             write_svg_scatter)
 from rifs.errors import InputError
-from rifs.experiments import preset
+from rifs.experiments import _write_csv, preset, run
 from rifs.random_model import Realization
 from rifs.symbolic import TailSequence, level_set, word_to_string, write_levelset_csv
 
@@ -160,6 +163,19 @@ def test_svg_scatter_matches_per_row_oracle(name, header, tmp_path):
     path = tmp_path / "cloud.svg"
     write_svg_scatter(pts, path, header_comment=header)
     assert path.read_bytes() == ref_write_svg_scatter(pts, header).encode()
+
+
+def test_detwindow_hist_matches_per_row_oracle(tmp_path, monkeypatch):
+    cfg = replace(preset("baby_theorem"), kind="detwindow", n=6, seeds=3)
+    rs = [Realization(keyed.derive_seed(cfg.master_seed, j), cfg.family) for j in range(3)]
+    reports = det_window_reports(rs, cfg.measure, cfg.n, cfg.resolved_eps1(), cfg.C, cfg.N1)
+    rows = [[j, k, int(bad), int(total)] for j, rep in enumerate(reports)
+            for k, (bad, total) in enumerate(zip(rep.per_prefix_failures,
+                                                 rep.per_prefix_totals), start=1)]
+    assert len({row[2] for row in rows}) > 1 and len(rows) > 3 * max(BLOCKS[1:])
+    _write_csv(tmp_path / "oracle.csv", ["seed", "k", "bad", "total"], rows, cfg)
+    _check_blocks(lambda path: run(cfg, path.parent), (tmp_path / "oracle.csv").read_text(),
+                  tmp_path / "run" / "detwindow_hist.csv", monkeypatch)
 
 
 def test_ten_symbol_words_raise_before_any_file(tmp_path):

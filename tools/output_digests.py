@@ -19,6 +19,11 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   family each group mixes two distributions;
 * ``density`` on ``baby_theorem`` at its preset levels (n = 6..14, greedy
   nets of up to 16,384 points) with one seed;
+* ``density`` on ``example1_2d`` at levels whose seed groups span several
+  batches of the greedy nets (``MULTI_BATCH_DENSITY``: 496 points per seed,
+  so one group of 20 seeds takes 3 batches of
+  ``rifs.analysis.pairs.NET_BATCH`` = 2**12 points at ``--threads 1``, and
+  two groups of 10 seeds take 2 each at ``--threads 2``);
 * ``pairs`` on ``baby_theorem`` at a level whose seeds split into several
   groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
   per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
@@ -82,6 +87,8 @@ MULTI_GROUP_N = 11
 # coverage and density level ranges whose seeds take uneven projection groups
 MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
                       "markov": dict(n_min=3, n_max=6, seeds=12)}
+# example1_2d density levels and seeds whose seed groups span several net batches
+MULTI_BATCH_DENSITY = dict(n_min=4, n_max=8, seeds=20)
 BENCH_SEEDS = (0, 3)
 # kind -> sizes; multi_block is detwindow at a widest depth of 66,474 children
 WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
@@ -201,6 +208,10 @@ def _grid():
             for threads in (1, 2):
                 runs.append((f"{name}/{kind}/multi_group/t{threads}",
                              replace(base, kind=kind, **MULTI_GROUP_LEVELS[name]), threads))
+        if name == "example1_2d":
+            for threads in (1, 2):
+                runs.append((f"{name}/density/multi_batch/t{threads}",
+                             replace(base, kind="density", **MULTI_BATCH_DENSITY), threads))
         if name == "baby_theorem":
             runs.append((f"{name}/density/preset_levels",
                          replace(base, kind="density", seeds=1), 1))
