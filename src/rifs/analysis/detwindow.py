@@ -185,7 +185,7 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
     ws = _Workspace(max(BLOCK, A))
 
     # (first depth index, seeds lo..hi-1, their rows: states, cum_ld, good)
-    stack = [(0, 0, S, np.concatenate([q.root_chain() for q in rs]),
+    stack = [(0, 0, S, keyed.root_states([q.seed for q in rs]),
               np.zeros(S), np.ones(S, dtype=bool))]
     while stack:
         start, lo, hi, states, cum_ld, good = stack.pop()

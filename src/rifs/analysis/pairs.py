@@ -47,8 +47,8 @@ rather than once per net.
 The density sweep projects the run's level sets, selected once from one
 cylinder tree, for a group of seeds per walk, and takes the greedy nets of
 every level, radius and seed of the group in such batches; the
-transversality fit builds its one level set itself and projects it for a
-group of seeds per walk.
+transversality fit projects its one level set for a group of seeds per
+walk and counts the group's close pairs in such batches (``pair_counts``).
 """
 
 from __future__ import annotations
@@ -111,14 +111,15 @@ def _join(sets: list, cells: list) -> tuple:
     keys are shifted along the leading axis to start two cells past the end
     of the set before it, so no cell of one set is adjacent to a cell of
     another (``_compact`` keeps a gap of two) and no candidate run crosses
-    sets; their keys must then lie within 2**30 of 0, so the shifts cannot
-    overflow.  Points are sorted by linear cell key.  A point's partners in
-    its own cell after it and in the next cell along the last axis form one
-    contiguous run of the sorted order; each positive offset of the leading
-    axes adds the run of the three cells at that offset.  Run ``k`` pairs
-    point ``owners[k]`` with ``order[starts[k]:starts[k] + counts[k]]``, so
-    ``counts.sum()`` is the number of candidate pairs before any is
-    expanded.  Fewer than two points give an empty join.
+    sets; a set whose leading axis spans more than ``2**62 / S`` cells is
+    compacted along it first, so the shifts cannot overflow.  Points are
+    sorted by linear cell key.  A point's partners in its own cell after it
+    and in the next cell along the last axis form one contiguous run of the
+    sorted order; each positive offset of the leading axes adds the run of
+    the three cells at that offset.  Run ``k`` pairs point ``owners[k]`` with
+    ``order[starts[k]:starts[k] + counts[k]]``, so ``counts.sum()`` is the
+    number of candidate pairs before any is expanded.  Fewer than two points
+    give an empty join.
     """
     n = sum(len(coords) for coords in sets)
     d = sets[0].shape[1]
@@ -127,8 +128,10 @@ def _join(sets: list, cells: list) -> tuple:
         return empty, empty, empty, empty
     keys = [_cell_keys(coords / cell) for coords, cell in zip(sets, cells)]
     if len(keys) > 1:
-        base = 0
-        for k in keys:
+        base, room = 0, 2 ** 62 // len(keys)
+        for k in filter(len, keys):
+            if int(k[:, 0].max()) - int(k[:, 0].min()) + 2 > room:
+                k[:, 0] = _compact(k[:, 0])
             low, high = int(k[:, 0].min()), int(k[:, 0].max())
             k[:, 0] += base - low
             base += high - low + 2
@@ -213,6 +216,24 @@ def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0)
 
 
+def pair_counts(clouds: list, thresholds: np.ndarray) -> np.ndarray:
+    """Ordered close-pair counts (S, T) of the point sets ``clouds`` at the
+    ascending ``thresholds``, from one join with cells ``t = thresholds.max()``
+    wide: ``[s, k]`` is twice the number of ``pair_distances_within(clouds[s],
+    t)`` at most ``thresholds[k]``.  A pair at distance ``dist`` adds one to
+    its set's slot ``#(thresholds < dist)``; counts are cumulative slot sums."""
+    S, T = len(clouds), thresholds.size
+    first = np.repeat(np.arange(S) * (T + 1), [len(x) for x in clouds])   # per point
+    slots = np.zeros(S * (T + 1), dtype=np.int64)
+    for i, _, d2 in _pairs(np.concatenate(clouds), _join(clouds, [thresholds.max()] * S)):
+        dist = np.sqrt(d2)
+        slot = first[i]
+        for t in thresholds.tolist():
+            slot += dist > t
+        slots += np.bincount(slot, minlength=slots.size)
+    return 2 * np.cumsum(slots.reshape(S, T + 1), axis=1)[:, :T]
+
+
 # ---------------------------------------------------------------------------
 # separated subsets
 # ---------------------------------------------------------------------------
@@ -223,46 +244,17 @@ NET_BATCH = 1 << 12     # points per batch of sets whose nets share one join and
 _CELL_SLACK = 1.0 + 2.0 ** -20
 
 
-@dataclass(frozen=True)
-class ClosePairs:
-    """Pairs ``lo < hi`` of a set of ``n`` points whose squared distance
-    ``d2``, summed left to right over the axes, is at most ``cutoff**2``.  The
-    arrays are None when the join was too dense or too coarse to expand."""
-
-    cutoff: float
-    n: int
-    lo: np.ndarray | None
-    hi: np.ndarray | None
-    d2: np.ndarray | None
-
-
-def close_pairs(coords: np.ndarray, cutoff: float) -> ClosePairs:
-    """The conflict edges of the greedy nets at every radius up to ``cutoff``.
-
-    The join's cells are ``cutoff * (1 + 2**-20)`` wide.  While every
-    coordinate lies within 2**30 cells of 0 and ``cutoff**2`` is a normal
-    float, a pair whose ``d2`` is at most ``cutoff**2`` differs by less than
-    one cell along every axis even after the rounding of ``coords / cell``,
-    so the join holds it.  Outside that range, or when ``searchsorted``
-    counts more than ``PAIR_LIMIT`` candidates per point before anything is
-    expanded, nothing is expanded.  Edge memory is thus O(#pairs within the
-    cutoff), and O(n) on chains and on clusters of coincident points, where
-    the edge list would be quadratic.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    expanded, lo, hi, d2 = _close_pairs([coords], [cutoff])
-    if not expanded[0]:
-        return ClosePairs(cutoff, coords.shape[0], None, None, None)
-    return ClosePairs(cutoff, coords.shape[0], lo, hi, d2)
-
-
 def _close_pairs(sets: list, cutoffs: list) -> tuple:
-    """``close_pairs`` of several float64 point sets, each within its own
-    cutoff, from one join: (expanded, lo, hi, d2).
+    """The greedy nets' conflict edges in several float64 point sets, at every
+    radius up to each set's cutoff, from one join: (expanded, lo, hi, d2).
 
-    ``lo < hi`` index the concatenated sets, and ``expanded[s]`` is False for
-    a set whose join the guards of :func:`close_pairs` leave unexpanded; such
-    a set has no pairs here.  Sets of fewer than two points have none either.
+    ``lo < hi`` (indices into the concatenated sets) are the pairs of one set
+    whose left-to-right ``d2`` is at most its cutoff squared.  A set's cells
+    are ``cutoff * (1 + 2**-20)`` wide, so while its coordinates lie within
+    2**30 cells of 0 and ``cutoff**2`` is normal, the rounding of ``coords /
+    cell`` loses no such pair.  Outside that range, or beyond ``PAIR_LIMIT``
+    candidates per point, ``expanded[s]`` is False and the set has no pairs
+    here, so edge memory stays O(n) on chains and coincident clusters.
     """
     sizes = np.array([len(coords) for coords in sets])
     expanded = np.array([n < 2 or (2.0 ** -500 <= cutoff <= 2.0 ** 500 and
@@ -464,11 +456,6 @@ class TransversalityFit:
     below_resolution: bool
 
 
-def _counts_at_most(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``[(values <= t).sum() for t in thresholds]`` from one sort and one search."""
-    return np.searchsorted(np.sort(values), thresholds, side="right")
-
-
 def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequence,
                            n: int, s_list, n_seeds: int, master_seed: int = 0,
                            word_budget: int = WORD_BUDGET_DEFAULT,
@@ -480,8 +467,9 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     counts of zero (below resolution) are dropped; with fewer than two usable
     scales, or no variation across scales (saturated geometry), the fit is
     reported as below resolution instead of a slope.  The seeds are projected
-    in groups (``map_seed_groups``), one tree walk per group, and the groups
-    may run on ``threads`` worker threads; the result depends on neither.
+    in groups (``map_seed_groups``), one walk per group, on ``threads`` worker
+    threads; a group's clouds are counted by one join per batch of at most
+    ``NET_BATCH`` points (``pair_counts``).  The result depends on none of these.
     """
     s_arr = np.asarray(sorted(float(s) for s in s_list))
     if s_arr.size < 2 or s_arr[0] <= 0.0:
@@ -498,11 +486,9 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     eps = float(thresholds.min()) / 8.0
 
     def group_counts(rs) -> list:
-        counts = []
-        for (pts,) in project_levels(rs, [L], b, [eps], map_budget):
-            dists = pair_distances_within(pts.coords, float(thresholds.max()))
-            counts.append(2.0 * _counts_at_most(dists, thresholds))
-        return counts
+        clouds = [pts.coords for (pts,) in project_levels(rs, [L], b, [eps], map_budget)]
+        return [row for lo, hi in blocks(np.full(len(rs), size), NET_BATCH)
+                for row in pair_counts(clouds[lo:hi], thresholds)]
 
     counts = np.asarray(map_seed_groups(group_counts, family, master_seed, n_seeds,
                                         walk_rows([L]), threads))

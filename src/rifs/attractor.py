@@ -216,12 +216,13 @@ def seed_groups(n_seeds: int, rows: int, threads: int = 1) -> list:
 def map_seed_groups(fn, family: MatrixFamily, master_seed: int, n_seeds: int, rows: int,
                     threads: int = 1) -> list:
     """``fn(rs)`` for the realizations ``rs`` of each ``seed_groups`` range,
-    seed ``j`` keyed by ``derive_seed(master_seed, j)``, on ``threads``
-    worker threads; the per-seed results of every group, in seed order."""
+    seed ``j`` keyed by ``derive_seed(master_seed, j)`` (one ``derive_seeds``
+    per group), on ``threads`` threads; the per-seed results, in seed order."""
     groups = seed_groups(n_seeds, rows, threads)
 
     def group(g: int) -> list:
-        return fn([Realization(keyed.derive_seed(master_seed, j), family) for j in groups[g]])
+        seeds = keyed.derive_seeds(master_seed, groups[g]).tolist()
+        return fn([Realization(seed, family) for seed in seeds])
 
     return [x for out in keyed.map_seeds(group, len(groups), threads) for x in out]
 
@@ -289,7 +290,7 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
     merged = [np.empty((starts[-1],) + a.shape[1:], a.dtype)
               for a in _start(family, np.empty(0, dtype=np.uint64))[kept]]
     filled = [0] * len(levels)   # per level: members of each seed copied so far
-    maps = _start(family, np.concatenate([q.root_chain() for q in rs]))
+    maps = _start(family, keyed.root_states([q.seed for q in rs]))
     for fr in tree[:max(int(L.lengths.max(initial=0)) for L in levels)]:
         maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), np.tile(fr.symbols, S))
         first = seed_rows * fr.symbols.size   # each seed's first row at this depth

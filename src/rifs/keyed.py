@@ -70,11 +70,21 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return _mix64_inplace(x.astype(np.uint64, copy=True))
 
 
+def check_seed(seed) -> int:
+    """``int(seed)``, refused unless it is a 64-bit unsigned integer."""
+    if 0 <= int(seed) <= _U64_MAX:
+        return int(seed)
+    raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def root_states(seeds) -> np.ndarray:
+    """``root_state`` of each of an array of uint64 realization seeds."""
+    return _mix64_inplace(np.asarray(seeds, dtype=np.uint64) ^ _SALT_ROOT)
+
+
 def root_state(seed: int) -> np.ndarray:
     """Chain state of the empty word for a 64-bit realization seed."""
-    if not (0 <= int(seed) <= _U64_MAX):
-        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return mix64(np.array([seed], dtype=np.uint64) ^ _SALT_ROOT)
+    return root_states([check_seed(seed)])
 
 
 def absorb(states: np.ndarray, symbols) -> np.ndarray:
@@ -203,11 +213,15 @@ def stream_u01(seed: int, count: int, lane: int = 0) -> np.ndarray:
     return to_u01(raw, scratch=raw)
 
 
+def derive_seeds(master_seed: int, indices) -> np.ndarray:
+    """Deterministic uint64 child seeds, one per index (e.g. per Monte Carlo replicate)."""
+    idx = np.asarray(indices, dtype=np.uint64) * GAMMA
+    return _mix64_inplace((np.array([master_seed], dtype=np.uint64) ^ _SALT_CHILD) + idx)
+
+
 def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic child seed (e.g. one per Monte Carlo replicate)."""
-    idx = np.array([index], dtype=np.uint64) * GAMMA
-    s = mix64((np.array([master_seed], dtype=np.uint64) ^ _SALT_CHILD) + idx)
-    return int(s[0])
+    """The child seed ``derive_seeds(master_seed, [index])[0]`` as an int."""
+    return int(derive_seeds(master_seed, [index])[0])
 
 
 def map_seeds(fn, n_seeds: int, threads: int = 1) -> list:

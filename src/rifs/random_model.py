@@ -204,13 +204,12 @@ class Realization:
     """
 
     def __init__(self, seed: int, family: MatrixFamily):
-        self.seed = int(seed)
+        self.seed = keyed.check_seed(seed)
         self.family = family
-        self._root = keyed.root_state(self.seed)
 
     # -- chain-state plumbing -------------------------------------------------
     def root_chain(self) -> np.ndarray:
-        return self._root.copy()
+        return keyed.root_state(self.seed)
 
     # -- sampling -------------------------------------------------------------
     def sample_matrix(self, word) -> np.ndarray:

@@ -88,6 +88,11 @@ def test_close_pairs_match_brute_force():
             res = close_pair_count(pts, t)
             assert res.ordered_count == brute_ordered_pairs(pts, t)
             assert res.ordered_lower == res.ordered_count == res.ordered_upper
+            # the nets' conflict edges: the same pairs, each once, as lo < hi
+            expanded, lo, hi, d2 = pairs._close_pairs([pts], [t])
+            assert expanded.tolist() == [True]
+            assert np.all(lo < hi) and np.all(d2 <= t * t)
+            assert 2 * lo.size == res.ordered_count
 
 
 def test_close_pair_brackets_with_enclosures(line_family):
@@ -200,18 +205,28 @@ def test_transversality_small_run(line_family):
     assert 0.6 < fit.slope < 1.4
 
 
-def test_pair_counts_from_one_sort_match_one_reduction_per_threshold():
-    # distances with ties exactly on the thresholds and one ulp to either side
+def test_pair_counts_match_one_reduction_per_threshold():
+    # distances with ties exactly on the thresholds and one ulp to either side,
+    # one pair per distance: (2k, 0) and (2k, dist), so sqrt(d2) == dist and
+    # pairs of different k are neither close nor in adjacent cells
     rng = np.random.default_rng(11)
     thresholds = np.array([0.5, 1, 2, 4, 8, 16]) / 64.0
     ties = np.concatenate([thresholds, np.nextafter(thresholds, 0.0),
                            np.nextafter(thresholds, 1.0)])
+    clouds, want = [np.zeros((0, 2)), np.ones((1, 2))], [[0] * 6, [0] * 6]
     for size in (0, 1, 9, 2000):
         dists = np.concatenate([rng.uniform(0.0, 0.3, size),
                                 rng.choice(ties, size=size // 2 + 1), [0.0]])
         rng.shuffle(dists)
-        want = [int((dists <= t).sum()) for t in thresholds]
-        assert pairs._counts_at_most(dists, thresholds).tolist() == want
+        base = 2.0 * np.arange(dists.size)
+        pts = np.stack([np.concatenate([base, base]),
+                        np.concatenate([np.zeros(dists.size), dists])], axis=1)
+        clouds.append(pts[rng.permutation(len(pts))])
+        want.append([2 * int((dists <= t).sum()) for t in thresholds])
+    # every set in one batch, and each set alone
+    assert pairs.pair_counts(clouds, thresholds).tolist() == want
+    for pts, counts in zip(clouds, want):
+        assert pairs.pair_counts([pts], thresholds).tolist() == [counts]
 
 
 def test_transversality_below_resolution():

@@ -21,7 +21,10 @@ need one round per point, exact ties, coincident points, joins of several
 expansion blocks and joins too dense to expand.  The batched nets
 (``separated_subsets``: one join and one pass of rounds per batch of point
 sets) must keep what each net keeps alone, at every round count and with
-batches of one set and of all sets.
+batches of one set and of all sets.  The batched pair counts
+(``pair_counts``: one join per batch of point sets) must count what
+``pair_distances_within`` finds in each set alone, also when the sets are
+too wide to shift unless compacted.
 """
 
 import itertools
@@ -37,11 +40,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rifs.analysis import CoverageGrid, close_pair_count, pairs, runs, separated_subset
+from rifs import BernoulliMeasure, Realization, TailSequence, keyed, level_set
+from rifs.analysis import (CoverageGrid, close_pair_count, pairs, runs, separated_subset,
+                           transversality_scaling)
 from rifs.analysis.coverage import CellSet
-from rifs.analysis.pairs import close_pairs, pair_distances_within, separated_subsets
+from rifs.analysis.pairs import pair_counts, pair_distances_within, separated_subsets
 from rifs.analysis.runs import blocks, ranges
-from rifs.attractor import PointCloud
+from rifs.attractor import PointCloud, project_levels
 from rifs.errors import InputError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -80,6 +85,11 @@ def _ref_blocks(coords, cell):
 def ref_pair_distances(coords, cutoff):
     out = [dist[dist <= cutoff] for _, _, dist in _ref_blocks(coords, cutoff)]
     return np.concatenate(out) if out else np.zeros(0)
+
+
+def expanded(coords, cutoff):
+    """Whether the nets' join of one set within ``cutoff`` is expanded."""
+    return bool(pairs._close_pairs([np.asarray(coords, dtype=np.float64)], [cutoff])[0][0])
 
 
 def ref_close_pairs(coords, radii, threshold):
@@ -244,6 +254,76 @@ def test_close_pair_count_matches_dict_bucket_join(d):
                 (2 * nominal, 2 * lower, 2 * upper)
 
 
+def ref_pair_counts(clouds, thresholds):
+    """Ordered counts per set and threshold, one set at a time."""
+    cutoff = float(thresholds.max())
+    return [[2 * int((pair_distances_within(x, cutoff) <= t).sum()) for t in thresholds]
+            for x in clouds]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_pair_counts_equal_one_set_at_a_time(d):
+    # the adversarial sets, with empty and one-point sets, coincident points
+    # and sets far apart, in one join and in joins of a few sets each
+    rng = np.random.default_rng(700 + d)
+    clouds = [coords for coords, _ in _point_sets(d, rng)]
+    clouds += [np.zeros((0, d)), np.full((1, d), 0.3), np.zeros((9, d)),
+               np.full((2, d), 1e6), np.full((3, d), -1e6)]
+    clouds = [clouds[k] for k in rng.permutation(len(clouds))]
+    for thresholds in (np.array([0.05, 0.125, 0.25, 0.5]),
+                       np.array([0.25, 0.25 * math.sqrt(2.0), 0.375])):
+        want = ref_pair_counts(clouds, thresholds)
+        assert pair_counts(clouds, thresholds).tolist() == want
+        for a, b in blocks(np.array([len(x) for x in clouds]), 200):
+            assert pair_counts(clouds[a:b], thresholds).tolist() == want[a:b]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_counts_compact_sets_too_wide_to_shift(d):
+    # cells of 2**-58: each set's leading axis spans 2**59 cells, so the 40
+    # shifted spans would overflow int64 unless the sets are compacted first
+    rng = np.random.default_rng(800 + d)
+    cell = 2.0 ** -58
+    thresholds = np.array([0.25, 0.5, 1.0]) * cell
+    clouds = []
+    for _ in range(40):
+        near = rng.integers(0, 4, size=(6, d)) * (0.25 * cell)   # ties on the thresholds
+        far = rng.choice([-1.0, 1.0], size=(2, d))
+        clouds.append(np.concatenate([near, far, far])[rng.permutation(10)])
+    keys = [np.floor(x[:, 0] / cell).astype(np.int64) for x in clouds]
+    assert sum(int(k.max()) - int(k.min()) + 2 for k in keys) >= 2 ** 63
+    want = ref_pair_counts(clouds, thresholds)
+    assert min(counts[0] for counts in want) >= 4   # the coincident far points
+    assert pair_counts(clouds, thresholds).tolist() == want
+
+
+def ref_transversality_means(family, m, b, n, s_list, n_seeds, master_seed):
+    """Mean normalized counts of ``transversality_scaling``, one seed at a time."""
+    L = level_set(m, n)
+    thresholds = np.sort(np.asarray(s_list, dtype=np.float64)) / len(L) ** (1.0 / family.dimension)
+    counts = []
+    for j in range(n_seeds):
+        r = Realization(keyed.derive_seed(master_seed, j), family)
+        [[pts]] = project_levels([r], [L], b, [float(thresholds.min()) / 8.0])
+        counts.extend(ref_pair_counts([pts.coords], thresholds))
+    return tuple(np.mean(counts, axis=0) / len(L))
+
+
+@pytest.mark.parametrize("family", ["line_family", "plane_family"])
+def test_transversality_counts_do_not_depend_on_batches(family, request, monkeypatch):
+    # 30 seeds of 256 points: one seed group at one thread, two at two, in
+    # batches of 16 seeds, of 3 and of one
+    family = request.getfixturevalue(family)
+    m, b = BernoulliMeasure([0.5, 0.5]), TailSequence.constant(1)
+    want = ref_transversality_means(family, m, b, 8, [0.5, 1, 2, 4], 30, 5)
+    for cap in (pairs.NET_BATCH, 1000, 1):
+        monkeypatch.setattr(pairs, "NET_BATCH", cap)
+        for threads in (1, 2):
+            fit = transversality_scaling(family, m, b, 8, [0.5, 1, 2, 4], 30, 5,
+                                         threads=threads)
+            assert fit.mean_normalized == want, (cap, threads)
+
+
 def _nets_equal(monkeypatch, coords, r, want):
     """The net at every round count, on its own join and on a wider one that
     it shares with the net at twice the radius."""
@@ -398,7 +478,7 @@ def test_net_over_a_join_of_several_blocks(monkeypatch):
     r = 0.0015
     counts = pairs._join([coords], [r * pairs._CELL_SLACK])[3]
     assert 1 << 18 < counts.sum() <= pairs.PAIR_LIMIT * len(coords)
-    assert close_pairs(coords, r).lo is not None
+    assert expanded(coords, r)
     _nets_equal(monkeypatch, coords, r, ref_separated(coords, r))
 
 
@@ -407,7 +487,7 @@ def test_net_over_the_candidate_limit(monkeypatch):
     rng = np.random.default_rng(10)
     coords = np.repeat(rng.uniform(0.0, 1.0, size=(30, 2)), 200, axis=0)
     coords = coords[rng.permutation(len(coords))]
-    assert close_pairs(coords, 0.01).lo is None
+    assert not expanded(coords, 0.01)
     _nets_equal(monkeypatch, coords, 0.01, ref_separated(coords, 0.01))
 
 
@@ -441,7 +521,7 @@ def test_batched_nets_equal_one_net_at_a_time(d, monkeypatch):
     rng = np.random.default_rng(600 + d)
     clouds, radii = _net_batch(d, rng)
     for x, rs in zip(clouds[:2], radii):
-        assert close_pairs(x, max(rs)).lo is None
+        assert not expanded(x, max(rs))
     monkeypatch.setattr(pairs, "ROUNDS", 0)
     want = [[separated_subset(x, r) for r in rs] for x, rs in zip(clouds, radii)]
     for x, rs, nets in zip(clouds, radii, want):
@@ -490,9 +570,9 @@ def test_coincident_points_keep_memory_linear():
 def test_close_pairs_serve_radii_up_to_their_cutoff():
     rng = np.random.default_rng(11)
     coords = rng.uniform(0.0, 1.0, size=(300, 2))
-    edges = close_pairs(coords, 0.1)
-    assert edges.cutoff == 0.1
-    assert np.all(edges.lo < edges.hi) and np.all(edges.d2 <= 0.1 * 0.1)
+    done, lo, hi, d2 = pairs._close_pairs([coords], [0.1])
+    assert done.tolist() == [True]
+    assert np.all(lo < hi) and np.all(d2 <= 0.1 * 0.1)
     # the nets of one set share its join at the largest radius
     for r, kept in zip((0.1, 0.03), separated_subsets([coords], [[0.1, 0.03]])[0]):
         assert np.array_equal(kept, ref_separated(coords, r))

@@ -135,6 +135,51 @@ def test_seed_validation():
         keyed.root_state(2 ** 64)
 
 
+def _splitmix(z: int) -> int:
+    """The splitmix64 finalizer on Python ints."""
+    mask = (1 << 64) - 1
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
+
+
+@pytest.mark.filterwarnings("error")   # no uint64 overflow warnings
+def test_seed_arrays_match_the_scalar_forms():
+    indices = [0, 1, 2, 7, 2 ** 32, 2 ** 64 - 1]
+    for master in (0, 12345, 2 ** 64 - 1):
+        want = [_splitmix(((master ^ 0x13198A2E03707344) + i * 0x9E3779B97F4A7C15)
+                          % 2 ** 64) for i in indices]
+        seeds = keyed.derive_seeds(master, indices)
+        assert seeds.dtype == np.uint64 and seeds.tolist() == want
+        assert [keyed.derive_seed(master, i) for i in indices] == want
+        roots = keyed.root_states(seeds)
+        assert roots.tolist() == [_splitmix(s ^ 0x243F6A8885A308D3) for s in want]
+        assert [int(keyed.root_state(s)[0]) for s in want] == roots.tolist()
+        assert keyed.root_states(seeds[:0]).shape == (0,)
+
+
+def test_seed_groups_hand_out_per_seed_realizations(line_family):
+    from rifs.attractor import map_seed_groups
+    from rifs.errors import InputError
+    from rifs.random_model import Realization
+
+    for master in (3, 2 ** 64 - 1):
+        for threads in (1, 2):
+            got = map_seed_groups(lambda rs: rs, line_family, master, 9, 4096, threads)
+            assert len(got) == 9 and all(r.family is line_family for r in got)
+            for j, r in enumerate(got):
+                want = Realization(keyed.derive_seed(master, j), line_family)
+                assert r.seed == want.seed
+                assert np.array_equal(r.root_chain(), want.root_chain())
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(InputError):
+            Realization(bad, line_family)
+        with pytest.raises(InputError):
+            keyed.root_state(bad)
+
+
 def test_derive_seed_spread():
     seeds = {keyed.derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000

@@ -68,11 +68,12 @@ def test_wrapped_signatures(layertrace, line_family, uniform2):
 
 # Traced names no CLI kind reaches: each kind now calls the seed-group form
 # (project_levels, coverage_estimates, det_window_reports, density_sweeps)
-# of the wrapped single-realization function, and density_sweeps takes its
+# of the wrapped single-realization function, density_sweeps takes its
 # greedy nets in batches (separated_subsets) instead of one separated_subset
-# per level and radius.
+# per level and radius, and transversality_scaling counts its close pairs in
+# batches (pair_counts) instead of one pair_distances_within per seed.
 UNREACHED = {"attractor.project_level", "coverage.estimate", "detwindow.report",
-             "pairs.density_sweep", "pairs.separated"}
+             "pairs.density_sweep", "pairs.distances", "pairs.separated"}
 
 
 def test_cli_kinds_reach_the_traced_names(layertrace, tmp_path):

@@ -28,6 +28,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
   per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
   the 30 seeds), with ``--threads 1`` and ``--threads 2``;
+* ``pairs`` on ``baby_theorem`` at thresholds of at most 2e-18 against
+  clouds that span more than 1 (``TINY_PAIRS``), so each of the 30 clouds
+  in the one batch of the pair counts has its leading axis compacted before
+  the join shifts it (its span exceeds ``2**62 / 30`` cells);
 * ``coverage`` and ``density`` on ``baby_theorem`` and on the Markov config
   at level ranges whose seeds split into uneven projection groups
   (``MULTI_GROUP_LEVELS``: 4,032 and 3,017 member rows per seed, so groups
@@ -49,9 +53,15 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
 * the JSON file that ``rifs preset NAME`` writes for each of the four presets.
 
 Configs pass through JSON first, as the CLI loads them.  The output is one
-JSON object mapping ``<run>/<file>`` (``preset/<NAME>.json`` for the preset
-files) to the file's sha256.  ``--compare`` prints the files whose digests
-differ or that only one side has, and exits 1 if there are any.
+JSON object: ``stamp`` names the Python version, the numpy version and the
+machine that made it, and ``digests`` maps ``<run>/<file>``
+(``preset/<NAME>.json`` for the preset files) to the file's sha256.
+``--compare`` prints the files whose digests differ or that only one side
+has, and exits 1 if there are any.  ``tests/report_digests.json`` holds the
+digests of the committed code; ``tests/test_report_digests.py`` reruns the
+grid and compares, so a change to report bytes re-records that file:
+
+    python tools/output_digests.py --out tests/report_digests.json
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 import warnings
@@ -84,6 +95,8 @@ THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
 # a baby_theorem pairs level whose 30 seeds take 4 projection seed groups
 MULTI_GROUP_N = 11
+# a baby_theorem pairs run whose pair-count join compacts every cloud
+TINY_PAIRS = dict(n=6, s_list=(1.6e-17, 3.2e-17, 6.4e-17, 1.28e-16), seeds=PAIRS_SEEDS)
 # coverage and density level ranges whose seeds take uneven projection groups
 MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
                       "markov": dict(n_min=3, n_max=6, seeds=12)}
@@ -219,6 +232,8 @@ def _grid():
                 runs.append((f"{name}/pairs/multi_group/t{threads}",
                              replace(base, kind="pairs", n=MULTI_GROUP_N, seeds=PAIRS_SEEDS),
                              threads))
+            runs.append((f"{name}/pairs/tiny_scales/t1",
+                         replace(base, kind="pairs", **TINY_PAIRS), 1))
     base = _through_json(_weighted_affine_config(preset))
     for name, sizes in WEIGHTED_AFFINE.items():
         sizes = {"kind": name, **sizes}
@@ -260,6 +275,14 @@ def digests(repo: Path) -> dict:
     return out
 
 
+def stamp() -> dict:
+    """The Python version, numpy version and machine the digests depend on."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "machine": platform.machine()}
+
+
 def compare(a: dict, b: dict) -> list:
     """Sorted keys whose digests differ or that only one side has."""
     return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
@@ -274,7 +297,7 @@ def main(argv=None) -> int:
                         help="list the files whose digests differ")
     args = parser.parse_args(argv)
     if args.compare:
-        a, b = (json.loads(p.read_text()) for p in args.compare)
+        a, b = (json.loads(p.read_text())["digests"] for p in args.compare)
         diff = compare(a, b)
         for key in diff:
             print(key)
@@ -283,7 +306,8 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("give --out or --compare")
     table = digests(args.repo.resolve())
-    args.out.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    args.out.write_text(json.dumps({"stamp": stamp(), "digests": table}, indent=1,
+                                   sort_keys=True) + "\n")
     print(f"{len(table)} report files -> {args.out}", file=sys.stderr)
     return 0
 
