@@ -18,10 +18,10 @@ The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
 input: they are selected once per run from one cylinder tree, and
 :func:`coverage_estimates` projects them for a seed group by one walk of it
-(``project_levels``).  ``attractor.GROUP_ROWS`` bounds the group's widest
-array, a depth of the walk or the members of all levels merged for the tail
-steps (one seed's rows when those alone are wider).  Each seed's unions are
-then rasterized, with its own warnings, as if it had been projected alone.
+(``project_levels``).  ``walk.BLOCK`` bounds every array of the walk, and
+the group's clouds (one seed's when those alone are wider).  Each seed's
+unions are then rasterized, with its own warnings, as if it had been
+projected alone.
 
 The limsup target set has no finite surrogate; as a proxy,
 ``running_intersection_measure[N]`` reports the measure of cells covered at

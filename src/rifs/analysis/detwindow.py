@@ -18,64 +18,25 @@ so the histogram deliberately omits C.  ``bad_fraction_log_slope`` fits the
 empirical decay rate.
 
 The cylinder tree itself does not depend on the seed: a run over many seeds
-builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the same
-tree that level sets are selected from, and :func:`det_window_reports` walks
-it once per seed group, a sequence of realizations of one family stepped
-together.  A group's rows are seed-major: seed ``j``'s node ``i`` of a depth
-with ``P`` nodes per seed sits at row ``j * P + i``.  Each row repeats the
-operations of a walk of its seed alone, and each seed's good measures of a
-depth are summed as one array, so a seed's report does not depend on the
-group it was walked in.  :func:`det_window_report` is the walk of one
-realization; without a tree it streams one depth at a time.
-
-The walk works in blocks of at most ``BLOCK`` (2**14) children.  A group
-walks a depth together while its seeds' children fit in one block.
-Before a depth that would exceed it, the group splits into subgroups of
-``max(1, BLOCK // width)`` seeds (``width`` children per seed), and each
-subgroup walks the rest of the tree before the next one starts: the
-subgroups' rows are copied onto an explicit stack and the parent group's
-arrays are dropped.  Depth-first order keeps the live rows of the walk near
-one block, whatever the number of seeds; breadth-first order would hold
-every subgroup's depth at once.  A single seed on a depth wider than
-``BLOCK`` takes it in blocks of consecutive parents; each block writes its
-active children straight into the next depth's arrays, which stay ordinary
-arrays, and its good measures into a buffer of the workspace.  Grouping pays
-the fixed cost of a block's numpy calls once for many shallow depths of many
-seeds instead of once per seed.
-
-Each :func:`det_window_reports` call allocates one workspace (``_Workspace``)
-and every block of its walk writes into it with ``out=``: the raw draws and
-splitmix64 scratch, deviations and masks, and two sets of child rows used in
-turn, one for a block's children and one for those carried to the next
-depth.  At ``BLOCK`` entries it takes 816 KiB, stays cache-resident and is
-freed when the call returns.  A seed group walked on a worker thread owns
-the workspace of its call; nothing is kept between calls or at module level.
-The keyed draws and the log-determinant formula are the shared ones
-(``keyed.draw_u01``, ``Realization.log_dets_from_chains``), called with
-buffer arguments.  A fresh 128 KiB temporary per numpy operation faults its
-pages in again whenever glibc has returned them: on the benchmark's
-detwindow configs, steady-state minor faults per walk
-(``resource.getrusage``, one thread, 15 walks after 3 warm-up walks) read
-5,584 on ``line``, 6,080 on ``plane`` and 6,014-8,012 on ``wide_io`` with
-such temporaries, and 1,194, 474 and 0-2 with the workspace.
+builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the tree
+that level sets are selected from, and :func:`det_window_reports` walks it
+once per seed group (:func:`rifs.walk.walk`).  Each seed's good measures of
+a depth are summed as one array, so a report does not depend on the group
+or the blocks it was walked in.  Every block writes its draws, scratch,
+deviations and masks into buffers allocated once per walk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .. import keyed
+from .. import keyed, walk
 from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
 from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
-
-# Children per block of the walk, and entries per workspace buffer (see the
-# module docstring): 128 KiB per float64 buffer, cache-resident.
-BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -143,12 +104,9 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
                        word_budget: int = WORD_BUDGET_DEFAULT,
                        tree: tuple | None = None) -> list:
     """Window reports of a seed group ``rs`` (realizations of one family),
-    from one depth-first walk of the cylinder tree of ``(m, n)``.
+    from one walk of the cylinder tree of ``(m, n)`` (:func:`rifs.walk.walk`).
 
-    Returns one report per realization, in order.  The walk carries per-node
-    chain states, cumulative log-determinants and good flags, seed-major,
-    and splits the group before a depth whose children exceed ``BLOCK``
-    (see the module docstring).  ``tree`` is
+    Returns one report per realization, in order.  ``tree`` is
     ``tuple(iter_level_frontiers(m, n, word_budget))``, built once per run
     and shared (read only) by every group; when omitted, it is built here,
     or streamed for a single realization.
@@ -171,132 +129,77 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
     if len(rs) > 1:
         tree = tuple(tree)   # subgroups walk the depths below a split again
 
-    lam = lyapunov_exponent(family, m)
-    log_c = math.log(C)
     A = m.alphabet.size
-    r = rs[0]   # sampling reads only the family and the chain states
     S = len(rs)
-    failures: list = []   # per depth: band violations of every seed
-    totals: list = []     # per depth: children per seed
-    good_mass = np.zeros(S)
     # keyed's cached step tile for this alphabet comes first: made above the
     # workspace by the first walk, it would pin the workspace's freed memory
     keyed.absorb_children(np.empty(0, dtype=np.uint64), A)
-    ws = _Workspace(max(BLOCK, A))
+    windows = _Windows(rs[0], A, S, lyapunov_exponent(family, m), eps1, math.log(C), N1)
+    walk.walk(tree, A, (keyed.root_states([q.seed for q in rs]), np.zeros(S),
+                        np.ones(S, dtype=bool)), windows)
 
-    # (first depth index, seeds lo..hi-1, their rows: states, cum_ld, good)
-    stack = [(0, 0, S, keyed.root_states([q.seed for q in rs]),
-              np.zeros(S), np.ones(S, dtype=bool))]
-    while stack:
-        start, lo, hi, states, cum_ld, good = stack.pop()
-        G = hi - lo
-        for fr in islice(tree, start, None):
-            width = fr.symbols.size
-            P = states.size // G   # parents per seed
-            if G > 1 and G * width > BLOCK:
-                # split; pushed last, the first subgroup is walked first
-                per = max(1, BLOCK // width)
-                for a in reversed(range(lo, hi, per)):
-                    b = min(a + per, hi)
-                    rows = slice((a - lo) * P, (b - lo) * P)
-                    stack.append((fr.depth - 1, a, b, states[rows].copy(),
-                                  cum_ld[rows].copy(), good[rows].copy()))
-                break
-            k = fr.depth
-            if k > len(totals):
-                totals.append(width)
-                failures.append(np.zeros(S, dtype=np.int64))
-            cut = k * eps1 + log_c if k >= N1 else None
-            args = (k * lam, k * eps1, cut, ws)
-            kids, carry = ws.node_sets(states)
-            if G * width <= BLOCK:
-                bad, kept, states, cum_ld, good = _walk_block(
-                    r, fr, A, states, cum_ld, good, 0, P, fr.active_idx, *args, kids, carry)
-            else:
-                # one seed wider than a block: consecutive parents [a, b) own
-                # children [a*A, b*A), since children are parent-major; their
-                # active children go straight into the next depth's arrays
-                cuts = list(range(0, P, max(1, BLOCK // A))) + [P]
-                at = np.searchsorted(fr.active_idx, np.multiply(cuts, A)).tolist()
-                n_act = fr.active_idx.size
-                nxt = (np.empty(n_act, dtype=np.uint64), np.empty(n_act),
-                       np.empty(n_act, dtype=bool))
-                measures = ws.good_measures(np.count_nonzero(fr.emit_mask))
-                bad = used = 0
-                for a, b, i, j in zip(cuts, cuts[1:], at, at[1:]):
-                    dst = tuple(x[i:j] for x in nxt)
-                    block_bad, block_kept, *_ = _walk_block(
-                        r, fr, A, states[a:b], cum_ld[a:b], good[a:b], a, b,
-                        fr.active_idx[i:j] - a * A, *args,
-                        dst if j - i == (b - a) * A else kids, dst)
-                    bad += block_bad[0]
-                    for x in block_kept:
-                        measures[used:used + x.size] = x
-                        used += x.size
-                kept = [measures[:used]] if used else []
-                states, cum_ld, good = nxt
-            failures[k - 1][lo:hi] = bad
-            if kept:   # one sum per seed and depth, as a walk of one seed sums
-                good_mass[lo:hi] += [x.sum() for x in kept]
-            del kept   # before the next block's measures are gathered
-
-    failures = np.array(failures, dtype=np.int64).reshape(-1, S)
+    failures = np.array(windows.failures, dtype=np.int64).reshape(-1, S)
     return [DetWindowReport(
-        n=n, eps1=eps1, C=C, N1=N1, lyapunov=lam, good_mass=float(good_mass[j]),
+        n=n, eps1=eps1, C=C, N1=N1, lyapunov=windows.lam, good_mass=float(windows.good_mass[j]),
         per_prefix_failures=failures[:, j].copy(),
-        per_prefix_totals=np.array(totals, dtype=np.int64)) for j in range(S)]
+        per_prefix_totals=np.array(windows.totals, dtype=np.int64)) for j in range(S)]
 
 
-class _Workspace:
-    """The buffers one walk reuses for every block, ``size`` entries each.
-
+class _Windows:
+    """The window kernel of a walk: chain states, cumulative log-determinants
+    and good flags per node, and the per-depth counts and good measures.
     ``raw`` and ``mix`` (uint64) take the draws and the splitmix64 scratch,
-    and ``mask`` (bool) the comparisons.  ``dev`` (float64) shares ``raw``'s
-    memory: it takes the parents' log-determinants and the deviations once a
-    block's draws are spent.  ``nodes`` holds two sets of (chain states,
-    cumulative log-determinants, good flags): a block's children go into the
-    set that does not hold its parents, and the children carried to the next
-    depth stay there when all are active, or are gathered into the other
-    set.  At ``size = BLOCK`` the buffers take 51 bytes per entry, 816 KiB.
+    ``mask`` the comparisons, and ``dev`` (float64, in ``raw``'s memory) the
+    deviations once a block's draws are spent; ``_measures`` gathers the
+    good measures of one seed's depth wider than a block.
     """
 
-    def __init__(self, size: int):
-        self.raw = np.empty(size, dtype=np.uint64)
+    columns = ((np.uint64, ()), (np.float64, ()), (np.bool_, ()))
+
+    def __init__(self, r: Realization, A: int, S: int, lam: float, eps1: float,
+                 log_c: float, N1: int):
+        self.r, self.A, self.lam, self.eps1, self.log_c, self.N1 = r, A, lam, eps1, log_c, N1
+        self.raw, self.mix = np.empty((2, max(walk.BLOCK, A)), dtype=np.uint64)
         self.dev = self.raw.view(np.float64)
-        self.mix = np.empty(size, dtype=np.uint64)
-        self.mask = np.empty(size, dtype=bool)
-        self.nodes = [(np.empty(size, dtype=np.uint64), np.empty(size),
-                       np.empty(size, dtype=bool)) for _ in range(2)]
-        self._measures = np.empty(0)
+        self.mask = np.empty(self.raw.size, dtype=bool)
+        self._measures, self.used = np.empty(0), 0
+        # per depth: children per seed, and band violations of every seed
+        self.totals, self.failures = [], []
+        self.good_mass = np.zeros(S)
 
-    def good_measures(self, n: int) -> np.ndarray:
-        """A float64 buffer of ``n`` entries for the good measures of one
-        seed's depth wider than a block, reused by later such depths."""
-        if self._measures.size < n:
-            self._measures = np.empty(n)
-        return self._measures[:n]
-
-    def node_sets(self, parents: np.ndarray) -> tuple:
-        """(children's set, carried set) for parents whose chain states are
-        ``parents``; the carried set is the one holding them, if either is."""
-        a, b = self.nodes
-        return (b, a) if np.may_share_memory(parents, a[0]) else (a, b)
+    def block(self, fr, seeds: slice, lo: int, hi: int, parents: tuple, kids: tuple) -> tuple:
+        k, width = fr.depth, fr.symbols.size
+        if k > len(self.totals):
+            self.totals.append(width)
+            self.failures.append(np.zeros(self.good_mass.size, dtype=np.int64))
+        cut = k * self.eps1 + self.log_c if k >= self.N1 else None
+        bad, kept, kids = _walk_block(self.r, fr, self.A, *parents, lo, hi, k * self.lam,
+                                      k * self.eps1, cut, self, kids)
+        self.failures[k - 1][seeds] += bad
+        if lo == 0 and hi * self.A == width:
+            if kept:   # one sum per seed and depth, as a walk of one seed sums
+                self.good_mass[seeds] += [x.sum() for x in kept]
+            return kids
+        # one seed's depth in blocks: its good measures are gathered, then summed once
+        if lo == 0 and self._measures.size < np.count_nonzero(fr.emit_mask):
+            self._measures = np.empty(np.count_nonzero(fr.emit_mask))
+        for x in kept:
+            self._measures[self.used:self.used + x.size] = x
+            self.used += x.size
+        if hi * self.A == width and self.used:
+            self.good_mass[seeds] += [self._measures[:self.used].sum()]
+            self.used = 0
+        return kids
 
 
 def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
-                act: np.ndarray, shift: float, band: float, cut, ws: _Workspace,
-                kids: tuple, carry: tuple):
+                shift: float, band: float, cut, ws: _Windows, kids: tuple):
     """One block of a depth: the children of parents ``lo .. hi - 1`` of each
     seed whose rows (seed-major) are ``states``, ``cum_ld`` and ``good``.
-
     The children's chain states, cumulative log-determinants and good flags
-    are written into the arrays ``kids``, and the temporaries into ``ws``.
-    Returns each seed's band-violation count, each seed's measures of its
-    good emitted children (an empty list when no seed has any), and the
-    chain states, cumulative log-determinants and good flags of the children
-    ``act`` (indices within one seed's block) of every seed, seed-major;
-    those stay active.  They are ``kids`` themselves when every child stays
-    active, else gathered into ``carry``, which may hold the parents.
+    are written into ``kids``, and the temporaries into ``ws``.  Returns each
+    seed's band-violation count, each seed's measures of its good emitted
+    children (an empty list when no seed has any) and the children's rows.
     """
     c = slice(lo * A, hi * A)
     G = states.size // (hi - lo)
@@ -326,16 +229,4 @@ def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: i
             # a seed whose every child here is good and emitted sums the tree's
             # own slice; its sum equals that of a copy
             kept = [measures if e.all() else measures[e] for e in emitted_good]
-    if act.size * G == N:
-        return bad, kept, child_states, S, child_good
-    n = G * act.size
-    # np.take copies a read-only index (the tree's) on every call: copy it once
-    # into the spent splitmix64 scratch; mode="clip" gathers straight into carry
-    idx = mix[:act.size].view(np.intp)
-    np.copyto(idx, act)
-    if G == 1:   # flat gathers, twice as fast as their per-seed forms
-        return (bad, kept, *(np.take(x[:N], idx, out=y[:n], mode="clip")
-                             for x, y in zip(kids, carry)))
-    return (bad, kept, *(np.take(x[:N].reshape(G, -1), idx, axis=1,
-                                 out=y[:n].reshape(G, -1), mode="clip").reshape(-1)
-                         for x, y in zip(kids, carry)))
+    return bad, kept, (child_states, S, child_good)

@@ -60,11 +60,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attractor import (MAP_BUDGET_DEFAULT, map_seed_groups, points_to_arrays,
-                         project_levels, walk_rows)
+from ..attractor import MAP_BUDGET_DEFAULT, points_to_arrays, project_levels
 from ..errors import InputError, InvariantError
 from ..random_model import MatrixFamily, Realization
 from ..symbolic import SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT, level_set
+from ..walk import map_seed_groups
 from .detwindow import fit_line
 from .runs import blocks, ranges
 
@@ -490,8 +490,8 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
         return [row for lo, hi in blocks(np.full(len(rs), size), NET_BATCH)
                 for row in pair_counts(clouds[lo:hi], thresholds)]
 
-    counts = np.asarray(map_seed_groups(group_counts, family, master_seed, n_seeds,
-                                        walk_rows([L]), threads))
+    counts = np.asarray(map_seed_groups(group_counts, family, master_seed, n_seeds, size,
+                                        threads))
     means = counts.mean(axis=0) / size
 
     usable = means > 0.0
@@ -550,10 +550,10 @@ def density_sweeps(rs, levels, b: TailSequence, c_list, s_list,
     run's ``level_sets(m, n_values)``, selected once from one cylinder tree
     and shared by every seed group; each level index is its set's ``n``.
     The levels of every seed of the group are projected by one walk of that
-    tree (``project_levels``; ``seed_groups`` keeps its arrays within
-    ``GROUP_ROWS`` rows).  Then the greedy nets of every seed, level and
-    inflated radius are taken together (``separated_subsets``): one join and
-    one pass of rounds per batch of consecutive (seed, level) point sets.
+    tree (``project_levels``; ``walk.seed_groups`` keeps a group's clouds
+    within ``walk.BLOCK`` rows).  Then the greedy nets of every seed, level
+    and inflated radius are taken together (``separated_subsets``): one join
+    and one pass of rounds per batch of consecutive (seed, level) point sets.
     """
     c_vals = [float(c) for c in c_list]
     s_vals = [float(s) for s in s_list]

@@ -20,25 +20,11 @@ sooner): the coordinates equal the full depth-``K`` evaluation exactly, while
 the radius and the ``map_budget`` charge stay those of depth ``K``.
 
 Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
-:func:`project_levels` walks that tree once per seed group: a sequence of
-realizations of one family, stepped together.  Each depth's rows are
-seed-major (every seed has the same nodes), and each carries the chain state
-and the composed ``(M, v)`` of its node, so every prefix is composed once
-per realization and shared by all its descendants.  The members of every
-level and seed are then copied once into merged arrays, ordered by
-descending tail depth, and one loop of ``max(depth)`` tail steps serves them
-all: step ``k`` takes the leading rows that still need it.  Each row repeats
-exactly the operations of a word-by-word evaluation (:func:`project`), so
-the coordinates are bit-identical to it whichever words, levels and seeds
-are evaluated together.  ``GROUP_ROWS`` caps a group's widest array, a
-depth of the walk or the merged members (:func:`walk_rows`):
-:func:`seed_groups` cuts a run's seeds into consecutive groups under it (one
-seed when a seed's rows alone exceed it), so memory does not grow with the
-number of seeds, and :func:`map_seed_groups` maps a run's groups over its
-threads.  The result is a :class:`PointCloud` of coordinate and radius
-arrays per seed and level; per-point :class:`ProjectedPoint` objects are
-built only when a caller indexes it.  :func:`write_points_csv` writes a
-cloud with the level-set writer's byte tables (:func:`rifs.symbolic.write_word_table`).
+:func:`project_levels` projects them for a seed group by one walk of it
+(:func:`rifs.walk.walk`), so every prefix is composed once per realization.
+Each row repeats exactly the operations of a word-by-word evaluation
+(:func:`project`), so the coordinates are bit-identical to it whichever
+words, levels, seeds and blocks are evaluated together.
 """
 
 from __future__ import annotations
@@ -50,16 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import keyed
+from . import keyed, walk
 from .errors import BudgetError, InputError
 from .random_model import MatrixFamily, Realization
 from .symbolic import (LevelSet, TailSequence, _write_atomic, text_table,
                        validate_word, write_word_table)
 
 MAP_BUDGET_DEFAULT = 200_000_000
-# rows of the widest array of one seed group: a depth of its walk, or the
-# merged members of all its levels (see walk_rows and seed_groups)
-GROUP_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,16 +99,20 @@ def _start(family: MatrixFamily, states: np.ndarray) -> tuple:
     return states, np.broadcast_to(np.eye(d), (n, d, d)).copy(), np.zeros((n, d))
 
 
-def _step(r: Realization, states, M, v, symbols) -> tuple:
+def _step(r: Realization, states, M, v, symbols, out: tuple | None = None) -> tuple:
     """Extend composed maps by one symbol each (scalar or per row):
-    absorb the symbol, sample its matrix ``A``, then ``v += M t`` and ``M = M A``."""
-    states = keyed.absorb(states, symbols)
+    absorb the symbol, sample its matrix ``A``, then ``v += M t`` and ``M = M A``;
+    written into ``out`` (states, M, v, which may be the inputs) when given."""
+    out_states, out_M, out_v = out or (None, None, None)
+    states = keyed.absorb(states, symbols, out=out_states)
     syms = np.broadcast_to(np.asarray(symbols, dtype=np.int64), states.shape)
     t = r.family.translations[syms - 1]
     if M.ndim == 1:
-        return states, M * r.scalars_from_chains(states, symbols), v + M * t[:, 0]
+        v = np.add(v, M * t[:, 0], out=out_v)
+        return states, np.multiply(M, r.scalars_from_chains(states, symbols), out=out_M), v
     mats = r.matrices_from_chains(states, symbols)
-    return states, M @ mats, v + (M @ t[:, :, None])[:, :, 0]
+    v = np.add(v, (M @ t[:, :, None])[:, :, 0], out=out_v)
+    return states, np.matmul(M, mats, out=out_M), v
 
 
 def _coords(v: np.ndarray) -> np.ndarray:
@@ -187,68 +174,23 @@ def project_level(r: Realization, L: LevelSet, b: TailSequence, target_radius: f
     return project_levels([r], [L], b, [target_radius], map_budget)[0][0]
 
 
-def walk_rows(levels) -> int:
-    """Rows one seed adds to the widest array of a ``project_levels`` walk of
-    ``levels``: a depth of the tree down to the deepest member, or the
-    members of all levels, which take their tail steps together."""
-    deepest = max(int(L.lengths.max(initial=0)) for L in levels)
-    return max([fr.symbols.size for fr in levels[0].tree[:deepest]]
-               + [sum(len(L) for L in levels)])
-
-
-def seed_groups(n_seeds: int, rows: int, threads: int = 1) -> list:
-    """Consecutive ranges of ``range(n_seeds)``, one per seed group of a walk
-    whose widest array takes ``rows`` rows per seed.
-
-    A group holds at most ``GROUP_ROWS`` rows (one seed when ``rows`` alone
-    exceeds it).  With ``threads >= 2`` it also holds at most
-    ``ceil(n_seeds / threads)`` seeds, and few enough that the workers get at
-    least ``min(threads, n_seeds)`` groups; with one thread the groups are
-    as wide as the row cap allows.
-    """
-    per = min(GROUP_ROWS // max(rows, 1), -(-n_seeds // threads))
-    if threads > 1:   # ceil(n_seeds / per) >= threads needs per < n_seeds / (threads - 1)
-        per = min(per, -(-n_seeds // (threads - 1)) - 1)
-    per = max(1, per)
-    return [range(lo, min(lo + per, n_seeds)) for lo in range(0, n_seeds, per)]
-
-
-def map_seed_groups(fn, family: MatrixFamily, master_seed: int, n_seeds: int, rows: int,
-                    threads: int = 1) -> list:
-    """``fn(rs)`` for the realizations ``rs`` of each ``seed_groups`` range,
-    seed ``j`` keyed by ``derive_seed(master_seed, j)`` (one ``derive_seeds``
-    per group), on ``threads`` threads; the per-seed results, in seed order."""
-    groups = seed_groups(n_seeds, rows, threads)
-
-    def group(g: int) -> list:
-        seeds = keyed.derive_seeds(master_seed, groups[g]).tolist()
-        return fn([Realization(seed, family) for seed in seeds])
-
-    return [x for out in keyed.map_seeds(group, len(groups), threads) for x in out]
-
-
 def project_levels(rs, levels, b: TailSequence, target_radii,
                    map_budget: int = MAP_BUDGET_DEFAULT) -> list:
     """Point clouds of level sets selected from one cylinder tree, for a seed
     group ``rs`` (realizations of one family), from one walk of the tree.
 
-    Returns ``clouds[j][i]``, level ``levels[i]`` under ``rs[j]``.  The tree
-    is walked down to the deepest member, composing every node's map from
-    its parent's, for every seed at once: each depth's rows are seed-major,
-    seed ``j``'s node ``idx`` at row ``j * width + idx``.  The members of
-    every level and seed are copied once into merged arrays, ordered by
-    descending tail steps, and one loop of tail steps serves them all: step
-    ``k`` takes the leading rows with at least ``k`` steps, and a row that
-    has taken its last step is copied out to its level, seed and word.  The
-    tail depth is chosen per level and word length (level sets mix lengths)
-    so that every radius is at most the level's target radius; the radii do
-    not depend on the seed, and one read-only array serves every seed.  Tail
-    steps after the last one with a nonzero translation are skipped
-    (``_tail_steps``): the coordinates are bit-identical to the full-depth
-    ones, and the radii and the up-front ``map_budget`` charge, per seed and
-    level, still use the full worst-case depth and the word lengths.  When
-    no row takes a tail step, only the members' translations are kept.
+    Returns ``clouds[j][i]``, level ``levels[i]`` under ``rs[j]``, with one
+    target radius per level.  The tail depth is chosen per level and word
+    length (level sets mix lengths) so that every radius is at most the
+    level's target radius; the radii do not depend on the seed, and one
+    read-only array serves every seed.  Tail steps after the last one with a
+    nonzero translation are skipped (``_tail_steps``): the coordinates are
+    bit-identical to the full-depth ones, and the radii and the up-front
+    ``map_budget`` charge, per seed and level, still use the full depth.
     """
+    if len(target_radii) != len(levels):
+        raise InputError(f"need one target radius per level set: got {len(target_radii)} "
+                         f"for {len(levels)}")
     if not rs:
         return []
     family = rs[0].family
@@ -259,72 +201,109 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
         return [[] for _ in rs]
     rho = family.rho_max
     R = bounding_ball(family)
-    depths = []
+    tree = levels[0].tree
+    if any(L.tree is not tree for L in levels):
+        raise InputError("projected level sets must be selected from one cylinder tree")
+    radii, steps = [], []   # per level: each member's radius; each depth's tail steps
     for L, target in zip(levels, target_radii):
-        distinct, inverse = np.unique(L.lengths, return_inverse=True)
-        depths.append(np.array([_required_depth(target, int(la), rho, R)
-                                for la in distinct], dtype=np.int64)[inverse])
-        applications = int(L.lengths.sum() + depths[-1].sum())
+        depth = np.zeros(len(L.nodes) + 1, dtype=np.int64)   # tail depth per word length
+        for k in np.flatnonzero([idx.size for idx in L.nodes]).tolist():
+            depth[k + 1] = _required_depth(target, k + 1, rho, R)
+        applications = int(L.lengths.sum() + depth[L.lengths].sum())
         if applications > map_budget:
             raise BudgetError(
                 f"projection map budget ({map_budget}) exceeded: "
                 f"{applications} applications requested")
-    tree = levels[0].tree
-    if any(L.tree is not tree for L in levels):
-        raise InputError("projected level sets must be selected from one cylinder tree")
+        radii.append(rho ** (L.lengths + depth[L.lengths]) * R)
+        radii[-1].setflags(write=False)
+        steps.append(np.asarray(_tail_steps(family, b, depth)).tolist())
 
-    S = len(rs)
-    r = rs[0]   # sampling reads only the family and the chain states
-    seed_rows = np.arange(S)[:, None]
-    A = tree[0].symbols.size   # the root's children
-    sizes = [len(L) for L in levels]
-    starts = [S * k for k in itertools.accumulate(sizes, initial=0)]   # merged row of each level
-    # tail steps of every member, level-major, then seed-major, then word order
-    steps = np.concatenate([np.tile(_tail_steps(family, b, depth), S) for depth in depths])
-    order = np.argsort(-steps, kind="stable")   # merged row -> member
-    pos = np.empty_like(order)                  # member -> merged row
-    pos[order] = np.arange(order.size)
-    K = int(steps.max(initial=0))
-    # merged (states, M, v) of the members; the translations alone without tail steps
-    kept = slice(0, 3) if K else slice(2, 3)
-    merged = [np.empty((starts[-1],) + a.shape[1:], a.dtype)
-              for a in _start(family, np.empty(0, dtype=np.uint64))[kept]]
-    filled = [0] * len(levels)   # per level: members of each seed copied so far
-    maps = _start(family, keyed.root_states([q.seed for q in rs]))
-    for fr in tree[:max(int(L.lengths.max(initial=0)) for L in levels)]:
-        maps = _step(r, *(np.repeat(a, A, axis=0) for a in maps), np.tile(fr.symbols, S))
-        first = seed_rows * fr.symbols.size   # each seed's first row at this depth
-        for i, L in enumerate(levels):
-            idx = L.nodes[fr.depth - 1]
-            if idx.size:
-                dest = pos[starts[i] + seed_rows * sizes[i] + filled[i] + np.arange(idx.size)]
-                for arr, a in zip(merged, maps[kept]):
-                    arr[dest] = a[first + idx]
-                filled[i] += idx.size
-        rows = (first + fr.active_idx).ravel()
-        maps = tuple(a[rows] for a in maps)
+    projection = _Projection(rs, levels, b, steps)
+    deepest = max(int(L.lengths.max(initial=0)) for L in levels)
+    walk.walk(tree[:deepest], tree[0].symbols.size,
+              _start(family, keyed.root_states([q.seed for q in rs])), projection)
+    projection.flush()
+    coords = _coords(projection.out)
+    return [[PointCloud(coords[lo + j * len(L):lo + (j + 1) * len(L)], rad, L, b)
+             for L, lo, rad in zip(levels, projection.starts, radii)]
+            for j in range(len(rs))]
 
-    v = merged[-1]   # without tail steps, merged order is member order
-    if K:
-        states, M, _ = merged
-        done = v.shape[0]   # merged rows from done on have taken all their steps
-        by_member = np.empty_like(v)
-        for k in range(1, K + 1):
+
+class _Projection:
+    """The projection kernel of a walk: chain states and composed ``(M, v)``
+    per node.  ``out`` takes the coordinates, level-major, then seed-major,
+    then in word order.  Members of length ``k`` take ``steps[i][k]`` tail
+    steps: without any, they are copied straight into ``out``; else they
+    wait in one buffer of at most ``BLOCK`` rows for ``flush``.
+    """
+
+    def __init__(self, rs, levels, b: TailSequence, steps: list):
+        self.r, self.b, self.levels, self.steps = rs[0], b, levels, steps
+        self.A = levels[0].tree[0].symbols.size
+        rows = _start(rs[0].family, np.empty(0, dtype=np.uint64))
+        self.columns = tuple((x.dtype, x.shape[1:]) for x in rows)
+        self.starts = [len(rs) * k for k in itertools.accumulate(map(len, levels), initial=0)]
+        self.out = np.empty((self.starts[-1],) + rows[2].shape[1:])
+        cap = min(walk.BLOCK, len(rs) * sum(idx.size for L, k_steps in zip(levels, steps)
+                                            for k, idx in enumerate(L.nodes, 1) if k_steps[k]))
+        # (states, M, v, tail steps, row of out) of the pending members
+        self.pending = tuple(np.empty((cap,) + x.shape[1:], x.dtype) for x in rows) \
+            + (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.intp))
+        self.held = 0
+
+    def block(self, fr, seeds: slice, lo: int, hi: int, parents: tuple, kids: tuple) -> tuple:
+        A, G, k = self.A, seeds.stop - seeds.start, fr.depth
+        W = (hi - lo) * A   # children per seed
+        kids = tuple(keyed.repeat_children(x, A, out=y[:G * W]) for x, y in zip(parents, kids))
+        symbols = fr.symbols[lo * A:hi * A]
+        _step(self.r, *kids, np.tile(symbols, G) if G > 1 else symbols, out=kids)
+        for i, L in enumerate(self.levels):
+            idx = L.nodes[k - 1]
+            a, z = np.searchsorted(idx, (lo * A, hi * A)).tolist()
+            if a == z:
+                continue
+            rows = (np.arange(G)[:, None] * W + (idx[a:z] - lo * A)).ravel()
+            # word rows: each seed's level from starts[i], its length-k words from first
+            first = self.starts[i] + int(np.searchsorted(L.lengths, k)) + a
+            dest = (np.arange(seeds.start, seeds.stop)[:, None] * len(L) + first
+                    + np.arange(z - a)).ravel()
+            if self.steps[i][k]:
+                self._hold(kids, rows, dest, self.steps[i][k])
+            else:
+                self.out[dest] = kids[2][rows]
+        return kids
+
+    def _hold(self, kids: tuple, rows: np.ndarray, dest: np.ndarray, steps: int) -> None:
+        """Copy the members ``rows`` of ``kids`` into the pending buffer, bound
+        for rows ``dest`` of ``out`` after ``steps`` tail steps."""
+        cols = tuple(x[rows] for x in kids) + (np.full(rows.size, steps), dest)
+        cap, at = self.pending[-1].size, 0
+        while at < rows.size:
+            n = min(rows.size - at, cap - self.held)
+            for x, y in zip(cols, self.pending):
+                y[self.held:self.held + n] = x[at:at + n]
+            self.held += n
+            at += n
+            if self.held == cap:
+                self.flush()
+
+    def flush(self) -> None:
+        """Take the pending members' tail steps, ordered by descending steps:
+        step ``k`` takes the leading rows with at least ``k``, and a row that
+        has taken its last step is copied out."""
+        n, self.held = self.held, 0
+        if not n:
+            return
+        order = np.argsort(-self.pending[3][:n], kind="stable")
+        states, M, v, steps, dest = (x[:n][order] for x in self.pending)
+        done = n   # rows from done on have taken all their steps
+        for k in range(1, int(steps[0]) + 1):
             c = int(np.count_nonzero(steps >= k))
-            by_member[order[c:done]] = v[c:done]
-            states, M, v = _step(r, states[:c], M[:c], v[:c], b.symbol(k))
+            self.out[dest[c:done]] = v[c:done]
+            rows = (states[:c], M[:c], v[:c])
+            _step(self.r, *rows, self.b.symbol(k), out=rows)
             done = c
-        by_member[order[:done]] = v
-        v = by_member
-    coords = _coords(v)
-    clouds = []
-    for L, lo, depth in zip(levels, starts, depths):
-        radii = rho ** (L.lengths + depth) * R
-        radii.setflags(write=False)
-        n = len(L)
-        clouds.append([PointCloud(coords[lo + j * n:lo + (j + 1) * n], radii, L, b)
-                       for j in range(S)])
-    return [list(per_seed) for per_seed in zip(*clouds)]
+        self.out[dest[:done]] = v[:done]
 
 
 def points_to_arrays(points) -> tuple:

@@ -31,8 +31,8 @@ import numpy as np
 from .analysis import (CoverageGrid, attractor_measure_estimate,
                        coverage_estimates, density_sweeps, det_window_reports,
                        transversality_scaling)
-from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, map_seed_groups, walk_rows,
-                        write_points_csv, write_svg_scatter)
+from .attractor import (MAP_BUDGET_DEFAULT, bounding_ball, write_points_csv,
+                        write_svg_scatter)
 from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, mc_lyapunov_prime, moment_report)
@@ -41,6 +41,7 @@ from .symbolic import (MAX_DIGIT_SYMBOL, BernoulliMeasure, MarkovMeasure, Symbol
                        iter_level_frontiers, level_set, level_sets,
                        slow_decay_constant, text_table, write_levelset_csv,
                        write_word_table)
+from .walk import map_seed_groups
 
 EXPERIMENT_KINDS = ("levelset", "lyapunov", "detwindow", "pairs", "coverage",
                     "attractor", "density")
@@ -517,7 +518,7 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     reports = map_seed_groups(
         lambda rs: det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
                                       cfg.word_budget, tree=tree),
-        cfg.family, cfg.master_seed, cfg.seeds, tree[0].symbols.size, threads)
+        cfg.family, cfg.master_seed, cfg.seeds, 1, threads)   # one report per seed
     rows = []
     for j, rep in enumerate(reports):
         fit = rep.bad_fraction_log_slope()
@@ -564,7 +565,7 @@ def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
     reports = map_seed_groups(
         lambda rs: coverage_estimates(rs, sets, cfg.tail, cfg.gauge, grid, cfg.map_budget),
-        cfg.family, cfg.master_seed, cfg.seeds, walk_rows(sets), threads)
+        cfg.family, cfg.master_seed, cfg.seeds, sum(map(len, sets)), threads)
     rows = []
     for j, rep in enumerate(reports):
         for n in levels:
@@ -606,7 +607,7 @@ def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
 
     results = map_seed_groups(
         lambda rs: density_sweeps(rs, sets, cfg.tail, cfg.c_list, cfg.s_list, cfg.map_budget),
-        cfg.family, cfg.master_seed, cfg.seeds, walk_rows(sets), threads)
+        cfg.family, cfg.master_seed, cfg.seeds, sum(map(len, sets)), threads)
     rows = []
     summary = []
     for j, (reports, best) in enumerate(results):

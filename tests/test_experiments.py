@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rifs import attractor, keyed, symbolic
+from rifs import attractor, keyed, symbolic, walk
 from rifs.analysis import CoverageGrid, coverage_estimate, density_sweep
 from rifs.cli import main
 from rifs.errors import InputError
@@ -205,10 +205,9 @@ def test_pairs_uneven_seed_groups_match_across_threads(tmp_path, monkeypatch):
     # of 4 seeds plus a last group of 1 under a cap of 4 seeds' rows
     cfg = replace(_small_config("pairs"), n=6, seeds=61)
     whole = read_all(run(cfg, tmp_path / "whole", threads=1))
-    monkeypatch.setattr(attractor, "GROUP_ROWS", 4 * 64 + 3)
+    monkeypatch.setattr(walk, "BLOCK", 4 * 64 + 3)
     L = symbolic.level_set(cfg.measure, cfg.n)
-    assert [len(g) for g in attractor.seed_groups(cfg.seeds, attractor.walk_rows([L]))] \
-        == [4] * 15 + [1]
+    assert [len(g) for g in walk.seed_groups(cfg.seeds, len(L))] == [4] * 15 + [1]
     for threads in (1, 2, 4):
         assert read_all(run(cfg, tmp_path / f"t{threads}", threads=threads)) == whole
 
@@ -228,8 +227,8 @@ def test_coverage_and_density_uneven_seed_groups_match_across_threads(kind, tmp_
     cfg = replace(_small_config(kind), seeds=7, grid_lo=(0.2,), grid_hi=(1.5,),
                   grid_h=2.0 ** -6)
     sets = symbolic.level_sets(cfg.measure, range(cfg.n_min, cfg.n_max + 1))
-    rows = attractor.walk_rows(sets)
-    assert len(attractor.seed_groups(cfg.seeds, rows)) == 1
+    rows = sum(map(len, sets))
+    assert len(walk.seed_groups(cfg.seeds, rows)) == 1
     whole, warned = _run_warned(cfg, tmp_path / "whole", 1)
     alone = []   # each seed's warnings when it is estimated by itself
     for j in range(cfg.seeds):
@@ -243,8 +242,8 @@ def test_coverage_and_density_uneven_seed_groups_match_across_threads(kind, tmp_
         alone += [str(w.message) for w in caught]
     assert warned == alone
     assert len(warned) == (2 * cfg.seeds if kind == "coverage" else 0)
-    monkeypatch.setattr(attractor, "GROUP_ROWS", 3 * rows + 1)
-    assert [len(g) for g in attractor.seed_groups(cfg.seeds, rows)] == [3, 3, 1]
+    monkeypatch.setattr(walk, "BLOCK", 3 * rows + 1)
+    assert [len(g) for g in walk.seed_groups(cfg.seeds, rows)] == [3, 3, 1]
     for threads in (1, 2, 4):
         files, got = _run_warned(cfg, tmp_path / f"t{threads}", threads)
         assert files == whole, threads

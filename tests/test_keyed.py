@@ -161,7 +161,7 @@ def test_seed_arrays_match_the_scalar_forms():
 
 
 def test_seed_groups_hand_out_per_seed_realizations(line_family):
-    from rifs.attractor import map_seed_groups
+    from rifs.walk import map_seed_groups
     from rifs.errors import InputError
     from rifs.random_model import Realization
 

@@ -17,16 +17,17 @@ matrix per tree node plus the tail steps.
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from rifs import attractor, keyed
-from rifs.analysis import CoverageGrid, coverage_estimate
+from rifs import attractor, keyed, walk
+from rifs.analysis import CoverageGrid, coverage_estimate, det_window_report
 from rifs.analysis.detwindow import DetWindowReport
 from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, project,
-                            project_level, project_levels, seed_groups, walk_rows)
+                            project_level, project_levels)
 from rifs.errors import BudgetError, InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
@@ -34,6 +35,7 @@ from rifs.random_model import (AffineSpec, MatrixFamily, Realization, Similarity
 from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, _select,
                            iter_level_frontiers, level_set, level_sets,
                            slow_decay_constant, validate_word)
+from rifs.walk import map_seed_groups, seed_groups
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,22 @@ def _targets(levels):
     return [2.0 ** -(6 + k) for k in range(len(levels))]
 
 
+def _with_blocks(cases):
+    """(case, block) parameters: the default block, then blocks of ``A`` and
+    ``3 * A`` rows, at which one seed's widest depth and its members span
+    several blocks of the walk (ids of the default block name the case alone).
+    At those blocks every member's tail steps are taken a few rows at a time,
+    so they project the first three levels of a case only."""
+    return [pytest.param(case, block, id=case if block == "default" else f"{case}-{block}")
+            for block in ("default", "A", "3A") for case in cases]
+
+
+def _set_block(block, m, monkeypatch):
+    A = m.alphabet.size
+    if block != "default":
+        monkeypatch.setattr(walk, "BLOCK", {"A": A, "3A": 3 * A}[block])
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -298,32 +316,30 @@ def test_level_set_rejects_a_too_shallow_tree():
 SEEDS = (5, 6, 7)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_one_walk_matches_per_word_projection(case):
+@pytest.mark.parametrize("case,block", _with_blocks(sorted(CASES)))
+def test_one_walk_matches_per_word_projection(case, block, monkeypatch):
     fam, m, tail, n_min, n_max = CASES[case]
     rs = [Realization(seed, fam) for seed in SEEDS]
-    levels = level_sets(m, range(n_min, n_max + 1))
+    small = block != "default"
+    levels = level_sets(m, range(n_min, min(n_max, n_min + 2) + 1 if small else n_max + 1))
     targets = _targets(levels)
+    _set_block(block, m, monkeypatch)
+    if small:
+        assert max(fr.symbols.size for fr in levels[0].tree) > walk.BLOCK
+        assert sum(map(len, levels)) > walk.BLOCK
     group = project_levels(rs, levels, tail, targets)
     assert len(group) == len(rs)
     for r, clouds in zip(rs, group):
-        alone = project_levels([r], levels, tail, targets)[0]
+        # at the default block, also each seed alone and each level alone
+        alone = clouds if small else project_levels([r], levels, tail, targets)[0]
         for L, target, pts, own in zip(levels, targets, clouds, alone):
             coords, radii = ref_project_level(r, level_set(m, L.n), tail, target)
-            for got in (pts, own, project_level(r, L, tail, target)):
+            for got in (pts,) if small else (pts, own, project_level(r, L, tail, target)):
                 assert got.coords.shape == coords.shape
                 assert got.coords.tobytes() == coords.tobytes(), L.n
                 assert got.radii.tobytes() == radii.tobytes(), L.n
                 assert got.level_set is L and got.tail is tail
                 assert not got.coords.flags.writeable and not got.radii.flags.writeable
-
-
-def _walk_rows(levels):
-    """Rows one seed adds to the widest array of a walk: a depth, or the
-    members of all levels, which take their tail steps together."""
-    deepest = max(int(L.lengths.max()) for L in levels)
-    return max([fr.symbols.size for fr in levels[0].tree[:deepest]]
-               + [sum(len(L) for L in levels)])
 
 
 @pytest.mark.parametrize("cap", ["one_row", "one_seed", "uneven"])
@@ -332,12 +348,12 @@ def test_seed_groups_give_each_seed_its_own_clouds(case, cap, monkeypatch):
     fam, m, tail, n_min, n_max = CASES[case]
     levels = level_sets(m, range(n_min, n_max + 1))
     targets = _targets(levels)
-    rows = _walk_rows(levels)
+    rows = sum(map(len, levels))   # each seed's clouds
     limit, sizes = {"one_row": (1, [1] * 3), "one_seed": (rows, [1] * 3),
                     "uneven": (2 * rows + rows // 2, [2, 1])}[cap]
-    monkeypatch.setattr(attractor, "GROUP_ROWS", limit)
-    assert walk_rows(levels) == rows
-    groups = seed_groups(3, rows)
+    with monkeypatch.context() as patch:   # the walks take the default block
+        patch.setattr(walk, "BLOCK", limit)
+        groups = seed_groups(3, rows)
     assert [len(g) for g in groups] == sizes
     assert [j for g in groups for j in g] == list(range(3))
     rs = [Realization(100 + j, fam) for j in range(3)]
@@ -352,19 +368,19 @@ def test_seed_groups_give_each_seed_its_own_clouds(case, cap, monkeypatch):
 
 def test_benchmark_sized_pairs_runs_are_one_group():
     # the largest benchmark pairs level (baby_theorem n = 9, 512 words) at 30 seeds
-    assert len(seed_groups(30, walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 9)]))) == 1
-    assert len(seed_groups(30, walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 11)]))) == 4
+    assert len(seed_groups(30, len(level_set(BernoulliMeasure([0.5, 0.5]), 9)))) == 1
+    assert len(seed_groups(30, len(level_set(BernoulliMeasure([0.5, 0.5]), 11)))) == 4
 
 
 def test_seed_groups_give_every_thread_a_group():
-    # one thread: groups as wide as the row cap allows; more threads: at least
+    # one thread: groups as wide as the block allows; more threads: at least
     # one group per thread, of at most ceil(seeds / threads) seeds each
-    words = walk_rows([level_set(BernoulliMeasure([0.5, 0.5]), 9)])
+    words = len(level_set(BernoulliMeasure([0.5, 0.5]), 9))
     assert [len(g) for g in seed_groups(30, words, 2)] == [15, 15]
     assert [len(g) for g in seed_groups(7, 1, 4)] == [2, 2, 2, 1]
     for n in range(1, 40):
-        for rows in (1, 7, 600, attractor.GROUP_ROWS + 1):
-            cap = max(1, attractor.GROUP_ROWS // rows)
+        for rows in (1, 7, 600, walk.BLOCK + 1):
+            cap = max(1, walk.BLOCK // rows)
             assert [len(g) for g in seed_groups(n, rows)] == \
                 [min(cap, n - lo) for lo in range(0, n, cap)]
             for threads in range(2, 9):
@@ -374,13 +390,15 @@ def test_seed_groups_give_every_thread_a_group():
                 assert max(len(g) for g in groups) <= min(cap, -(-n // threads))
 
 
-@pytest.mark.parametrize("case", ["line", "moving_tail_period"])
-def test_merged_tail_loop_matches_per_word_project(case):
+@pytest.mark.parametrize("case,block", _with_blocks(["line", "moving_tail_period"]))
+def test_merged_tail_loop_matches_per_word_project(case, block, monkeypatch):
     # translation-bearing tails whose depths differ between levels (and, under
-    # the Markov measure, between the word lengths of one level)
+    # the Markov measure, between the word lengths of one level); at small
+    # blocks the pending members are flushed many times
     fam, m, tail, n_min, _ = CASES[case]
     levels = level_sets(m, range(n_min, n_min + 3))
     targets = _targets(levels)
+    _set_block(block, m, monkeypatch)
     rho, R = fam.rho_max, bounding_ball(fam)
     depths = [np.array([_required_depth(t, la, rho, R) for la in L.lengths.tolist()])
               for L, t in zip(levels, targets)]
@@ -397,30 +415,64 @@ def test_merged_tail_loop_matches_per_word_project(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_group_arrays_hold_at_most_group_rows(case, monkeypatch):
+    # every array the walk steps, and every pending buffer of tail steps,
+    # holds at most one block of rows, for groups of several seeds and for
+    # one seed; only the results hold every member of every level and seed
     fam, m, tail, n_min, n_max = CASES[case]
     levels = level_sets(m, range(n_min, n_max + 1))
     targets = _targets(levels)
-    rows = walk_rows(levels)
-    seen = []   # rows of every array stepped, and of the merged members
+    rows = sum(map(len, levels))
+    widest = max(fr.symbols.size for fr in levels[0].tree)
+    want = project_levels([Realization(j, fam) for j in range(5)], levels, tail, targets)
+    stepped, results = [], []
     step, coords = attractor._step, attractor._coords
 
-    def spy_step(r, states, *rest):
-        seen.append(states.size)
-        return step(r, states, *rest)
+    def spy_step(r, states, *rest, **out):
+        stepped.append(states.size)
+        return step(r, states, *rest, **out)
 
     def spy_coords(v):
-        seen.append(v.shape[0])
+        results.append(v.shape[0])
         return coords(v)
 
     monkeypatch.setattr(attractor, "_step", spy_step)
     monkeypatch.setattr(attractor, "_coords", spy_coords)
-    for cap in (rows - 1, rows, 2 * rows + 1, 5 * rows):
-        monkeypatch.setattr(attractor, "GROUP_ROWS", cap)
+    # the first cap cuts one seed's widest depth into three blocks or more
+    for cap in (widest // 3, rows - 1, rows, 2 * rows + 1, 5 * rows):
+        monkeypatch.setattr(walk, "BLOCK", cap)
         for g in seed_groups(5, rows):
-            seen.clear()
-            project_levels([Realization(j, fam) for j in g], levels, tail, targets)
-            assert max(seen) <= cap or (len(g) == 1 and max(seen) == rows), (cap, len(g))
-            assert len(g) * sum(len(L) for L in levels) in seen   # the merged members
+            stepped.clear()
+            results.clear()
+            got = project_levels([Realization(j, fam) for j in g], levels, tail, targets)
+            assert max(stepped) <= cap, (cap, len(g))
+            assert results == [len(g) * rows]
+            for clouds, own in zip(got, want[g.start:g.stop]):
+                assert [c.coords.tobytes() for c in clouds] == [c.coords.tobytes() for c in own]
+
+
+def _traced_peak(fn):
+    """(fn(), the tracemalloc peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_seed_projection_peak_is_its_results_and_a_few_blocks():
+    # a 2**18-word level of one seed: beyond its coordinates and radii, the
+    # projection walk holds no more than twice what the window walk of the
+    # same tree holds (both walk it in blocks, carrying one depth at a time)
+    cfg = preset("baby_theorem")
+    m, n = cfg.measure, 18
+    tree = tuple(iter_level_frontiers(m, n))
+    L = level_set(m, n, tree=tree)
+    assert len(L) == 2 ** 18
+    r = Realization(0, cfg.family)
+    [[pts]], peak = _traced_peak(lambda: project_levels([r], [L], cfg.tail, [1e-3]))
+    _, window_peak = _traced_peak(
+        lambda: det_window_report(r, m, n, cfg.resolved_eps1(), cfg.C, cfg.N1, tree=tree))
+    assert peak <= pts.coords.nbytes + pts.radii.nbytes + 2 * window_peak, (peak, window_peak)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -440,6 +492,34 @@ def test_group_budget_is_charged_per_seed_and_level(case):
         with pytest.raises(BudgetError) as err:
             project_levels(group, levels, tail, targets, map_budget=need - 1)
         assert str(err.value) == message
+
+
+def test_projection_needs_one_target_radius_per_level():
+    m = BernoulliMeasure([0.7, 0.3])
+    r = Realization(0, _LINE)
+    levels = level_sets(m, [3, 4, 5])
+    for radii in ([1e-3], [1e-3, 1e-3, 1e-3, -5.0]):
+        with pytest.raises(InputError, match="one target radius per level set"):
+            project_levels([r], levels, TailSequence.constant(1), radii)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block", ["A", "3A"])
+def test_small_blocks_match_per_word_projection_on_threads(block, threads, monkeypatch):
+    # the Markov case with tail steps of several depths and mixed word lengths,
+    # its seed groups mapped over threads, at blocks far below its widest depth
+    fam, m, tail, n_min, _ = CASES["moving_tail_period"]
+    levels = level_sets(m, range(n_min, n_min + 3))
+    targets = _targets(levels)
+    _set_block(block, m, monkeypatch)
+    got = map_seed_groups(lambda rs: project_levels(rs, levels, tail, targets), fam, 9, 4,
+                          sum(map(len, levels)), threads)
+    for j, clouds in enumerate(got):
+        r = Realization(keyed.derive_seed(9, j), fam)
+        for L, target, pts in zip(levels, targets, clouds):
+            coords, radii = ref_project_level(r, L, tail, target)
+            assert pts.coords.tobytes() == coords.tobytes(), (L.n, j)
+            assert pts.radii.tobytes() == radii.tobytes(), (L.n, j)
 
 
 def test_seed_group_needs_one_family():

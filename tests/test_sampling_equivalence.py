@@ -13,8 +13,8 @@ walk that streams the tree (``ref_det_window_report``), field by field, for
 every seed and thread count, also when the walk cuts each depth into blocks
 of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
 seeds must equal the same oracle at 1 and 2 threads, also when a smaller
-``BLOCK`` splits its groups unevenly at several depths, and walks run one
-after another or on several threads must not share workspace buffers.  The
+``walk.BLOCK`` splits its groups unevenly at several depths, and walks run
+one after another or on several threads must not share workspace buffers.  The
 closed-form
 2x2 orthogonal factor must match LAPACK's sign-fixed QR (``ref_haar_qr``)
 within 1e-15 per entry, and d >= 3 must still take that QR.
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from rifs import attractor, keyed
+from rifs import keyed, walk
 from rifs.analysis import det_window_report, det_window_reports, detwindow
 from rifs.experiments import ExperimentConfig, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
@@ -236,7 +236,7 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
     if case == "mixed_lengths_affine":
         assert sum(bool(fr.emit_mask.any()) for fr in tree) >= 2   # several word lengths
     # the default block holds every depth of these trees whole
-    assert max(fr.symbols.size for fr in tree) <= detwindow.BLOCK
+    assert max(fr.symbols.size for fr in tree) <= walk.BLOCK
 
     def shared(j):
         return det_window_report(Realization(j, fam), m, n, eps1, C, N1, tree=tree)
@@ -269,7 +269,7 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
     widths = [fr.symbols.size // A for fr in tree]
     assert any(w > 3 and w % 3 for w in widths)
     for block in (1, A, 3 * A + 1):
-        monkeypatch.setattr(detwindow, "BLOCK", block)
+        monkeypatch.setattr(walk, "BLOCK", block)
         assert interleaved(2) == streamed[:2], block
         if threads == 1:
             lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
@@ -295,7 +295,7 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
     monkeypatch.setattr(detwindow, "_walk_block", spy)
 
     def grouped(threads):
-        ranges = attractor.seed_groups(8, m.alphabet.size, threads)
+        ranges = walk.seed_groups(8, 1, threads)
 
         def group(g):
             rs = [Realization(j, fam) for j in ranges[g]]
@@ -307,8 +307,8 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
     # the default block, and one of three middle-depth widths: 8 seeds walk the
     # shallow depths together, then split unevenly (3+3+2, 6+2 or 7+1) and again
     widths = [fr.symbols.size for fr in tree]
-    for block in (detwindow.BLOCK, 3 * widths[len(widths) // 2]):
-        monkeypatch.setattr(detwindow, "BLOCK", block)
+    for block in (walk.BLOCK, 3 * widths[len(widths) // 2]):
+        monkeypatch.setattr(walk, "BLOCK", block)
         for threads in (1, 2):
             assert grouped(threads) == want, (block, threads)
         # a group built here, without a tree, walks the same
@@ -359,9 +359,9 @@ def test_window_walks_share_no_buffer_state():
     for (fam, m, n), blocks in ((wide, "several"), (short, "short"), (wide, "several")):
         widths = [fr.symbols.size for fr in iter_level_frontiers(m, n)]
         if blocks == "several":
-            assert max(widths) >= 3 * detwindow.BLOCK
+            assert max(widths) >= 3 * walk.BLOCK
         else:
-            assert sum(widths) * 3 < detwindow.BLOCK
+            assert sum(widths) * 3 < walk.BLOCK
         rs = [Realization(j, fam) for j in range(3)]
         got = [_report_fields(rep) for rep in det_window_reports(rs, m, n, eps1, C, N1)]
         want = [_report_fields(ref_det_window_report(r, m, n, eps1, C, N1)) for r in rs]
@@ -370,37 +370,41 @@ def test_window_walks_share_no_buffer_state():
 
 def test_threaded_seed_group_walks_own_their_workspaces(monkeypatch):
     # 8 seeds in 4 groups on 2 and on 4 threads equal one group on one thread;
-    # every walk builds its own workspace, and the module keeps none
+    # every walk builds its own kernel scratch and node workspace, and the
+    # modules keep none
     fam = _families()["mixed_d1"]
     m, n = BernoulliMeasure([0.4, 0.3, 0.3]), 7
     A = m.alphabet.size
     tree = tuple(iter_level_frontiers(m, n))
-    built = []
+    built = []   # (kernel, the walk's node rows of its first block)
 
-    class Workspace(detwindow._Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    class Windows(detwindow._Windows):
+        def block(self, fr, seeds, lo, hi, parents, kids):
+            if fr.depth == 1:
+                built.append((self, kids[0]))
+            return super().block(fr, seeds, lo, hi, parents, kids)
 
-    monkeypatch.setattr(detwindow, "_Workspace", Workspace)
+    monkeypatch.setattr(detwindow, "_Windows", Windows)
 
-    def walk(threads):
+    def walked(threads):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)   # interleave the threads' walks
         try:
-            return [_report_fields(rep) for rep in attractor.map_seed_groups(
+            return [_report_fields(rep) for rep in walk.map_seed_groups(
                 lambda rs: det_window_reports(rs, m, n, 0.05, 1.5, 2, tree=tree),
                 fam, 7, 8, A, threads)]
         finally:
             sys.setswitchinterval(interval)
 
-    one = walk(1)
+    one = walked(1)
     assert len(built) == 1
-    monkeypatch.setattr(attractor, "GROUP_ROWS", 2 * A)
+    monkeypatch.setattr(walk, "BLOCK", 2 * A)
     for threads in (2, 4):
-        assert [len(g) for g in attractor.seed_groups(8, A, threads)] == [2, 2, 2, 2]
+        assert [len(g) for g in walk.seed_groups(8, A, threads)] == [2, 2, 2, 2]
         built.clear()
-        assert walk(threads) == one, threads
-        assert len({id(ws) for ws in built}) == 4
-    assert not any(isinstance(v, (np.ndarray, detwindow._Workspace))
-                   for v in vars(detwindow).values())
+        assert walked(threads) == one, threads
+        assert len({id(kernel) for kernel, _ in built}) == 4
+        assert len({id(rows) for _, rows in built}) == 4
+    for module in (detwindow, walk):
+        assert not any(isinstance(v, (np.ndarray, detwindow._Windows))
+                       for v in vars(module).values())

@@ -13,10 +13,14 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   small sizes, with ``--threads 1``; the seed-parallel kinds again with
   ``--threads 2``, and ``detwindow`` with a single seed;
 * ``detwindow`` on the mixed and the Markov config at a level whose widest
-  depth spans at least 3 blocks of the walk (``MULTI_BLOCK_N``), with 3
+  depth spans at least 3 blocks of the tree walk (``MULTI_BLOCK_N``), with 3
   seeds at ``--threads 2`` and with 8 seeds at ``--threads 1``; the 8 seeds
   start as one group of the walk, which splits mid-tree, and on the mixed
   family each group mixes two distributions;
+* ``attractor`` on the Markov config at one level (``ONE_SEED_WIDE``) whose
+  one seed is wider than a block of the tree walk: a depth of 26,272
+  children and 79,738 members of lengths 11-30, all of which take
+  translation-bearing tail steps;
 * ``density`` on ``baby_theorem`` at its preset levels (n = 6..14, greedy
   nets of up to 16,384 points) with one seed;
 * ``density`` on ``example1_2d`` at levels whose seed groups span several
@@ -25,15 +29,15 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   ``rifs.analysis.pairs.NET_BATCH`` = 2**12 points at ``--threads 1``, and
   two groups of 10 seeds take 2 each at ``--threads 2``);
 * ``pairs`` on ``baby_theorem`` at a level whose seeds split into several
-  groups of the projection walk (``MULTI_GROUP_N``; 2,048 words, so 8 seeds
-  per group of ``rifs.attractor.GROUP_ROWS`` = 2**14 rows and 4 groups of
-  the 30 seeds), with ``--threads 1`` and ``--threads 2``;
+  seed groups (``MULTI_GROUP_N``; 2,048 words, so 8 seeds per group of
+  ``rifs.walk.BLOCK`` = 2**14 rows and 4 groups of the 30 seeds), with
+  ``--threads 1`` and ``--threads 2``;
 * ``pairs`` on ``baby_theorem`` at thresholds of at most 2e-18 against
   clouds that span more than 1 (``TINY_PAIRS``), so each of the 30 clouds
   in the one batch of the pair counts has its leading axis compacted before
   the join shifts it (its span exceeds ``2**62 / 30`` cells);
 * ``coverage`` and ``density`` on ``baby_theorem`` and on the Markov config
-  at level ranges whose seeds split into uneven projection groups
+  at level ranges whose seeds split into uneven seed groups
   (``MULTI_GROUP_LEVELS``: 4,032 and 3,017 member rows per seed, so groups
   of 4+4+2 and 5+5+2 seeds), with ``--threads 1`` and ``--threads 2``; the
   Markov levels mix word lengths and take tail steps of several depths;
@@ -88,16 +92,19 @@ SMALL = {
     "mixed": dict(n=7, n_min=3, n_max=6, seeds=3),
     "markov": dict(n=7, n_min=3, n_max=6, seeds=3),
 }
-# detwindow levels whose widest depth spans several blocks of
-# rifs.analysis.detwindow.BLOCK (2**14 children): 59,049 and 81,550 children
+# detwindow levels whose widest depth spans several blocks of the tree walk,
+# rifs.walk.BLOCK (2**14 children): 59,049 and 81,550 children
 MULTI_BLOCK_N = {"mixed": 9, "markov": 10}
+# a Markov attractor level whose one seed spans several blocks of the walk,
+# of its members and of their tail steps
+ONE_SEED_WIDE = dict(n_min=9, n_max=9)
 THREADED_KINDS = ("detwindow", "pairs", "coverage", "density")
 PAIRS_SEEDS = 30  # the fewest transversality_scaling accepts
 # a baby_theorem pairs level whose 30 seeds take 4 projection seed groups
 MULTI_GROUP_N = 11
 # a baby_theorem pairs run whose pair-count join compacts every cloud
 TINY_PAIRS = dict(n=6, s_list=(1.6e-17, 3.2e-17, 6.4e-17, 1.28e-16), seeds=PAIRS_SEEDS)
-# coverage and density level ranges whose seeds take uneven projection groups
+# coverage and density level ranges whose seeds take uneven seed groups
 MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
                       "markov": dict(n_min=3, n_max=6, seeds=12)}
 # example1_2d density levels and seeds whose seed groups span several net batches
@@ -217,6 +224,9 @@ def _grid():
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=3), 2))
             runs.append((f"{name}/detwindow/multi_block_grouped",
                          replace(base, kind="detwindow", n=MULTI_BLOCK_N[name], seeds=8), 1))
+        if name == "markov":
+            runs.append((f"{name}/attractor/one_seed_wide",
+                         replace(base, kind="attractor", **ONE_SEED_WIDE), 1))
         for kind in ("coverage", "density") if name in MULTI_GROUP_LEVELS else ():
             for threads in (1, 2):
                 runs.append((f"{name}/{kind}/multi_group/t{threads}",
