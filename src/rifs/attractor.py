@@ -24,7 +24,11 @@ Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
 (:func:`rifs.walk.walk`), so every prefix is composed once per realization.
 Each row repeats exactly the operations of a word-by-word evaluation
 (:func:`project`), so the coordinates are bit-identical to it whichever
-words, levels, seeds and blocks are evaluated together.
+words, levels, seeds and blocks are evaluated together.  One step function
+(``_step``) serves the walk, the tail steps and :func:`project`.  For d >= 2
+a product whose operand rows share is one BLAS call (``M t`` per symbol, the
+sampler's ``O B`` per base); ``M A`` stays per row, on a broadcast view of
+the parents' ``M``.  All are bit-identical.
 """
 
 from __future__ import annotations
@@ -99,20 +103,27 @@ def _start(family: MatrixFamily, states: np.ndarray) -> tuple:
     return states, np.broadcast_to(np.eye(d), (n, d, d)).copy(), np.zeros((n, d))
 
 
-def _step(r: Realization, states, M, v, symbols, out: tuple | None = None) -> tuple:
-    """Extend composed maps by one symbol each (scalar or per row):
-    absorb the symbol, sample its matrix ``A``, then ``v += M t`` and ``M = M A``;
-    written into ``out`` (states, M, v, which may be the inputs) when given."""
-    out_states, out_M, out_v = out or (None, None, None)
-    states = keyed.absorb(states, symbols, out=out_states)
-    syms = np.broadcast_to(np.asarray(symbols, dtype=np.int64), states.shape)
-    t = r.family.translations[syms - 1]
+def _step(r: Realization, states, M, v, symbols, out: tuple) -> tuple:
+    """Each row's children, one per symbol (one symbol, or ``1..A``, children
+    parent-major): a child absorbs its symbol into the row's chain state and
+    takes ``v + M t`` and ``M A``; written into ``out``, which for one symbol may be the rows."""
+    P, A = states.shape[0], np.size(symbols)
+    syms = np.tile(symbols, P) if A > 1 else symbols
+    if A > 1:
+        states = keyed.repeat_children(states, A, out=out[0])
+        if M.ndim == 1:   # d = 1 steps flat rows, repeated to the children
+            M, v = (keyed.repeat_children(x, A, out=y) for x, y in zip((M, v), out[1:]))
+    states = keyed.absorb(states, syms, out=out[0])
     if M.ndim == 1:
-        v = np.add(v, M * t[:, 0], out=out_v)
-        return states, np.multiply(M, r.scalars_from_chains(states, symbols), out=out_M), v
-    mats = r.matrices_from_chains(states, symbols)
-    v = np.add(v, (M @ t[:, :, None])[:, :, 0], out=out_v)
-    return states, np.matmul(M, mats, out=out_M), v
+        v = np.add(v, M * r.family.translations[np.asarray(syms) - 1, 0], out=out[2])
+        return states, np.multiply(M, r.scalars_from_chains(states, syms), out=out[1]), v
+    d = M.shape[-1]
+    mats = r.matrices_from_chains(states, syms)
+    t = r.family.translations[np.asarray(symbols) - 1].reshape(A, d)
+    for j in range(A):   # one product per symbol, before M may be overwritten
+        np.add(v, (M.reshape(P * d, d) @ t[j]).reshape(P, d), out=out[2].reshape(P, A, d)[:, j])
+    np.matmul(M[:, None], mats.reshape(P, A, d, d), out=out[1].reshape(P, A, d, d))
+    return states, out[1], out[2]
 
 
 def _coords(v: np.ndarray) -> np.ndarray:
@@ -159,7 +170,7 @@ def project(r: Realization, a, b: TailSequence, depth: int) -> ProjectedPoint:
     b.validate(r.family.alphabet)
     maps = _start(r.family, r.root_chain())
     for s in w + b.first(int(_tail_steps(r.family, b, depth))):
-        maps = _step(r, *maps, s)
+        maps = _step(r, *maps, s, out=maps)
     radius = r.family.rho_max ** (len(w) + depth) * bounding_ball(r.family)
     return ProjectedPoint(coordinates=_coords(maps[2])[0], word=w, tail=b,
                           truncation_radius=radius)
@@ -254,9 +265,7 @@ class _Projection:
     def block(self, fr, seeds: slice, lo: int, hi: int, parents: tuple, kids: tuple) -> tuple:
         A, G, k = self.A, seeds.stop - seeds.start, fr.depth
         W = (hi - lo) * A   # children per seed
-        kids = tuple(keyed.repeat_children(x, A, out=y[:G * W]) for x, y in zip(parents, kids))
-        symbols = fr.symbols[lo * A:hi * A]
-        _step(self.r, *kids, np.tile(symbols, G) if G > 1 else symbols, out=kids)
+        kids = _step(self.r, *parents, fr.symbols[:A], out=tuple(x[:G * W] for x in kids))
         for i, L in enumerate(self.levels):
             idx = L.nodes[k - 1]
             a, z = np.searchsorted(idx, (lo * A, hi * A)).tolist()

@@ -445,21 +445,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _self_description(config: ExperimentConfig) -> str:
-    canonical = config.canonical()
+def _self_description(canonical: str) -> str:
     return f"config_digest={_digest(canonical)} config={canonical}"
 
 
-def _csv_head(header: list, config: ExperimentConfig) -> str:
+def _csv_head(header: list, canonical: str) -> str:
     """The self-describing config comment lines and the column header of a
-    report CSV; the config is serialized once."""
-    canonical = config.canonical()
+    report CSV, from ``config.canonical()``."""
     return f"# config_digest={_digest(canonical)}\n# config={canonical}\n{','.join(header)}\n"
 
 
-def _write_csv(path: Path, header: list, rows: list, config: ExperimentConfig) -> None:
+def _write_csv(path: Path, header: list, rows: list, canonical: str) -> None:
     """Atomic CSV write with a self-describing config header comment."""
-    lines = [_csv_head(header, config)]
+    lines = [_csv_head(header, canonical)]
     lines.extend(",".join(_fmt(x) for x in row) + "\n" for row in rows)
     _write_atomic(path, ["".join(lines).encode()])
 
@@ -480,17 +478,18 @@ def run(config: ExperimentConfig, out_dir, threads: int = 1) -> list:
         "attractor": _run_attractor,
         "density": _run_density,
     }[config.kind]
-    return runner(config, out, threads)
+    # serialized once for every report header of the run
+    return runner(config, out, threads, config.canonical())
 
 
-def _run_levelset(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_levelset(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     ls = level_set(cfg.measure, cfg.n, cfg.word_budget)
     path = out / "levelset.csv"
-    write_levelset_csv(ls, path, header_comment=_self_description(cfg))
+    write_levelset_csv(ls, path, header_comment=_self_description(canonical))
     return [path]
 
 
-def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     analytic = moment_report(cfg.family, cfg.measure, cfg.cramer_s)
     h = cfg.entropy()
     rows = []
@@ -507,11 +506,11 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int) -> list:
             rows.append([f"cramer_sym{i}_s{_fmt(float(s))}",
                          analytic.cramer_values[float(s)][i - 1]])
     path = out / "moments.csv"
-    _write_csv(path, ["quantity", "value"], rows, cfg)
+    _write_csv(path, ["quantity", "value"], rows, canonical)
     return [path]
 
 
-def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     eps1 = cfg.resolved_eps1()
     # the tree is seed-independent: built once and shared by every group's walk
     tree = tuple(iter_level_frontiers(cfg.measure, cfg.n, cfg.word_budget))
@@ -527,7 +526,7 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
                      rep.good_mass, slope, stderr])
     p1 = out / "detwindow.csv"
     _write_csv(p1, ["seed", "n", "eps1", "C", "N1", "lyapunov", "good_mass",
-                    "bad_slope", "bad_slope_stderr"], rows, cfg)
+                    "bad_slope", "bad_slope_stderr"], rows, canonical)
     # one row per seed and depth k, written from byte tables of the integer columns
     depths = [rep.per_prefix_totals.size for rep in reports]
     hist = (np.repeat(np.arange(len(reports)), depths),
@@ -535,29 +534,29 @@ def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int) -> list:
             np.concatenate([rep.per_prefix_failures for rep in reports]),
             np.concatenate([rep.per_prefix_totals for rep in reports]))
     p2 = out / "detwindow_hist.csv"
-    write_word_table(p2, _csv_head(["seed", "k", "bad", "total"], cfg), None,
+    write_word_table(p2, _csv_head(["seed", "k", "bad", "total"], canonical), None,
                      [text_table(col, str) for col in hist])
     return [p1, p2]
 
 
-def _run_pairs(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_pairs(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     fit = transversality_scaling(cfg.family, cfg.measure, cfg.tail, cfg.n,
                                  cfg.s_list, cfg.seeds, cfg.master_seed,
                                  cfg.word_budget, cfg.map_budget, threads)
     p1 = out / "pairs.csv"
     _write_csv(p1, ["s", "mean_normalized_count"],
-               [[s, v] for s, v in zip(fit.s_values, fit.mean_normalized)], cfg)
+               [[s, v] for s, v in zip(fit.s_values, fit.mean_normalized)], canonical)
     p2 = out / "pairs_fit.csv"
     if fit.below_resolution:
         _write_csv(p2, ["slope", "stderr", "n_points"],
-                   [["below_resolution", "", fit.n_points]], cfg)
+                   [["below_resolution", "", fit.n_points]], canonical)
     else:
         _write_csv(p2, ["slope", "stderr", "n_points"],
-                   [[fit.slope, fit.stderr, fit.n_points]], cfg)
+                   [[fit.slope, fit.stderr, fit.n_points]], canonical)
     return [p1, p2]
 
 
-def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     grid = cfg.grid()
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     # the level sets are seed-independent: selected once from one tree
@@ -574,11 +573,11 @@ def _run_coverage(cfg: ExperimentConfig, out: Path, threads: int) -> list:
                          rep.running_intersection_measure[n]])
     path = out / "coverage.csv"
     _write_csv(path, ["seed", "n", "regime", "outer_measure", "inner_measure",
-                      "tail_union_measure"], rows, cfg)
+                      "tail_union_measure"], rows, canonical)
     return [path]
 
 
-def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     grid = cfg.grid()
     levels = list(range(cfg.n_min, cfg.n_max + 1))
     r = Realization(cfg.master_seed, cfg.family)
@@ -588,21 +587,21 @@ def _run_attractor(cfg: ExperimentConfig, out: Path, threads: int) -> list:
     rows = [[n, rep.per_level[n]] for n in levels]
     rows.append(["last3_rel_change", rep.last3_rel_change])
     p1 = out / "attractor.csv"
-    _write_csv(p1, ["n", "outer_measure"], rows, cfg)
+    _write_csv(p1, ["n", "outer_measure"], rows, canonical)
     paths = [p1]
 
     pts = rep.points   # level n_max, at the estimate's target radius
     p2 = out / "attractor_points.csv"
-    write_points_csv(pts, p2, header_comment=_self_description(cfg))
+    write_points_csv(pts, p2, header_comment=_self_description(canonical))
     paths.append(p2)
     if cfg.family.dimension == 2:
         p3 = out / "attractor_points.svg"
-        write_svg_scatter(pts, p3, header_comment=f"config_digest={cfg.digest()}")
+        write_svg_scatter(pts, p3, header_comment=f"config_digest={_digest(canonical)}")
         paths.append(p3)
     return paths
 
 
-def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
+def _run_density(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     sets = level_sets(cfg.measure, range(cfg.n_min, cfg.n_max + 1), cfg.word_budget)
 
     results = map_seed_groups(
@@ -617,7 +616,7 @@ def _run_density(cfg: ExperimentConfig, out: Path, threads: int) -> list:
             summary.append([j, rep.c, rep.s, rep.upper_density,
                             rep is best])
     p1 = out / "density.csv"
-    _write_csv(p1, ["seed", "c", "s", "n", "ratio", "member"], rows, cfg)
+    _write_csv(p1, ["seed", "c", "s", "n", "ratio", "member"], rows, canonical)
     p2 = out / "density_summary.csv"
-    _write_csv(p2, ["seed", "c", "s", "upper_density", "best"], summary, cfg)
+    _write_csv(p2, ["seed", "c", "s", "upper_density", "best"], summary, canonical)
     return [p1, p2]

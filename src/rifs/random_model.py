@@ -293,8 +293,7 @@ class Realization:
         gauss = ndtri(keyed.draw_u01_block(states, 2, d * d))
         mats = _scalar_factor(states, spec)[:, None, None] * _haar_factor(gauss, d)
         if isinstance(spec, AffineSpec):
-            idx = _base_index(states, spec)
-            mats = mats @ spec.base_matrices[idx]
+            mats = _times_bases(mats, _base_index(states, spec), spec.base_matrices)
         return mats
 
 
@@ -320,6 +319,21 @@ def _haar_factor(gauss: np.ndarray, d: int) -> np.ndarray:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs = np.where(signs == 0.0, 1.0, signs)
     return q * signs[:, None, :]
+
+
+def _times_bases(mats: np.ndarray, idx: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``mats @ bases[idx]`` over ``mats``, bit for bit: one 2-D product per
+    base on the rows that picked it, grouped by one stable (radix) sort."""
+    n, d = mats.shape[:2]
+    order = np.argsort(idx.astype(np.uint16) if len(bases) <= 1 << 16 else idx, kind="stable")
+    grouped = np.take(mats, order, axis=0).reshape(n * d, d)
+    res = np.empty_like(grouped)
+    ends = (np.cumsum(np.bincount(idx, minlength=len(bases))) * d).tolist()
+    for base, lo, hi in zip(bases, [0] + ends, ends):
+        np.matmul(grouped[lo:hi], base, out=res[lo:hi])
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    return np.take(res.reshape(n, d, d), back, axis=0, out=mats, mode="clip")
 
 
 def _scale(u: np.ndarray, spec) -> np.ndarray:

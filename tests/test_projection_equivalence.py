@@ -428,7 +428,8 @@ def test_group_arrays_hold_at_most_group_rows(case, monkeypatch):
     step, coords = attractor._step, attractor._coords
 
     def spy_step(r, states, *rest, **out):
-        stepped.append(states.size)
+        # a walk block's step reads its parents' rows and writes its children's
+        stepped.append(max([states.size] + [x.shape[0] for x in out.get("out") or ()]))
         return step(r, states, *rest, **out)
 
     def spy_coords(v):

@@ -173,7 +173,7 @@ def test_detwindow_hist_matches_per_row_oracle(tmp_path, monkeypatch):
             for k, (bad, total) in enumerate(zip(rep.per_prefix_failures,
                                                  rep.per_prefix_totals), start=1)]
     assert len({row[2] for row in rows}) > 1 and len(rows) > 3 * max(BLOCKS[1:])
-    _write_csv(tmp_path / "oracle.csv", ["seed", "k", "bad", "total"], rows, cfg)
+    _write_csv(tmp_path / "oracle.csv", ["seed", "k", "bad", "total"], rows, cfg.canonical())
     _check_blocks(lambda path: run(cfg, path.parent), (tmp_path / "oracle.csv").read_text(),
                   tmp_path / "run" / "detwindow_hist.csv", monkeypatch)
 

@@ -41,10 +41,13 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   (``MULTI_GROUP_LEVELS``: 4,032 and 3,017 member rows per seed, so groups
   of 4+4+2 and 5+5+2 seeds), with ``--threads 1`` and ``--threads 2``; the
   Markov levels mix word lengths and take tail steps of several depths;
-* ``detwindow``, ``lyapunov`` and ``pairs`` on a planar affine family whose
-  specs hold three and four weighted base matrices with inexact cumulative
-  weights (``WEIGHTED_AFFINE``), so the base selector crosses several
-  thresholds; ``detwindow`` also at a level that spans several blocks;
+* ``detwindow``, ``lyapunov``, ``pairs``, ``attractor`` and ``coverage`` on a
+  planar affine family whose specs hold three and four weighted base
+  matrices with inexact cumulative weights (``WEIGHTED_AFFINE``), so the base
+  selector crosses several thresholds, in the tree walk and in the tail
+  steps (its tail symbol moves the point); ``detwindow`` also at a level
+  that spans several blocks; the family's entropy is below its Lyapunov
+  exponent, so ``attractor`` and ``coverage`` run as contrast runs;
 * ``pairs`` and ``density`` on a three-symbol similarity family in three
   dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
   orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
@@ -113,7 +116,9 @@ BENCH_SEEDS = (0, 3)
 # kind -> sizes; multi_block is detwindow at a widest depth of 66,474 children
 WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
                    "pairs": dict(n=3, seeds=PAIRS_SEEDS),
-                   "multi_block": dict(kind="detwindow", n=7, seeds=3)}
+                   "multi_block": dict(kind="detwindow", n=7, seeds=3),
+                   "attractor": dict(n_min=3, n_max=6, allow_subcritical=True),
+                   "coverage": dict(n_min=2, n_max=5, seeds=3, allow_subcritical=True)}
 SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
                  "density": dict(n_min=3, n_max=5, seeds=3)}
 NINE_SYMBOLS = {"levelset": dict(n=4), "attractor": dict(n_min=2, n_max=4)}
