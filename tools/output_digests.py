@@ -28,6 +28,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   so one group of 20 seeds takes 3 batches of
   ``rifs.analysis.pairs.NET_BATCH`` = 2**12 points at ``--threads 1``, and
   two groups of 10 seeds take 2 each at ``--threads 2``);
+* ``coverage`` on ``example1_2d`` at levels 9-10 under a table gauge of
+  2048 (``MULTI_BLOCK_RASTER``), whose level-10 outer union rasterizes
+  827,558 grid rows in one call: the four ``mark_balls`` calls span 4, 3,
+  3 and 2 blocks of ``rifs.analysis.runs.BLOCK`` = 2**18 rows;
 * ``pairs`` on ``baby_theorem`` at a level whose seeds split into several
   seed groups (``MULTI_GROUP_N``; 2,048 words, so 8 seeds per group of
   ``rifs.walk.BLOCK`` = 2**14 rows and 4 groups of the 30 seeds), with
@@ -112,6 +116,9 @@ MULTI_GROUP_LEVELS = {"baby_theorem": dict(n_min=6, n_max=11, seeds=10),
                       "markov": dict(n_min=3, n_max=6, seeds=12)}
 # example1_2d density levels and seeds whose seed groups span several net batches
 MULTI_BATCH_DENSITY = dict(n_min=4, n_max=8, seeds=20)
+# example1_2d coverage levels and gauge whose rasters span several row blocks
+MULTI_BLOCK_RASTER = dict(n_min=9, n_max=10, seeds=1)
+MULTI_BLOCK_GAUGE = dict(kind="table", values=[2048.0] * 10, regime="divergent")
 BENCH_SEEDS = (0, 3)
 # kind -> sizes; multi_block is detwindow at a widest depth of 66,474 children
 WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
@@ -203,7 +210,7 @@ def _through_json(cfg):
 
 def _grid():
     """[(run name, config, threads)] in a fixed order."""
-    from rifs.experiments import EXPERIMENT_KINDS, preset
+    from rifs.experiments import EXPERIMENT_KINDS, Gauge, preset
     from workloads import WORKLOADS, build_configs
 
     runs = []
@@ -237,6 +244,9 @@ def _grid():
                 runs.append((f"{name}/{kind}/multi_group/t{threads}",
                              replace(base, kind=kind, **MULTI_GROUP_LEVELS[name]), threads))
         if name == "example1_2d":
+            cfg = replace(base, kind="coverage", gauge=Gauge(**MULTI_BLOCK_GAUGE),
+                          **MULTI_BLOCK_RASTER)
+            runs.append((f"{name}/coverage/multi_block_raster", _through_json(cfg), 1))
             for threads in (1, 2):
                 runs.append((f"{name}/density/multi_batch/t{threads}",
                              replace(base, kind="density", **MULTI_BATCH_DENSITY), threads))
