@@ -6,13 +6,16 @@ when its center lies within ``radius + truncation_radius`` of the point, the
 inner estimate uses ``radius - truncation_radius - h sqrt(d)/2`` (cells then
 certainly lie inside the true ball), so `inner <= truth' <= ~outer` and both
 tighten as the mesh shrinks.  Degenerate radius-0 balls are single points of
-measure zero and contribute nothing.  Rasterizing works on grid rows: every
-ball covers one interval of the last axis on each row of its index box, the
-interval ends are found exactly, and the union of all intervals is kept as a
-``CellSet``: sorted, merged ranges of flat cell indices.  No per-ball loop
-runs and nothing grid-sized is allocated, so memory is O(#row intervals)
-rather than O(#cells).  A set's measure is its summed range length times the
-cell volume, and the tail union merges two range lists.
+measure zero and contribute nothing.  In d = 1 a ball's cells are its index
+interval.  In d >= 2 rasterizing works on grid rows: every ball covers one
+interval of the last axis on each row of its index box, and the interval
+ends are found exactly.  The union of all intervals is kept as a ``CellSet``:
+sorted, merged ranges of flat cell indices, merged by one sort of the packed
+int64 key ``first << 32 | last`` (flat indices stay below the grid cell
+budget, under 2**26, so both fields fit).  No per-ball loop runs and nothing
+grid-sized is allocated, so memory is O(#row intervals) rather than
+O(#cells).  A set's measure is its summed range length times the cell
+volume, and the tail union merges two range lists.
 
 The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
@@ -51,6 +54,7 @@ from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
+_LOW32 = (1 << 32) - 1
 _CLIPPED = ("some balls extend beyond the grid box and were clipped; "
             "estimates undershoot the true union")
 
@@ -65,11 +69,15 @@ class CellSet:
     def add(self, first: np.ndarray, last: np.ndarray) -> None:
         """Add the cells ``first[k]..last[k]`` for every k; empty ranges are skipped."""
         keep = last >= first
-        first = np.concatenate((self.first, first[keep]))
-        last = np.concatenate((self.last, last[keep]))
-        order = first.argsort()
-        first = first[order]
-        last = np.maximum.accumulate(last[order])
+        # one sort of the packed key first << 32 | last, exact while flat
+        # indices stay below 2**31: the grid cell budget keeps them below 2**26
+        key = np.concatenate((self.first, first[keep]))
+        key <<= 32
+        key |= np.concatenate((self.last, last[keep]))
+        key.sort()
+        first = key >> 32
+        key &= _LOW32
+        last = np.maximum.accumulate(key, out=key)
         gaps = (first[1:] > last[:-1] + 1).nonzero()[0]   # a new range opens at gaps + 1
         self.first = np.concatenate((first[:1], first[gaps + 1]))
         self.last = np.concatenate((last[gaps], last[-1:]))
@@ -129,12 +137,13 @@ class CoverageGrid:
                    radii: np.ndarray) -> bool:
         """Add to ``cells`` the cells whose center is within radius of each point.
 
-        Each ball is cut into the grid rows of its index box (one row per
-        index tuple of the leading axes); on a row the marked cells form one
-        interval of the last axis, so only the interval ends are searched and
-        each row adds one flat-index range to the set.  In d >= 2 a cell is
-        marked when its squared center offset, summed axis by axis, is at
-        most ``rad * rad``; in d = 1 the index box itself is the interval.
+        In d = 1 a ball's index interval is its range of marked cells.  In
+        d >= 2 each ball is cut into the grid rows of its index box (one row
+        per index tuple of the leading axes); on a row the marked cells form
+        one interval of the last axis, so only the interval ends are searched
+        and each row adds one flat-index range to the set.  A cell is marked
+        when its squared center offset, summed axis by axis, is at most
+        ``rad * rad``.
 
         Returns True when some ball was clipped by the box.
         """
@@ -145,45 +154,56 @@ class CoverageGrid:
             centers, radii = centers[pos], radii[pos]
         if radii.size == 0:
             return False
-        lower = centers - radii[:, None]
-        upper = centers + radii[:, None]
-        clipped = bool(np.any(lower < self.lo) or np.any(upper > self.hi))
-        shape = np.asarray(self.shape)
+        x = np.ascontiguousarray(centers.T)   # one contiguous row per axis
+        lo = self.lo[:, None]
+        first = x - radii
+        last = x + radii
+        clipped = bool((first < lo).any() or (last > self.hi[:, None]).any())
+        shape = np.asarray(self.shape)[:, None]
+        for v in (first, last):   # in place: (v - lo) / h - 0.5
+            v -= lo
+            v /= self.h
+            v -= 0.5
+        np.ceil(first, out=first)
+        np.floor(last, out=last)
         # clip before the cast: a bound beyond int64 range would wrap around
-        first = np.ceil((lower - self.lo) / self.h - 0.5).clip(0, shape).astype(np.int64)
-        last = np.floor((upper - self.lo) / self.h - 0.5).clip(-1, shape - 1).astype(np.int64)
+        first = np.minimum(np.maximum(first, 0, out=first), shape, out=first).astype(np.int64)
+        last = np.minimum(np.maximum(last, -1, out=last), shape - 1, out=last).astype(np.int64)
         if self.dimension == 1:
             # a ball wholly past the upper end marks the last cell, as it always has
-            first = np.minimum(first, shape - 1)
-        inside = np.all(last >= first, axis=1)
+            cells.add(np.minimum(first[0], shape[0] - 1), last[0])
+            return clipped
+        inside = np.all(last >= first, axis=0)
         if not inside.all():
-            centers, radii, first, last = centers[inside], radii[inside], first[inside], last[inside]
+            x, radii, first, last = x[:, inside], radii[inside], first[:, inside], last[:, inside]
         # blocks bound the per-row temporaries: weigh each ball by its rows
-        for a, b in blocks(np.prod(last[:, :-1] - first[:, :-1] + 1, axis=1)):
-            self._mark_rows(cells, centers[a:b], radii[a:b], first[a:b], last[a:b])
+        for a, b in blocks(np.prod(last[:-1] - first[:-1] + 1, axis=0)):
+            self._mark_rows(cells, x[:, a:b], radii[a:b], first[:, a:b], last[:, a:b])
         return clipped
 
-    def _mark_rows(self, cells, centers, radii, first, last) -> None:
-        """Add the marked cells of every row of every ball to the set."""
+    def _mark_rows(self, cells, x, radii, first, last) -> None:
+        """Add the marked cells of every row of every ball to the set; ``x``,
+        ``first`` and ``last`` hold one row per axis, d >= 2."""
         h = self.h
         ball = np.arange(radii.size)
         row = np.zeros(radii.size, dtype=np.int64)    # flat index of the row / last-axis size
         lead2 = np.zeros(radii.size)                  # squared offset over the leading axes
         for ax in range(self.dimension - 1):
-            count = last[ball, ax] - first[ball, ax] + 1
-            j = ranges(first[ball, ax], count)
+            start = first[ax].take(ball)
+            count = last[ax].take(ball) - start + 1
+            j = ranges(start, count)
             owner = np.repeat(np.arange(ball.size), count)
-            ball = ball[owner]
-            a = self.lo[ax] + (j + 0.5) * h - centers[ball, ax]
-            lead2 = lead2[owner] + a ** 2
-            row = row[owner] * self.shape[ax] + j
-        lo_cell = first[ball, -1]
-        hi_cell = last[ball, -1]
-        if self.dimension > 1:
-            with np.errstate(over="ignore"):   # an infinite square still marks the right cells
-                rad2 = radii[ball] * radii[ball]
-            lo_cell, hi_cell = self._row_interval(centers[ball, -1], rad2, lead2, lo_cell, hi_cell)
-        cells.add(row * self.shape[-1] + lo_cell, row * self.shape[-1] + hi_cell)
+            ball = ball.take(owner)
+            a = self.lo[ax] + (j + 0.5) * h - x[ax].take(ball)
+            lead2 = lead2.take(owner) + a ** 2
+            row = row.take(owner) * self.shape[ax] + j
+        rad = radii.take(ball)
+        with np.errstate(over="ignore"):   # an infinite square still marks the right cells
+            rad2 = rad * rad
+        lo_cell, hi_cell = self._row_interval(x[-1].take(ball), rad2, lead2,
+                                              first[-1].take(ball), last[-1].take(ball))
+        row *= self.shape[-1]
+        cells.add(row + lo_cell, row + hi_cell)
 
     def _row_interval(self, x, rad2, lead2, lo_cell, hi_cell) -> tuple:
         """Exact [first, last] marked cells of each row within [lo_cell, hi_cell].
@@ -212,8 +232,8 @@ class CoverageGrid:
                 end = end + side * (shrink.astype(np.int64) - grow)
 
         half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
-        left = np.ceil((x - half - lo) / h - 0.5).clip(lo_cell, hi_cell + 1)
-        right = np.floor((x + half - lo) / h - 0.5).clip(lo_cell - 1, hi_cell)
+        left = np.minimum(np.maximum(np.ceil((x - half - lo) / h - 0.5), lo_cell), hi_cell + 1)
+        right = np.minimum(np.maximum(np.floor((x + half - lo) / h - 0.5), lo_cell - 1), hi_cell)
         return settle(left.astype(np.int64), 1), settle(right.astype(np.int64), -1)
 
 

@@ -43,7 +43,7 @@ import pytest
 from rifs import BernoulliMeasure, Realization, TailSequence, keyed, level_set
 from rifs.analysis import (CoverageGrid, close_pair_count, pairs, runs, separated_subset,
                            transversality_scaling)
-from rifs.analysis.coverage import CellSet
+from rifs.analysis.coverage import _GRID_CELL_BUDGET, CellSet
 from rifs.analysis.pairs import pair_counts, pair_distances_within, separated_subsets
 from rifs.analysis.runs import blocks, ranges
 from rifs.attractor import PointCloud, project_levels
@@ -660,3 +660,54 @@ def test_cell_set_union_matches_mask_or(d):
             assert np.array_equal(ab.first, b.first) and np.array_equal(ab.last, b.last)
             a |= a
             assert np.array_equal(cells_mask(grid, a), mask_a)
+    # ranges that overlap, nest, touch, repeat or are empty, against the mask
+    for grid in _grids(d):
+        top = math.prod(grid.shape) - 1
+        for pairs_ in _edge_ranges(top, rng):
+            cells, mask = CellSet(), np.zeros(math.prod(grid.shape), dtype=bool)
+            for first, last in pairs_:
+                mask[first:last + 1] = True
+            for part in np.array_split(rng.permutation(len(pairs_)), 3):
+                cells.add(*np.array(pairs_, dtype=np.int64).reshape(-1, 2)[part].T)
+            assert np.array_equal(cells_mask(grid, cells), mask.reshape(grid.shape))
+
+
+def _edge_ranges(top, rng):
+    """Lists of [first, last] flat-index ranges up to ``top`` >= 20 that
+    overlap, nest (also from one first index), touch (``last + 1 == first``),
+    repeat or are empty, alone and all together with random ranges."""
+    cases = [[(0, 3), (2, 6)],
+             [(8, 14), (9, 11), (8, 12)],
+             [(15, 16), (17, 17), (13, 14)],
+             [(18, 19), (18, 19), (18, 19)],
+             [(20, 19), (6, 4), (1, 1)],
+             [(top - 10, top), (top - 3, top - 1), (top, top), (top - 12, top - 11),
+              (top, top - 1), (top - 1, top)]]
+    first = rng.integers(0, top + 1, size=40)
+    cases.append([p for c in cases for p in c]
+                 + list(zip(first, np.minimum(first + rng.integers(-2, 9, size=40), top))))
+    return cases
+
+
+def _merged(pairs_):
+    """The sorted, disjoint, non-adjacent ranges covering the nonempty ``pairs_``."""
+    out = []
+    for first, last in sorted(p for p in pairs_ if p[1] >= p[0]):
+        if out and first <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], last)
+        else:
+            out.append([first, last])
+    return out
+
+
+def test_cell_set_packed_key_spans_the_cell_budget():
+    # the union sorts first << 32 | last in an int64: both fields must hold
+    # every flat index the cell budget admits
+    top = _GRID_CELL_BUDGET - 1
+    assert top < 1 << 31
+    rng = np.random.default_rng(600)
+    for pairs_ in _edge_ranges(top, rng):
+        cells = CellSet()
+        for part in np.array_split(rng.permutation(len(pairs_)), 2):
+            cells.add(*np.array(pairs_, dtype=np.int64).reshape(-1, 2)[part].T)
+        assert np.stack((cells.first, cells.last), axis=1).tolist() == _merged(pairs_)
