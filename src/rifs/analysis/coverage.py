@@ -170,8 +170,7 @@ class CoverageGrid:
         first = np.minimum(np.maximum(first, 0, out=first), shape, out=first).astype(np.int64)
         last = np.minimum(np.maximum(last, -1, out=last), shape - 1, out=last).astype(np.int64)
         if self.dimension == 1:
-            # a ball wholly past the upper end marks the last cell, as it always has
-            cells.add(np.minimum(first[0], shape[0] - 1), last[0])
+            cells.add(first[0], last[0])
             return clipped
         inside = np.all(last >= first, axis=0)
         if not inside.all():

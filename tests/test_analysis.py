@@ -445,6 +445,15 @@ def test_huge_ball_marks_the_whole_box(d):
     assert grid.measure(cells) == grid.box_volume == 1.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_ball_wholly_past_either_end_marks_nothing(d):
+    grid = CoverageGrid(np.zeros(d), np.ones(d), 0.1)
+    for x in (5.0, -5.0):
+        cells = CellSet()
+        assert grid.mark_balls(cells, np.full((1, d), x), np.array([1.0]))
+        assert cells.first.size == 0 and grid.measure(cells) == 0.0
+
+
 def _toy_coverage(h, levels=(4, 5, 6), seed=2):
     fam = MatrixFamily(1, [SimilaritySpec(0.4995, 0.5005)] * 2, [[0.0], [0.5]])
     m = BernoulliMeasure([0.5, 0.5])

@@ -143,7 +143,7 @@ def ref_mark_balls(grid, mask, centers, radii):
         n_cells = grid.shape[0]
         lo_idx = np.ceil((xs - rs - grid.lo[0]) / h - 0.5).astype(np.int64)
         hi_idx = np.floor((xs + rs - grid.lo[0]) / h - 0.5).astype(np.int64)
-        np.clip(lo_idx, 0, n_cells - 1, out=lo_idx)
+        np.clip(lo_idx, 0, n_cells, out=lo_idx)
         np.clip(hi_idx, -1, n_cells - 1, out=hi_idx)
         keep = hi_idx >= lo_idx
         delta = np.zeros(n_cells + 1, dtype=np.int64)
