@@ -54,7 +54,6 @@ from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
-_LOW32 = (1 << 32) - 1
 _CLIPPED = ("some balls extend beyond the grid box and were clipped; "
             "estimates undershoot the true union")
 
@@ -76,7 +75,7 @@ class CellSet:
         key |= np.concatenate((self.last, last[keep]))
         key.sort()
         first = key >> 32
-        key &= _LOW32
+        key &= 0xFFFFFFFF
         last = np.maximum.accumulate(key, out=key)
         gaps = (first[1:] > last[:-1] + 1).nonzero()[0]   # a new range opens at gaps + 1
         self.first = np.concatenate((first[:1], first[gaps + 1]))
