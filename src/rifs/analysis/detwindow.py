@@ -19,11 +19,13 @@ empirical decay rate.
 
 The cylinder tree itself does not depend on the seed: a run over many seeds
 builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the tree
-that level sets are selected from, and :func:`det_window_reports` walks it
-once per seed group (:func:`rifs.walk.walk`).  Each seed's good measures of
-a depth are summed as one array, so a report does not depend on the group
-or the blocks it was walked in.  Every block writes its draws, scratch,
-deviations and masks into buffers allocated once per walk.
+that level sets are selected from, and :func:`det_window_reports` checks it
+against ``(m, n)`` and walks it once per seed group (:func:`rifs.walk.walk`).
+Every block writes its draws, scratch, deviations and masks into buffers
+allocated once per walk, and its seeds' good members into one mask; at a
+depth's last block each seed's good measures are summed from that mask as
+one array, so a report does not depend on the group or the blocks it was
+walked in.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 from .. import keyed, walk
 from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
-from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
+from ..symbolic import (SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers,
+                        slow_decay_constant)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
     """Classify every level-set word by its determinant window behaviour.
 
     ``det_window_reports`` for the single realization ``r``; without a
-    ``tree`` the walk streams the tree one depth at a time.
+    ``tree`` the walk builds the tree.
     """
     return det_window_reports([r], m, n, eps1, C, N1, word_budget, tree)[0]
 
@@ -108,8 +111,9 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
 
     Returns one report per realization, in order.  ``tree`` is
     ``tuple(iter_level_frontiers(m, n, word_budget))``, built once per run
-    and shared (read only) by every group; when omitted, it is built here,
-    or streamed for a single realization.
+    and shared (read only) by every group; when omitted, it is built here.
+    A given tree whose first depth's measures are not ``m``'s, or whose
+    members are not those of level ``n``, raises :class:`InputError`.
     """
     if eps1 <= 0.0:
         raise InputError("eps1 must be positive")
@@ -125,16 +129,21 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
     if m.alphabet.size != family.alphabet.size:
         raise InputError("measure and family alphabets disagree")
     if tree is None:
-        tree = iter_level_frontiers(m, n, word_budget)
-    if len(rs) > 1:
-        tree = tuple(tree)   # subgroups walk the depths below a split again
+        tree = tuple(iter_level_frontiers(m, n, word_budget))
+    else:   # the rule iter_level_frontiers builds with
+        threshold = slow_decay_constant(m) ** n
+        if not (tree and np.array_equal(tree[0].measures, m.first_symbol_probs())
+                and all(np.array_equal(fr.emit_mask, fr.measures <= threshold)
+                        for fr in tree)):
+            raise InputError(f"tree is not the cylinder tree of this measure at level {n}")
 
     A = m.alphabet.size
     S = len(rs)
     # keyed's cached step tile for this alphabet comes first: made above the
     # workspace by the first walk, it would pin the workspace's freed memory
     keyed.absorb_children(np.empty(0, dtype=np.uint64), A)
-    windows = _Windows(rs[0], A, S, lyapunov_exponent(family, m), eps1, math.log(C), N1)
+    windows = _Windows(rs[0], A, S, lyapunov_exponent(family, m), eps1, math.log(C), N1,
+                       max(fr.symbols.size for fr in tree))
     walk.walk(tree, A, (keyed.root_states([q.seed for q in rs]), np.zeros(S),
                         np.ones(S, dtype=bool)), windows)
 
@@ -150,83 +159,59 @@ class _Windows:
     and good flags per node, and the per-depth counts and good measures.
     ``raw`` and ``mix`` (uint64) take the draws and the splitmix64 scratch,
     ``mask`` the comparisons, and ``dev`` (float64, in ``raw``'s memory) the
-    deviations once a block's draws are spent; ``_measures`` gathers the
-    good measures of one seed's depth wider than a block.
+    deviations once a block's draws are spent.  ``hit``, as wide as a block
+    and as the widest depth, flags each seed's good members of a depth, one
+    row per seed, block by block; the depth's last block sums each seed's
+    good measures from its row once.
     """
 
     columns = ((np.uint64, ()), (np.float64, ()), (np.bool_, ()))
 
     def __init__(self, r: Realization, A: int, S: int, lam: float, eps1: float,
-                 log_c: float, N1: int):
+                 log_c: float, N1: int, width: int):
         self.r, self.A, self.lam, self.eps1, self.log_c, self.N1 = r, A, lam, eps1, log_c, N1
         self.raw, self.mix = np.empty((2, max(walk.BLOCK, A)), dtype=np.uint64)
         self.dev = self.raw.view(np.float64)
         self.mask = np.empty(self.raw.size, dtype=bool)
-        self._measures, self.used = np.empty(0), 0
+        self.hit = np.empty(max(walk.BLOCK, width), dtype=bool)
         # per depth: children per seed, and band violations of every seed
         self.totals, self.failures = [], []
         self.good_mass = np.zeros(S)
 
     def block(self, fr, seeds: slice, lo: int, hi: int, parents: tuple, kids: tuple) -> tuple:
-        k, width = fr.depth, fr.symbols.size
+        """The children of parents ``lo .. hi - 1`` of each seed in ``seeds``
+        (rows seed-major): their rows go into ``kids``, which are returned,
+        and their band violations and good members are counted."""
+        A, k, width = self.A, fr.depth, fr.symbols.size
         if k > len(self.totals):
             self.totals.append(width)
             self.failures.append(np.zeros(self.good_mass.size, dtype=np.int64))
-        cut = k * self.eps1 + self.log_c if k >= self.N1 else None
-        bad, kept, kids = _walk_block(self.r, fr, self.A, *parents, lo, hi, k * self.lam,
-                                      k * self.eps1, cut, self, kids)
-        self.failures[k - 1][seeds] += bad
-        if lo == 0 and hi * self.A == width:
-            if kept:   # one sum per seed and depth, as a walk of one seed sums
-                self.good_mass[seeds] += [x.sum() for x in kept]
-            return kids
-        # one seed's depth in blocks: its good measures are gathered, then summed once
-        if lo == 0 and self._measures.size < np.count_nonzero(fr.emit_mask):
-            self._measures = np.empty(np.count_nonzero(fr.emit_mask))
-        for x in kept:
-            self._measures[self.used:self.used + x.size] = x
-            self.used += x.size
-        if hi * self.A == width and self.used:
-            self.good_mass[seeds] += [self._measures[:self.used].sum()]
-            self.used = 0
+        states, cum_ld, good = parents
+        c = slice(lo * A, hi * A)
+        G = seeds.stop - seeds.start
+        N = G * (hi - lo) * A
+        child_states, S, child_good = kids = tuple(x[:N] for x in kids)
+        mix, raw, dev, mask = self.mix[:N], self.raw[:N], self.dev[:N], self.mask[:N]
+        keyed.absorb_children(states, A, out=child_states, scratch=mix)
+        symbols = fr.symbols[c]
+        if G > 1 and len(self.r.family.distributions) > 1:   # one distribution reads no symbols
+            symbols = np.tile(symbols, G)
+        self.r.log_dets_from_chains(child_states, symbols, out=S, raw=raw, scratch=mix)
+        S += keyed.repeat_children(cum_ld, A, out=dev)   # the draws are spent
+        np.add(S, k * self.lam, out=dev)
+        np.abs(dev, out=dev)
+        keyed.repeat_children(good, A, out=child_good)
+        if k >= self.N1:
+            child_good &= np.less_equal(dev, k * self.eps1 + self.log_c, out=mask)
+        over = np.greater(dev, k * self.eps1, out=mask)
+        self.failures[k - 1][seeds] += np.count_nonzero(over) if G == 1 \
+            else np.count_nonzero(over.reshape(G, -1), axis=1)
+        if fr.emit_mask.any():
+            hit = self.hit[:G * width].reshape(G, width)
+            np.logical_and(child_good.reshape(G, -1), fr.emit_mask[c], out=hit[:, c])
+            if hi * A == width:   # the depth's last block
+                # one sum per seed, as a walk of that seed alone sums; a seed
+                # whose every child is a good member sums the tree's own array
+                self.good_mass[seeds] += [(fr.measures if h.all() else fr.measures[h]).sum()
+                                          for h in hit]
         return kids
-
-
-def _walk_block(r: Realization, fr, A: int, states, cum_ld, good, lo: int, hi: int,
-                shift: float, band: float, cut, ws: _Windows, kids: tuple):
-    """One block of a depth: the children of parents ``lo .. hi - 1`` of each
-    seed whose rows (seed-major) are ``states``, ``cum_ld`` and ``good``.
-    The children's chain states, cumulative log-determinants and good flags
-    are written into ``kids``, and the temporaries into ``ws``.  Returns each
-    seed's band-violation count, each seed's measures of its good emitted
-    children (an empty list when no seed has any) and the children's rows.
-    """
-    c = slice(lo * A, hi * A)
-    G = states.size // (hi - lo)
-    N = G * (hi - lo) * A
-    child_states, S, child_good = (x[:N] for x in kids)
-    mix, raw, dev, mask = ws.mix[:N], ws.raw[:N], ws.dev[:N], ws.mask[:N]
-    keyed.absorb_children(states, A, out=child_states, scratch=mix)
-    symbols = fr.symbols[c]
-    if G > 1 and len(r.family.distributions) > 1:   # one distribution reads no symbols
-        symbols = np.tile(symbols, G)
-    r.log_dets_from_chains(child_states, symbols, out=S, raw=raw, scratch=mix)
-    S += keyed.repeat_children(cum_ld, A, out=dev)   # the draws are spent
-    np.add(S, shift, out=dev)
-    np.abs(dev, out=dev)
-    keyed.repeat_children(good, A, out=child_good)
-    if cut is not None:
-        child_good &= np.less_equal(dev, cut, out=mask)
-    over = np.greater(dev, band, out=mask)
-    bad = [np.count_nonzero(over)] if G == 1 \
-        else np.count_nonzero(over.reshape(G, -1), axis=1)
-    kept = []
-    emit = fr.emit_mask[c]
-    if emit.any():
-        emitted_good = np.logical_and(child_good.reshape(G, -1), emit, out=mask.reshape(G, -1))
-        if emitted_good.any():
-            measures = fr.measures[c]
-            # a seed whose every child here is good and emitted sums the tree's
-            # own slice; its sum equals that of a copy
-            kept = [measures if e.all() else measures[e] for e in emitted_good]
-    return bad, kept, (child_states, S, child_good)

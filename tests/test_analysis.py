@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from rifs.analysis.coverage import CellSet, CoverageGrid, attractor_measure_esti
 from rifs.analysis.detwindow import fit_line
 from rifs.attractor import project_level, project_levels
 from rifs.errors import InputError
-from rifs.experiments import Gauge, preset
+from rifs.experiments import Gauge, preset, run
 from rifs.random_model import MatrixFamily, Realization, SimilaritySpec
-from rifs.symbolic import BernoulliMeasure, TailSequence, level_set, level_sets
+from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, iter_level_frontiers,
+                           level_set, level_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +342,26 @@ def test_det_window_validation(line_family):
         det_window_report(r, m, 5, eps1=-0.1, C=2.0, N1=1)
     with pytest.raises(InputError):
         det_window_report(r, m, 5, eps1=0.1, C=0.0, N1=1)
+
+
+def test_det_window_rejects_a_tree_not_of_its_measure_and_level(line_family, tmp_path):
+    m = BernoulliMeasure([0.5, 0.5])
+    r = Realization(0, line_family)
+    eps1, C, N1 = 0.1, math.e ** 2, 2
+    # level 8's tree would report level 8's words under the label n = 4
+    with pytest.raises(InputError, match="not the cylinder tree"):
+        det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(m, 8)))
+    # level 4's tree of another measure: other first-symbol masses, or the
+    # same ones (a stationary Markov measure) with other members
+    markov = MarkovMeasure([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
+    for other in (BernoulliMeasure([0.6, 0.4]), markov):
+        with pytest.raises(InputError, match="not the cylinder tree"):
+            det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(other, 4)))
+    rep = det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(m, 4)))
+    assert rep.per_prefix_totals.tolist() == [2, 4, 8, 16]
+    # the tree a detwindow run builds, under the config's word budget, passes
+    cfg = replace(preset("baby_theorem"), kind="detwindow", n=6, seeds=3)
+    assert [p.name for p in run(cfg, tmp_path)] == ["detwindow.csv", "detwindow_hist.csv"]
 
 
 def test_fit_line_basics():

@@ -14,7 +14,9 @@ every seed and thread count, also when the walk cuts each depth into blocks
 of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
 seeds must equal the same oracle at 1 and 2 threads, also when a smaller
 ``walk.BLOCK`` splits its groups unevenly at several depths, and walks run
-one after another or on several threads must not share workspace buffers.  The
+one after another or on several threads must not share workspace buffers.
+A wholly emitted depth that spans several blocks must sum the oracle's good
+mass both when every member is good and when none is.  The
 closed-form
 2x2 orthogonal factor must match LAPACK's sign-fixed QR (``ref_haar_qr``)
 within 1e-15 per entry, and d >= 3 must still take that QR.
@@ -256,7 +258,7 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
     streamed = [_report_fields(ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1))
                 for j in range(8)]
     assert reports == streamed
-    # without a tree, the walk streams its own, one depth at a time
+    # without a tree, the walk builds its own
     lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
     assert _report_fields(lone) == reports[0]
     assert again == reports
@@ -286,13 +288,13 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
             for j in range(8)]
 
     calls = []   # (depth, seeds in the block) of every block walked
-    walk_block = detwindow._walk_block
+    window_block = detwindow._Windows.block
 
-    def spy(r, fr, A, states, cum_ld, good, lo, hi, *rest):
-        calls.append((fr.depth, states.size // (hi - lo)))
-        return walk_block(r, fr, A, states, cum_ld, good, lo, hi, *rest)
+    def spy(self, fr, seeds, *rest):
+        calls.append((fr.depth, seeds.stop - seeds.start))
+        return window_block(self, fr, seeds, *rest)
 
-    monkeypatch.setattr(detwindow, "_walk_block", spy)
+    monkeypatch.setattr(detwindow._Windows, "block", spy)
 
     def grouped(threads):
         ranges = walk.seed_groups(8, 1, threads)
@@ -322,6 +324,31 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
         sizes.setdefault(depth, set()).add(seeds)
     assert len(set().union(*sizes.values())) >= 3   # split at two depths at least
     assert any(len(s) > 1 for s in sizes.values())  # uneven subgroups side by side
+
+
+# the uniform binary tree of level 7 emits its whole last depth: with C = 1e300
+# every member is good, with C = 1, eps1 = 1e-9 and N1 = 1 none is;
+# (eps1, C, N1, good mass of each seed)
+ONE_MASK_CASES = {"all_good": (0.05, 1e300, 2, 1.0), "none_good": (1e-9, 1.0, 1, 0.0)}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_MASK_CASES))
+def test_one_mask_sum_over_blocks_equals_oracle(case, monkeypatch):
+    eps1, C, N1, mass = ONE_MASK_CASES[case]
+    fam, m, n = _families()["similarity_d2"], BernoulliMeasure([0.5, 0.5]), 7
+    tree = tuple(iter_level_frontiers(m, n))
+    assert tree[-1].emit_mask.all() and tree[-1].symbols.size == 2 ** n
+    rs = [Realization(j, fam) for j in range(3)]
+    want = [_report_fields(ref_det_window_report(r, m, n, eps1, C, N1)) for r in rs]
+    assert [fields[5] for fields in want] == [mass] * 3
+    # one parent per block (a block smaller than its children, then exactly
+    # them), and three parents per block, the last block of each depth partial
+    A = m.alphabet.size
+    for block in (1, A, 3 * A + 1):
+        monkeypatch.setattr(walk, "BLOCK", block)
+        got = det_window_reports(rs, m, n, eps1, C, N1, tree=tree)
+        assert [_report_fields(rep) for rep in got] == want, block
+        assert _report_fields(det_window_report(rs[0], m, n, eps1, C, N1)) == want[0], block
 
 
 def test_one_distribution_walk_passes_no_per_row_symbols(monkeypatch):

@@ -17,6 +17,10 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   seeds at ``--threads 2`` and with 8 seeds at ``--threads 1``; the 8 seeds
   start as one group of the walk, which splits mid-tree, and on the mixed
   family each group mixes two distributions;
+* ``detwindow`` on ``baby_theorem`` at n = 15 with C = 1e300
+  (``ALL_GOOD_MULTI_BLOCK``): its last depth holds 32,768 members, two
+  blocks of one seed's walk, and every one is good; with one seed at
+  ``--threads 1``, and with 3 seeds at ``--threads 1`` and ``--threads 2``;
 * ``attractor`` on the Markov config at one level (``ONE_SEED_WIDE``) whose
   one seed is wider than a block of the tree walk: a depth of 26,272
   children and 79,738 members of lengths 11-30, all of which take
@@ -102,6 +106,9 @@ SMALL = {
 # detwindow levels whose widest depth spans several blocks of the tree walk,
 # rifs.walk.BLOCK (2**14 children): 59,049 and 81,550 children
 MULTI_BLOCK_N = {"mixed": 9, "markov": 10}
+# a baby_theorem detwindow level whose last depth, wholly emitted and good,
+# spans two blocks of one seed's walk
+ALL_GOOD_MULTI_BLOCK = dict(n=15, C=1e300)
 # a Markov attractor level whose one seed spans several blocks of the walk,
 # of its members and of their tail steps
 ONE_SEED_WIDE = dict(n_min=9, n_max=9)
@@ -251,6 +258,10 @@ def _grid():
                 runs.append((f"{name}/density/multi_batch/t{threads}",
                              replace(base, kind="density", **MULTI_BATCH_DENSITY), threads))
         if name == "baby_theorem":
+            for seeds, threads in ((1, 1), (3, 1), (3, 2)):
+                runs.append((f"{name}/detwindow/all_good_multi_block/s{seeds}t{threads}",
+                             replace(base, kind="detwindow", seeds=seeds,
+                                     **ALL_GOOD_MULTI_BLOCK), threads))
             runs.append((f"{name}/density/preset_levels",
                          replace(base, kind="density", seeds=1), 1))
             for threads in (1, 2):
