@@ -56,9 +56,11 @@ The grid runs ``rifs.experiments.run`` in-process, with the package from
   steps (its tail symbol moves the point); ``detwindow`` also at a level
   that spans several blocks; the family's entropy is below its Lyapunov
   exponent, so ``attractor`` and ``coverage`` run as contrast runs;
-* ``pairs`` and ``density`` on a three-symbol similarity family in three
-  dimensions (``SIMILARITY_3D``, small sizes), the one grid family whose
-  orthogonal factors come from LAPACK's QR rather than the 2x2 closed form;
+* ``pairs``, ``density`` and ``coverage`` on a three-symbol similarity
+  family in three dimensions (``SIMILARITY_3D``, small sizes), the one grid
+  family whose orthogonal factors come from LAPACK's QR rather than the 2x2
+  closed form; its ``coverage`` run, at levels 3-5 on a 128**3 grid, is the
+  one run whose rasters expand rows over two leading axes;
 * ``levelset`` and ``attractor`` on a nine-symbol similarity family on the
   line (``NINE_SYMBOLS``), so the digit 9 appears in the word columns; both
   CSVs hold 59,377 words (4 row blocks);
@@ -134,7 +136,8 @@ WEIGHTED_AFFINE = {"detwindow": dict(n=5, seeds=3), "lyapunov": dict(n=5),
                    "attractor": dict(n_min=3, n_max=6, allow_subcritical=True),
                    "coverage": dict(n_min=2, n_max=5, seeds=3, allow_subcritical=True)}
 SIMILARITY_3D = {"pairs": dict(n=5, seeds=PAIRS_SEEDS),
-                 "density": dict(n_min=3, n_max=5, seeds=3)}
+                 "density": dict(n_min=3, n_max=5, seeds=3),
+                 "coverage": dict(n_min=3, n_max=5, seeds=3, grid_h=1.0 / 32.0)}
 NINE_SYMBOLS = {"levelset": dict(n=4), "attractor": dict(n_min=2, n_max=4)}
 
 
