@@ -8,14 +8,16 @@ certainly lie inside the true ball), so `inner <= truth' <= ~outer` and both
 tighten as the mesh shrinks.  Degenerate radius-0 balls are single points of
 measure zero and contribute nothing.  In d = 1 a ball's cells are its index
 interval.  In d >= 2 rasterizing works on grid rows: every ball covers one
-interval of the last axis on each row of its index box, and the interval
-ends are found exactly.  The union of all intervals is kept as a ``CellSet``:
-sorted, merged ranges of flat cell indices, merged by one sort of the packed
-int64 key ``first << 32 | last`` (flat indices stay below the grid cell
-budget, under 2**26, so both fields fit).  No per-ball loop runs and nothing
-grid-sized is allocated, so memory is O(#row intervals) rather than
-O(#cells).  A set's measure is its summed range length times the cell
-volume, and the tail union merges two range lists.
+interval of the last axis on each row of its index box.  Its ends are ``sqrt``
+estimates, exact on every row but borderline ones, which are stepped to the
+exact ends (``CoverageGrid._row_interval`` derives the rounding margin), and
+a level's outer and inner balls share one row expansion.  The union of all
+intervals is a ``CellSet``: sorted, merged ranges of flat cell indices, merged
+by one sort of the packed int64 key ``first << 32 | last`` (flat indices stay
+below the grid cell budget, under 2**26).  No per-ball loop runs and nothing
+grid-sized is allocated: memory is O(#row intervals), not O(#cells).  A set's
+measure is its summed range length times the cell volume, and the tail union
+merges two range lists.
 
 The level-n union fattens each level-set projection by
 ``(m([a]) g(n))**(1/d)``, so the level sets are the estimate's only level
@@ -54,6 +56,7 @@ from ..symbolic import (SymbolicMeasure, TailSequence, WORD_BUDGET_DEFAULT,
 from .runs import blocks, ranges
 
 _GRID_CELL_BUDGET = 50_000_000
+_ROW_MARGIN = 2.0 ** -17   # cells; see CoverageGrid._row_interval
 _CLIPPED = ("some balls extend beyond the grid box and were clipped; "
             "estimates undershoot the true union")
 
@@ -132,33 +135,40 @@ class CoverageGrid:
         count = (cells.last - cells.first).sum() + cells.first.size
         return float(count) * self.h ** self.dimension
 
-    def mark_balls(self, cells: CellSet, centers: np.ndarray,
-                   radii: np.ndarray) -> bool:
+    def mark_balls(self, cells, centers: np.ndarray, radii) -> bool:
         """Add to ``cells`` the cells whose center is within radius of each point.
 
-        In d = 1 a ball's index interval is its range of marked cells.  In
-        d >= 2 each ball is cut into the grid rows of its index box (one row
-        per index tuple of the leading axes); on a row the marked cells form
-        one interval of the last axis, so only the interval ends are searched
-        and each row adds one flat-index range to the set.  A cell is marked
-        when its squared center offset, summed axis by axis, is at most
-        ``rad * rad``.
-
-        Returns True when some ball was clipped by the box.
+        ``cells`` may be a sequence of sets, one radius set each in ``radii``, the
+        first bounding the others ball by ball.  In d = 1 a ball's index interval
+        is its range of marked cells.  In d >= 2 each first-set ball is cut once
+        into the grid rows of its index box (one per index tuple of the leading
+        axes); a smaller set takes the rows of its own box.  On a row the marked
+        cells form one last-axis interval, one flat-index range.  A cell is
+        marked when its squared center offset, summed axis by axis, is at most
+        ``rad * rad``.  Returns True when a first-set ball was clipped by the box.
         """
         centers = np.atleast_2d(centers)
-        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (centers.shape[0],))
-        pos = radii > 0.0
+        if centers.shape[1] != self.dimension:
+            raise InputError(f"{centers.shape[1]}-d ball centers on a {self.dimension}-d grid")
+        targets = [cells] if isinstance(cells, CellSet) else list(cells)
+        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64),
+                                (len(targets), centers.shape[0]))
+        if len(targets) > 1 and (radii[1:] > radii[0]).any():
+            raise InputError("the first radius set must bound the others")
+        pos = radii[0] > 0.0
         if not pos.all():
-            centers, radii = centers[pos], radii[pos]
-        if radii.size == 0:
+            centers, radii = centers[pos], radii[:, pos]
+        if centers.shape[0] == 0:
             return False
-        x = np.ascontiguousarray(centers.T)   # one contiguous row per axis
-        lo = self.lo[:, None]
-        first = x - radii
+        if len(targets) > 1:   # -inf: an empty box; a set with no positive radius marks nothing
+            keep = [0] + [k for k in range(1, len(targets)) if (radii[k] > 0.0).any()]
+            targets, radii = [targets[k] for k in keep], np.where(radii > 0.0, radii, -np.inf)[keep]
+        x = np.ascontiguousarray(centers.T)[:, None]    # one contiguous row per axis
+        lo = self.lo[:, None, None]
+        first = x - radii                               # (axis, set, ball)
         last = x + radii
-        clipped = bool((first < lo).any() or (last > self.hi[:, None]).any())
-        shape = np.asarray(self.shape)[:, None]
+        clipped = bool((first[:, 0] < lo[:, 0]).any() or (last[:, 0] > self.hi[:, None]).any())
+        shape = np.asarray(self.shape)[:, None, None]
         for v in (first, last):   # in place: (v - lo) / h - 0.5
             v -= lo
             v /= self.h
@@ -169,70 +179,98 @@ class CoverageGrid:
         first = np.minimum(np.maximum(first, 0, out=first), shape, out=first).astype(np.int64)
         last = np.minimum(np.maximum(last, -1, out=last), shape - 1, out=last).astype(np.int64)
         if self.dimension == 1:
-            cells.add(first[0], last[0])
+            for target, a, b in zip(targets, first[0], last[0]):
+                target.add(a, b)
             return clipped
-        inside = np.all(last >= first, axis=0)
+        inside = np.all(last[:, 0] >= first[:, 0], axis=0)
         if not inside.all():
-            x, radii, first, last = x[:, inside], radii[inside], first[:, inside], last[:, inside]
+            x, radii, first, last = x[..., inside], radii[:, inside], first[..., inside], last[..., inside]
         # blocks bound the per-row temporaries: weigh each ball by its rows
-        for a, b in blocks(np.prod(last[:-1] - first[:-1] + 1, axis=0)):
-            self._mark_rows(cells, x[:, a:b], radii[a:b], first[:, a:b], last[:, a:b])
+        for a, b in blocks(np.prod(last[:-1, 0] - first[:-1, 0] + 1, axis=0)):
+            self._mark_rows(targets, x[:, 0, a:b], radii[:, a:b], first[..., a:b], last[..., a:b])
         return clipped
 
-    def _mark_rows(self, cells, x, radii, first, last) -> None:
-        """Add the marked cells of every row of every ball to the set; ``x``,
-        ``first`` and ``last`` hold one row per axis, d >= 2."""
+    def _mark_rows(self, targets, x, radii, first, last) -> None:
+        """Add the marked cells of every row of every ball to each target; ``x``
+        holds one row per axis, d >= 2, ``radii``, ``first`` and ``last`` one per target."""
         h = self.h
-        ball = np.arange(radii.size)
-        row = np.zeros(radii.size, dtype=np.int64)    # flat index of the row / last-axis size
-        lead2 = np.zeros(radii.size)                  # squared offset over the leading axes
+        ball = np.arange(x.shape[1])
+        row = np.zeros(ball.size, dtype=np.int64)    # flat index of the row / last-axis size
+        lead2 = np.zeros(ball.size)                  # squared offset over the leading axes
+        js = []
         for ax in range(self.dimension - 1):
-            start = first[ax].take(ball)
-            count = last[ax].take(ball) - start + 1
+            start = first[ax, 0].take(ball)
+            count = last[ax, 0].take(ball) - start + 1
             j = ranges(start, count)
             owner = np.repeat(np.arange(ball.size), count)
             ball = ball.take(owner)
             a = self.lo[ax] + (j + 0.5) * h - x[ax].take(ball)
             lead2 = lead2.take(owner) + a ** 2
             row = row.take(owner) * self.shape[ax] + j
-        rad = radii.take(ball)
-        with np.errstate(over="ignore"):   # an infinite square still marks the right cells
-            rad2 = rad * rad
-        lo_cell, hi_cell = self._row_interval(x[-1].take(ball), rad2, lead2,
-                                              first[-1].take(ball), last[-1].take(ball))
+            js = [i.take(owner) for i in js] + [j]   # each row's index on every leading axis
         row *= self.shape[-1]
-        cells.add(row + lo_cell, row + hi_cell)
+        with np.errstate(over="ignore"):   # an infinite square still marks the right cells
+            rad2 = radii * radii
+        for k, cells in enumerate(targets):   # a smaller set: the rows of its own index box
+            keep = np.logical_and.reduce([(first[ax, k].take(ball) <= j) & (j <= last[ax, k].take(ball))
+                                          for ax, j in enumerate(js)]) if k else slice(None)
+            b, r = ball[keep], row[keep]
+            lo_cell, hi_cell = self._row_interval(x[-1].take(b), rad2[k].take(b), lead2[keep],
+                                                  first[-1, k].take(b), last[-1, k].take(b))
+            cells.add(r + lo_cell, r + hi_cell)
 
     def _row_interval(self, x, rad2, lead2, lo_cell, hi_cell) -> tuple:
         """Exact [first, last] marked cells of each row within [lo_cell, hi_cell].
 
-        With the offset ``a(j) = lo + (j + 1/2) h - x`` nondecreasing in j and
-        ``lead2 + a*a`` nondecreasing in |a|, the cells at or past the left end
-        are those with ``a > 0`` or a marked center, and the cells at or before
-        the right end those with ``a < 0`` or a marked center: both tests are
-        monotone in j.  The ends are estimated with ``sqrt`` and then stepped
-        until each test flips exactly at them.
+        With ``a(j) = lo + (j + 1/2) h - x`` nondecreasing in j, the cells at or
+        past the left end are those with ``a > 0`` or a marked center (``lead2 +
+        a*a <= rad2``), those at or before the right end those with ``a < 0`` or
+        a marked center: both tests are monotone in j.  An end is ``ceil`` /
+        ``floor`` of ``t = (x -+ half - lo) / h - 1/2`` in ``[lo_cell - 1/2,
+        hi_cell + 1/2]``, ``half = sqrt(rad2 - lead2)``.  In cells, with u =
+        2**-53 and H the exact half, rounding moves ``t`` off the exact end by
+        at most 4u(|x| + H + |lo|)/h + 1.51uH/h, ``a`` by u(|x| + 2|lo| + 3
+        shape h)/h, and the test the end by 2u rad2/(H h).  If ``rad2 < 2**30 h
+        half``, the last is below 2**-22 and rad, H and |x - lo| (the ball meets
+        the box) below 2**30 h + shape h; with |lo| <= 2**30 h and shape < 2**26
+        the sum is below 2**-18.4, so a ``t`` over ``_ROW_MARGIN`` = 2**-17 from
+        an integer is exact (the distance test rounds by under 2**-52).
+        ``rad2 >= 2**-900`` and 2**-500 < h < 2**500 keep every square normal.
+        Other rows (half zero, tiny or not finite, t near an integer) go to
+        ``_settle``.
         """
-        lo = self.lo[-1]
-        h = self.h
-
-        def settle(end, side):
-            # side +1: left end, test "a > 0 or marked"; side -1: right end, "a < 0 or marked"
-            def holds(j):
-                a = lo + (j + 0.5) * h - x
-                return (lo_cell <= j) & (j <= hi_cell) & ((side * a > 0.0) | (lead2 + a ** 2 <= rad2))
-
-            while True:
-                grow = holds(end - side)
-                shrink = ~grow & (lo_cell <= end) & (end <= hi_cell) & ~holds(end)
-                if not (grow.any() or shrink.any()):
-                    return end
-                end = end + side * (shrink.astype(np.int64) - grow)
-
+        lo, h = self.lo[-1], self.h
         half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
-        left = np.minimum(np.maximum(np.ceil((x - half - lo) / h - 0.5), lo_cell), hi_cell + 1)
-        right = np.minimum(np.maximum(np.floor((x + half - lo) / h - 0.5), lo_cell - 1), hi_cell)
-        return settle(left.astype(np.int64), 1), settle(right.astype(np.int64), -1)
+        margin = _ROW_MARGIN if (2.0 ** -500 < h < 2.0 ** 500 and abs(lo) <= 2.0 ** 30 * h
+                                 and np.min(rad2, initial=np.inf) >= 2.0 ** -900) else 0.5
+        sure = rad2 < (2.0 ** 30 * h) * half
+        below, above = lo_cell - 0.5, hi_cell + 0.5
+        ends = []
+        for side, t in ((1, (x - half - lo) / h - 0.5), (-1, (x + half - lo) / h - 0.5)):
+            t = np.minimum(np.maximum(t, below, out=t), above, out=t)
+            end = np.ceil(t) if side > 0 else np.floor(t)
+            sure &= np.abs(t - end + 0.5 * side) < 0.5 - margin   # 1/2 - distance to end
+            ends.append(end.astype(np.int64))
+        if not sure.all():
+            k = (~sure).nonzero()[0]
+            rows = [v.take(k) for v in (x, rad2, lead2, lo_cell, hi_cell)]
+            for side, end in zip((1, -1), ends):
+                end[k] = self._settle(end.take(k), side, *rows)
+        return tuple(ends)
+
+    def _settle(self, end, side, x, rad2, lead2, lo_cell, hi_cell):
+        """Step each row's end until its test (side +1: the left end's) flips there."""
+        lo, h = self.lo[-1], self.h
+        def holds(j):
+            a = lo + (j + 0.5) * h - x
+            return (lo_cell <= j) & (j <= hi_cell) & ((side * a > 0.0) | (lead2 + a ** 2 <= rad2))
+
+        while True:
+            grow = holds(end - side)
+            shrink = ~grow & (lo_cell <= end) & (end <= hi_cell) & ~holds(end)
+            if not (grow.any() or shrink.any()):
+                return end
+            end = end + side * (shrink.astype(np.int64) - grow)
 
 
 @dataclass(frozen=True)
@@ -304,27 +342,23 @@ def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> Co
     """One seed's union measures; ``balls`` maps a level position to its ball
     radii and point cloud, for the levels with ``g(n) > 0``."""
     sqrt_d = math.sqrt(grid.dimension)
-    per_outer = {}
-    per_inner = {}
-    running = {}
+    per_outer, per_inner, running = {}, {}, {}
     tail = CellSet()   # the union of the outer cells of the levels done so far
-    warned_coarse = False
-    warned_clip = False
+    warned_coarse = warned_clip = False
     # deepest level first, so one running set holds the tail union over n >= N
     for k in sorted(range(len(levels)), key=lambda k: levels[k].n, reverse=True):
         n = levels[k].n
-        outer = CellSet()
-        inner = CellSet()
+        outer, inner = CellSet(), CellSet()
         if k in balls:
             radii, pts = balls[k]
-            clipped = grid.mark_balls(outer, pts.coords, radii + pts.radii)
             inner_radii = radii - pts.radii - grid.h * sqrt_d / 2.0
             if np.all(inner_radii <= 0.0) and not warned_coarse:
                 warnings.warn(
                     f"grid resolution h={grid.h} is coarse relative to the level-{n} "
                     "ball radii; inner estimate is 0", stacklevel=3)
                 warned_coarse = True
-            grid.mark_balls(inner, pts.coords, inner_radii)
+            clipped = grid.mark_balls((outer, inner), pts.coords,
+                                      (radii + pts.radii, inner_radii))
             if clipped and not warned_clip:
                 warnings.warn(_CLIPPED, stacklevel=3)
                 warned_clip = True
@@ -377,8 +411,7 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
 
     deltas = [diam_scale * c ** (n / d) for n in n_values]
     clouds = project_levels([r], levels, b, [delta / 8.0 for delta in deltas], map_budget)[0]
-    per_level = {}
-    clipped = False
+    per_level, clipped = {}, False
     for n, delta, pts in zip(n_values, deltas, clouds):
         cells = CellSet()
         clipped |= grid.mark_balls(cells, pts.coords, np.full(len(pts), delta) + pts.radii)
