@@ -141,12 +141,11 @@ class CoverageGrid:
         ``cells`` may be a sequence of sets, one radius set each in ``radii``, the
         first bounding the others ball by ball.  In d = 1 a ball's index interval
         is its range of marked cells.  In d >= 2 each first-set ball is cut once
-        into the grid rows of its index box (one per index tuple of the leading
-        axes); a smaller set takes the rows of its own box.  On a row the marked
-        cells form one last-axis interval, one flat-index range.  A cell is
-        marked when its squared center offset, summed axis by axis, is at most
-        ``rad * rad``.  Returns True when a first-set ball was clipped by the box.
-        """
+        into the rows of its index box (one per index tuple of the leading axes),
+        and a smaller set takes the rows of its own box.  On a row the marked
+        cells form one last-axis interval: a cell is marked when its squared
+        center offset, summed axis by axis, is at most ``rad * rad``.  Returns
+        True when a first-set ball was clipped by the box."""
         centers = np.atleast_2d(centers)
         if centers.shape[1] != self.dimension:
             raise InputError(f"{centers.shape[1]}-d ball centers on a {self.dimension}-d grid")
@@ -234,10 +233,9 @@ class CoverageGrid:
         half``, the last is below 2**-22 and rad, H and |x - lo| (the ball meets
         the box) below 2**30 h + shape h; with |lo| <= 2**30 h and shape < 2**26
         the sum is below 2**-18.4, so a ``t`` over ``_ROW_MARGIN`` = 2**-17 from
-        an integer is exact (the distance test rounds by under 2**-52).
-        ``rad2 >= 2**-900`` and 2**-500 < h < 2**500 keep every square normal.
-        Other rows (half zero, tiny or not finite, t near an integer) go to
-        ``_settle``.
+        an integer is exact (the distance test rounds by under 2**-52), while
+        ``rad2 >= 2**-900`` and 2**-500 < h < 2**500 keep squares normal.  Other
+        rows (half zero, tiny or not finite, t near an integer) go to ``_settle``.
         """
         lo, h = self.lo[-1], self.h
         half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
@@ -249,7 +247,7 @@ class CoverageGrid:
         for side, t in ((1, (x - half - lo) / h - 0.5), (-1, (x + half - lo) / h - 0.5)):
             t = np.minimum(np.maximum(t, below, out=t), above, out=t)
             end = np.ceil(t) if side > 0 else np.floor(t)
-            sure &= np.abs(t - end + 0.5 * side) < 0.5 - margin   # 1/2 - distance to end
+            sure &= np.abs(t - end + 0.5 * side) < 0.5 - margin   # 1/2 - distance to an integer
             ends.append(end.astype(np.int64))
         if not sure.all():
             k = (~sure).nonzero()[0]
@@ -341,7 +339,6 @@ def coverage_estimates(rs, levels, b: TailSequence, g, grid: CoverageGrid,
 def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> CoverageReport:
     """One seed's union measures; ``balls`` maps a level position to its ball
     radii and point cloud, for the levels with ``g(n) > 0``."""
-    sqrt_d = math.sqrt(grid.dimension)
     per_outer, per_inner, running = {}, {}, {}
     tail = CellSet()   # the union of the outer cells of the levels done so far
     warned_coarse = warned_clip = False
@@ -351,7 +348,7 @@ def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> Co
         outer, inner = CellSet(), CellSet()
         if k in balls:
             radii, pts = balls[k]
-            inner_radii = radii - pts.radii - grid.h * sqrt_d / 2.0
+            inner_radii = radii - pts.radii - grid.h * math.sqrt(grid.dimension) / 2.0
             if np.all(inner_radii <= 0.0) and not warned_coarse:
                 warnings.warn(
                     f"grid resolution h={grid.h} is coarse relative to the level-{n} "

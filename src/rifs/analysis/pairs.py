@@ -192,7 +192,9 @@ def close_pair_count(points, threshold: float) -> PairCountResult:
             f"close-pair threshold {threshold} does not dominate the truncation "
             f"enclosures (2 max radius = {2 * max_tr}); nominal count is not "
             "robust, rely on the [lower, upper] bracket", stacklevel=2)
-    nominal = lower = upper = 0
+    nominal = 0
+    lower = 0
+    upper = 0
     for i, j, d2 in _pairs(coords, _join([coords], [threshold + 2.0 * max_tr])):
         dist = np.sqrt(d2)
         rs = radii[i] + radii[j]

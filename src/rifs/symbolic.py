@@ -329,7 +329,8 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
 
     active_meas = np.array([1.0])
     active_last = None  # None marks the root (empty word)
-    depth = emitted = 0
+    depth = 0
+    emitted = 0
     while active_meas.size:
         depth += 1
         # every child is emitted or stays active, so the budget is checked

@@ -5,7 +5,13 @@ spirit: a dict-bucket pair join with one numpy call per cell pair, a greedy
 net looping over numpy scalars, and a per-ball raster (with the 1-D
 difference-array pass).  Inputs stress exact ties: dyadic lattices,
 coincident points, radii that land exactly on cell centers, balls clipped
-by the box, and non-positive radii.
+by the box, and non-positive radii.  The row raster takes ``sqrt`` estimates
+of its row ends and steps only borderline rows (``CoverageGrid._settle``);
+it is checked where the ends fall on or within a rounding of a cell center
+(centers on cell centers and edges and one ulp off them, radii that are
+multiples of h, tangent rows of a large ball, infinite radii, and a last
+axis near 2**30 cells from the origin), and a level's shared outer/inner
+row pass against one call per radius set.
 
 The greedy oracle sums squares through ``diff @ diff``, which a BLAS may fuse
 into multiply-adds; the kernel sums them left to right in plain floats.  The
@@ -141,10 +147,9 @@ def ref_mark_balls(grid, mask, centers, radii):
             return False
         clipped = bool(np.any(xs - rs < grid.lo[0]) or np.any(xs + rs > grid.hi[0]))
         n_cells = grid.shape[0]
-        lo_idx = np.ceil((xs - rs - grid.lo[0]) / h - 0.5).astype(np.int64)
-        hi_idx = np.floor((xs + rs - grid.lo[0]) / h - 0.5).astype(np.int64)
-        np.clip(lo_idx, 0, n_cells, out=lo_idx)
-        np.clip(hi_idx, -1, n_cells - 1, out=hi_idx)
+        # clip before the cast: an infinite bound has no int64 value
+        lo_idx = np.clip(np.ceil((xs - rs - grid.lo[0]) / h - 0.5), 0, n_cells).astype(np.int64)
+        hi_idx = np.clip(np.floor((xs + rs - grid.lo[0]) / h - 0.5), -1, n_cells - 1).astype(np.int64)
         keep = hi_idx >= lo_idx
         delta = np.zeros(n_cells + 1, dtype=np.int64)
         np.add.at(delta, lo_idx[keep], 1)
@@ -157,10 +162,9 @@ def ref_mark_balls(grid, mask, centers, radii):
             continue
         if np.any(x - rad < grid.lo) or np.any(x + rad > grid.hi):
             clipped = True
-        lo_idx = np.ceil((x - rad - grid.lo) / h - 0.5).astype(np.int64)
-        hi_idx = np.floor((x + rad - grid.lo) / h - 0.5).astype(np.int64)
-        lo_idx = np.maximum(lo_idx, 0)
-        hi_idx = np.minimum(hi_idx, np.asarray(grid.shape) - 1)
+        lo_idx = np.maximum(np.ceil((x - rad - grid.lo) / h - 0.5), 0).astype(np.int64)
+        hi_idx = np.minimum(np.floor((x + rad - grid.lo) / h - 0.5),
+                            np.asarray(grid.shape) - 1).astype(np.int64)
         if np.any(hi_idx < lo_idx):
             continue
         axes = [grid.lo[i] + (np.arange(lo_idx[i], hi_idx[i] + 1) + 0.5) * h - x[i]
@@ -640,6 +644,90 @@ def test_mark_balls_matches_per_ball_raster(d):
             mask = np.zeros(grid.shape, dtype=bool)
             mask[(0,) * d] = True
             _marks_match(grid, centers, radii, cells, mask)
+
+
+def _row_end_cases(grid, rng):
+    """Balls whose row ends fall on or within a rounding of a cell center: centers
+    on cell centers and cell edges, one ulp either side of them, radii that are
+    exact multiples of h (so rows with ``lead2 == rad2`` and ends exactly on a
+    center), and infinite radii."""
+    d, h = grid.dimension, grid.h
+    idx = rng.integers(0, np.asarray(grid.shape), size=(30, d))
+    cases = []
+    for at in (idx + 0.5, idx.astype(float)):   # cell centers, cell edges
+        x = grid.lo + at * h
+        for centers in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
+            cases.append((centers, h * rng.integers(0, 7, size=30)))
+            cases.append((centers, h * (rng.integers(0, 7, size=30) + 0.5)))
+    radii = h * rng.integers(1, 5, size=30).astype(float)
+    radii[::7] = np.inf
+    cases.append((grid.lo + (idx + 0.5) * h, radii))
+    # the tangent row of a ball 2000 cells wide (lead2 == rad2 on a dyadic
+    # grid): last-axis offsets of 1e-5 cells pass the distance test, but the
+    # nearest center still passes lead2 + a*a <= rad2 through rounding
+    tangent = grid.lo + (np.array([10 - 2000] + [3] * (d - 2) + [5]) + 0.5) * h
+    for off in (1e-5, -1e-5, 2e-5):
+        cases.append((tangent + np.r_[np.zeros(d - 1), off * h], np.array([2000 * h])))
+    return cases
+
+
+def _far_grids(d):
+    """Grids whose last axis starts near 2**30 cells from the origin: inside
+    the certified range, and just past it, where every row is stepped."""
+    h = 0.03
+    return [CoverageGrid(np.r_[np.full(d - 1, -0.2), start * h],
+                         np.r_[np.full(d - 1, 0.25), (start + 24) * h], h)
+            for start in (2 ** 30 - 40, 2 ** 30 + 8)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certified_row_ends_match_per_ball_raster(d, monkeypatch):
+    # the sqrt estimate of a row end stands unless the row is borderline;
+    # borderline rows, of which these inputs hold some, are stepped
+    settled = []
+    settle = CoverageGrid._settle
+    monkeypatch.setattr(CoverageGrid, "_settle",
+                        lambda self, end, *a: settled.append(end.size) or settle(self, end, *a))
+    rng = np.random.default_rng(700 + d)
+    for grid in _grids(d) + _far_grids(d):
+        for centers, radii in _row_end_cases(grid, rng) + _ball_cases(grid, rng):
+            _marks_match(grid, centers, radii)
+    assert sum(settled) > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shared_row_pass_equals_separate_calls(d):
+    # a smaller radius set takes the rows of its own index box from the first
+    # set's row expansion; its cells equal those of a call of its own
+    rng = np.random.default_rng(800 + d)
+    for grid in _grids(d):
+        span = grid.hi - grid.lo
+        for _ in range(8):
+            n = int(rng.integers(1, 120))
+            centers = grid.lo + rng.uniform(-0.1, 1.1, size=(n, d)) * span
+            outer = rng.uniform(-grid.h, 9 * grid.h, size=n)
+            inner = outer - rng.uniform(0.0, 6 * grid.h, size=n)   # some non-positive
+            inner[rng.uniform(size=n) < 0.2] = -1.0
+            for second in (inner, np.minimum(outer, 0.0), outer):
+                shared = CellSet(), CellSet()
+                alone = CellSet(), CellSet()
+                clipped = grid.mark_balls(shared, centers, (outer, second))
+                assert clipped == grid.mark_balls(alone[0], centers, outer)
+                grid.mark_balls(alone[1], centers, second)
+                for a, b in zip(shared, alone):
+                    assert np.array_equal(a.first, b.first) and np.array_equal(a.last, b.last)
+
+
+def test_mark_balls_checks_dimension_and_dominance():
+    grid = CoverageGrid(np.zeros(1), np.ones(1), 0.1)
+    with pytest.raises(InputError):   # a 2-d center on a 1-d grid
+        grid.mark_balls(CellSet(), np.array([[0.5, 0.5]]), np.array([0.2]))
+    with pytest.raises(InputError):
+        CoverageGrid(np.zeros(2), np.ones(2), 0.1).mark_balls(
+            CellSet(), np.full((3, 3), 0.5), np.full(3, 0.2))
+    with pytest.raises(InputError):   # the first radius set must bound the others
+        grid.mark_balls((CellSet(), CellSet()), np.array([[0.5], [0.2]]),
+                        (np.array([0.2, 0.1]), np.array([0.1, 0.3])))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
