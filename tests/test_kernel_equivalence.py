@@ -695,6 +695,39 @@ def test_certified_row_ends_match_per_ball_raster(d, monkeypatch):
     assert sum(settled) > 0
 
 
+def test_certified_row_ends_equal_stepped_ends():
+    # rows straight into _row_interval: centers on cell centers, edges or at
+    # random, nudged by up to 3 ulps; radii up to 2**29 cells; tangent rows
+    # (lead2 a hair below rad2, or equal to it); grids up to 2**30 cells from
+    # the origin.  Every row's cells equal those of stepping every row from
+    # the clipped sqrt estimates, as the raster did before it certified them.
+    rng = np.random.default_rng(900)
+    n = 20_000
+    for _ in range(150):
+        h = float(rng.choice([2.0 ** -int(rng.integers(2, 12)), rng.uniform(1e-4, 3.0)]))
+        ncell = int(rng.integers(2, 400))
+        lo = float(rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** int(rng.integers(0, 30))])) * h
+        grid = CoverageGrid(np.array([0.0, lo]), np.array([1.0, lo + ncell * h]), h)
+        lo_cell = rng.integers(0, ncell, n)
+        hi_cell = np.minimum(lo_cell + rng.integers(0, ncell, n), ncell - 1)
+        at = rng.integers(-5, ncell + 5, n) + rng.choice([0.5, 0.0, rng.uniform()], n)
+        x = lo + at * h
+        x += rng.integers(-3, 4, n) * np.spacing(np.abs(x) + 1e-300)
+        rad2 = (2.0 ** rng.uniform(-3, float(rng.choice([5, 12, 29])), n) * h) ** 2
+        tangent = 1.0 - 2.0 ** -rng.uniform(0, 50, n)
+        lead2 = rad2 * np.where(rng.uniform(size=n) < 0.3, tangent, rng.uniform(0, 1.2, n))
+        eq = rng.uniform(size=n) < 0.05
+        lead2[eq] = rad2[eq]
+        half = np.sqrt(np.maximum(rad2 - lead2, 0.0))
+        left = np.clip(np.ceil((x - half - lo) / h - 0.5), lo_cell, hi_cell + 1).astype(np.int64)
+        right = np.clip(np.floor((x + half - lo) / h - 0.5), lo_cell - 1, hi_cell).astype(np.int64)
+        rows = (x, rad2, lead2, lo_cell, hi_cell)
+        want = grid._settle(left, 1, *rows), grid._settle(right, -1, *rows)
+        got = grid._row_interval(*rows)
+        same = (want[0] == got[0]) & (want[1] == got[1])
+        assert np.all(same | ((want[1] < want[0]) & (got[1] < got[0])))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shared_row_pass_equals_separate_calls(d):
     # a smaller radius set takes the rows of its own index box from the first

@@ -122,7 +122,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--claim", action="append", default=[], metavar="METRIC",
                     help="an end-to-end metric the change claims to improve")
-    ap.add_argument("--note", help="the record's claim text")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shas = {side: git_sha(path) for side, path in checkouts.items()}
@@ -148,8 +147,6 @@ def main(argv=None) -> int:
     record["command"] = COMMAND.format(seconds=args.seconds)
     record.setdefault("machine", f"{platform.machine()}, {os.cpu_count()} cores, Python "
                                  f"{platform.python_version()}")
-    if args.note:
-        record["claim"] = args.note
     record.setdefault("summary", {})[args.workload] = summarize(runs, metrics, set(args.claim))
     record["runs"] = [r for r in record.get("runs", []) if r["workload"] != args.workload] + runs
     args.out.write_text(json.dumps(record, indent=1) + "\n")
