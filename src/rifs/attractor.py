@@ -272,7 +272,7 @@ class _Projection:
             if a == z:
                 continue
             rows = (np.arange(G)[:, None] * W + (idx[a:z] - lo * A)).ravel()
-            # word rows: each seed's level from starts[i], its length-k words from first
+            # rows of out: each seed's level from starts[i], its length-k words from first
             first = self.starts[i] + int(np.searchsorted(L.lengths, k)) + a
             dest = (np.arange(seeds.start, seeds.stop)[:, None] * len(L) + first
                     + np.arange(z - a)).ravel()

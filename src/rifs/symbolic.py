@@ -1,12 +1,11 @@
 """Symbolic dynamics: alphabets, words, cylinder measures, and level sets.
 
 Words are plain tuples of integer symbols ``1..#A`` (the empty tuple is the
-empty word and the identity for concatenation); a level set stores its words
-as a zero-padded ``uint8`` matrix and offers the tuples as a view.  A
-shift-invariant measure assigns each finite word its cylinder mass; the two
-implemented families are Bernoulli products and stationary Markov chains
-with strictly positive entries, both of which decay slowly: one-step
-cylinder ratios are bounded below by a constant ``c > 0``.
+empty word and the identity for concatenation).  A shift-invariant measure
+assigns each finite word its cylinder mass; the two implemented families
+are Bernoulli products and stationary Markov chains with strictly positive
+entries, both of which decay slowly: one-step cylinder ratios are bounded
+below by a constant ``c > 0``.
 
 The level set of order ``n`` is the prefix-free family of words whose
 cylinder measure first drops to ``c**n`` or below.  It partitions the shift
@@ -16,9 +15,9 @@ cylinder tree: :func:`iter_level_frontiers` expands it breadth-first, one
 vectorized depth at a time, with symbols in ascending order (a canonical,
 reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
 holds every level ``n <= n_max`` as a selection of its nodes.  Level sets are
-selected by one downward walk of it that carries a flag per active node;
-determinant windows and projections read the same tree with their own
-per-node state.  A depth is built only if its children fit the word budget.
+selected by one downward walk of it and read their words back up it on
+demand; determinant windows and projections read the same tree with their
+own per-node state.  A depth is built only if its children fit the word budget.
 
 Reports are UTF-8 bytes with ``\n`` line ends, each written to a sibling
 temporary file and renamed into place.  The level-set and point CSVs are
@@ -359,30 +358,61 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
 class LevelSet:
     """Prefix-free word family whose cylinder measure first drops to c**n.
 
-    Rows are in the canonical breadth-first order (shorter first, then
-    lexicographic).  ``word_matrix`` holds the words zero-padded to the
-    longest one, ``lengths`` their lengths, and ``parent_measures`` the
-    masses of the words minus their last symbol, so the defining sandwich is
-    checkable vectorized; a full set of words passing it is automatically
-    prefix-free (prefix measures only grow, so a proper prefix of a member
-    would sit strictly above the threshold).  ``words`` is the tuple view
-    for API edges, built on first access.
-
-    The members are nodes of the cylinder tree ``tree`` they were selected
-    from: ``nodes[k - 1]`` indexes the members among that tree's children at
-    depth k, in row order.
+    The members are nodes of the cylinder tree ``tree``: ``nodes[k - 1]``
+    indexes them among its children at depth k, so rows are in the
+    canonical breadth-first order (shorter first, then lexicographic).
+    ``lengths`` and ``measures`` are read from the tree when the set is
+    made; ``word_matrix`` (the words, zero-padded), ``parent_measures`` (the
+    masses of the words minus their last symbol, for the defining sandwich)
+    and ``words`` (the tuple view for API edges) are read back up it on
+    first access.  Words passing the sandwich are prefix-free: a proper
+    prefix of a member would sit strictly above the threshold.  Every array
+    is read-only.
     """
 
     n: int
-    word_matrix: np.ndarray = field(repr=False)      # (N, max_len) uint8
-    lengths: np.ndarray = field(repr=False)          # (N,)
-    measures: np.ndarray = field(repr=False)         # (N,)
-    parent_measures: np.ndarray = field(repr=False)  # (N,)
-    tree: tuple = field(repr=False)                  # LevelFrontier per depth
-    nodes: tuple = field(repr=False)                 # member indices per depth
+    tree: tuple = field(repr=False)                       # LevelFrontier per depth
+    nodes: tuple = field(repr=False)                      # member indices per depth
+    lengths: np.ndarray = field(init=False, repr=False)   # (N,) int64
+    measures: np.ndarray = field(init=False, repr=False)  # (N,)
+
+    def __post_init__(self):
+        sizes = [idx.size for idx in self.nodes]
+        object.__setattr__(self, "lengths", np.repeat(np.arange(1, len(sizes) + 1), sizes))
+        object.__setattr__(self, "measures", np.concatenate(
+            [np.ones(0)] + [fr.measures[idx] for fr, idx in zip(self.tree, self.nodes)]))
+        for a in (self.lengths, self.measures) + self.nodes:
+            a.setflags(write=False)   # sets are shared by threads
 
     def __len__(self) -> int:
         return self.lengths.size
+
+    @cached_property
+    def word_matrix(self) -> np.ndarray:
+        """(N, max_len) ``uint8``: each member's symbol at its depth, then its
+        parent's among the previous depth's active nodes, and so on."""
+        A = self.tree[0].symbols.size
+        words = np.zeros((len(self), int(self.lengths.max(initial=0))), dtype=np.uint8)
+        at = 0
+        for k, idx in enumerate(self.nodes):
+            if not idx.size:
+                continue
+            rows = words[at:at + idx.size]
+            at += idx.size
+            for j in range(k, -1, -1):
+                rows[:, j] = self.tree[j].symbols[idx]
+                idx = self.tree[j - 1].active_idx[idx // A] if j else idx
+        words.setflags(write=False)
+        return words
+
+    @cached_property
+    def parent_measures(self) -> np.ndarray:
+        """(N,): each member's parent's measure, the root's 1 at depth 1."""
+        A = self.tree[0].symbols.size
+        parents = np.concatenate([np.ones(self.nodes[0].size if self.nodes else 0)] + [
+            fr.measures[fr.active_idx[idx // A]] for fr, idx in zip(self.tree, self.nodes[1:])])
+        parents.setflags(write=False)
+        return parents
 
     @cached_property
     def words(self) -> tuple:
@@ -399,7 +429,7 @@ class LevelSet:
 
 
 def _cut(tree: tuple, n: int, threshold: float) -> Iterator[np.ndarray]:
-    """The member mask of every depth of ``tree``, from one walk down it.
+    """The member indices of every depth of ``tree``, from one walk down it.
 
     A flag per active node marks a prefix still above ``threshold``; a
     flagged node's child is a member when its measure is at most ``threshold``.
@@ -410,40 +440,8 @@ def _cut(tree: tuple, n: int, threshold: float) -> Iterator[np.ndarray]:
         if np.any(fr.emit_mask & above):
             raise InputError(f"the cylinder tree is too shallow for level {n}")
         ok = np.repeat(flag, tree[0].symbols.size)
-        yield ok & ~above
+        yield np.flatnonzero(ok & ~above)
         flag = (ok & above)[fr.active_idx]
-
-
-def _select(tree: tuple, n: int, masks) -> LevelSet:
-    """The level set of the tree nodes picked by one boolean mask per depth.
-
-    Each member's word is read back up the tree: its symbol at this depth,
-    then its parent's among the previous depth's active nodes, and so on.
-    A member's parent measure is read one step up.
-    """
-    nodes = tuple(np.flatnonzero(mask) for mask in masks)
-    A = tree[0].symbols.size
-    lengths = np.concatenate([np.full(idx.size, fr.depth, dtype=np.int64)
-                              for fr, idx in zip(tree, nodes)])
-    words = np.zeros((lengths.size, int(lengths.max(initial=0))), dtype=np.uint8)
-    parents = np.ones(lengths.size)   # the root's mass, for depth-1 members
-    at = 0
-    for k, idx in enumerate(nodes):
-        if not idx.size:
-            continue
-        rows = slice(at, at + idx.size)
-        at += idx.size
-        if k:
-            parents[rows] = tree[k - 1].measures[tree[k - 1].active_idx[idx // A]]
-        for j in range(k, -1, -1):
-            words[rows, j] = tree[j].symbols[idx]
-            if j:
-                idx = tree[j - 1].active_idx[idx // A]
-    meas = np.concatenate([fr.measures[idx] for fr, idx in zip(tree, nodes)])
-    for a in (words, lengths, meas, parents) + nodes:
-        a.setflags(write=False)
-    return LevelSet(n=n, word_matrix=words, lengths=lengths, measures=meas,
-                    parent_measures=parents, tree=tree, nodes=nodes)
 
 
 def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT,
@@ -461,7 +459,7 @@ def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT
         tree = tuple(iter_level_frontiers(m, n, word_budget))
     elif n < 1:
         raise InputError("level index n must be >= 1")
-    return _select(tree, n, _cut(tree, n, slow_decay_constant(m) ** n))
+    return LevelSet(n, tree, tuple(_cut(tree, n, slow_decay_constant(m) ** n)))
 
 
 def level_sets(m: SymbolicMeasure, n_values, word_budget: int = WORD_BUDGET_DEFAULT) -> list:

@@ -177,6 +177,25 @@ def test_run_each_kind_and_headers(kind, tmp_path):
             assert first.startswith("# config_digest=")
 
 
+@pytest.mark.parametrize("name", ["baby_theorem", "example1_2d"])
+def test_runs_read_word_rows_only_for_the_level_they_write(name, tmp_path, monkeypatch):
+    # word rows and parent masses are read back up the tree on demand: the
+    # coverage, density and pairs kinds write no words and read neither; the
+    # levelset and attractor kinds read the word rows of the level they write
+    reads = []
+    for view in ("word_matrix", "parent_measures"):
+        orig = symbolic.LevelSet.__dict__[view]
+        monkeypatch.setattr(symbolic.LevelSet, view, property(
+            lambda ls, view=view, orig=orig: reads.append((view, ls.n)) or orig.__get__(ls)))
+    for kind in ("coverage", "density", "pairs", "levelset", "attractor"):
+        cfg = replace(_small_config(kind, name), grid_h=preset(name).grid_h)
+        reads.clear()
+        run(cfg, tmp_path / kind)
+        written = {"levelset": [("word_matrix", cfg.n)],
+                   "attractor": [("word_matrix", cfg.n_max)]}.get(kind, [])
+        assert reads == written, kind
+
+
 def test_run_deterministic_per_kind(tmp_path):
     for kind in EXPERIMENT_KINDS:
         cfg = _small_config(kind)

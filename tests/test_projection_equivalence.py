@@ -32,7 +32,7 @@ from rifs.errors import BudgetError, InputError
 from rifs.experiments import ExperimentConfig, Gauge, preset
 from rifs.random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                                lyapunov_exponent)
-from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, _select,
+from rifs.symbolic import (BernoulliMeasure, LevelSet, MarkovMeasure, TailSequence,
                            iter_level_frontiers, level_set, level_sets,
                            slow_decay_constant, validate_word)
 from rifs.walk import map_seed_groups, seed_groups
@@ -303,7 +303,8 @@ def test_selection_walk_matches_the_walks_it_replaced(case):
     tree = tuple(iter_level_frontiers(m, n_max))
     for n in range(1, n_max + 1):
         _assert_same_level_set(level_set(m, n, tree=tree),
-                               _select(tree, n, ref_level_set_masks(m, n, tree)))
+                               LevelSet(n, tree, tuple(map(np.flatnonzero,
+                                                           ref_level_set_masks(m, n, tree)))))
 
 
 def test_level_set_rejects_a_too_shallow_tree():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,39 @@ def test_level_set_words_view_matches_word_matrix(skew2, markov2):
         for i, w in enumerate(ls.words):
             assert w == tuple(ls.word_matrix[i, :ls.lengths[i]])
             assert not ls.word_matrix[i, ls.lengths[i]:].any()
+
+
+def test_level_set_arrays_and_views_are_read_only(skew2, markov2):
+    for ls in (level_set(skew2, 3), level_set(markov2, 4)):
+        for name in ("lengths", "measures", "word_matrix", "parent_measures"):
+            a = getattr(ls, name)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert all(not idx.flags.writeable for idx in ls.nodes)
+
+
+def test_replaced_nodes_rederive_every_view(skew2, markov2):
+    # every other member per depth, and no member, of sets whose views were
+    # built first: each view of the new set is the matching rows of the old
+    for ls in (level_set(skew2, 4), level_set(markov2, 5)):
+        old = [ls.word_matrix, ls.parent_measures, ls.words]
+        starts = np.cumsum([0] + [idx.size for idx in ls.nodes])
+        for keep in (lambda idx: idx[::2], lambda idx: idx[:0]):
+            sub = replace(ls, nodes=tuple(map(keep, ls.nodes)))
+            rows = np.concatenate([s + keep(np.arange(idx.size))
+                                   for s, idx in zip(starts, ls.nodes)])
+            assert len(sub) == rows.size
+            assert sub.lengths.dtype == np.int64 and sub.measures.dtype == np.float64
+            width = int(sub.lengths.max(initial=0))
+            assert sub.word_matrix.shape == (rows.size, width)
+            assert np.array_equal(sub.word_matrix, old[0][rows, :width])
+            for name in ("lengths", "measures"):
+                assert np.array_equal(getattr(sub, name), getattr(ls, name)[rows])
+            assert np.array_equal(sub.parent_measures, old[1][rows])
+            assert sub.words == tuple(old[2][i] for i in rows.tolist())
+        empty = replace(ls, nodes=())
+        assert len(empty) == 0 and empty.words == () and empty.parent_measures.size == 0
 
 
 def test_level_set_rejects_n0(uniform2):

@@ -88,9 +88,7 @@ def _level_sets():
                                           [[0.7, 0.3], [0.4, 0.6]]), 7),
         "uniform": level_set(BernoulliMeasure([1.0 / 3.0] * 3), 5),
         "nine_symbols": level_set(BernoulliMeasure(NINE_P), 2),
-        "empty": replace(wide, word_matrix=wide.word_matrix[:0], lengths=wide.lengths[:0],
-                         measures=wide.measures[:0], parent_measures=wide.parent_measures[:0],
-                         nodes=()),
+        "empty": replace(wide, nodes=tuple(idx[:0] for idx in wide.nodes)),
     }
 
 
