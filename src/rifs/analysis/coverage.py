@@ -213,6 +213,8 @@ class CoverageGrid:
         for k, cells in enumerate(targets):   # a smaller set: the rows of its own index box
             keep = np.logical_and.reduce([(first[ax, k].take(ball) <= j) & (j <= last[ax, k].take(ball))
                                           for ax, j in enumerate(js)]) if k else slice(None)
+            if self.dimension > 2:   # rows whose leading axes alone pass the radius mark nothing
+                keep = (lead2 <= rad2[k].take(ball)) & (keep if k else True)
             b, r = ball[keep], row[keep]
             lo_cell, hi_cell = self._row_interval(x[-1].take(b), rad2[k].take(b), lead2[keep],
                                                   first[-1, k].take(b), last[-1, k].take(b))

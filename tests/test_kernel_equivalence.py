@@ -683,16 +683,35 @@ def _far_grids(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_certified_row_ends_match_per_ball_raster(d, monkeypatch):
     # the sqrt estimate of a row end stands unless the row is borderline;
-    # borderline rows, of which these inputs hold some, are stepped
-    settled = []
-    settle = CoverageGrid._settle
+    # borderline rows, of which these inputs hold some, are stepped.  In d = 3
+    # the rows of a ball's index box whose leading axes alone pass its radius
+    # mark nothing and never reach _row_interval; in d = 2 every row does
+    settled, box_rows, rows, past = [], [], [], []
+    settle, mark_rows, row_interval = (CoverageGrid._settle, CoverageGrid._mark_rows,
+                                       CoverageGrid._row_interval)
     monkeypatch.setattr(CoverageGrid, "_settle",
                         lambda self, end, *a: settled.append(end.size) or settle(self, end, *a))
+
+    def spy_mark_rows(self, targets, x, radii, first, last):
+        box_rows.append(int(np.prod(last[:-1, 0] - first[:-1, 0] + 1, axis=0).sum()))
+        return mark_rows(self, targets, x, radii, first, last)
+
+    def spy_row_interval(self, x, rad2, lead2, *rest):
+        rows.append(x.size)
+        past.append(int(np.count_nonzero(lead2 > rad2)))
+        return row_interval(self, x, rad2, lead2, *rest)
+
+    monkeypatch.setattr(CoverageGrid, "_mark_rows", spy_mark_rows)
+    monkeypatch.setattr(CoverageGrid, "_row_interval", spy_row_interval)
     rng = np.random.default_rng(700 + d)
     for grid in _grids(d) + _far_grids(d):
         for centers, radii in _row_end_cases(grid, rng) + _ball_cases(grid, rng):
             _marks_match(grid, centers, radii)
     assert sum(settled) > 0
+    if d == 2:
+        assert sum(rows) == sum(box_rows)
+    else:
+        assert sum(past) == 0 and sum(rows) < sum(box_rows)
 
 
 def test_certified_row_ends_equal_stepped_ends():
