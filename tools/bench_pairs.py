@@ -13,13 +13,19 @@ the summary holds both sides' quartiles, the ratio of the medians
 (change / parent), the parent's spread (interquartile range over median),
 the pairs in which the change was better and the metric's bound:
 
-* ``unresolved: parent spread above the bound`` when the spread exceeds it;
+* ``better in every run`` when the spread exceeds the bound but every run of
+  the change is better than every run of the parent;
+* ``unresolved: parent spread above the bound`` when the spread exceeds it
+  otherwise;
 * ``worse beyond the bound`` when the median ratio moves the wrong way by
   more than the bound;
 * for a metric named by ``--claim``, ``claim holds`` when the change is better
   in at least nine of ten pairs and its median is better than the parent's
   by more than the parent's interquartile range, else ``claim fails``;
 * ``within the bound`` otherwise.
+
+A metric that some run lacks (a run that is not ``correct``) gets no
+quartiles: its verdict names the runs without it.
 
 An existing ``--out`` file keeps its other workloads, so one record can
 collect several invocations; the runs and summary of ``--workload`` are
@@ -85,6 +91,12 @@ def summarize(runs: list, metrics: list, claims: set) -> dict:
            "failed": sum(line["failed"] for line in lines)}
     for metric in metrics:
         name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
+        missing = [f"{r['side']} seed {r['seed']}" for r in runs
+                   if name not in r["last_line"]["metrics"]]
+        if missing:
+            out[name] = {"verdict": f"missing in {len(missing)} of {len(runs)} runs, not correct: "
+                                    + ", ".join(missing)}
+            continue
         values = {side: [r["last_line"]["metrics"][name]["value"] for r in rs]
                   for side, rs in sides.items()}
         if not all(values.values()):
@@ -95,7 +107,8 @@ def summarize(runs: list, metrics: list, claims: set) -> dict:
         sign = 1.0 if lower else -1.0
         won = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
         if spread > bound:
-            verdict = "unresolved: parent spread above the bound"
+            apart = max(sign * c for c in values["change"]) < min(sign * p for p in values["parent"])
+            verdict = "better in every run" if apart else "unresolved: parent spread above the bound"
         elif sign * (ratio - 1.0) > bound:
             verdict = "worse beyond the bound"
         elif name in claims:
