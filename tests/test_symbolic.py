@@ -202,7 +202,7 @@ def test_replaced_nodes_rederive_every_view(skew2, markov2):
     # every other member per depth, and no member, of sets whose views were
     # built first: each view of the new set is the matching rows of the old
     for ls in (level_set(skew2, 4), level_set(markov2, 5)):
-        old = [ls.word_matrix, ls.parent_measures, ls.words]
+        words, parents, tuples = ls.word_matrix, ls.parent_measures, ls.words
         starts = np.cumsum([0] + [idx.size for idx in ls.nodes])
         for keep in (lambda idx: idx[::2], lambda idx: idx[:0]):
             sub = replace(ls, nodes=tuple(map(keep, ls.nodes)))
@@ -212,11 +212,11 @@ def test_replaced_nodes_rederive_every_view(skew2, markov2):
             assert sub.lengths.dtype == np.int64 and sub.measures.dtype == np.float64
             width = int(sub.lengths.max(initial=0))
             assert sub.word_matrix.shape == (rows.size, width)
-            assert np.array_equal(sub.word_matrix, old[0][rows, :width])
+            assert np.array_equal(sub.word_matrix, words[rows, :width])
             for name in ("lengths", "measures"):
                 assert np.array_equal(getattr(sub, name), getattr(ls, name)[rows])
-            assert np.array_equal(sub.parent_measures, old[1][rows])
-            assert sub.words == tuple(old[2][i] for i in rows.tolist())
+            assert np.array_equal(sub.parent_measures, parents[rows])
+            assert sub.words == tuple(tuples[i] for i in rows.tolist())
         empty = replace(ls, nodes=())
         assert len(empty) == 0 and empty.words == () and empty.parent_measures.size == 0
 
