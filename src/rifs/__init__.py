@@ -21,11 +21,10 @@ from .attractor import (PointCloud, ProjectedPoint, bounding_ball, points_to_arr
                         project, project_level, project_levels, write_points_csv,
                         write_svg_scatter)
 from .analysis import (AttractorMeasureReport, CoverageGrid, CoverageReport,
-                       DensityReport, DetWindowReport, PairCountResult,
-                       TransversalityFit, attractor_measure_estimate,
-                       close_pair_count, coverage_estimate, density_sweep,
-                       det_window_report, det_window_reports, separated_subset,
-                       transversality_scaling)
+                       DensityReport, DetWindowReport, TransversalityFit,
+                       attractor_measure_estimate, coverage_estimate, density_sweep,
+                       det_window_report, det_window_reports, pair_counts,
+                       separated_subset, transversality_scaling)
 from .experiments import ExperimentConfig, Gauge, preset, run
 
 __version__ = "0.1.0"

@@ -89,7 +89,7 @@ class CellSet:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageGrid:
     """Uniform cell grid over a box; cell centers at lo + (i + 1/2) h."""
 
@@ -273,7 +273,7 @@ class CoverageGrid:
             end = end + side * (shrink.astype(np.int64) - grow)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
     """Per-level union measures and the tail-union limsup proxy."""
 
@@ -373,7 +373,7 @@ def _coverage_report(grid: CoverageGrid, regime: str, levels, balls: dict) -> Co
                           per_level_inner=per_inner, running_intersection_measure=running)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttractorMeasureReport:
     """Outer measures of the point cloud fattened at the level's natural scale."""
 

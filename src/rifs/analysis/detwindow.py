@@ -42,7 +42,7 @@ from ..symbolic import (SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontie
                         slow_decay_constant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetWindowReport:
     """Window statistics for one realization at one level index."""
 

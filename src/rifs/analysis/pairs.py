@@ -13,12 +13,14 @@ right over the axes, and a reported distance is its ``sqrt``.  A row
 ``sum`` may add in another order (numpy's does from d = 8 on), so two
 statistics computed two ways could disagree about the same pair.
 
-Because projected points carry truncation enclosures, counts are bracketed:
-a pair is certainly close when dist + r_i + r_j <= t and possibly close when
-dist - r_i - r_j <= t.  When the threshold does not dominate the enclosures
+Because projected points carry truncation enclosures, ``pair_counts``
+brackets each count, from the same join, when given the points' radii: a
+pair is certainly close when dist + r_i + r_j <= t and possibly close when
+dist - r_i - r_j <= t.  When a threshold does not dominate the enclosures
 (t <= 2 max r) the nominal count is not truncation-robust and a warning is
-issued; the brackets remain valid either way (the grid cell is widened by
-the enclosure slack so no candidate escapes the neighborhood).
+issued; the brackets remain valid either way (a set's grid cell is widened
+by its enclosure slack so no candidate escapes the neighborhood).  The
+``pairs`` kind reports nominal counts.
 
 The greedy separated subset keeps a point iff it lies strictly farther than
 the radius from everything kept before it (input order).  The result is a
@@ -168,47 +170,6 @@ def _pairs(coords: np.ndarray, join: tuple):
         yield i, j, d2
 
 
-@dataclass(frozen=True)
-class PairCountResult:
-    """Ordered close-pair count with truncation brackets."""
-
-    ordered_count: int
-    ordered_lower: int
-    ordered_upper: int
-    threshold: float
-    truncation_robust: bool
-
-
-def close_pair_count(points, threshold: float) -> PairCountResult:
-    """Count ordered pairs at distance <= threshold via the sorted cell-key join."""
-    if threshold <= 0.0:
-        raise InputError("threshold must be positive")
-    coords, radii = points_to_arrays(points)
-    n = coords.shape[0]
-    max_tr = float(radii.max()) if n else 0.0
-    robust = threshold > 2.0 * max_tr
-    if n and not robust:
-        warnings.warn(
-            f"close-pair threshold {threshold} does not dominate the truncation "
-            f"enclosures (2 max radius = {2 * max_tr}); nominal count is not "
-            "robust, rely on the [lower, upper] bracket", stacklevel=2)
-    nominal = 0
-    lower = 0
-    upper = 0
-    for i, j, d2 in _pairs(coords, _join([coords], [threshold + 2.0 * max_tr])):
-        dist = np.sqrt(d2)
-        rs = radii[i] + radii[j]
-        nominal += int((dist <= threshold).sum())
-        lower += int((dist + rs <= threshold).sum())
-        upper += int((dist - rs <= threshold).sum())
-    if not lower <= nominal <= upper:
-        raise InvariantError(
-            f"pair-count bracket out of order: {lower} <= {nominal} <= {upper} failed")
-    return PairCountResult(ordered_count=2 * nominal, ordered_lower=2 * lower,
-                           ordered_upper=2 * upper,
-                           threshold=threshold, truncation_robust=robust)
-
-
 def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     """Distances of all unordered pairs at distance <= cutoff (for sweeps)."""
     dists = (np.sqrt(d2) for _, _, d2 in _pairs(coords, _join([coords], [cutoff])))
@@ -216,22 +177,49 @@ def pair_distances_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def pair_counts(clouds: list, thresholds: np.ndarray) -> np.ndarray:
-    """Ordered close-pair counts (S, T) of the point sets ``clouds`` at the
-    ascending ``thresholds``, from one join with cells ``t = thresholds.max()``
-    wide: ``[s, k]`` is twice the number of ``pair_distances_within(clouds[s],
-    t)`` at most ``thresholds[k]``.  A pair at distance ``dist`` adds one to
-    its set's slot ``#(thresholds < dist)``; counts are cumulative slot sums."""
+def pair_counts(clouds: list, thresholds, radii: list | None = None) -> np.ndarray:
+    """Ordered close-pair counts (3, S, T) of the point sets ``clouds`` at the
+    positive ascending ``thresholds``: ``[0, s, k]`` counts the pairs of
+    ``clouds[s]`` whose ``dist``, ``[1, s, k]`` those whose ``dist + r_i +
+    r_j`` and ``[2, s, k]`` those whose ``dist - r_i - r_j`` is at most
+    ``thresholds[k]``, with ``radii[s]`` the points' enclosure radii (without
+    ``radii`` the brackets are the counts, at no extra cost).  The sets are
+    counted in batches of at most ``NET_BATCH`` points, one join per batch,
+    in which a set's cells are its largest threshold plus twice its largest
+    radius wide.  A pair adds one to its set's slot ``#(thresholds < x)`` of
+    each bracketed distance ``x``; counts are cumulative slot sums."""
+    thresholds = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+    if not (thresholds.size and thresholds[0] > 0.0 and np.all(np.diff(thresholds) >= 0.0)):
+        raise InputError("thresholds must be positive and ascending")
     S, T = len(clouds), thresholds.size
-    first = np.repeat(np.arange(S) * (T + 1), [len(x) for x in clouds])   # per point
-    slots = np.zeros(S * (T + 1), dtype=np.int64)
-    for i, _, d2 in _pairs(np.concatenate(clouds), _join(clouds, [thresholds.max()] * S)):
-        dist = np.sqrt(d2)
-        slot = first[i]
-        for t in thresholds.tolist():
-            slot += dist > t
-        slots += np.bincount(slot, minlength=slots.size)
-    return 2 * np.cumsum(slots.reshape(S, T + 1), axis=1)[:, :T]
+    sizes = np.array([len(x) for x in clouds], dtype=np.int64)
+    if radii is not None and [len(r) for r in radii] != sizes.tolist():
+        raise InputError("give one enclosure radius per point")
+    tops = np.zeros(S) if radii is None else np.array([np.max(r, initial=0.0) for r in radii])
+    if np.any((sizes > 0) & (thresholds[0] <= 2.0 * tops)):
+        warnings.warn(
+            f"close-pair threshold {thresholds[0]} does not dominate the truncation "
+            f"enclosures (2 max radius = {2.0 * tops.max()}); nominal count is not "
+            "robust, rely on the [lower, upper] bracket", stacklevel=2)
+    cells = thresholds[-1] + 2.0 * tops
+    slots = np.zeros((1 if radii is None else 3, S * (T + 1)), dtype=np.int64)
+    for a, b in blocks(sizes, NET_BATCH):
+        first = np.repeat(np.arange(a, b) * (T + 1), sizes[a:b])   # per point of the batch
+        r = None if radii is None else np.concatenate(radii[a:b])
+        for i, j, d2 in _pairs(np.concatenate(clouds[a:b]), _join(clouds[a:b], list(cells[a:b]))):
+            dist = np.sqrt(d2)
+            rs = None if r is None else r[i] + r[j]
+            for row, x in zip(slots, [dist] if rs is None else [dist, dist + rs, dist - rs]):
+                slot = first[i]
+                for t in thresholds.tolist():
+                    slot += x > t
+                row += np.bincount(slot, minlength=row.size)
+    # without radii the one row of counts is also both brackets
+    counts = np.repeat(2 * np.cumsum(slots.reshape(-1, S, T + 1), axis=2)[..., :T],
+                       3 // len(slots), axis=0)
+    if not (np.all(counts[1] <= counts[0]) and np.all(counts[0] <= counts[2])):
+        raise InvariantError("pair-count bracket out of order: lower <= nominal <= upper failed")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +473,9 @@ def transversality_scaling(family: MatrixFamily, m: SymbolicMeasure, b: TailSequ
     thresholds = s_arr / size ** (1.0 / d)
     eps = float(thresholds.min()) / 8.0
 
-    def group_counts(rs) -> list:
+    def group_counts(rs) -> np.ndarray:
         clouds = [pts.coords for (pts,) in project_levels(rs, [L], b, [eps], map_budget)]
-        return [row for lo, hi in blocks(np.full(len(rs), size), NET_BATCH)
-                for row in pair_counts(clouds[lo:hi], thresholds)]
+        return pair_counts(clouds, thresholds)[0]
 
     counts = np.asarray(map_seed_groups(group_counts, family, master_seed, n_seeds, size,
                                         threads))

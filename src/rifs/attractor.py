@@ -49,7 +49,7 @@ from .symbolic import (LevelSet, TailSequence, _write_atomic, text_table,
 MAP_BUDGET_DEFAULT = 200_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectedPoint:
     """Finite-depth evaluation of a projection with a guaranteed enclosure."""
 
@@ -59,7 +59,7 @@ class ProjectedPoint:
     truncation_radius: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Enclosed projections of a level set, one row per word in its order.
 

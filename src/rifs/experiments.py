@@ -82,6 +82,8 @@ class Gauge:
         self.kind = kind
         self.q = None if q is None else float(q)
         self.values = None if values is None else [float(v) for v in values]
+        if self.values is not None and not all(map(math.isfinite, self.values)):
+            raise InputError("table gauge values must be finite")
         self.regime = regime
 
     def __call__(self, n: int) -> float:

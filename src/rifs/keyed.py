@@ -25,6 +25,7 @@ across libm implementations).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import lru_cache
 
@@ -71,9 +72,13 @@ def mix64(x: np.ndarray) -> np.ndarray:
 
 
 def check_seed(seed) -> int:
-    """``int(seed)``, refused unless it is a 64-bit unsigned integer."""
-    if 0 <= int(seed) <= _U64_MAX:
-        return int(seed)
+    """``operator.index(seed)``, refused unless it is a 64-bit unsigned integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if 0 <= value <= _U64_MAX:
+        return value
     raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 

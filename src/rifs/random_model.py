@@ -493,7 +493,7 @@ def mc_cramer_moment(family: MatrixFamily, symbol: int, s: float,
     return float(np.log(mean)), float(se / mean)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     """Lyapunov and log-moment summary for a family under a measure."""
 

@@ -289,7 +289,7 @@ def entropy_estimate(m: SymbolicMeasure, k: int) -> float:
     return float(-(meas * np.log(meas)).sum() / k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelFrontier:
     """One breadth-first depth of the cylinder-tree expansion of L_{m,n}.
 
@@ -354,7 +354,7 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
         active_last = symbols[active_idx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSet:
     """Prefix-free word family whose cylinder measure first drops to c**n.
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.analysis import (close_pair_count, coverage_estimate,
+from rifs.analysis import (coverage_estimate, pair_counts,
                            det_window_report, separated_subset,
                            transversality_scaling)
 from rifs.attractor import project
@@ -140,8 +140,7 @@ def test_criterion_06_counting_oracles():
         for _ in range(50):
             pts = rng.uniform(0, 1, size=(1000, d))
             t = float(rng.uniform(0.004, 0.05))
-            res = close_pair_count(pts, t)
-            ok &= res.ordered_count == brute_ordered_pairs(pts, t)
+            ok &= pair_counts([pts], [t])[0, 0, 0] == brute_ordered_pairs(pts, t)
             kept = separated_subset(pts, t)
             kc = pts[kept]
             dd = np.sqrt(((kc[:, None] - kc[None, :]) ** 2).sum(-1))
@@ -174,8 +173,8 @@ def test_criterion_07_counting_inequality():
                 pts[: n // 2] *= 0.01
             t = float(rng.uniform(0.02, 0.8))
             kept = separated_subset(pts, t)
-            pairs = close_pair_count(pts, t).ordered_count
-            ok &= n <= len(kept) + pairs
+            close = pair_counts([pts], [t])[0, 0, 0]
+            ok &= n <= len(kept) + close
     _report(7, ok, "every tested set satisfies #Y <= maximal-separated + "
                    "ordered close pairs at the same radius", time.time() - t0, 30.0)
 

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import rifs.analysis
-from rifs.analysis import (close_pair_count, coverage_estimate, pairs,
+from rifs.analysis import (coverage_estimate, pair_counts, pairs,
                            density_sweep, density_sweeps, det_window_report,
                            separated_subset, transversality_scaling)
 from rifs.analysis.coverage import CellSet, CoverageGrid, attractor_measure_estimate
 from rifs.analysis.detwindow import fit_line
 from rifs.attractor import project_level, project_levels
-from rifs.errors import InputError
+from rifs.errors import InputError, InvariantError
 from rifs.experiments import Gauge, preset, run
-from rifs.random_model import MatrixFamily, Realization, SimilaritySpec
+from rifs.random_model import MatrixFamily, Realization, SimilaritySpec, moment_report
 from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, iter_level_frontiers,
                            level_set, level_sets)
 
@@ -58,6 +58,25 @@ def exact_packing_number(coords, r):
 # exports
 # ---------------------------------------------------------------------------
 
+def test_array_records_compare_by_identity_and_hash(line_family):
+    # frozen records holding arrays use identity equality, so == and hash work
+    m = BernoulliMeasure([0.5, 0.5])
+    r = Realization(3, line_family)
+    L = level_set(m, 4)
+    pts = project_level(r, L, TailSequence.constant(1), 1e-6)
+    grid = CoverageGrid(np.array([-1.0]), np.array([2.0]), 2.0 ** -6)
+    records = [next(iter_level_frontiers(m, 2)), L, pts, pts[0],
+               moment_report(line_family, m), grid,
+               coverage_estimate(r, level_sets(m, [3]), TailSequence.constant(1),
+                                 Gauge("one_over_n"), grid),
+               attractor_measure_estimate(r, m, [3, 4], grid),
+               det_window_report(r, m, 3, eps1=0.4, C=4.0, N1=1)]
+    for rec in records:
+        assert rec == rec and hash(rec) == hash(rec)
+    assert L != level_set(m, 4) and pts != pts[0]
+    assert len(set(records)) == len(records)
+
+
 def test_exports_resolve():
     missing = [name for name in rifs.analysis.__all__ if not hasattr(rifs.analysis, name)]
     assert not missing
@@ -71,14 +90,11 @@ def test_exports_resolve():
 # ---------------------------------------------------------------------------
 
 def test_far_pair_counts_zero():
-    res = close_pair_count(np.array([[0.0], [10.0]]), 1.0)
-    assert res.ordered_count == 0
+    assert pair_counts([np.array([[0.0], [10.0]])], [1.0]).tolist() == [[[0]]] * 3
 
 
 def test_coincident_points_full_graph():
-    pts = np.zeros((3, 2))
-    res = close_pair_count(pts, 0.5)
-    assert res.ordered_count == 6
+    assert pair_counts([np.zeros((3, 2))], [0.5]).tolist() == [[[6]]] * 3
 
 
 def test_close_pairs_match_brute_force():
@@ -87,31 +103,43 @@ def test_close_pairs_match_brute_force():
         for trial in range(20):
             pts = rng.uniform(0, 1, size=(400, d))
             t = rng.uniform(0.005, 0.08)
-            res = close_pair_count(pts, t)
-            assert res.ordered_count == brute_ordered_pairs(pts, t)
-            assert res.ordered_lower == res.ordered_count == res.ordered_upper
+            [[nominal]], [[lower]], [[upper]] = pair_counts([pts], [t], [np.zeros(len(pts))])
+            assert nominal == brute_ordered_pairs(pts, t)
+            assert lower == nominal == upper
             # the nets' conflict edges: the same pairs, each once, as lo < hi
             expanded, lo, hi, d2 = pairs._close_pairs([pts], [t])
             assert expanded.tolist() == [True]
             assert np.all(lo < hi) and np.all(d2 <= t * t)
-            assert 2 * lo.size == res.ordered_count
+            assert 2 * lo.size == nominal
 
 
 def test_close_pair_brackets_with_enclosures(line_family):
     m = BernoulliMeasure([0.5, 0.5])
     r = Realization(3, line_family)
     pts = project_level(r, level_set(m, 8), TailSequence.constant(1), 1e-6)
-    res = close_pair_count(pts, 1e-3)
-    assert res.ordered_lower <= res.ordered_count <= res.ordered_upper
-    assert res.truncation_robust
+    assert 1e-3 > 2.0 * pts.radii.max()   # truncation-robust: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [[nominal]], [[lower]], [[upper]] = pair_counts([pts.coords], [1e-3], [pts.radii])
+    assert lower <= nominal <= upper
     with pytest.warns(UserWarning, match="not.*robust|robust"):
-        res2 = close_pair_count(pts, 1e-6)  # threshold below 2 max enclosure
-    assert res2.ordered_lower <= res2.ordered_count <= res2.ordered_upper
+        # threshold below 2 max enclosure
+        [[nominal]], [[lower]], [[upper]] = pair_counts([pts.coords], [1e-6], [pts.radii])
+    assert lower <= nominal <= upper
 
 
 def test_close_pair_validation():
+    for thresholds in ([0.0], [-1.0], [], [math.nan], [0.5, 0.25]):
+        with pytest.raises(InputError):
+            pair_counts([np.zeros((2, 1))], thresholds)
     with pytest.raises(InputError):
-        close_pair_count(np.zeros((2, 1)), 0.0)
+        pair_counts([np.zeros((2, 1))], [0.5], [np.zeros(3)])
+
+
+def test_out_of_order_brackets_raise_invariant_error():
+    # negative radii put the lower bracket above the nominal count
+    with pytest.raises(InvariantError):
+        pair_counts([np.array([[0.0], [1.0]])], [1.5], [np.full(2, -0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +189,13 @@ def test_counting_inequality_points_le_separated_plus_pairs(line_family):
             pts = rng.normal(0, scale, size=(n, d))
             r = rng.uniform(0.05, 1.0)
             kept = separated_subset(pts, r)
-            pairs = close_pair_count(pts, r).ordered_count
-            assert n <= len(kept) + pairs
+            close = pair_counts([pts], [r])[0, 0, 0]
+            assert n <= len(kept) + close
     # a projected level set at the scale 1/#L of its own level
     L = level_set(BernoulliMeasure([0.5, 0.5]), 8)
     pts = project_level(Realization(1, line_family), L, TailSequence.constant(1), 1e-7)
     t = 1.0 / len(L)
-    assert len(L) <= separated_subset(pts, t).size + close_pair_count(pts, t).ordered_count
+    assert len(L) <= separated_subset(pts, t).size + pair_counts([pts.coords], [t])[0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +254,9 @@ def test_pair_counts_match_one_reduction_per_threshold():
         clouds.append(pts[rng.permutation(len(pts))])
         want.append([2 * int((dists <= t).sum()) for t in thresholds])
     # every set in one batch, and each set alone
-    assert pairs.pair_counts(clouds, thresholds).tolist() == want
+    assert pair_counts(clouds, thresholds).tolist() == [want] * 3
     for pts, counts in zip(clouds, want):
-        assert pairs.pair_counts([pts], thresholds).tolist() == [counts]
+        assert pair_counts([pts], thresholds).tolist() == [[counts]] * 3
 
 
 def test_transversality_below_resolution():
@@ -331,8 +359,7 @@ def test_affine_family_through_pipeline(affine_family, uniform2):
     pts = project_level(r, L, TailSequence.constant(2), 1e-5)
     coords = np.stack([p.coordinates for p in pts])
     assert np.all(np.linalg.norm(coords, axis=1) <= bounding_ball(affine_family))
-    res = close_pair_count(pts, 0.05)
-    assert res.ordered_count == brute_ordered_pairs(coords, 0.05)
+    assert pair_counts([pts.coords], [0.05])[0, 0, 0] == brute_ordered_pairs(coords, 0.05)
 
 
 def test_det_window_validation(line_family):

@@ -559,8 +559,12 @@ def test_cli_unknown_nested_key_exits_2(where, key, tmp_path, capsys):
     (dict(grid_lo=[-1.0], grid_hi=[1.0, 1.0]), "grid_hi has 2 coordinates"),
     (dict(word_budget=0), "word_budget must be >= 1"),
     (dict(map_budget=0), "map_budget must be >= 1"),
+    (dict(g=dict(kind="table", values=[math.nan] + [0.5] * 19, regime="divergent")),
+     "table gauge values must be finite"),
+    (dict(g=dict(kind="table", values=[0.5] * 19 + [math.inf], regime="divergent")),
+     "table gauge values must be finite"),
 ], ids=["lo-only", "hi-only", "lo-too-long", "hi-too-long", "word-budget-0",
-        "map-budget-0"])
+        "map-budget-0", "gauge-table-nan", "gauge-table-inf"])
 def test_cli_config_boundary_exits_2(change, problem, tmp_path, capsys):
     main(["preset", "baby_theorem", "--out", str(tmp_path)])
     raw = json.loads((tmp_path / "baby_theorem.json").read_text())
@@ -617,11 +621,13 @@ _BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
     lambda: CoverageGrid(np.full(2, -1e300), np.full(2, 1e300), 1.0),
     lambda: symbolic.TailSequence((), (math.inf,)),
     lambda: symbolic.TailSequence((0.5,), (1,)),
+    lambda: Realization(0.5, MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [0.5]])),
+    lambda: Realization("7", MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [0.5]])),
 ], ids=["bernoulli-nan", "bernoulli-inf", "markov-nan", "markov-transition-nan",
         "translation-inf", "translation-nan", "affine-weight-nan", "affine-base-inf",
         "affine-base-nan", "grid-h-nan", "grid-lo-nan", "root-seed-negative",
         "bounding-ball-overflow", "grid-cell-volume-overflow", "grid-box-volume-overflow",
-        "tail-symbol-inf", "tail-symbol-float"])
+        "tail-symbol-inf", "tail-symbol-float", "seed-float", "seed-string"])
 def test_non_finite_or_out_of_range_input_raises_input_error(build):
     with pytest.raises(InputError):
         build()

@@ -28,9 +28,10 @@ expansion blocks and joins too dense to expand.  The batched nets
 (``separated_subsets``: one join and one pass of rounds per batch of point
 sets) must keep what each net keeps alone, at every round count and with
 batches of one set and of all sets.  The batched pair counts
-(``pair_counts``: one join per batch of point sets) must count what
-``pair_distances_within`` finds in each set alone, also when the sets are
-too wide to shift unless compacted.
+(``pair_counts``: one join per batch of point sets) and their truncation
+brackets must count what the dict-bucket join finds in each set alone at
+each threshold, with zero and open brackets, in one batch and in several,
+also when the sets are too wide to shift unless compacted.
 """
 
 import itertools
@@ -47,7 +48,7 @@ import numpy as np
 import pytest
 
 from rifs import BernoulliMeasure, Realization, TailSequence, keyed, level_set
-from rifs.analysis import (CoverageGrid, close_pair_count, pairs, runs, separated_subset,
+from rifs.analysis import (CoverageGrid, pairs, runs, separated_subset,
                            transversality_scaling)
 from rifs.analysis.coverage import _GRID_CELL_BUDGET, CellSet
 from rifs.analysis.pairs import pair_counts, pair_distances_within, separated_subsets
@@ -249,37 +250,48 @@ def test_close_pair_count_matches_dict_bucket_join(d):
         for radii in (np.zeros(len(coords)),
                       rng.uniform(0.0, r / 3.0, size=len(coords)),
                       np.full(len(coords), r / 8.0)):
-            pts = PointCloud(coords, radii, None, None)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = close_pair_count(pts, r)
-            nominal, lower, upper = ref_close_pairs(coords, radii, r)
-            assert (res.ordered_count, res.ordered_lower, res.ordered_upper) == \
-                (2 * nominal, 2 * lower, 2 * upper)
+                got = pair_counts([coords], [r], [radii])
+            assert got[:, 0, 0].tolist() == [2 * c for c in ref_close_pairs(coords, radii, r)]
 
 
-def ref_pair_counts(clouds, thresholds):
-    """Ordered counts per set and threshold, one set at a time."""
-    cutoff = float(thresholds.max())
-    return [[2 * int((pair_distances_within(x, cutoff) <= t).sum()) for t in thresholds]
-            for x in clouds]
+def ref_pair_counts(clouds, thresholds, radii=None):
+    """Ordered (nominal, lower, upper) counts (3, S, T) of the dict-bucket
+    join, one set and one threshold at a time."""
+    radii = [np.zeros(len(x)) for x in clouds] if radii is None else radii
+    counts = [[[2 * c for c in ref_close_pairs(x, r, float(t))] for t in thresholds]
+              for x, r in zip(clouds, radii)]
+    return np.transpose(counts, (2, 0, 1)).tolist()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_batched_pair_counts_equal_one_set_at_a_time(d):
+def test_batched_pair_counts_equal_one_set_at_a_time(d, monkeypatch):
     # the adversarial sets, with empty and one-point sets, coincident points
-    # and sets far apart, in one join and in joins of a few sets each
+    # and sets far apart, zero radii and open brackets, in one join, in
+    # joins of a few sets each and in joins of one set each
     rng = np.random.default_rng(700 + d)
     clouds = [coords for coords, _ in _point_sets(d, rng)]
     clouds += [np.zeros((0, d)), np.full((1, d), 0.3), np.zeros((9, d)),
                np.full((2, d), 1e6), np.full((3, d), -1e6)]
     clouds = [clouds[k] for k in rng.permutation(len(clouds))]
+    radii = [[np.zeros(len(x)), rng.uniform(0.0, 0.02, size=len(x)),
+              np.full(len(x), 0.0625)][k % 3] for k, x in enumerate(clouds)]
+    sizes = np.array([len(x) for x in clouds])
     for thresholds in (np.array([0.05, 0.125, 0.25, 0.5]),
                        np.array([0.25, 0.25 * math.sqrt(2.0), 0.375])):
-        want = ref_pair_counts(clouds, thresholds)
-        assert pair_counts(clouds, thresholds).tolist() == want
-        for a, b in blocks(np.array([len(x) for x in clouds]), 200):
-            assert pair_counts(clouds[a:b], thresholds).tolist() == want[a:b]
+        for rad in (None, radii):
+            want = ref_pair_counts(clouds, thresholds, rad)
+            if rad is not None:
+                assert want[1] != want[0] != want[2]   # some brackets are open
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for cap in (pairs.NET_BATCH, 200, 1):
+                    monkeypatch.setattr(pairs, "NET_BATCH", cap)
+                    assert pair_counts(clouds, thresholds, rad).tolist() == want, cap
+                for a, b in blocks(sizes, 200):
+                    got = pair_counts(clouds[a:b], thresholds, None if rad is None else rad[a:b])
+                    assert got.tolist() == [w[a:b] for w in want]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -297,7 +309,7 @@ def test_pair_counts_compact_sets_too_wide_to_shift(d):
     keys = [np.floor(x[:, 0] / cell).astype(np.int64) for x in clouds]
     assert sum(int(k.max()) - int(k.min()) + 2 for k in keys) >= 2 ** 63
     want = ref_pair_counts(clouds, thresholds)
-    assert min(counts[0] for counts in want) >= 4   # the coincident far points
+    assert min(counts[0] for counts in want[0]) >= 4   # the coincident far points
     assert pair_counts(clouds, thresholds).tolist() == want
 
 
@@ -309,7 +321,7 @@ def ref_transversality_means(family, m, b, n, s_list, n_seeds, master_seed):
     for j in range(n_seeds):
         r = Realization(keyed.derive_seed(master_seed, j), family)
         [[pts]] = project_levels([r], [L], b, [float(thresholds.min()) / 8.0])
-        counts.extend(ref_pair_counts([pts.coords], thresholds))
+        counts.extend(ref_pair_counts([pts.coords], thresholds)[0])
     return tuple(np.mean(counts, axis=0) / len(L))
 
 
@@ -411,7 +423,7 @@ def test_pair_counts_agree_with_the_net_on_a_d8_tie():
         pytest.fail("no d=8 tie found")
     coords = np.array([np.zeros(8), v])
     assert pair_distances_within(coords, t).size == 1
-    assert close_pair_count(coords, t).ordered_count == 2
+    assert pair_counts([coords], [t])[0, 0, 0] == 2
     assert separated_subset(coords, t).tolist() == [0]
 
 
@@ -469,9 +481,9 @@ def test_large_joins_split_into_blocks():
     coords = rng.uniform(0.0, 0.05, size=(900, 2))
     pts = PointCloud(coords, np.zeros(900), None, None)
     nominal, _, _ = ref_close_pairs(coords, np.zeros(900), 0.04)
-    res = close_pair_count(pts, 0.04)
+    counts = pair_counts([pts.coords], [0.04], [pts.radii])
     assert nominal > 1 << 18
-    assert res.ordered_count == 2 * nominal
+    assert counts[:, 0, 0].tolist() == [2 * nominal] * 3
     assert np.array_equal(np.sort(pair_distances_within(coords, 0.04)),
                           np.sort(ref_pair_distances(coords, 0.04)))
 
