@@ -400,8 +400,6 @@ def attractor_measure_estimate(r: Realization, m: SymbolicMeasure, n_values,
     if grid.dimension != r.family.dimension:
         raise InputError("grid dimension does not match the family")
     n_values = sorted(int(n) for n in n_values)
-    if not n_values:
-        raise InputError("need at least one level index")
     if b is None:
         b = TailSequence.constant(1)
     c = slow_decay_constant(m)

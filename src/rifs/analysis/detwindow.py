@@ -17,15 +17,13 @@ violations at practical parameters are far too rare to chart a decay curve,
 so the histogram deliberately omits C.  ``bad_fraction_log_slope`` fits the
 empirical decay rate.
 
-The cylinder tree itself does not depend on the seed: a run over many seeds
-builds ``tuple(iter_level_frontiers(m, n, word_budget))`` once, the tree
-that level sets are selected from, and :func:`det_window_reports` checks it
-against ``(m, n)`` and walks it once per seed group (:func:`rifs.walk.walk`).
-Every block writes its draws, scratch, deviations and masks into buffers
-allocated once per walk, and its seeds' good members into one mask; at a
-depth's last block each seed's good measures are summed from that mask as
-one array, so a report does not depend on the group or the blocks it was
-walked in.
+The cylinder tree does not depend on the seed: :func:`det_window_reports`
+builds the tree of ``(m, n)`` once per seed group and walks it once for the
+whole group (:func:`rifs.walk.walk`).  Every block writes its draws,
+scratch, deviations and masks into buffers allocated once per walk, and its
+seeds' good members into one mask; at a depth's last block each seed's good
+measures are summed from that mask as one array, so a report does not
+depend on the group or the blocks it was walked in.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ import numpy as np
 from .. import keyed, walk
 from ..errors import InputError
 from ..random_model import Realization, lyapunov_exponent
-from ..symbolic import (SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers,
-                        slow_decay_constant)
+from ..symbolic import SymbolicMeasure, WORD_BUDGET_DEFAULT, iter_level_frontiers
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,27 +90,19 @@ def fit_line(x: np.ndarray, y: np.ndarray):
 
 def det_window_report(r: Realization, m: SymbolicMeasure, n: int, eps1: float,
                       C: float, N1: int,
-                      word_budget: int = WORD_BUDGET_DEFAULT,
-                      tree: tuple | None = None) -> DetWindowReport:
+                      word_budget: int = WORD_BUDGET_DEFAULT) -> DetWindowReport:
     """Classify every level-set word by its determinant window behaviour.
 
-    ``det_window_reports`` for the single realization ``r``; without a
-    ``tree`` the walk builds the tree.
+    ``det_window_reports`` for the single realization ``r``.
     """
-    return det_window_reports([r], m, n, eps1, C, N1, word_budget, tree)[0]
+    return det_window_reports([r], m, n, eps1, C, N1, word_budget)[0]
 
 
 def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1: int,
-                       word_budget: int = WORD_BUDGET_DEFAULT,
-                       tree: tuple | None = None) -> list:
+                       word_budget: int = WORD_BUDGET_DEFAULT) -> list:
     """Window reports of a seed group ``rs`` (realizations of one family),
-    from one walk of the cylinder tree of ``(m, n)`` (:func:`rifs.walk.walk`).
-
-    Returns one report per realization, in order.  ``tree`` is
-    ``tuple(iter_level_frontiers(m, n, word_budget))``, built once per run
-    and shared (read only) by every group; when omitted, it is built here.
-    A given tree whose first depth's measures are not ``m``'s, or whose
-    members are not those of level ``n``, raises :class:`InputError`.
+    from one walk of the cylinder tree of ``(m, n)`` (:func:`rifs.walk.walk`),
+    which is built here.  Returns one report per realization, in order.
     """
     if eps1 <= 0.0:
         raise InputError("eps1 must be positive")
@@ -128,14 +117,7 @@ def det_window_reports(rs, m: SymbolicMeasure, n: int, eps1: float, C: float, N1
         raise InputError("a seed group must hold realizations of one family")
     if m.alphabet.size != family.alphabet.size:
         raise InputError("measure and family alphabets disagree")
-    if tree is None:
-        tree = tuple(iter_level_frontiers(m, n, word_budget))
-    else:   # the rule iter_level_frontiers builds with
-        threshold = slow_decay_constant(m) ** n
-        if not (tree and np.array_equal(tree[0].measures, m.first_symbol_probs())
-                and all(np.array_equal(fr.emit_mask, fr.measures <= threshold)
-                        for fr in tree)):
-            raise InputError(f"tree is not the cylinder tree of this measure at level {n}")
+    tree = tuple(iter_level_frontiers(m, n, word_budget))
 
     A = m.alphabet.size
     S = len(rs)

@@ -338,7 +338,8 @@ def _nets(clouds: list, radii: np.ndarray) -> list:
     coords = points.astype(np.float64, copy=False)   # square and add as Python floats
     expanded, lo, hi, d2 = _close_pairs([coords[a:b] for a, b in zip(at, at[1:])],
                                         radii.max(axis=1).tolist())
-    r2 = radii * radii
+    with np.errstate(over="ignore"):   # an infinite square still compares right
+        r2 = radii * radii
     owner = member[lo]
     los, his = [], []
     for k in range(K):

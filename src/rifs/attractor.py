@@ -210,11 +210,13 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
     b.validate(family.alphabet)
     if not levels:
         return [[] for _ in rs]
-    rho = family.rho_max
-    R = bounding_ball(family)
     tree = levels[0].tree
     if any(L.tree is not tree for L in levels):
         raise InputError("projected level sets must be selected from one cylinder tree")
+    if tree[0].symbols.size != family.alphabet.size:
+        raise InputError("level set and family alphabets disagree")
+    rho = family.rho_max
+    R = bounding_ball(family)
     radii, steps = [], []   # per level: each member's radius; each depth's tail steps
     for L, target in zip(levels, target_radii):
         depth = np.zeros(len(L.nodes) + 1, dtype=np.int64)   # tail depth per word length

@@ -11,11 +11,11 @@ A key whose value is the default may be omitted.
 ``run`` validates a config, executes the named experiment, and writes CSV
 reports whose first lines carry the config digest and the fully resolved
 config, so every output file is self-describing and reruns with the same
-seed are byte-identical.  Seed-independent work (the cylinder tree and the
-level sets selected from it) is done once per run and shared, read only, by
-every seed.  Supercriticality (entropy above the Lyapunov exponent) is
-required for the coverage-type experiments unless explicitly waived for
-contrast runs.
+seed are byte-identical.  Seed-independent work is shared, read only: the
+level sets (cut from one cylinder tree) are made once per run, and a
+detwindow run builds its tree once per seed group.  Supercriticality
+(entropy above the Lyapunov exponent) is required for the coverage-type
+experiments unless explicitly waived for contrast runs.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .errors import InputError
 from .random_model import (AffineSpec, MatrixFamily, Realization, SimilaritySpec,
                            lyapunov_exponent, mc_lyapunov_prime, moment_report)
 from .symbolic import (MAX_DIGIT_SYMBOL, BernoulliMeasure, MarkovMeasure, SymbolicMeasure,
-                       TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy,
-                       iter_level_frontiers, level_set, level_sets,
-                       slow_decay_constant, text_table, write_levelset_csv,
+                       TailSequence, WORD_BUDGET_DEFAULT, _write_atomic, entropy, level_set,
+                       level_sets, slow_decay_constant, text_table, write_levelset_csv,
                        write_word_table)
 from .walk import map_seed_groups
 
@@ -514,11 +513,8 @@ def _run_lyapunov(cfg: ExperimentConfig, out: Path, threads: int, canonical: str
 
 def _run_detwindow(cfg: ExperimentConfig, out: Path, threads: int, canonical: str) -> list:
     eps1 = cfg.resolved_eps1()
-    # the tree is seed-independent: built once and shared by every group's walk
-    tree = tuple(iter_level_frontiers(cfg.measure, cfg.n, cfg.word_budget))
     reports = map_seed_groups(
-        lambda rs: det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1,
-                                      cfg.word_budget, tree=tree),
+        lambda rs: det_window_reports(rs, cfg.measure, cfg.n, eps1, cfg.C, cfg.N1, cfg.word_budget),
         cfg.family, cfg.master_seed, cfg.seeds, 1, threads)   # one report per seed
     rows = []
     for j, rep in enumerate(reports):

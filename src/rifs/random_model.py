@@ -511,5 +511,5 @@ def moment_report(family: MatrixFamily, m: SymbolicMeasure,
     lp = np.array([lyapunov_prime(family, i) for i in syms])
     cramer = {float(s): np.array([cramer_moment(family, i, s) for i in syms])
               for s in s_values}
-    lam = float(np.dot(np.asarray(m.first_symbol_probs()), lp))
-    return MomentReport(lyapunov_prime=lp, lyapunov=lam, cramer_values=cramer)
+    return MomentReport(lyapunov_prime=lp, lyapunov=lyapunov_exponent(family, m),
+                        cramer_values=cramer)

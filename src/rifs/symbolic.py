@@ -14,10 +14,13 @@ and its cardinality grows like ``c**-n``.  Every level is a cut of one
 cylinder tree: :func:`iter_level_frontiers` expands it breadth-first, one
 vectorized depth at a time, with symbols in ascending order (a canonical,
 reproducible output ordering), and ``tuple(iter_level_frontiers(m, n_max))``
-holds every level ``n <= n_max`` as a selection of its nodes.  Level sets are
-selected by one downward walk of it and read their words back up it on
-demand; determinant windows and projections read the same tree with their
-own per-node state.  A depth is built only if its children fit the word budget.
+holds every level ``n <= n_max`` as a selection of its nodes.  Membership is
+decided here alone: :func:`level_set` takes the nodes its own tree emits,
+and :func:`level_sets` cuts the shallower levels from the deepest level's
+tree by one downward walk of it.  A set reads its words back up its tree on
+demand; projections read the same tree with their own per-node state, and
+determinant windows build the tree they walk.  A depth is built only if its
+children fit the word budget.
 
 Reports are UTF-8 bytes with ``\n`` line ends, each written to a sibling
 temporary file and renamed into place.  The level-set and point CSVs are
@@ -315,7 +318,7 @@ def iter_level_frontiers(m: SymbolicMeasure, n: int,
 
     ``tuple(iter_level_frontiers(m, n_max, word_budget))`` is the tree that
     level sets, determinant windows and projections read; it holds every
-    level n <= n_max (see :func:`level_set`).  Consumers carry their own
+    level n <= n_max (see :func:`level_sets`).  Consumers carry their own
     per-active-node state: repeat it per child, update with
     ``symbols``/``measures``, keep ``active_idx``.
     """
@@ -428,7 +431,7 @@ class LevelSet:
         return (float(self.measures.min()), float(self.measures.max()))
 
 
-def _cut(tree: tuple, n: int, threshold: float) -> Iterator[np.ndarray]:
+def _cut(tree: tuple, threshold: float) -> Iterator[np.ndarray]:
     """The member indices of every depth of ``tree``, from one walk down it.
 
     A flag per active node marks a prefix still above ``threshold``; a
@@ -437,36 +440,33 @@ def _cut(tree: tuple, n: int, threshold: float) -> Iterator[np.ndarray]:
     flag = np.ones(1, dtype=bool)   # the root
     for fr in tree:
         above = fr.measures > threshold
-        if np.any(fr.emit_mask & above):
-            raise InputError(f"the cylinder tree is too shallow for level {n}")
         ok = np.repeat(flag, tree[0].symbols.size)
         yield np.flatnonzero(ok & ~above)
         flag = (ok & above)[fr.active_idx]
 
 
-def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT,
-              tree: tuple | None = None) -> LevelSet:
+def level_set(m: SymbolicMeasure, n: int, word_budget: int = WORD_BUDGET_DEFAULT) -> LevelSet:
     """Level set L_{m,n}: the words whose measure first drops to ``c**n`` or below.
 
     A word is a member exactly when its measure is at most ``c**n`` and its
     parent's is above, so the defining sandwich holds and the members are
-    pairwise prefix-incomparable.  They are selected from ``tree``, which is
-    ``tuple(iter_level_frontiers(m, n_max, word_budget))`` for any
-    ``n_max >= n`` (every member's parent is active there); by default the
-    tree of ``(m, n)`` itself is built.
+    pairwise prefix-incomparable.  They are the emitted nodes of the tree
+    of ``(m, n)``, which is built here.
     """
-    if tree is None:
-        tree = tuple(iter_level_frontiers(m, n, word_budget))
-    elif n < 1:
-        raise InputError("level index n must be >= 1")
-    return LevelSet(n, tree, tuple(_cut(tree, n, slow_decay_constant(m) ** n)))
+    tree = tuple(iter_level_frontiers(m, n, word_budget))
+    return LevelSet(n, tree, tuple(np.flatnonzero(fr.emit_mask) for fr in tree))
 
 
 def level_sets(m: SymbolicMeasure, n_values, word_budget: int = WORD_BUDGET_DEFAULT) -> list:
-    """``[level_set(m, n) for n in n_values]``, all selected from one tree built
-    for the deepest level, so they can be projected by one walk."""
+    """``[level_set(m, n) for n in n_values]``, in the order given, all cut
+    from the tree of the deepest level (every member's parent is active
+    there), so they can be projected by one walk."""
+    n_values = list(n_values)
+    if not n_values or min(n_values) < 1:
+        raise InputError(f"level indices must be a nonempty list of n >= 1, got {n_values}")
     tree = tuple(iter_level_frontiers(m, max(n_values), word_budget))
-    return [level_set(m, n, tree=tree) for n in n_values]
+    c = slow_decay_constant(m)
+    return [LevelSet(n, tree, tuple(_cut(tree, c ** n))) for n in n_values]
 
 
 def is_prefix_free(words) -> bool:

@@ -15,8 +15,8 @@ from rifs.attractor import project_level, project_levels
 from rifs.errors import InputError, InvariantError
 from rifs.experiments import Gauge, preset, run
 from rifs.random_model import MatrixFamily, Realization, SimilaritySpec, moment_report
-from rifs.symbolic import (BernoulliMeasure, MarkovMeasure, TailSequence, iter_level_frontiers,
-                           level_set, level_sets)
+from rifs.symbolic import (BernoulliMeasure, TailSequence, iter_level_frontiers, level_set,
+                           level_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +371,47 @@ def test_det_window_validation(line_family):
         det_window_report(r, m, 5, eps1=0.1, C=0.0, N1=1)
 
 
-def test_det_window_rejects_a_tree_not_of_its_measure_and_level(line_family, tmp_path):
+def test_det_window_walks_the_tree_of_its_level(line_family, tmp_path):
     m = BernoulliMeasure([0.5, 0.5])
     r = Realization(0, line_family)
-    eps1, C, N1 = 0.1, math.e ** 2, 2
-    # level 8's tree would report level 8's words under the label n = 4
-    with pytest.raises(InputError, match="not the cylinder tree"):
-        det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(m, 8)))
-    # level 4's tree of another measure: other first-symbol masses, or the
-    # same ones (a stationary Markov measure) with other members
-    markov = MarkovMeasure([0.5, 0.5], [[0.6, 0.4], [0.4, 0.6]])
-    for other in (BernoulliMeasure([0.6, 0.4]), markov):
-        with pytest.raises(InputError, match="not the cylinder tree"):
-            det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(other, 4)))
-    rep = det_window_report(r, m, 4, eps1, C, N1, tree=tuple(iter_level_frontiers(m, 4)))
+    rep = det_window_report(r, m, 4, 0.1, math.e ** 2, 2)
     assert rep.per_prefix_totals.tolist() == [2, 4, 8, 16]
-    # the tree a detwindow run builds, under the config's word budget, passes
+    # the tree a detwindow run builds, under the config's word budget, walks
     cfg = replace(preset("baby_theorem"), kind="detwindow", n=6, seeds=3)
     assert [p.name for p in run(cfg, tmp_path)] == ["detwindow.csv", "detwindow_hist.csv"]
+
+
+_THREE_LINE = MatrixFamily(1, [SimilaritySpec(0.3, 0.6)] * 3, [[0.0], [0.4], [0.8]])
+
+
+@pytest.mark.parametrize("entry", ["project_level", "coverage_estimate", "density_sweep",
+                                   "attractor_measure_estimate", "transversality_scaling"])
+@pytest.mark.parametrize("symbols", [(2, 3), (3, 2)], ids=["more-symbols", "fewer-symbols"])
+def test_projections_refuse_level_sets_of_another_alphabet(entry, symbols, line_family):
+    family_size, measure_size = symbols
+    fam = line_family if family_size == 2 else _THREE_LINE
+    m = BernoulliMeasure([1.0 / measure_size] * measure_size)
+    r, b, grid = Realization(0, fam), TailSequence.constant(1), CoverageGrid([-1.0], [2.0], 0.01)
+    call = {
+        "project_level": lambda: project_level(r, level_set(m, 3), b, 1e-3),
+        "coverage_estimate": lambda: coverage_estimate(r, level_sets(m, [3]), b,
+                                                       Gauge("one_over_n"), grid),
+        "density_sweep": lambda: density_sweep(r, level_sets(m, [2, 3]), b, [0.5], [0.25]),
+        "attractor_measure_estimate": lambda: attractor_measure_estimate(r, m, [2, 3], grid),
+        "transversality_scaling": lambda: transversality_scaling(fam, m, b, 3, [0.5, 4.0], 30),
+    }[entry]
+    with pytest.raises(InputError, match="alphabets disagree"):
+        call()
+
+
+def test_density_at_scales_whose_squares_overflow_is_quiet(line_family):
+    # every pair conflicts at such scales, so each net keeps one point
+    levels = level_sets(BernoulliMeasure([0.5, 0.5]), [3, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports, _ = density_sweep(Realization(0, line_family), levels,
+                                   TailSequence.constant(1), [0.0], [1e160, 1e300])
+    assert [rep.ratios for rep in reports] == [(1 / 8, 1 / 16)] * 2
 
 
 def test_fit_line_basics():

@@ -1,7 +1,8 @@
-"""The seed ranges and verdicts of ``tools/bench_pairs.py``, on synthetic runs."""
+"""The seed ranges, commits and verdicts of ``tools/bench_pairs.py``, on synthetic runs."""
 
 import argparse
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,41 @@ def test_a_run_without_the_metric_is_reported():
     assert not summary["correct"]
     assert summary["coverage_s"] == {
         "verdict": "missing in 1 of 20 runs, not correct: change seed 4"}
+
+
+def test_git_sha_marks_a_changed_tracked_file(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    assert bench_pairs.git_sha(tmp_path) == "unknown"
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    sha = bench_pairs.git_sha(tmp_path)
+    assert sha != "unknown" and not sha.endswith("-dirty")
+    (tmp_path / "b.txt").write_text("untracked\n")
+    assert bench_pairs.git_sha(tmp_path) == sha
+    (tmp_path / "a.txt").write_text("changed\n")
+    assert bench_pairs.git_sha(tmp_path) == f"{sha}-dirty"
+
+
+def test_verdict_lines():
+    summary = {"pairs": 10, "seeds": "1-10", "correct": False, "failed": 0,
+               "coverage_s": {"median_ratio": 1.1, "parent_spread": 0.025,
+                              "change_lower_in": "0/10", "verdict": "within the bound"},
+               "nodes_per_s": {"median_ratio": 0.7, "parent_spread": 0.03,
+                               "change_higher_in": "1/10", "verdict": "worse beyond the bound"},
+               "levelset_s": {"verdict": "missing in 1 of 20 runs, not correct: change seed 4"}}
+    assert bench_pairs.verdict_lines("line", summary) == [
+        "line coverage_s: median ratio 1.1, change lower in 0/10, parent spread 0.025, "
+        "within the bound",
+        "line nodes_per_s: median ratio 0.7, change higher in 1/10, parent spread 0.03, "
+        "worse beyond the bound",
+        "line levelset_s: missing in 1 of 20 runs, not correct: change seed 4"]
+    # the lines of a summary that summarize wrote
+    made = bench_pairs.summarize(_runs(PARENT, [v * 1.1 for v in PARENT]), [METRIC], set())
+    assert bench_pairs.verdict_lines("plane", made) == [
+        f"plane coverage_s: median ratio {made['coverage_s']['median_ratio']}, change lower in "
+        f"0/10, parent spread {made['coverage_s']['parent_spread']}, within the bound"]

@@ -20,7 +20,7 @@ from rifs.cli import main
 from rifs.errors import InputError
 from rifs.experiments import (EXPERIMENT_KINDS, MAX_THREADS, PRESET_NAMES, ExperimentConfig,
                               Gauge, preset, run)
-from rifs.random_model import AffineSpec, MatrixFamily, Realization, SimilaritySpec
+from rifs.random_model import AffineSpec, MatrixFamily, Realization, SimilaritySpec, moment_report
 from rifs.symbolic import BernoulliMeasure, MarkovMeasure
 
 REPO = Path(__file__).resolve().parent.parent
@@ -623,11 +623,14 @@ _BASES = [np.diag([0.9, 0.7]), np.diag([0.8, 0.95])]
     lambda: symbolic.TailSequence((0.5,), (1,)),
     lambda: Realization(0.5, MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [0.5]])),
     lambda: Realization("7", MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [0.5]])),
+    lambda: moment_report(MatrixFamily(1, _TWO_LINE_MAPS, [[0.0], [0.5]]),
+                          BernoulliMeasure([0.4, 0.3, 0.3])),
 ], ids=["bernoulli-nan", "bernoulli-inf", "markov-nan", "markov-transition-nan",
         "translation-inf", "translation-nan", "affine-weight-nan", "affine-base-inf",
         "affine-base-nan", "grid-h-nan", "grid-lo-nan", "root-seed-negative",
         "bounding-ball-overflow", "grid-cell-volume-overflow", "grid-box-volume-overflow",
-        "tail-symbol-inf", "tail-symbol-float", "seed-float", "seed-string"])
+        "tail-symbol-inf", "tail-symbol-float", "seed-float", "seed-string",
+        "moment-report-alphabets"])
 def test_non_finite_or_out_of_range_input_raises_input_error(build):
     with pytest.raises(InputError):
         build()

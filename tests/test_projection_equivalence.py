@@ -275,9 +275,8 @@ def _set_block(block, m, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_tree_selected_level_sets_match_level_set(case):
     _, m, _, _, n_max = CASES[case]
-    tree = tuple(iter_level_frontiers(m, n_max))
-    for n in range(1, n_max + 1):
-        got = level_set(m, n, tree=tree)
+    levels = level_sets(m, range(1, n_max + 1))
+    for n, got in enumerate(levels, 1):
         own = level_set(m, n)
         ref = ref_level_set(m, n)
         for a, b, c in zip((got.word_matrix, got.lengths, got.measures, got.parent_measures),
@@ -286,7 +285,7 @@ def test_tree_selected_level_sets_match_level_set(case):
             assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
             assert a.tobytes() == b.tobytes() == c.tobytes()
     if case == "affine_mixed_lengths":
-        assert np.unique(level_set(m, n_max, tree=tree).lengths).size >= 2
+        assert np.unique(levels[-1].lengths).size >= 2
 
 
 def _assert_same_level_set(got, ref):
@@ -300,18 +299,32 @@ def _assert_same_level_set(got, ref):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_selection_walk_matches_the_walks_it_replaced(case):
     _, m, _, _, n_max = CASES[case]
-    tree = tuple(iter_level_frontiers(m, n_max))
-    for n in range(1, n_max + 1):
-        _assert_same_level_set(level_set(m, n, tree=tree),
-                               LevelSet(n, tree, tuple(map(np.flatnonzero,
-                                                           ref_level_set_masks(m, n, tree)))))
+    levels = level_sets(m, range(1, n_max + 1))
+    for n, got in enumerate(levels, 1):
+        for L in (got, level_set(m, n)):   # cut from the deepest tree, and from its own
+            _assert_same_level_set(L, LevelSet(n, L.tree, tuple(
+                map(np.flatnonzero, ref_level_set_masks(m, n, L.tree)))))
 
 
-def test_level_set_rejects_a_too_shallow_tree():
-    m = BernoulliMeasure([0.7, 0.3])
-    tree = tuple(iter_level_frontiers(m, 3))
-    with pytest.raises(InputError, match="too shallow"):
-        level_set(m, 4, tree=tree)
+@pytest.mark.parametrize("m", [BernoulliMeasure([1.0 / 3.0] * 3),
+                               BernoulliMeasure([0.3] + [0.1] * 7), _MARKOV],
+                         ids=["uniform3", "wide_io", "markov"])
+def test_level_sets_in_any_order_equal_level_set(m):
+    n_values = [4, 2, 4, 1, 3, 2] if m.alphabet.size < 8 else [3, 1, 3, 2]
+    levels = level_sets(m, n_values)
+    assert [L.n for L in levels] == n_values
+    assert all(L.tree is levels[0].tree for L in levels)
+    for n, got in zip(n_values, levels):
+        own = level_set(m, n)
+        for name in ("word_matrix", "lengths", "measures", "parent_measures"):
+            a, b = getattr(got, name), getattr(own, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_values", [[0, 3], [3, -1], []])
+def test_level_sets_refuse_no_level_or_a_level_below_one(n_values):
+    with pytest.raises(InputError, match="level indices"):
+        level_sets(BernoulliMeasure([0.7, 0.3]), n_values)
 
 
 SEEDS = (5, 6, 7)
@@ -467,13 +480,15 @@ def test_one_seed_projection_peak_is_its_results_and_a_few_blocks():
     # same tree holds (both walk it in blocks, carrying one depth at a time)
     cfg = preset("baby_theorem")
     m, n = cfg.measure, 18
-    tree = tuple(iter_level_frontiers(m, n))
-    L = level_set(m, n, tree=tree)
+    L = level_set(m, n)
     assert len(L) == 2 ** 18
     r = Realization(0, cfg.family)
     [[pts]], peak = _traced_peak(lambda: project_levels([r], [L], cfg.tail, [1e-3]))
     _, window_peak = _traced_peak(
-        lambda: det_window_report(r, m, n, cfg.resolved_eps1(), cfg.C, cfg.N1, tree=tree))
+        lambda: det_window_report(r, m, n, cfg.resolved_eps1(), cfg.C, cfg.N1))
+    # the window report builds its own copy of the tree, which the walk's peak excludes
+    window_peak -= sum(a.nbytes for fr in L.tree
+                       for a in (fr.symbols, fr.measures, fr.emit_mask, fr.active_idx))
     assert peak <= pts.coords.nbytes + pts.radii.nbytes + 2 * window_peak, (peak, window_peak)
 
 

@@ -1,4 +1,4 @@
-"""Sampling by distribution and the shared window tree against what they replaced.
+"""Sampling by distribution and the window walks against what they replaced.
 
 ``ref_per_symbol`` is the earlier dispatch kept as an oracle: one boolean
 mask per distinct last symbol (``np.unique``), each group sampled through the
@@ -6,12 +6,11 @@ single-symbol path.  Grouping symbols by equal distribution must give
 bitwise-equal matrices, log-determinants and scalars (also into given
 buffers), and the base-matrix selector, which compares raw draws with
 integer thresholds, must pick the index ``searchsorted`` picks on their
-uniforms.  Likewise a
-determinant-window walk over a tree built once
-(``tuple(iter_level_frontiers(...))``) and shared by threads must equal the
-walk that streams the tree (``ref_det_window_report``), field by field, for
-every seed and thread count, also when the walk cuts each depth into blocks
-of one or a few parents.  The seed-group walk (``det_window_reports``) of 8
+uniforms.  Likewise determinant-window walks run on several threads, each
+over the tree it builds, must equal the walk that streams the tree
+(``ref_det_window_report``), field by field, for every seed and thread count,
+also when the walk cuts each depth into blocks of one or a few parents.  The
+seed-group walk (``det_window_reports``) of 8
 seeds must equal the same oracle at 1 and 2 threads, also when a smaller
 ``walk.BLOCK`` splits its groups unevenly at several depths, and walks run
 one after another or on several threads must not share workspace buffers.
@@ -211,7 +210,7 @@ def test_three_dimensional_factor_takes_lapack_qr():
 
 
 # ---------------------------------------------------------------------------
-# shared window tree
+# window walks
 # ---------------------------------------------------------------------------
 
 def _report_fields(rep):
@@ -241,7 +240,7 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
     assert max(fr.symbols.size for fr in tree) <= walk.BLOCK
 
     def shared(j):
-        return det_window_report(Realization(j, fam), m, n, eps1, C, N1, tree=tree)
+        return det_window_report(Realization(j, fam), m, n, eps1, C, N1)
 
     def interleaved(n_seeds):
         # more threads than cores and a short switch interval interleave the walks
@@ -253,12 +252,12 @@ def test_shared_tree_walk_equals_streamed_walk(case, threads, monkeypatch):
             sys.setswitchinterval(interval)
 
     reports = interleaved(8)
-    # the shared tree is read, never written: a second pass gives the same reports
+    # a second pass gives the same reports
     again = interleaved(8)
     streamed = [_report_fields(ref_det_window_report(Realization(j, fam), m, n, eps1, C, N1))
                 for j in range(8)]
     assert reports == streamed
-    # without a tree, the walk builds its own
+    # a lone call walks the same
     lone = det_window_report(Realization(0, fam), m, n, eps1, C, N1)
     assert _report_fields(lone) == reports[0]
     assert again == reports
@@ -301,7 +300,7 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
 
         def group(g):
             rs = [Realization(j, fam) for j in ranges[g]]
-            return det_window_reports(rs, m, n, eps1, C, N1, tree=tree)
+            return det_window_reports(rs, m, n, eps1, C, N1)
 
         return [_report_fields(rep)
                 for reps in keyed.map_seeds(group, len(ranges), threads) for rep in reps]
@@ -313,7 +312,7 @@ def test_seed_group_walk_equals_oracle(case, monkeypatch):
         monkeypatch.setattr(walk, "BLOCK", block)
         for threads in (1, 2):
             assert grouped(threads) == want, (block, threads)
-        # a group built here, without a tree, walks the same
+        # a group of all eight seeds walks the same
         rs = [Realization(j, fam) for j in range(8)]
         assert [_report_fields(rep) for rep in det_window_reports(rs, m, n, eps1, C, N1)] == want
     calls.clear()
@@ -346,7 +345,7 @@ def test_one_mask_sum_over_blocks_equals_oracle(case, monkeypatch):
     A = m.alphabet.size
     for block in (1, A, 3 * A + 1):
         monkeypatch.setattr(walk, "BLOCK", block)
-        got = det_window_reports(rs, m, n, eps1, C, N1, tree=tree)
+        got = det_window_reports(rs, m, n, eps1, C, N1)
         assert [_report_fields(rep) for rep in got] == want, block
         assert _report_fields(det_window_report(rs[0], m, n, eps1, C, N1)) == want[0], block
 
@@ -402,7 +401,6 @@ def test_threaded_seed_group_walks_own_their_workspaces(monkeypatch):
     fam = _families()["mixed_d1"]
     m, n = BernoulliMeasure([0.4, 0.3, 0.3]), 7
     A = m.alphabet.size
-    tree = tuple(iter_level_frontiers(m, n))
     built = []   # (kernel, the walk's node rows of its first block)
 
     class Windows(detwindow._Windows):
@@ -418,7 +416,7 @@ def test_threaded_seed_group_walks_own_their_workspaces(monkeypatch):
         sys.setswitchinterval(1e-6)   # interleave the threads' walks
         try:
             return [_report_fields(rep) for rep in walk.map_seed_groups(
-                lambda rs: det_window_reports(rs, m, n, 0.05, 1.5, 2, tree=tree),
+                lambda rs: det_window_reports(rs, m, n, 0.05, 1.5, 2),
                 fam, 7, 8, A, threads)]
         finally:
             sys.setswitchinterval(interval)

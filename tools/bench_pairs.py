@@ -58,9 +58,15 @@ def seed_range(text: str) -> list:
 
 
 def git_sha(checkout: Path) -> str:
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    """The short commit of ``checkout``, with ``-dirty`` when a tracked file differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    proc = git("rev-parse", "--short", "HEAD")
+    if proc.returncode != 0:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return proc.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -125,6 +131,22 @@ def summarize(runs: list, metrics: list, claims: set) -> dict:
     return out
 
 
+def verdict_lines(workload: str, summary: dict) -> list:
+    """One line per metric of ``summary``: median ratio, pairs won, parent spread, verdict."""
+    lines = []
+    for name, entry in summary.items():
+        if not isinstance(entry, dict):
+            continue
+        if "median_ratio" not in entry:
+            lines.append(f"{workload} {name}: {entry['verdict']}")
+            continue
+        side = "lower" if "change_lower_in" in entry else "higher"
+        lines.append(f"{workload} {name}: median ratio {entry['median_ratio']}, change {side} "
+                     f"in {entry[f'change_{side}_in']}, parent spread {entry['parent_spread']}, "
+                     f"{entry['verdict']}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
@@ -164,6 +186,8 @@ def main(argv=None) -> int:
     record["runs"] = [r for r in record.get("runs", []) if r["workload"] != args.workload] + runs
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{len(runs)} runs -> {args.out}", file=sys.stderr)
+    for line in verdict_lines(args.workload, record["summary"][args.workload]):
+        print(line, file=sys.stderr)
     return 0
 
 
