@@ -19,16 +19,20 @@ tail therefore ends after its last translation-bearing step (or at ``K``, if
 sooner): the coordinates equal the full depth-``K`` evaluation exactly, while
 the radius and the ``map_budget`` charge stay those of depth ``K``.
 
+A point reads only the maps of its word's proper prefixes (``F(0) = t_1 +
+A_1 t_2 + ... + A_1..A_(L-1) t_L``), so each member's last tail step, and the
+deepest depth of a walk whose members take none, only update ``v``.
+
 Level sets are selections of one cylinder tree (:mod:`rifs.symbolic`), and
 :func:`project_levels` projects them for a seed group by one walk of it
 (:func:`rifs.walk.walk`), so every prefix is composed once per realization.
 Each row repeats exactly the operations of a word-by-word evaluation
 (:func:`project`), so the coordinates are bit-identical to it whichever
-words, levels, seeds and blocks are evaluated together.  One step function
-(``_step``) serves the walk, the tail steps and :func:`project`.  For d >= 2
-a product whose operand rows share is one BLAS call (``M t`` per symbol, the
-sampler's ``O B`` per base); ``M A`` stays per row, on a broadcast view of
-the parents' ``M``.  All are bit-identical.
+words, levels, seeds and blocks are evaluated together.  One step,
+``_move`` then ``_compose``, serves the walk, the tail steps and
+:func:`project`.  For d >= 2 a product whose operand rows share is one BLAS
+call (``M t`` per symbol, the sampler's ``O B`` per base); ``M A`` stays per
+row, on a broadcast view of the parents' ``M``.  All are bit-identical.
 """
 
 from __future__ import annotations
@@ -105,25 +109,38 @@ def _start(family: MatrixFamily, states: np.ndarray) -> tuple:
 
 def _step(r: Realization, states, M, v, symbols, out: tuple) -> tuple:
     """Each row's children, one per symbol (one symbol, or ``1..A``, children
-    parent-major): a child absorbs its symbol into the row's chain state and
-    takes ``v + M t`` and ``M A``; written into ``out``, which for one symbol may be the rows."""
+    parent-major), into ``out``, which for one symbol may be the rows."""
+    v = _move(r, M, v, symbols, out=out[2])
+    return _compose(r, states, M, symbols, out=out[:2]) + (v,)
+
+
+def _move(r: Realization, M, v, symbols, out: np.ndarray) -> np.ndarray:
+    """The children's ``v + M t`` (as ``_step``), written into ``out``; it
+    reads only the rows' maps, never a child's."""
+    P, A, d = v.shape[0], np.size(symbols), r.family.dimension
+    t = r.family.translations[np.asarray(symbols).reshape(A) - 1]
+    for j in range(A):   # one product per symbol, into every A-th child (d = 1 rows are flat)
+        Mt = M * t[j, 0] if d == 1 else (M.reshape(P * d, d) @ t[j]).reshape(P, d)
+        np.add(v, Mt, out=out.reshape((P, A) + v.shape[1:])[:, j])
+    return out
+
+
+def _compose(r: Realization, states, M, symbols, out: tuple) -> tuple:
+    """The children's maps (as ``_step``): each absorbs its symbol into the
+    row's chain state, samples ``A`` there and takes ``M A``."""
     P, A = states.shape[0], np.size(symbols)
     syms = np.tile(symbols, P) if A > 1 else symbols
     if A > 1:
         states = keyed.repeat_children(states, A, out=out[0])
-        if M.ndim == 1:   # d = 1 steps flat rows, repeated to the children
-            M, v = (keyed.repeat_children(x, A, out=y) for x, y in zip((M, v), out[1:]))
     states = keyed.absorb(states, syms, out=out[0])
     if M.ndim == 1:
-        v = np.add(v, M * r.family.translations[np.asarray(syms) - 1, 0], out=out[2])
-        return states, np.multiply(M, r.scalars_from_chains(states, syms), out=out[1]), v
+        if A > 1:
+            M = keyed.repeat_children(M, A, out=out[1])
+        return states, np.multiply(M, r.scalars_from_chains(states, syms), out=out[1])
     d = M.shape[-1]
     mats = r.matrices_from_chains(states, syms)
-    t = r.family.translations[np.asarray(symbols) - 1].reshape(A, d)
-    for j in range(A):   # one product per symbol, before M may be overwritten
-        np.add(v, (M.reshape(P * d, d) @ t[j]).reshape(P, d), out=out[2].reshape(P, A, d)[:, j])
     np.matmul(M[:, None], mats.reshape(P, A, d, d), out=out[1].reshape(P, A, d, d))
-    return states, out[1], out[2]
+    return states, out[1]
 
 
 def _coords(v: np.ndarray) -> np.ndarray:
@@ -232,8 +249,7 @@ def project_levels(rs, levels, b: TailSequence, target_radii,
         steps.append(np.asarray(_tail_steps(family, b, depth)).tolist())
 
     projection = _Projection(rs, levels, b, steps)
-    deepest = max(int(L.lengths.max(initial=0)) for L in levels)
-    walk.walk(tree[:deepest], tree[0].symbols.size,
+    walk.walk(tree[:projection.deepest], tree[0].symbols.size,
               _start(family, keyed.root_states([q.seed for q in rs])), projection)
     projection.flush()
     coords = _coords(projection.out)
@@ -263,11 +279,17 @@ class _Projection:
         self.pending = tuple(np.empty((cap,) + x.shape[1:], x.dtype) for x in rows) \
             + (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.intp))
         self.held = 0
+        self.deepest = max(int(L.lengths.max(initial=0)) for L in levels)
+        # the deepest depth's maps go unread when its members take no tail step
+        self.leaves = not any(k_steps[self.deepest] for k_steps in steps)
 
     def block(self, fr, seeds: slice, lo: int, hi: int, parents: tuple, kids: tuple) -> tuple:
         A, G, k = self.A, seeds.stop - seeds.start, fr.depth
         W = (hi - lo) * A   # children per seed
-        kids = _step(self.r, *parents, fr.symbols[:A], out=tuple(x[:G * W] for x in kids))
+        kids = tuple(x[:G * W] for x in kids)
+        _move(self.r, *parents[1:], fr.symbols[:A], out=kids[2])
+        if k < self.deepest or not self.leaves:
+            _compose(self.r, *parents[:2], fr.symbols[:A], out=kids[:2])
         for i, L in enumerate(self.levels):
             idx = L.nodes[k - 1]
             a, z = np.searchsorted(idx, (lo * A, hi * A)).tolist()
@@ -300,19 +322,25 @@ class _Projection:
 
     def flush(self) -> None:
         """Take the pending members' tail steps, ordered by descending steps:
-        step ``k`` takes the leading rows with at least ``k``, and a row that
-        has taken its last step is copied out."""
+        step ``k`` moves the leading rows with at least ``k`` and composes
+        the maps of those with more, into the other of two ``M`` buffers; a
+        row that has taken its last step is copied out."""
         n, self.held = self.held, 0
         if not n:
             return
         order = np.argsort(-self.pending[3][:n], kind="stable")
         states, M, v, steps, dest = (x[:n][order] for x in self.pending)
+        spare = self.pending[1][:n]   # free until the next member is held
+        # ends[k - 1]: the rows with at least k steps, for k = 1 .. steps[0] + 1
+        ends = np.searchsorted(-steps, -np.arange(1, steps[0] + 2), side="right").tolist()
         done = n   # rows from done on have taken all their steps
-        for k in range(1, int(steps[0]) + 1):
-            c = int(np.count_nonzero(steps >= k))
+        for k, c, more in zip(itertools.count(1), ends, ends[1:]):
             self.out[dest[c:done]] = v[c:done]
-            rows = (states[:c], M[:c], v[:c])
-            _step(self.r, *rows, self.b.symbol(k), out=rows)
+            _move(self.r, M[:c], v[:c], self.b.symbol(k), out=v[:c])
+            if more:
+                _compose(self.r, states[:more], M[:more], self.b.symbol(k),
+                         out=(states[:more], spare[:more]))
+                M, spare = spare, M
             done = c
         self.out[dest[:done]] = v[:done]
 
@@ -355,7 +383,7 @@ def write_svg_scatter(points, path, header_comment: str | None = None) -> None:
     if header_comment:
         parts.append(f"<!-- {header_comment} -->")
     parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
-    for x, y in pix.tolist():
-        parts.append(f'<circle cx="{x:.2f}" cy="{size - y:.2f}" r="1" fill="black"/>')
-    parts.append("</svg>")
+    pix[:, 1] = size - pix[:, 1]
+    circle = '<circle cx="%.2f" cy="%.2f" r="1" fill="black"/>\n'
+    parts.append((circle * len(pix)) % tuple(pix.ravel().tolist()) + "</svg>")
     _write_atomic(path, [("\n".join(parts) + "\n").encode()])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from rifs import keyed
-from rifs.attractor import (_required_depth, bounding_ball, points_to_arrays, project,
-                            project_level, write_points_csv, write_svg_scatter)
+from rifs.attractor import (_required_depth, _tail_steps, bounding_ball, points_to_arrays,
+                            project, project_level, project_levels, write_points_csv,
+                            write_svg_scatter)
 from rifs.cli import main
 from rifs.errors import BudgetError, InputError
 from rifs.experiments import preset
@@ -177,6 +178,14 @@ def absorbed(monkeypatch):
     return count
 
 
+def _cut_family(fam, line_family, plane_family):
+    """The line, plane or affine family of the tail-cut tests: t_1 = 0, t_2 != 0."""
+    bases = [np.diag([0.9, 0.7]).tolist(), np.diag([0.8, 0.95]).tolist()]
+    return {"line": line_family, "plane": plane_family,
+            "affine": MatrixFamily(2, [AffineSpec(0.45, 0.49, bases)] * 2,
+                                   [[0.0, 0.0], [1.0, 0.5]])}[fam]
+
+
 # (tail, k*): the last tail position whose symbol moves the point (t_2 != 0)
 _CUT_TAILS = [(TailSequence.constant(1), 0),
               (TailSequence((2, 1, 2, 1), (1,)), 3),
@@ -187,10 +196,7 @@ _CUT_TAILS = [(TailSequence.constant(1), 0),
 @pytest.mark.parametrize("fam", ["line", "plane", "affine"])
 def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
                                                  line_family, plane_family):
-    bases = [np.diag([0.9, 0.7]).tolist(), np.diag([0.8, 0.95]).tolist()]
-    family = {"line": line_family, "plane": plane_family,
-              "affine": MatrixFamily(2, [AffineSpec(0.45, 0.49, bases)] * 2,
-                                     [[0.0, 0.0], [1.0, 0.5]])}[fam]
+    family = _cut_family(fam, line_family, plane_family)
     r = Realization(13, family)
     L = level_set(BernoulliMeasure([0.7, 0.3]), 2)
     rho, R = family.rho_max, bounding_ball(family)
@@ -200,8 +206,14 @@ def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
 
     absorbed[0] = 0
     pts = project_level(r, L, tail, 1e-6)
-    # one step per node of the cylinder tree (shared prefixes), then the tails
-    assert absorbed[0] == sum(fr.symbols.size for fr in L.tree) + sum(steps)
+    # one step per node of the cylinder tree (shared prefixes), then the
+    # tails; no map is composed that nothing reads: not each member's last
+    # tail map, nor the deepest depth's when its members take no tail step
+    deepest = int(L.lengths.max())
+    leaves = 0 if any(k for w, k in zip(L.words, steps) if len(w) == deepest) \
+        else L.tree[deepest - 1].symbols.size
+    assert absorbed[0] == (sum(fr.symbols.size for fr in L.tree) - leaves
+                           + sum(steps) - np.count_nonzero(steps))
     for i, (w, K, k) in enumerate(zip(L.words, depths, steps)):
         full = _full_depth(r, w, tail, K)
         absorbed[0] = 0
@@ -223,6 +235,52 @@ def test_tail_cut_is_exact_and_skips_still_steps(fam, tail, cut, absorbed,
     absorbed[0] = 0
     assert project_tail(r, a, tail, K).tobytes() == v.tobytes()
     assert absorbed[0] == len(a) + steps[0]
+
+
+class RecordingRealization(Realization):
+    """Keeps every chain state it samples a map at."""
+
+    def __init__(self, seed, family):
+        super().__init__(seed, family)
+        self.sampled = []
+
+    def matrices_from_chains(self, states, last_symbols):
+        self.sampled += states.tolist()
+        return super().matrices_from_chains(states, last_symbols)
+
+    def scalars_from_chains(self, states, last_symbols):
+        self.sampled += states.tolist()
+        return super().scalars_from_chains(states, last_symbols)
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.5], [0.7, 0.3]], ids=["uniform", "skew"])
+@pytest.mark.parametrize("tail,cut", _CUT_TAILS, ids=["constant", "prefix", "period"])
+@pytest.mark.parametrize("fam", ["line", "plane", "affine"])
+def test_no_member_samples_its_last_map(fam, tail, cut, p, line_family, plane_family):
+    # the point of w . b_1 .. b_k reads the maps of its proper prefixes only,
+    # so a projection samples no member's final chain state; the one
+    # exception is a member above the deepest depth that takes no tail step,
+    # whose depth is composed for the active nodes beside it
+    family = _cut_family(fam, line_family, plane_family)
+    L = level_set(BernoulliMeasure(p), 3)
+    deepest = int(L.lengths.max())
+    assert p[0] == 0.5 or L.lengths.min() < deepest
+    rs = [RecordingRealization(seed, family) for seed in (13, 14)]
+    target = 1e-4
+    clouds = project_levels(rs, [L], tail, [target])
+    sampled = set(rs[0].sampled)   # the walk samples every seed through rs[0]
+    finals, read = set(), set()
+    for r, (cloud,) in zip(rs, clouds):
+        for w, x in zip(L.words, cloud.coords):
+            K = _required_depth(target, len(w), family.rho_max, bounding_ball(family))
+            k = int(_tail_steps(family, tail, K))
+            assert x.tobytes() == project(r, w, tail, K).coordinates.tobytes()
+            final = int(keyed.word_state(r.seed, w + tail.first(k))[0])
+            finals.add(final)
+            if k == 0 and len(w) < deepest:
+                read.add(final)
+    assert len(finals) == 2 * len(L)
+    assert finals & sampled == read
 
 
 def test_project_level_budget_charges_worst_case_depth(line_family, tmp_path, capsys):

@@ -439,18 +439,22 @@ def test_group_arrays_hold_at_most_group_rows(case, monkeypatch):
     widest = max(fr.symbols.size for fr in levels[0].tree)
     want = project_levels([Realization(j, fam) for j in range(5)], levels, tail, targets)
     stepped, results = [], []
-    step, coords = attractor._step, attractor._coords
+    coords = attractor._coords
 
-    def spy_step(r, states, *rest, **out):
-        # a walk block's step reads its parents' rows and writes its children's
-        stepped.append(max([states.size] + [x.shape[0] for x in out.get("out") or ()]))
-        return step(r, states, *rest, **out)
+    def spying(part):
+        def spy(r, *rows, out):
+            # a walk block's step reads its parents' rows and writes its children's
+            outs = out if isinstance(out, tuple) else (out,)
+            stepped.append(max(x.shape[0] for x in rows[:-1] + outs))
+            return part(r, *rows, out=out)
+        return spy
 
     def spy_coords(v):
         results.append(v.shape[0])
         return coords(v)
 
-    monkeypatch.setattr(attractor, "_step", spy_step)
+    for part in ("_move", "_compose"):   # every step moves; most also compose
+        monkeypatch.setattr(attractor, part, spying(getattr(attractor, part)))
     monkeypatch.setattr(attractor, "_coords", spy_coords)
     # the first cap cuts one seed's widest depth into three blocks or more
     for cap in (widest // 3, rows - 1, rows, 2 * rows + 1, 5 * rows):
@@ -604,15 +608,22 @@ def test_coverage_samples_each_tree_node_once(fam, tail):
     r = CountingRealization(3, fam)
     coverage_estimate(r, level_sets(m, n_values), tail, gauge, grid)
 
-    nodes = sum(fr.symbols.size for fr in iter_level_frontiers(m, max(n_values)))
-    tail_steps = 0
+    tree = tuple(iter_level_frontiers(m, max(n_values)))
+    nodes = sum(fr.symbols.size for fr in tree)
+    tail_steps = tails = deepest_tails = 0
     for n in n_values:
         L = level_set(m, n)
         radii = (L.measures * gauge(n)) ** (1.0 / d)
         target = float(radii[radii > 0.0].min()) / 8.0
         depths = np.array([_required_depth(target, int(k), fam.rho_max, R)
                            for k in L.lengths.tolist()])
-        tail_steps += int(np.sum(_tail_steps(fam, tail, depths)))
-    assert r.rows == nodes + tail_steps
+        steps = np.asarray(_tail_steps(fam, tail, depths))
+        tail_steps += int(np.sum(steps))
+        tails += int(np.count_nonzero(steps))
+        deepest_tails += int(np.count_nonzero(steps[L.lengths == len(tree)]))
+    # a member's last tail map is never sampled, nor are the deepest depth's
+    # maps when none of its members takes a tail step
+    leaves = 0 if deepest_tails else tree[-1].symbols.size
+    assert r.rows == nodes - leaves + tail_steps - tails
     # the per-word path sampled every letter of every word
     assert nodes < sum(int(level_set(m, n).lengths.sum()) for n in n_values)
