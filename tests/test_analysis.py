@@ -93,6 +93,12 @@ def test_far_pair_counts_zero():
     assert pair_counts([np.array([[0.0], [10.0]])], [1.0]).tolist() == [[[0]]] * 3
 
 
+def test_pair_counts_of_no_sets_are_empty():
+    for radii in (None, []):
+        counts = pair_counts([], [0.5, 1.0], radii)
+        assert counts.shape == (3, 0, 2) and counts.dtype == np.int64
+
+
 def test_coincident_points_full_graph():
     assert pair_counts([np.zeros((3, 2))], [0.5]).tolist() == [[[6]]] * 3
 

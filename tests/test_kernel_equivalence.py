@@ -24,7 +24,9 @@ The greedy net resolves most points in parallel rounds over conflict edges
 and finishes the rest with the sequential scan; every net is checked with
 ``pairs.ROUNDS`` at 0 (the scan alone), 1, 2 and its default, on chains that
 need one round per point, exact ties, coincident points, joins of several
-expansion blocks and joins too dense to expand.  The batched nets
+expansion blocks and joins too dense to expand; the rounds alone
+(``pairs._rounds``) are checked on random conflict graphs whose edges come
+shuffled and partly duplicated.  The batched nets
 (``separated_subsets``: one join and one pass of rounds per batch of point
 sets) must keep what each net keeps alone, at every round count and with
 batches of one set and of all sets.  The batched pair counts
@@ -43,9 +45,12 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rifs import BernoulliMeasure, Realization, TailSequence, keyed, level_set
 from rifs.analysis import (CoverageGrid, pairs, runs, separated_subset,
@@ -135,6 +140,21 @@ def ref_separated(coords, radius):
             kept.append(i)
             kept_cells.setdefault(key, []).append(i)
     return np.asarray(kept, dtype=np.int64)
+
+
+def ref_scan(n, edges, kept=(), todo=None):
+    """The sequential greedy scan of the conflict graph ``edges`` on ``n``
+    points over ``todo`` (every point by default) in index order, testing
+    each point against every point kept so far; returns all kept, ascending."""
+    neighbours = [set() for _ in range(n)]
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    kept = set(kept)
+    for i in range(n) if todo is None else todo:
+        if not neighbours[i] & kept:
+            kept.add(i)
+    return sorted(kept)
 
 
 def ref_mark_balls(grid, mask, centers, radii):
@@ -440,6 +460,51 @@ def test_net_on_float32_coordinates_adds_in_float64(monkeypatch):
         for rounds in ROUND_COUNTS[1:]:
             monkeypatch.setattr(pairs, "ROUNDS", rounds)
             assert np.array_equal(separated_subset(pts, r), want), rounds
+
+
+@st.composite
+def conflict_graphs(draw):
+    """``(n, edges)``: ``lo < hi`` edges of a graph on ``n`` points, shuffled,
+    some of them twice."""
+    n = draw(st.integers(1, 40))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=120))
+    edges = [(min(a, b), max(a, b)) for a, b in ends if a != b]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=40))
+    return n, draw(st.permutations(edges))
+
+
+@given(conflict_graphs())
+@settings(max_examples=200, deadline=None)
+def test_rounds_then_the_scan_keep_the_greedy_net(graph):
+    n, edges = graph
+    want = ref_scan(n, edges)
+    orders = [edges, sorted(set(edges)), edges[::-1]]
+    for rounds in ROUND_COUNTS:
+        with mock.patch.object(pairs, "ROUNDS", rounds):
+            results = [pairs._rounds(n, np.array([a for a, _ in e], dtype=np.int64),
+                                     np.array([b for _, b in e], dtype=np.int64))
+                       for e in orders]
+        kept, todo = results[0]
+        assert np.all(np.diff(kept) > 0) and np.all(np.diff(todo) > 0), rounds
+        assert not set(kept.tolist()) & set(todo.tolist()), rounds
+        assert ref_scan(n, edges, kept.tolist(), todo.tolist()) == want, rounds
+        for other_kept, other_todo in results[1:]:   # the edge order decides nothing
+            assert np.array_equal(other_kept, kept) and np.array_equal(other_todo, todo), rounds
+        if rounds == 0:
+            assert kept.size == 0 and np.array_equal(todo, np.arange(n))
+
+
+@pytest.mark.parametrize("coords, radius", [(np.array([[0.5], [1.0]]), 1e-320),
+                                            (np.array([[1e300], [1.0]]), 1e-20),
+                                            (np.array([[1.0], [2.0]], dtype=np.float32), 1e-40)])
+def test_cell_keys_past_the_float_range_raise_input_error_without_a_warning(coords, radius):
+    # 1 / radius or a scaled coordinate overflows to inf, which the key check refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="within 2\\*\\*62 search radii"):
+            separated_subsets([coords], [[radius]])
 
 
 def test_far_apart_cells_are_compacted():
